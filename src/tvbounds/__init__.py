@@ -37,6 +37,7 @@ from .errors import (
     NoContractionError,
     ParameterError,
     PrecisionError,
+    SimulationError,
     StateError,
 )
 from .stochastics import NoiseStream
@@ -60,6 +61,7 @@ __all__ = [
     "StateError",
     "IngestionError",
     "PrecisionError",
+    "SimulationError",
 ]
 
 __version__ = "0.1.0"

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from . import spectral, stochastics
 from .errors import DomainError, NoContractionError, ParameterError
@@ -57,6 +55,7 @@ __all__ = [
     "nonlinear_ar_exact_two_step_ratio",
     "nonlinear_ar_D",
     "nonlinear_ar_certificate",
+    "golden_section_max",
     "larch_certificate",
     "asym_arch_certificate",
     "garch_certificate",
@@ -184,7 +183,7 @@ def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
         raise ParameterError(f"need alpha, beta > 0, got ({alpha}, {beta})")
     ln = (
         alpha * math.log(beta)
-        - gammaln(alpha)
+        - math.lgamma(alpha)
         + (alpha + 1) * (math.log(alpha + 1) - math.log(beta))
         - (alpha + 1)
     )
@@ -221,7 +220,7 @@ def location_k_closed_form(j: int, s: float) -> float:
         raise ParameterError(f"need S > 0, got {s}")
     ln = (
         (j - 1) / 2 * math.log(s / 2)
-        - gammaln((j - 1) / 2)
+        - math.lgamma((j - 1) / 2)
         - (j - 3) / 2 * math.log(s / (j + 1))
         - (j + 1) / 2
     )
@@ -516,14 +515,25 @@ def nonlinear_ar_exact_two_step_ratio(x, y):
     return out if out.ndim else float(out)
 
 
+_ZOOM_CELLS = 4  # coarse cells zoomed by nonlinear_ar_D
+
+
 def nonlinear_ar_D(
-    grid: int = 2001,
+    grid: int = 201,
     half_range: float = 4 * math.pi,
     min_separation: float = 0.5,
     refine: bool = True,
 ) -> float:
     """Two-step contraction factor D for the sine-map chain, as the square
-    root of the grid sup of the closed-form ratio over [-R, R]^2.
+    root of the sup of the closed-form ratio over [-R, R]^2.
+
+    The sup is searched on a coarse ``grid`` x ``grid`` lattice.  With
+    ``refine`` set, the best coarse cells are then zoomed: a 41 x 41
+    lattice is laid over a window two coarse spacings wide around each
+    cell, re-centred on its best point, and shrunk tenfold per step down
+    to a half-width of about 1e-10.  Every zoom point lies in the box and
+    respects the separation cutoff, and the coarse maximum is kept, so
+    refinement only ever raises D (the conservative direction).
 
     The closed-form surrogate is a Cauchy-Schwarz envelope of the exact
     expected-gap ratio and inflates near the diagonal: its x -> y limit
@@ -532,7 +542,9 @@ def nonlinear_ar_D(
     taken at the surrogate's interior maximum (~0.662), which still
     dominates the exact ratio everywhere, grid-refines stably, and is
     checked against the quadrature oracle in the test suite.  Pass
-    ``min_separation=0`` for the full (diagonal-limit) envelope sup.
+    ``min_separation=0`` for the full (diagonal-limit) envelope sup; the
+    cutoff is then half the coarse spacing, so a finer ``grid`` moves the
+    result closer to that limit.
     """
     if grid < 3:
         raise ParameterError(f"grid resolution must be >= 3, got {grid}")
@@ -541,27 +553,33 @@ def nonlinear_ar_D(
     ax = np.linspace(-half_range, half_range, grid)
     spacing = ax[1] - ax[0]
     cutoff = max(min_separation, 0.5 * spacing)
-    best = -np.inf
-    arg = (0.0, 1.0)
+
+    def ratio(xs, ys):
+        return np.where(np.abs(xs - ys) >= cutoff, nonlinear_ar_two_step_ratio(xs, ys), -np.inf)
+
+    # the best cells of every block, as (value, x, y)
+    cells = []
     block = max(1, 4_000_000 // grid)
     for i in range(0, grid, block):
         xs = ax[i : i + block][:, None]
-        ys = ax[None, :]
-        r = np.where(np.abs(xs - ys) >= cutoff, nonlinear_ar_two_step_ratio(xs, ys), -np.inf)
-        jj = np.unravel_index(np.argmax(r), r.shape)
-        if r[jj] > best:
-            best = float(r[jj])
-            arg = (float(xs[jj[0], 0]), float(ys[0, jj[1]]))
+        r = ratio(xs, ax[None, :])
+        top = np.argpartition(r, -min(_ZOOM_CELLS, r.size), axis=None)[-_ZOOM_CELLS:]
+        ii, jj = np.unravel_index(top, r.shape)
+        cells.extend(zip(r[ii, jj].tolist(), xs[ii, 0].tolist(), ax[jj].tolist()))
+    cells.sort(reverse=True)
+    best = cells[0][0]
     if refine:
-
-        def neg(v):
-            if abs(v[0] - v[1]) < cutoff:
-                return np.inf
-            return -nonlinear_ar_two_step_ratio(np.float64(v[0]), np.float64(v[1]))
-
-        res = minimize(neg, list(arg), method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-13})
-        if np.isfinite(res.fun):
-            best = max(best, float(-res.fun))
+        offsets = np.linspace(-1.0, 1.0, 41)
+        for _, cx, cy in cells[:_ZOOM_CELLS]:
+            half = spacing
+            while half > 1e-10:
+                xs = np.clip(cx + half * offsets, -half_range, half_range)[:, None]
+                ys = np.clip(cy + half * offsets, -half_range, half_range)[None, :]
+                r = ratio(xs, ys)
+                i, j = np.unravel_index(np.argmax(r), r.shape)
+                best = max(best, float(r[i, j]))
+                cx, cy = float(xs[i, 0]), float(ys[0, j])
+                half /= 10
     return math.sqrt(best)
 
 
@@ -587,6 +605,28 @@ def nonlinear_ar_certificate(gap: float, d_squared: Optional[float] = None) -> B
     )
 
 
+def golden_section_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximization of a unimodal scalar ``f`` over
+    [lo, hi]; returns the largest value seen at the two final probes."""
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c1 = b - invphi * (b - a)
+    c2 = a + invphi * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(300):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = f(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = f(c1)
+        if b - a < 1e-14 * max(1.0, abs(a)):
+            break
+    return float(max(f1, f2))
+
+
 def _log_scale_density_sup(z: Dist) -> float:
     """sup_x e^x f_Z(e^x), the density height of log(Z) for Z > 0 a.s."""
     if isinstance(z, ChiSquare) and z.nu == 1:
@@ -595,25 +635,8 @@ def _log_scale_density_sup(z: Dist) -> float:
     vals = u * stochastics.density(z, u)
     i = int(np.argmax(vals))
     lo, hi = u[max(i - 1, 0)], u[min(i + 1, len(u) - 1)]
-    # golden-section refinement on u in [lo, hi]
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1 = c1 * stochastics.density(z, c1)
-    f2 = c2 * stochastics.density(z, c2)
-    for _ in range(200):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = c2 * stochastics.density(z, c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = c1 * stochastics.density(z, c1)
-        if b - a < 1e-14 * max(1.0, abs(a)):
-            break
-    return float(max(f1, f2, vals[i]))
+    refined = golden_section_max(lambda v: v * stochastics.density(z, v), lo, hi)
+    return max(refined, float(vals[i]))
 
 
 def larch_certificate(beta0: float, beta1: float, z: Dist, m: int, gap: float) -> BoundCertificate:

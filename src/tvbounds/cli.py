@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds, data, models, tvlab
 from .errors import DomainError, IngestionError, NoContractionError, ParameterError, StateError
-from .stochastics import ChiSquare, Normal, NoiseStream, dist_from_dict
+from .stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density, dist_from_dict
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
@@ -115,11 +115,14 @@ def build_certificate(family: str, params: dict) -> bounds.BoundCertificate:
         (gap,) = _need(params, "gap")
         d2 = params.get("d_squared")
         if d2 is None:
-            d = bounds.nonlinear_ar_D(
-                grid=int(params.get("grid", 2001)),
-                half_range=float(params.get("range", 4 * math.pi)),
-                min_separation=float(params.get("min_separation", 0.5)),
-            )
+            search = {
+                name: cast(params[key])
+                for key, name, cast in (
+                    ("grid", "grid", int), ("range", "half_range", float), ("min_separation", "min_separation", float)
+                )
+                if key in params
+            }
+            d = bounds.nonlinear_ar_D(**search)
             d2 = d * d
         return bounds.nonlinear_ar_certificate(gap, d2)
     if family == "ar-d":
@@ -277,29 +280,6 @@ def cmd_dataset_stats(args) -> int:
     return 0
 
 
-def _golden_max_density(dist, lo: float, hi: float) -> float:
-    """Golden-section maximization of a density over [lo, hi]."""
-    from .stochastics import density
-
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = density(dist, c1), density(dist, c2)
-    for _ in range(300):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = density(dist, c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = density(dist, c1)
-        if b - a <= 1e-13 * max(1.0, abs(a)):
-            break
-    return max(f1, f2)
-
-
 def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     """Every built-in worked example: computed value vs recorded reference.
 
@@ -307,8 +287,6 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     computation carry verdict FLAG (the disagreement is the documented
     finding, not an error).
     """
-    from .stochastics import InverseGamma
-
     rows = []
 
     def row(name, reference, computed, tol, note="", flag=False):
@@ -353,7 +331,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         alpha, beta = (333 + 2 * 4) / 2, 26123.0 / 2
         ig = InverseGamma(alpha, beta)
         mode = beta / (alpha + 1)
-        oracle = _golden_max_density(ig, mode / 3, mode * 3)
+        oracle = bounds.golden_section_max(lambda x: density(ig, x), mode / 3, mode * 3)
         row(
             "regression K formula vs numeric maximization (dataset absent)",
             oracle,

@@ -27,3 +27,8 @@ class IngestionError(ValueError):
 
 class PrecisionError(RuntimeError):
     """A numerical routine could not reach its requested accuracy."""
+
+
+class SimulationError(RuntimeError):
+    """A simulated chain left the range the estimator can represent
+    (non-finite states, or histogram cells beyond int64)."""

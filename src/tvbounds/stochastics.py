@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ParameterError
 
@@ -155,7 +154,7 @@ def log_density(dist: Dist, x):
             h = dist.nu / 2
             out = np.where(
                 x > 0,
-                (h - 1) * np.log(np.where(x > 0, x, 1.0)) - x / 2 - h * math.log(2) - gammaln(h),
+                (h - 1) * np.log(np.where(x > 0, x, 1.0)) - x / 2 - h * math.log(2) - math.lgamma(h),
                 -np.inf,
             )
         elif isinstance(dist, Gamma):
@@ -164,7 +163,7 @@ def log_density(dist: Dist, x):
                 dist.shape * math.log(dist.rate)
                 + (dist.shape - 1) * np.log(np.where(x > 0, x, 1.0))
                 - dist.rate * x
-                - gammaln(dist.shape),
+                - math.lgamma(dist.shape),
                 -np.inf,
             )
         elif isinstance(dist, InverseGamma):
@@ -173,7 +172,7 @@ def log_density(dist: Dist, x):
                 dist.shape * math.log(dist.rate)
                 - (dist.shape + 1) * np.log(np.where(x > 0, x, 1.0))
                 - dist.rate / np.where(x > 0, x, 1.0)
-                - gammaln(dist.shape),
+                - math.lgamma(dist.shape),
                 -np.inf,
             )
         else:
@@ -203,7 +202,7 @@ def abs_moment(dist: Dist, k: int) -> float:
             # E|sigma Z|^k = sigma^k 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
             return float(
                 dist.sigma**k
-                * math.exp(0.5 * k * math.log(2) + gammaln((k + 1) / 2) - 0.5 * math.log(math.pi))
+                * math.exp(0.5 * k * math.log(2) + math.lgamma((k + 1) / 2) - 0.5 * math.log(math.pi))
             )
         if k == 1:
             # folded-normal mean
@@ -217,15 +216,15 @@ def abs_moment(dist: Dist, k: int) -> float:
         raise DomainError(f"no closed form for Normal(mu!=0) absolute moment of order {k}")
     if isinstance(dist, ChiSquare):
         h = dist.nu / 2
-        return float(math.exp(k * math.log(2) + gammaln(h + k) - gammaln(h)))
+        return float(math.exp(k * math.log(2) + math.lgamma(h + k) - math.lgamma(h)))
     if isinstance(dist, Gamma):
-        return float(math.exp(gammaln(dist.shape + k) - gammaln(dist.shape) - k * math.log(dist.rate)))
+        return float(math.exp(math.lgamma(dist.shape + k) - math.lgamma(dist.shape) - k * math.log(dist.rate)))
     if isinstance(dist, InverseGamma):
         if dist.shape <= k:
             raise DomainError(
                 f"InverseGamma moment of order {k} requires shape > {k}, got {dist.shape}"
             )
-        return float(math.exp(k * math.log(dist.rate) + gammaln(dist.shape - k) - gammaln(dist.shape)))
+        return float(math.exp(k * math.log(dist.rate) + math.lgamma(dist.shape - k) - math.lgamma(dist.shape)))
     raise ParameterError(f"unknown distribution {dist!r}")
 
 

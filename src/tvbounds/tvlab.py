@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import models as models_mod
 from .bounds import BoundCertificate, bound_eval
-from .errors import DomainError, ParameterError, PrecisionError
+from .errors import DomainError, ParameterError, PrecisionError, SimulationError
 from .models import ModelSpec, NoiseStream
 
 __all__ = [
@@ -44,6 +43,8 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 1 << 17
+# histogram cell indices must stay well inside int64 before the cast
+_MAX_CELL = 2.0**62
 
 
 @dataclass
@@ -159,7 +160,7 @@ def tv_exact_ar_normal(x0: float, x0_prime: float, n: int) -> float:
     if delta == 0.0:
         return 0.0
     scale = 2.0 ** (n + 1) * math.sqrt(1.0 - 0.25**n)
-    return float(1.0 - 2.0 * ndtr(-delta / scale))
+    return 1.0 - math.erfc(delta / (scale * math.sqrt(2.0)))
 
 
 @dataclass
@@ -222,17 +223,29 @@ def _simulate_chunk(args):
     state_a = broadcast_state(x0, s20)
     state_b = broadcast_state(x0p, s20p)
     out = []
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
         state_a = models_mod.step(model, state_a, models_mod.draw_innovations(model, rng_a, size=n_paths))
         state_b = models_mod.step(model, state_b, models_mod.draw_innovations(model, rng_b, size=n_paths))
         xs_a = np.asarray(models_mod.observable(model, state_a), dtype=float)
         xs_b = np.asarray(models_mod.observable(model, state_b), dtype=float)
         pair = []
         for xs in (xs_a, xs_b):
-            idx = np.floor(xs / bin_width).astype(np.int64)
-            pair.append(np.unique(idx, return_counts=True))
+            cells = np.floor(xs / bin_width)
+            # NaN fails both comparisons, so min/max also catch non-finite states
+            if not (-_MAX_CELL < cells.min() and cells.max() < _MAX_CELL):
+                raise _out_of_range(xs, cells, n, chunk_index)
+            pair.append(np.unique(cells.astype(np.int64), return_counts=True))
         out.append(pair)
     return out
+
+
+def _out_of_range(xs, cells, n: int, chunk_index: int) -> SimulationError:
+    non_finite = int(np.count_nonzero(~np.isfinite(xs)))
+    too_large = int(np.count_nonzero(np.isfinite(xs) & ~(np.abs(cells) < _MAX_CELL)))
+    return SimulationError(
+        f"chain diverged at iteration {n} (chunk {chunk_index}): {non_finite} of {xs.size} "
+        f"states non-finite, {too_large} out of histogram range (|x / bin_width| >= 2**62)"
+    )
 
 
 def simulate_tv_curve(

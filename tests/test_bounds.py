@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from tvbounds.bounds import (
     BoundCertificate,
@@ -184,6 +185,18 @@ def test_mode_height_matches_golden_section(alpha, beta):
     assert inverse_gamma_mode_height(alpha, beta) == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.01, 2.0), (15.0, S_TREES / 2), (170.5, 26123.0 / 2)])
+def test_mode_height_matches_scipy(alpha, beta):
+    oracle = stats.invgamma(alpha, scale=beta).pdf(beta / (alpha + 1))
+    assert inverse_gamma_mode_height(alpha, beta) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("j,s", [(3, 1.0), (5, 10.0), (31, S_TREES)])
+def test_location_k_closed_form_matches_scipy_gamma(j, s):
+    oracle = (s / 2) ** ((j - 1) / 2) / special.gamma((j - 1) / 2) * (s / (j + 1)) ** (-(j - 3) / 2) * math.exp(-(j + 1) / 2)
+    assert location_k_closed_form(j, s) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_mode_height_is_global_max(rng):
     alpha, beta = 16.5, S_TREES / 2
     h = inverse_gamma_mode_height(alpha, beta)
@@ -328,6 +341,10 @@ def test_nonlinear_ar_D_in_band():
     d = nonlinear_ar_D()
     assert 0.808 <= d <= 0.818
     assert d * d == pytest.approx(0.661, abs=0.005)
+    # refinement may only raise D: it dominates the 2001-point grid sup and
+    # 0.8139256, the Nelder-Mead refinement of that grid's best point
+    assert d >= nonlinear_ar_D(grid=2001, refine=False)
+    assert d >= 0.8139256
 
 
 def test_nonlinear_ar_ratio_continuous_near_diagonal():

@@ -159,6 +159,16 @@ def test_curve_single_path_exits_zero(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_curve_diverging_chain_exits_3(capsys):
+    code, out, err = run(
+        capsys, "curve", "--family", "ar1", "--a", "3", "--sigma", "1",
+        "--x0", "0", "--x0p", "1", "--n-max", "40", "--paths", "2000",
+    )
+    assert code == 3
+    assert out == ""
+    assert "diverged at iteration" in err
+
+
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ONESHOT_SEED", "4242")
     out1 = tmp_path / "env.csv"

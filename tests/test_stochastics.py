@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from tvbounds import bounds
@@ -18,6 +19,7 @@ from tvbounds.stochastics import (
     dist_to_dict,
     log_chi2_density,
     log_chi2_density_sup,
+    log_density,
     sample,
 )
 
@@ -160,6 +162,29 @@ def test_abs_moment_matches_monte_carlo(dist, k):
     x = np.abs(sample(dist, NoiseStream(5, k), size=1_000_000)) ** k
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - abs_moment(dist, k)) < 3 * se
+
+
+@pytest.mark.parametrize(
+    "dist,oracle",
+    [
+        (Normal(0.0, 1.3), stats.chi(1, scale=1.3)),  # law of |1.3 Z|
+        (ChiSquare(1), stats.chi2(1)),
+        (ChiSquare(3), stats.chi2(3)),
+        (Gamma(0.01, 2.0), stats.gamma(0.01, scale=0.5)),
+        (Gamma(400.0, 3.0), stats.gamma(400.0, scale=1 / 3.0)),
+        (Gamma(170.5, 13061.5), stats.gamma(170.5, scale=1 / 13061.5)),
+        (InverseGamma(16.5, 147.7), stats.invgamma(16.5, scale=147.7)),
+        (InverseGamma(170.5, 13061.5), stats.invgamma(170.5, scale=13061.5)),
+    ],
+    ids=str,
+)
+def test_abs_moment_and_log_density_match_scipy(dist, oracle):
+    for k in (1, 2, 3):
+        assert abs_moment(dist, k) == pytest.approx(oracle.moment(k), rel=1e-12)
+    if isinstance(dist, Normal):
+        oracle = stats.norm(dist.mu, dist.sigma)
+    x = oracle.ppf([0.1, 0.5, 0.9])
+    np.testing.assert_allclose(log_density(dist, x), oracle.logpdf(x), rtol=1e-12)
 
 
 def test_log_chi2_sup_closed_form():

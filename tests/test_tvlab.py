@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from tvbounds import bounds, models
-from tvbounds.errors import ParameterError
+from tvbounds.errors import ParameterError, SimulationError
 from tvbounds.models import ARNormal1D
 from tvbounds.stochastics import Normal, NoiseStream
 from tvbounds.tvlab import (
@@ -190,6 +190,14 @@ def test_curve_deterministic_across_workers_and_reruns():
     b = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=3, **kw)
     c = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=1, **kw)
     assert a.to_csv() == b.to_csv() == c.to_csv()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_curve_diverging_chain_raises(workers):
+    # 140_000 paths make two chunks, so workers=2 runs them in the pool
+    model = ARNormal1D(3.0, 1.0)
+    with pytest.raises(SimulationError, match=r"iteration 3\d .* out of histogram range"):
+        simulate_tv_curve(model, 0.0, 1.0, 40, 140_000, 0.01, NoiseStream(3), workers=workers)
 
 
 def test_curve_single_path_degenerate_but_legal():
