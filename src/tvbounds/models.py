@@ -200,7 +200,8 @@ class AsymARCH:
 class GARCH:
     """GARCH(1,1): X_n = sigma_n Z_n, sigma^2_n = alpha2 + beta2 X^2_{n-1} + gamma2 sigma^2_{n-1}.
 
-    Fields store the squared coefficients alpha^2, beta^2, gamma^2.
+    Fields store the squared coefficients alpha^2, beta^2, gamma^2;
+    gamma^2 = 0 is ARCH(1) and beta^2 = gamma^2 = 0 is i.i.d. noise.
     """
 
     alpha2: float
@@ -209,9 +210,9 @@ class GARCH:
     z: Dist
 
     def __post_init__(self):
-        if not (self.alpha2 > 0 and self.beta2 > 0 and self.gamma2 > 0):
+        if not (self.alpha2 > 0 and self.beta2 >= 0 and self.gamma2 >= 0):
             raise ParameterError(
-                "GARCH requires alpha2, beta2, gamma2 > 0, got "
+                "GARCH requires alpha2 > 0 and beta2, gamma2 >= 0, got "
                 f"({self.alpha2}, {self.beta2}, {self.gamma2})"
             )
 

@@ -240,14 +240,6 @@ def log_chi2_density_sup() -> float:
     return 1.0 / math.sqrt(2 * math.pi * math.e)
 
 
-_DIST_TAGS = {
-    Normal: "normal",
-    ChiSquare: "chi-square",
-    Gamma: "gamma",
-    InverseGamma: "inverse-gamma",
-}
-
-
 def dist_to_dict(dist: Dist) -> dict:
     if isinstance(dist, Normal):
         return {"dist": "normal", "mu": dist.mu, "sigma": dist.sigma}

@@ -9,6 +9,13 @@ expected value if the two laws were identical), so that soundness
 comparisons "estimate <= bound" can be read against estimate-floor.
 The floor is not subtracted from the reported estimate.
 
+A Histogram stores only its occupied cells, as two sorted int64 arrays
+(cells and counts).  Binning counts offset cell indices with
+np.bincount, merging re-counts the concatenated cells of all parts, and
+the TV estimate aligns two histograms on the union of their occupied
+cells; spans much wider than the input fall back to sorting, so heavy
+tails and tiny widths never allocate span-sized arrays.
+
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling lives in the
 models module for contraction diagnostics.  Curve simulation is chunked,
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -45,26 +52,71 @@ __all__ = [
 _CHUNK_PATHS = 1 << 17
 # histogram cell indices must stay well inside int64 before the cast
 _MAX_CELL = 2.0**62
+# above this many cells of span per value, binning sorts instead of counting
+_SPAN_PER_VALUE = 8
 
 
-@dataclass
+def _cells(x: np.ndarray, bin_width: float, origin: float):
+    """Cell index floor((x - origin) / w) of every value, as int64, with
+    the lowest and highest cell.
+
+    Raises ParameterError when a value is non-finite or its cell lies
+    beyond +-2**62, where the int64 cast would wrap.
+    """
+    cells = (x - origin) / bin_width if origin else x / bin_width
+    np.floor(cells, out=cells)
+    lo, hi = cells.min(), cells.max()
+    # NaN fails both comparisons, so min/max also catch non-finite values
+    if not (-_MAX_CELL < lo and hi < _MAX_CELL):
+        non_finite = int(np.count_nonzero(~np.isfinite(x)))
+        too_large = int(np.count_nonzero(np.isfinite(x) & ~(np.abs(cells) < _MAX_CELL)))
+        raise ParameterError(
+            f"{non_finite} of {x.size} values non-finite, {too_large} out of histogram "
+            "range (|x - origin| / bin_width >= 2**62)"
+        )
+    return cells.astype(np.int64), int(lo), int(hi)
+
+
+def _tally(cells: np.ndarray, lo: int, hi: int, weights=None):
+    """Sorted distinct cells and how often each occurs (summing
+    ``weights`` instead of counting 1s when given), as int64 arrays.
+
+    Counts by np.bincount on the offset index cells - lo; when the span
+    hi - lo + 1 exceeds 8 values per input, the span-sized count array
+    would outweigh the input, so np.unique sorts instead.
+    """
+    if hi - lo + 1 > _SPAN_PER_VALUE * cells.size:
+        if weights is None:
+            return np.unique(cells, return_counts=True)
+        uniq, inv = np.unique(cells, return_inverse=True)
+        return uniq, np.bincount(inv, weights=weights).astype(np.int64)
+    counts = np.bincount(cells - lo, weights=weights)
+    occupied = np.flatnonzero(counts)
+    return occupied + lo, counts[occupied].astype(np.int64, copy=False)
+
+
+@dataclass(eq=False)
 class Histogram:
     """Fixed-width counting histogram anchored at ``origin`` (default 0).
 
-    Bin i covers [origin + i*w, origin + (i+1)*w); counts live in a
-    sparse dict so unbounded supports cost nothing.
+    Bin i covers [origin + i*w, origin + (i+1)*w).  Only occupied bins
+    are stored: ``cells`` holds their indices i in increasing order and
+    ``counts`` the matching counts, both int64 arrays, so unbounded
+    supports cost nothing.
     """
 
     bin_width: float
     origin: float = 0.0
-    counts: dict = None
-    total: int = 0
+    cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
         if not (self.bin_width > 0):
             raise ParameterError(f"bin width must be > 0, got {self.bin_width}")
-        if self.counts is None:
-            self.counts = {}
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     @classmethod
     def from_samples(cls, samples, bin_width: float, origin: float = 0.0) -> "Histogram":
@@ -76,29 +128,26 @@ class Histogram:
         x = np.asarray(samples, dtype=float).ravel()
         if x.size == 0:
             return
-        if not np.all(np.isfinite(x)):
-            raise ParameterError("samples must be finite")
-        idx = np.floor((x - self.origin) / self.bin_width).astype(np.int64)
-        vals, cnts = np.unique(idx, return_counts=True)
-        if not self.counts:
-            self.counts = dict(zip(vals.tolist(), cnts.tolist()))
-        else:
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                self.counts[v] = self.counts.get(v, 0) + c
-        self.total += int(x.size)
+        cells, lo, hi = _cells(x, self.bin_width, self.origin)
+        self.merge(Histogram(self.bin_width, self.origin, *_tally(cells, lo, hi)))
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bin_width != self.bin_width or other.origin != self.origin:
+    def merge(self, *others: "Histogram") -> None:
+        """Add the counts of ``others`` (one concatenation, one re-count)."""
+        if any(o.bin_width != self.bin_width or o.origin != self.origin for o in others):
             raise ParameterError("cannot merge histograms with different grids")
-        for v, c in other.counts.items():
-            self.counts[v] = self.counts.get(v, 0) + c
-        self.total += other.total
+        parts = [h for h in (self, *others) if h.cells.size]
+        if len(parts) == 1:
+            self.cells, self.counts = parts[0].cells, parts[0].counts
+        elif parts:
+            cells = np.concatenate([h.cells for h in parts])
+            weights = np.concatenate([h.counts for h in parts])
+            self.cells, self.counts = _tally(cells, int(cells.min()), int(cells.max()), weights)
 
     def density_sup(self) -> float:
         """Plug-in estimate of the density maximum, max_i p_i / w."""
-        if self.total == 0:
+        if self.cells.size == 0:
             return 0.0
-        return max(self.counts.values()) / (self.total * self.bin_width)
+        return int(self.counts.max()) / (self.total * self.bin_width)
 
 
 class TVEstimate(NamedTuple):
@@ -117,12 +166,16 @@ def tv_from_histograms(ha: Histogram, hb: Histogram) -> TVEstimate:
     """
     if ha.bin_width != hb.bin_width or ha.origin != hb.origin:
         raise ParameterError("histograms must share one bin grid")
-    if ha.total == 0 or hb.total == 0:
-        raise ParameterError("cannot estimate TV from an empty histogram")
     na, nb = ha.total, hb.total
-    keys = set(ha.counts) | set(hb.counts)
-    ca = np.array([ha.counts.get(k, 0) for k in sorted(keys)], dtype=float)
-    cb = np.array([hb.counts.get(k, 0) for k in sorted(keys)], dtype=float)
+    if na == 0 or nb == 0:
+        raise ParameterError("cannot estimate TV from an empty histogram")
+    # align on the sorted union of occupied cells: no cell empty in both
+    both = np.concatenate([ha.cells, hb.cells])
+    cells, _ = _tally(both, int(both.min()), int(both.max()))
+    ca = np.zeros(cells.size)
+    cb = np.zeros(cells.size)
+    ca[np.searchsorted(cells, ha.cells)] = ha.counts
+    cb[np.searchsorted(cells, hb.cells)] = hb.counts
     pa, pb = ca / na, cb / nb
     est = 0.5 * float(np.abs(pa - pb).sum())
     sa, sb = (ca + 0.5) / (na + 1), (cb + 0.5) / (nb + 1)
@@ -208,9 +261,9 @@ def _is_standard_ar1(model: ModelSpec) -> bool:
 def _simulate_chunk(args):
     """Advance one chunk of coupled paths and histogram every iteration.
 
-    Returns per-iteration (values, counts) pairs for both copies; the
-    chunk index pins the substream, making the result independent of
-    which worker ran it.
+    Returns per-iteration histogram pairs for both copies; the chunk
+    index pins the substream, making the result independent of which
+    worker ran it.
     """
     (model, x0, x0p, s20, s20p, n_max, n_paths, bin_width, stream, chunk_index) = args
     rng_a = stream.substream(2 * chunk_index).generator()
@@ -220,32 +273,22 @@ def _simulate_chunk(args):
     def broadcast_state(x, s2):
         return models_mod.make_state(model, float(x) * ones, None if s2 is None else float(s2) * ones)
 
+    def histogram(state, n):
+        h = Histogram(bin_width)
+        try:
+            h.add(models_mod.observable(model, state))
+        except ParameterError as exc:
+            raise SimulationError(f"chain diverged at iteration {n} (chunk {chunk_index}): {exc}") from None
+        return h
+
     state_a = broadcast_state(x0, s20)
     state_b = broadcast_state(x0p, s20p)
     out = []
     for n in range(1, n_max + 1):
         state_a = models_mod.step(model, state_a, models_mod.draw_innovations(model, rng_a, size=n_paths))
         state_b = models_mod.step(model, state_b, models_mod.draw_innovations(model, rng_b, size=n_paths))
-        xs_a = np.asarray(models_mod.observable(model, state_a), dtype=float)
-        xs_b = np.asarray(models_mod.observable(model, state_b), dtype=float)
-        pair = []
-        for xs in (xs_a, xs_b):
-            cells = np.floor(xs / bin_width)
-            # NaN fails both comparisons, so min/max also catch non-finite states
-            if not (-_MAX_CELL < cells.min() and cells.max() < _MAX_CELL):
-                raise _out_of_range(xs, cells, n, chunk_index)
-            pair.append(np.unique(cells.astype(np.int64), return_counts=True))
-        out.append(pair)
+        out.append((histogram(state_a, n), histogram(state_b, n)))
     return out
-
-
-def _out_of_range(xs, cells, n: int, chunk_index: int) -> SimulationError:
-    non_finite = int(np.count_nonzero(~np.isfinite(xs)))
-    too_large = int(np.count_nonzero(np.isfinite(xs) & ~(np.abs(cells) < _MAX_CELL)))
-    return SimulationError(
-        f"chain diverged at iteration {n} (chunk {chunk_index}): {non_finite} of {xs.size} "
-        f"states non-finite, {too_large} out of histogram range (|x / bin_width| >= 2**62)"
-    )
 
 
 def simulate_tv_curve(
@@ -301,24 +344,14 @@ def simulate_tv_curve(
     else:
         results = [_simulate_chunk(j) for j in jobs]
 
-    def merged(parts):
-        vals = np.concatenate([p[0] for p in parts])
-        cnts = np.concatenate([p[1] for p in parts])
-        uniq, inv = np.unique(vals, return_inverse=True)
-        summed = np.bincount(inv, weights=cnts).astype(np.int64)
-        h = Histogram(bin_width)
-        h.counts = dict(zip(uniq.tolist(), summed.tolist()))
-        h.total = int(summed.sum())
-        return h
-
-    hists_a = [merged([chunk[n_i][0] for chunk in results]) for n_i in range(n_max)]
-    hists_b = [merged([chunk[n_i][1] for chunk in results]) for n_i in range(n_max)]
-
     fill_exact = _is_standard_ar1(model) and np.ndim(x0) == 0
     rows = []
     for n_i in range(n_max):
         n = n_i + 1
-        est = tv_from_histograms(hists_a[n_i], hists_b[n_i])
+        ha, hb = Histogram(bin_width), Histogram(bin_width)
+        ha.merge(*(chunk[n_i][0] for chunk in results))
+        hb.merge(*(chunk[n_i][1] for chunk in results))
+        est = tv_from_histograms(ha, hb)
         bound = clamped = None
         if certificate is not None and n > certificate.n0:
             bv = bound_eval(certificate, n)
@@ -333,7 +366,7 @@ def simulate_tv_curve(
                 tv_exact=exact,
                 mc_se=est.mc_se,
                 noise_floor=est.noise_floor,
-                density_sup=max(hists_a[n_i].density_sup(), hists_b[n_i].density_sup()),
+                density_sup=max(ha.density_sup(), hb.density_sup()),
             )
         )
     return TVCurve(rows)

@@ -70,6 +70,17 @@ def test_family_validation():
         LocationGibbsTau(2, 1.0)
 
 
+def test_garch_domain_matches_certificate():
+    # garch_certificate takes alpha2 > 0 and beta2, gamma2 >= 0; so does the model
+    for beta2, gamma2 in [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)]:
+        m = GARCH(0.13, beta2, gamma2, Normal(0.0, 1.0))
+        s = step(m, GarchState(np.array([0.1, -0.4]), np.array([0.0001, 0.5])), np.array([1.0, -1.0]))
+        assert np.allclose(s.s2, 0.13 + beta2 * np.array([0.01, 0.16]) + gamma2 * np.array([0.0001, 0.5]))
+    for bad in [(0.13, -0.1, 0.1), (0.13, 0.1, -0.1), (-0.1, 0.1, 0.1)]:
+        with pytest.raises(ParameterError):
+            GARCH(*bad, Normal(0.0, 1.0))
+
+
 def test_couple_step_shared_ar1_exact_contraction(stream):
     m = ARNormal1D(0.5, math.sqrt(0.75))
     cs = CoupledState(np.zeros(1000), np.ones(1000))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,72 @@ def test_histogram_merge_matches_bulk(rng):
     h2 = Histogram.from_samples(x[4_000:], 0.1)
     h1.merge(h2)
     bulk = Histogram.from_samples(x, 0.1)
-    assert h1.counts == bulk.counts and h1.total == bulk.total
+    assert np.array_equal(h1.cells, bulk.cells) and np.array_equal(h1.counts, bulk.counts)
+    assert h1.total == bulk.total
+
+
+def test_histogram_matches_np_unique(rng):
+    # cells on both sides of zero, some bins empty, a non-zero origin
+    for n, w, origin in [(1, 0.1, 0.0), (5_000, 0.1, 0.37), (50_000, 0.003, -2.5), (2_000, 2.0, 11.0)]:
+        x = rng.standard_normal(n) * rng.uniform(0.5, 40.0)
+        h = Histogram.from_samples(x, w, origin)
+        cells, counts = np.unique(np.floor((x - origin) / w).astype(np.int64), return_counts=True)
+        assert np.array_equal(h.cells, cells) and np.array_equal(h.counts, counts)
+        assert h.cells.dtype == h.counts.dtype == np.int64
+        assert h.total == n
+
+
+def _dict_tv(a, b, w, origin):
+    """Reference: the per-cell dict form of the plug-in estimator."""
+    def counts(x):
+        cells, cnts = np.unique(np.floor((np.asarray(x) - origin) / w).astype(np.int64), return_counts=True)
+        return dict(zip(cells.tolist(), cnts.tolist()))
+
+    da, db = counts(a), counts(b)
+    na, nb = len(a), len(b)
+    keys = sorted(set(da) | set(db))
+    ca = np.array([da.get(k, 0) for k in keys], dtype=float)
+    cb = np.array([db.get(k, 0) for k in keys], dtype=float)
+    sa, sb = (ca + 0.5) / (na + 1), (cb + 0.5) / (nb + 1)
+    pooled = (ca + cb) / (na + nb)
+    return (
+        0.5 * float(np.abs(ca / na - cb / nb).sum()),
+        0.5 * math.sqrt(float((sa * (1 - sa) / na + sb * (1 - sb) / nb).sum())),
+        0.5 * math.sqrt(2 / math.pi) * float(np.sqrt(pooled * (1 - pooled) * (1.0 / na + 1.0 / nb)).sum()),
+    )
+
+
+def test_tv_matches_dict_reference_exactly(rng):
+    # same cells, same order, same arithmetic: equal to the last bit
+    for n, w, origin in [(1, 0.01, 0.0), (3_000, 0.001, 0.3), (40_000, 0.05, -1.0), (500, 1e-6, 0.0)]:
+        a = rng.standard_normal(n) * 3
+        b = rng.standard_t(2, n) + 0.5
+        assert tuple(tv_histogram(a, b, w, origin)) == _dict_tv(a, b, w, origin)
+    a, b = rng.uniform(0.0, 1.0, 2_000), rng.uniform(0.5, 9.0, 2_000)  # partly disjoint
+    assert tuple(tv_histogram(a, b, 0.01)) == _dict_tv(a, b, 0.01, 0.0)
+
+
+def test_histogram_wide_span_stays_small():
+    # a span of 1e15 cells must not allocate span-sized arrays
+    tracemalloc.start()
+    try:
+        h = Histogram.from_samples([0.0, 1e15], 1.0)
+        h.merge(Histogram.from_samples([-1e15, 1e15], 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.cells.tolist() == [-10**15, 0, 10**15] and h.counts.tolist() == [1, 1, 2]
+    assert peak < 1 << 20
+
+
+def test_histogram_rejects_out_of_range_cells():
+    # both huge values would wrap to cell -2**63 in an unchecked int64 cast
+    with pytest.raises(ParameterError, match="2 out of histogram range"):
+        Histogram.from_samples([1e300, -1e300], 1e-3)
+    with pytest.raises(ParameterError, match="out of histogram range"):
+        tv_histogram([1e300, 1.0], [2e300, 5.0], 1e-3)
+    with pytest.raises(ParameterError, match="1 of 2 values non-finite"):
+        tv_histogram([np.nan, 1.0], [2.0, 5.0], 1e-3)
 
 
 # -------------------------------------------------------------- exact TV
@@ -172,6 +238,19 @@ def test_curve_sound_for_gibbs_chains(trees):
                                n_max=4, n_paths=400_000, bin_width=0.05,
                                stream=NoiseStream(44), certificate=rcert)
     for r in rcurve.rows:
+        assert r.tv_sim <= r.bound_clamped + 3 * r.mc_se + r.noise_floor
+
+
+@pytest.mark.parametrize("beta2,gamma2", [(0.3, 0.0), (0.0, 0.6), (0.0, 0.0)])
+def test_curve_sound_for_degenerate_garch(beta2, gamma2):
+    # gamma2 = 0 is ARCH(1); beta2 = 0 makes the volatility deterministic
+    z = Normal(0.0, 1.0)
+    cert = bounds.garch_certificate(0.13, beta2, gamma2, z, 0.1, -0.4, 0.0001, 0.5)
+    curve = simulate_tv_curve(models.GARCH(0.13, beta2, gamma2, z), 0.1, -0.4, n_max=6,
+                              n_paths=200_000, bin_width=0.01, stream=NoiseStream(45),
+                              certificate=cert, s20=0.0001, s20_prime=0.5)
+    assert curve.rows[0].bound is None  # the certificate starts after n0 = 1
+    for r in curve.rows[1:]:
         assert r.tv_sim <= r.bound_clamped + 3 * r.mc_se + r.noise_floor
 
 
