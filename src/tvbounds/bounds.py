@@ -366,8 +366,7 @@ def mc_location_drift_fit(
     if grid is None:
         grid = np.linspace(0.5, 20.0, 20)
     grid = np.asarray(grid, dtype=float)
-    x = stochastics.sample(model.x_dist, rng, size=n_draws)
-    y = stochastics.sample(model.y_dist, rng, size=n_draws)
+    x, y = model.draw(rng, n_draws)
     means = np.array([np.mean((x * y * v + y + h) ** 2) for v in grid])
     coeffs = np.polyfit(grid, means, 2)
     return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])

@@ -30,19 +30,6 @@ from .stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density, 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
 
-CERT_FAMILIES = (
-    "ar1",
-    "nonlinear-ar",
-    "ar-d",
-    "independent-coordinates",
-    "location-gibbs",
-    "regression-gibbs",
-    "larch",
-    "asym-arch",
-    "garch",
-)
-
-
 def _fmt9(x: float) -> str:
     return f"{x:.9g}"
 
@@ -106,61 +93,53 @@ def _dist_of(params: dict, default=None):
     return dist_from_dict(z) if isinstance(z, dict) else z
 
 
+def _nonlinear_ar_certificate(params: dict) -> bounds.BoundCertificate:
+    (gap,) = _need(params, "gap")
+    d2 = params.get("d_squared")
+    if d2 is None:
+        search = {
+            name: cast(params[key])
+            for key, name, cast in (
+                ("grid", "grid", int), ("range", "half_range", float), ("min_separation", "min_separation", float)
+            )
+            if key in params
+        }
+        d = bounds.nonlinear_ar_D(**search)
+        d2 = d * d
+    return bounds.nonlinear_ar_certificate(gap, d2)
+
+
+CERTIFICATES = {
+    "ar1": lambda p: bounds.ar_normal_1d_certificate(*_need(p, "a", "sigma", "gap")),
+    "nonlinear-ar": _nonlinear_ar_certificate,
+    "ar-d": lambda p: bounds.ar_normal_d_certificate(
+        *(np.asarray(v, dtype=float) for v in _need(p, "a", "sigma", "x0", "x0p"))
+    ),
+    "independent-coordinates": lambda p: bounds.independent_coordinates_certificate(
+        *_need(p, "amplitude", "rate"), int(*_need(p, "d")), *_need(p, "gap")
+    ),
+    "location-gibbs": lambda p: bounds.location_gibbs_certificate(int(*_need(p, "j")), *_need(p, "s", "gap")),
+    "regression-gibbs": lambda p: bounds.regression_gibbs_certificate(
+        *map(int, _need(p, "k", "p")), *_need(p, "c_stat", "gap")
+    ),
+    "larch": lambda p: bounds.larch_certificate(
+        *_need(p, "beta0", "beta1"), _dist_of(p), int(p.get("m", 1)), *_need(p, "gap")
+    ),
+    "asym-arch": lambda p: bounds.asym_arch_certificate(
+        *_need(p, "a", "b", "c"), _dist_of(p, models.AsymARCH.z), *_need(p, "gap"),
+        jensen=bool(p.get("jensen", True)),
+    ),
+    "garch": lambda p: bounds.garch_certificate(
+        *_need(p, "alpha2", "beta2", "gamma2"), _dist_of(p, models.GARCH.z), *_need(p, "x0", "x0p", "s20", "s20p")
+    ),
+}
+
+
 def build_certificate(family: str, params: dict) -> bounds.BoundCertificate:
     """Shared certificate construction for ``certificate``/``iters``/``repro``."""
-    if family == "ar1":
-        a, sigma, gap = _need(params, "a", "sigma", "gap")
-        return bounds.ar_normal_1d_certificate(a, sigma, gap)
-    if family == "nonlinear-ar":
-        (gap,) = _need(params, "gap")
-        d2 = params.get("d_squared")
-        if d2 is None:
-            search = {
-                name: cast(params[key])
-                for key, name, cast in (
-                    ("grid", "grid", int), ("range", "half_range", float), ("min_separation", "min_separation", float)
-                )
-                if key in params
-            }
-            d = bounds.nonlinear_ar_D(**search)
-            d2 = d * d
-        return bounds.nonlinear_ar_certificate(gap, d2)
-    if family == "ar-d":
-        a, sigma, x0, x0p = _need(params, "a", "sigma", "x0", "x0p")
-        return bounds.ar_normal_d_certificate(
-            np.asarray(a, dtype=float), np.asarray(sigma, dtype=float),
-            np.asarray(x0, dtype=float), np.asarray(x0p, dtype=float),
-        )
-    if family == "independent-coordinates":
-        amplitude, rate, d, gap = _need(params, "amplitude", "rate", "d", "gap")
-        return bounds.independent_coordinates_certificate(amplitude, rate, int(d), gap)
-    if family == "location-gibbs":
-        j, s, gap = _need(params, "j", "s", "gap")
-        return bounds.location_gibbs_certificate(int(j), s, gap)
-    if family == "regression-gibbs":
-        k, p, c_stat, gap = _need(params, "k", "p", "c_stat", "gap")
-        return bounds.regression_gibbs_certificate(int(k), int(p), c_stat, gap)
-    if family == "larch":
-        beta0, beta1, gap = _need(params, "beta0", "beta1", "gap")
-        return bounds.larch_certificate(
-            beta0, beta1, _dist_of(params), int(params.get("m", 1)), gap
-        )
-    if family == "asym-arch":
-        a, b, c, gap = _need(params, "a", "b", "c", "gap")
-        return bounds.asym_arch_certificate(
-            a, b, c, _dist_of(params, {"dist": "normal", "mu": 0.0, "sigma": 1.0}),
-            gap, jensen=bool(params.get("jensen", True)),
-        )
-    if family == "garch":
-        alpha2, beta2, gamma2, x0, x0p, s20, s20p = _need(
-            params, "alpha2", "beta2", "gamma2", "x0", "x0p", "s20", "s20p"
-        )
-        return bounds.garch_certificate(
-            alpha2, beta2, gamma2,
-            _dist_of(params, {"dist": "normal", "mu": 0.0, "sigma": 1.0}),
-            x0, x0p, s20, s20p,
-        )
-    raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERT_FAMILIES)})")
+    if family not in CERTIFICATES:
+        raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
+    return CERTIFICATES[family](params)
 
 
 def _emit(text: str, out_path) -> None:
@@ -201,7 +180,7 @@ def cmd_curve(args) -> int:
     cert = None
     if not args.no_bound:
         try:
-            cert = build_certificate(args.family, _curve_cert_params(args.family, params))
+            cert = build_certificate(args.family, _curve_cert_params(params))
         except (ParameterError, NoContractionError) as exc:
             print(f"note: no bound column ({exc})", file=sys.stderr)
     stream = NoiseStream(_seed_from(args), args.stream_id)
@@ -228,10 +207,8 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _curve_cert_params(family: str, params: dict) -> dict:
+def _curve_cert_params(params: dict) -> dict:
     p = dict(params)
-    if family == "garch":
-        return p
     if "gap" not in p and "x0" in p and "x0p" in p:
         x0, x0p = np.asarray(p["x0"], dtype=float), np.asarray(p["x0p"], dtype=float)
         p["gap"] = float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
@@ -499,7 +476,7 @@ def write_figure_curves(directory, seed, n_paths, workers=1):
         full = {**params, "x0": cfg["x0"], "x0p": cfg["x0p"]}
         if "s20" in cfg:
             full.update(s20=cfg["s20"], s20p=cfg["s20p"])
-        cert = build_certificate(cfg["family"], _curve_cert_params(cfg["family"], full))
+        cert = build_certificate(cfg["family"], _curve_cert_params(full))
         model = models.model_from_dict({"family": cfg["family"], "params": params})
         curve = tvlab.simulate_tv_curve(
             model, cfg["x0"], cfg["x0p"], n_max=cfg["n_max"], n_paths=n_paths,
@@ -537,7 +514,7 @@ def cmd_repro(args) -> int:
 
 
 def _add_common_cert_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=CERT_FAMILIES)
+    p.add_argument("--family", required=True, choices=CERTIFICATES)
     p.add_argument("--params", help="inline JSON parameter object")
     p.add_argument("--params-file", help="path to a JSON parameter file")
     p.add_argument("--a", type=float)

@@ -1,6 +1,9 @@
 """Chain families as iterated random functions X_n = g(theta_n, X_{n-1}).
 
-Every family exposes the same three primitives:
+Each family is one frozen dataclass derived from :class:`Family` that
+describes it whole: JSON tag, parameters, innovation draw, transition,
+state and observable.  :data:`FAMILIES` (tag -> class) is the registry.
+The module functions delegate to the family:
 
 * :func:`draw_innovations` pulls one iteration's worth of noise,
 * :func:`step` applies one deterministic transition given that noise,
@@ -17,16 +20,18 @@ both initial components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import stochastics
 from .errors import ParameterError, StateError
-from .stochastics import Dist, Gamma, InverseGamma, NoiseStream, dist_from_dict, dist_to_dict
+from .stochastics import Dist, Gamma, InverseGamma, NoiseStream, Normal, dist_from_dict, dist_to_dict
 
 __all__ = [
+    "Family",
+    "FAMILIES",
     "NonlinearAR",
     "ARNormal1D",
     "ARNormalD",
@@ -57,15 +62,56 @@ SHARED = "shared"
 INDEPENDENT = "independent"
 
 
+class GarchState(NamedTuple):
+    x: "np.ndarray | float"
+    s2: "np.ndarray | float"
+
+
 @dataclass(frozen=True)
-class NonlinearAR:
+class Family:
+    """A chain family.  Subclasses set ``family`` (the JSON tag) and
+    define ``step``; by default a family draws its noise from the field
+    ``z`` and runs on its scalar observable."""
+
+    family: ClassVar[str]
+    # field name -> JSON parameter key, where the two differ
+    json_keys: ClassVar[dict] = {}
+    # dimensions of one path's observable
+    state_ndim: ClassVar[int] = 0
+
+    def draw(self, rng: np.random.Generator, size=None):
+        return stochastics.sample(self.z, rng, size=size)
+
+    def make_state(self, x, s2=None):
+        return x
+
+    def observable(self, state):
+        return state
+
+    def paths(self, state):
+        """Paths held by ``state``; None for a single path."""
+        arr = np.asarray(self.observable(state))
+        return None if arr.ndim == self.state_ndim else arr.shape[0]
+
+
+@dataclass(frozen=True)
+class NonlinearAR(Family):
     """X_n = (X_{n-1} - sin X_{n-1})/2 + Z_n with Z standard normal."""
 
+    family: ClassVar[str] = "nonlinear-ar"
+
+    def draw(self, rng: np.random.Generator, size=None):
+        return rng.standard_normal(size=size)
+
+    def step(self, state, noise):
+        return 0.5 * (state - np.sin(state)) + noise
+
 
 @dataclass(frozen=True)
-class ARNormal1D:
+class ARNormal1D(Family):
     """X_n = a X_{n-1} + sigma Z_n."""
 
+    family: ClassVar[str] = "ar1"
     a: float
     sigma: float
 
@@ -73,11 +119,20 @@ class ARNormal1D:
         if not (self.sigma > 0):
             raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
 
+    def draw(self, rng: np.random.Generator, size=None):
+        return rng.standard_normal(size=size)
+
+    def step(self, state, noise):
+        return self.a * state + self.sigma * noise
+
 
 @dataclass(frozen=True, eq=False)
-class ARNormalD:
+class ARNormalD(Family):
     """X_n = A X_{n-1} + Sigma Z_n with Z a standard normal vector."""
 
+    family: ClassVar[str] = "ar-d"
+    json_keys: ClassVar[dict] = {"a_matrix": "a", "sigma_matrix": "sigma"}
+    state_ndim: ClassVar[int] = 1
     a_matrix: np.ndarray
     sigma_matrix: np.ndarray
 
@@ -95,9 +150,42 @@ class ARNormalD:
     def dim(self) -> int:
         return self.a_matrix.shape[0]
 
+    def draw(self, rng: np.random.Generator, size=None):
+        return rng.standard_normal(size=(self.dim,) if size is None else (size, self.dim))
+
+    def step(self, state, noise):
+        x = np.asarray(state, dtype=float)
+        return x @ self.a_matrix.T + np.asarray(noise) @ self.sigma_matrix.T
+
+    def make_state(self, x, s2=None):
+        v = np.asarray(x, dtype=float)
+        if v.shape[-1] != self.dim:
+            raise ParameterError(f"state dimension {v.shape[-1]} != model dimension {self.dim}")
+        return v
+
+
+def _check_positive_state(x):
+    if np.any(np.asarray(x) <= 0):
+        raise StateError("Gibbs chain state must be strictly positive")
+
 
 @dataclass(frozen=True)
-class LocationGibbsTau:
+class _Gibbs(Family):
+    """Reduced Gibbs chain r_n = X_n Y_n r_{n-1} + Y_n on a positive
+    state; ``draw`` returns the independent pair (X, Y)."""
+
+    def step(self, state, noise):
+        _check_positive_state(state)
+        x, y = noise
+        return x * y * state + y
+
+    def make_state(self, x, s2=None):
+        _check_positive_state(x)
+        return x
+
+
+@dataclass(frozen=True)
+class LocationGibbsTau(_Gibbs):
     """Reduced location-model Gibbs chain on the inverse precision.
 
     tau^{-1}_n = X_n Y_n tau^{-1}_{n-1} + Y_n with X ~ Gamma(1/2, S/2)
@@ -106,6 +194,7 @@ class LocationGibbsTau:
     :func:`deinit_pair_step`; the reduced chain never uses it.
     """
 
+    family: ClassVar[str] = "location-gibbs"
     j: int
     s: float
     y_bar: float = 0.0
@@ -116,17 +205,23 @@ class LocationGibbsTau:
         if not (self.s >= 0):
             raise ParameterError(f"S must be >= 0, got {self.s}")
 
-    @property
-    def x_dist(self) -> Gamma:
-        return Gamma(0.5, self.s / 2)
+    def draw(self, rng: np.random.Generator, size=None):
+        x = stochastics.sample(Gamma(0.5, self.s / 2), rng, size=size)
+        y = stochastics.sample(InverseGamma((self.j + 2) / 2, self.s / 2), rng, size=size)
+        return x, y
 
-    @property
-    def y_dist(self) -> InverseGamma:
-        return InverseGamma((self.j + 2) / 2, self.s / 2)
+    def innovations_from_full(self, z, g):
+        return z * z / self.s, self.s / (2 * g)
+
+    def full_step(self, state, rng):
+        size = self.paths(state)
+        z = rng.standard_normal(size=size)
+        g = stochastics.sample(Gamma((self.j + 2) / 2, 1.0), rng, size=size)
+        return location_full_sweep(self, state, z, g)
 
 
 @dataclass(frozen=True)
-class RegressionGibbsSigma:
+class RegressionGibbsSigma(_Gibbs):
     """Reduced regression Gibbs chain on the noise variance.
 
     sigma^2_n = X_n Y_n sigma^2_{n-1} + Y_n with X ~ Gamma(p/2, C/2) and
@@ -137,6 +232,7 @@ class RegressionGibbsSigma:
     standardized values (0, 1) when no dataset is attached.
     """
 
+    family: ClassVar[str] = "regression-gibbs"
     k: int
     p: int
     c_stat: float
@@ -151,17 +247,24 @@ class RegressionGibbsSigma:
         if not (self.a_inv_11 > 0):
             raise ParameterError(f"a_inv_11 must be > 0, got {self.a_inv_11}")
 
-    @property
-    def x_dist(self) -> Gamma:
-        return Gamma(self.p / 2, self.c_stat / 2)
+    def draw(self, rng: np.random.Generator, size=None):
+        x = stochastics.sample(Gamma(self.p / 2, self.c_stat / 2), rng, size=size)
+        y = stochastics.sample(InverseGamma((self.k + self.p) / 2, self.c_stat / 2), rng, size=size)
+        return x, y
 
-    @property
-    def y_dist(self) -> InverseGamma:
-        return InverseGamma((self.k + self.p) / 2, self.c_stat / 2)
+    def innovations_from_full(self, w, g):
+        q = np.sum(np.asarray(w) ** 2, axis=-1)
+        return q / self.c_stat, self.c_stat / (2 * g)
+
+    def full_step(self, state, rng):
+        size = self.paths(state)
+        w = rng.standard_normal(size=(self.p,) if size is None else (size, self.p))
+        g = stochastics.sample(Gamma((self.k + self.p) / 2, 1.0), rng, size=size)
+        return regression_full_sweep(self, state, w, g)
 
 
 @dataclass(frozen=True)
-class LARCH:
+class LARCH(Family):
     """X_n = (beta0 + beta1 X_{n-1}) Z_n with Z > 0 a.s.
 
     Feeding the squared observations of a linear ARCH process through
@@ -169,6 +272,7 @@ class LARCH:
     simulates the squared chain directly.
     """
 
+    family: ClassVar[str] = "larch"
     beta0: float
     beta1: float
     z: Dist
@@ -178,36 +282,45 @@ class LARCH:
             raise ParameterError(
                 f"LARCH requires beta0, beta1 > 0, got ({self.beta0}, {self.beta1})"
             )
-        if isinstance(self.z, stochastics.Normal):
+        if isinstance(self.z, Normal):
             raise ParameterError("LARCH noise must be positive almost surely")
+
+    def step(self, state, noise):
+        return (self.beta0 + self.beta1 * state) * noise
 
 
 @dataclass(frozen=True)
-class AsymARCH:
-    """X_n = sqrt((a X_{n-1} + b)^2 + c^2) Z_n."""
+class AsymARCH(Family):
+    """X_n = sqrt((a X_{n-1} + b)^2 + c^2) Z_n, Z ~ N(0, 1) by default."""
 
+    family: ClassVar[str] = "asym-arch"
     a: float
     b: float
     c: float
-    z: Dist
+    z: Dist = Normal(0.0, 1.0)
 
     def __post_init__(self):
         if self.c == 0:
             raise ParameterError("asymmetric ARCH requires c != 0")
 
+    def step(self, state, noise):
+        return np.sqrt((self.a * state + self.b) ** 2 + self.c**2) * noise
+
 
 @dataclass(frozen=True)
-class GARCH:
+class GARCH(Family):
     """GARCH(1,1): X_n = sigma_n Z_n, sigma^2_n = alpha2 + beta2 X^2_{n-1} + gamma2 sigma^2_{n-1}.
 
     Fields store the squared coefficients alpha^2, beta^2, gamma^2;
     gamma^2 = 0 is ARCH(1) and beta^2 = gamma^2 = 0 is i.i.d. noise.
+    Z ~ N(0, 1) by default.  The state is a :class:`GarchState`.
     """
 
+    family: ClassVar[str] = "garch"
     alpha2: float
     beta2: float
     gamma2: float
-    z: Dist
+    z: Dist = Normal(0.0, 1.0)
 
     def __post_init__(self):
         if not (self.alpha2 > 0 and self.beta2 >= 0 and self.gamma2 >= 0):
@@ -216,24 +329,27 @@ class GARCH:
                 f"({self.alpha2}, {self.beta2}, {self.gamma2})"
             )
 
+    def step(self, state, noise):
+        if np.any(np.asarray(state.s2) < 0):
+            raise StateError("GARCH sigma^2 state must be >= 0")
+        s2 = self.alpha2 + self.beta2 * np.asarray(state.x) ** 2 + self.gamma2 * np.asarray(state.s2)
+        return GarchState(np.sqrt(s2) * noise, s2)
 
-ModelSpec = Union[
-    NonlinearAR,
-    ARNormal1D,
-    ARNormalD,
-    LocationGibbsTau,
-    RegressionGibbsSigma,
-    LARCH,
-    AsymARCH,
-    GARCH,
-]
+    def make_state(self, x, s2=None):
+        if s2 is None:
+            raise ParameterError("GARCH state needs both x and sigma^2")
+        return GarchState(x, s2)
 
-_GIBBS = (LocationGibbsTau, RegressionGibbsSigma)
+    def observable(self, state):
+        return state.x
 
 
-class GarchState(NamedTuple):
-    x: "np.ndarray | float"
-    s2: "np.ndarray | float"
+FAMILIES = {
+    cls.family: cls
+    for cls in (NonlinearAR, ARNormal1D, ARNormalD, LocationGibbsTau, RegressionGibbsSigma, LARCH, AsymARCH, GARCH)
+}
+
+ModelSpec = Family
 
 
 @dataclass
@@ -247,28 +363,12 @@ class CoupledState:
 
 def make_state(model: ModelSpec, x, s2=None):
     """Build a family-appropriate state from plain numbers/arrays."""
-    if isinstance(model, GARCH):
-        if s2 is None:
-            raise ParameterError("GARCH state needs both x and sigma^2")
-        return GarchState(x, s2)
-    if isinstance(model, ARNormalD):
-        v = np.asarray(x, dtype=float)
-        if v.shape[-1] != model.dim:
-            raise ParameterError(f"state dimension {v.shape[-1]} != model dimension {model.dim}")
-        return v
-    if isinstance(model, _GIBBS):
-        _check_positive_state(x)
-    return x
+    return model.make_state(x, s2)
 
 
 def observable(model: ModelSpec, state):
     """The scalar the TV curves histogram (X_n itself; GARCH tracks x)."""
-    return state.x if isinstance(model, GARCH) else state
-
-
-def _check_positive_state(x):
-    if np.any(np.asarray(x) <= 0):
-        raise StateError("Gibbs chain state must be strictly positive")
+    return model.observable(state)
 
 
 def draw_innovations(model: ModelSpec, rng: np.random.Generator, size=None):
@@ -277,44 +377,12 @@ def draw_innovations(model: ModelSpec, rng: np.random.Generator, size=None):
     ``size`` is None for a single path or an int for that many paths.
     For the vector family the draw has shape (d,) or (size, d).
     """
-    if isinstance(model, (NonlinearAR, ARNormal1D)):
-        return rng.standard_normal(size=size)
-    if isinstance(model, ARNormalD):
-        shape = (model.dim,) if size is None else (size, model.dim)
-        return rng.standard_normal(size=shape)
-    if isinstance(model, _GIBBS):
-        x = stochastics.sample(model.x_dist, rng, size=size)
-        y = stochastics.sample(model.y_dist, rng, size=size)
-        return x, y
-    if isinstance(model, (LARCH, AsymARCH, GARCH)):
-        return stochastics.sample(model.z, rng, size=size)
-    raise ParameterError(f"unknown model {model!r}")
+    return model.draw(rng, size)
 
 
 def step(model: ModelSpec, state, noise):
     """One transition; deterministic given (state, noise)."""
-    if isinstance(model, NonlinearAR):
-        return 0.5 * (state - np.sin(state)) + noise
-    if isinstance(model, ARNormal1D):
-        return model.a * state + model.sigma * noise
-    if isinstance(model, ARNormalD):
-        x = np.asarray(state, dtype=float)
-        a, s = model.a_matrix, model.sigma_matrix
-        return x @ a.T + np.asarray(noise) @ s.T
-    if isinstance(model, _GIBBS):
-        _check_positive_state(state)
-        x, y = noise
-        return x * y * state + y
-    if isinstance(model, LARCH):
-        return (model.beta0 + model.beta1 * state) * noise
-    if isinstance(model, AsymARCH):
-        return np.sqrt((model.a * state + model.b) ** 2 + model.c**2) * noise
-    if isinstance(model, GARCH):
-        if np.any(np.asarray(state.s2) < 0):
-            raise StateError("GARCH sigma^2 state must be >= 0")
-        s2 = model.alpha2 + model.beta2 * np.asarray(state.x) ** 2 + model.gamma2 * np.asarray(state.s2)
-        return GarchState(np.sqrt(s2) * noise, s2)
-    raise ParameterError(f"unknown model {model!r}")
+    return model.step(state, noise)
 
 
 def couple_step(model: ModelSpec, cs: CoupledState, mode: str, stream: NoiseStream) -> CoupledState:
@@ -328,12 +396,12 @@ def couple_step(model: ModelSpec, cs: CoupledState, mode: str, stream: NoiseStre
     """
     it = cs.iteration
     rng = stream.substream(2 * it).generator()
-    noise = draw_innovations(model, rng, size=_size_of(model, cs.x))
+    noise = draw_innovations(model, rng, size=model.paths(cs.x))
     if mode == SHARED:
         noise_prime = noise
     elif mode == INDEPENDENT:
         rng_p = stream.substream(2 * it + 1).generator()
-        noise_prime = draw_innovations(model, rng_p, size=_size_of(model, cs.x_prime))
+        noise_prime = draw_innovations(model, rng_p, size=model.paths(cs.x_prime))
     else:
         raise ParameterError(f"coupling mode must be '{SHARED}' or '{INDEPENDENT}', got {mode!r}")
     return CoupledState(
@@ -343,24 +411,10 @@ def couple_step(model: ModelSpec, cs: CoupledState, mode: str, stream: NoiseStre
     )
 
 
-def _size_of(model: ModelSpec, state):
-    if isinstance(model, GARCH):
-        state = state.x
-    arr = np.asarray(state)
-    if isinstance(model, ARNormalD):
-        return None if arr.ndim == 1 else arr.shape[0]
-    return None if arr.ndim == 0 else arr.shape[0]
-
-
 def gibbs_innovations_from_full(model, z, g):
     """Map the full Gibbs draws (normal z, gamma-rate-1 g, or a normal
     vector w for the regression family) onto the reduced chain's (X, Y)."""
-    if isinstance(model, LocationGibbsTau):
-        return z * z / model.s, model.s / (2 * g)
-    if isinstance(model, RegressionGibbsSigma):
-        q = np.sum(np.asarray(z) ** 2, axis=-1)
-        return q / model.c_stat, model.c_stat / (2 * g)
-    raise ParameterError("full-draw mapping exists only for the Gibbs families")
+    return model.innovations_from_full(z, g)
 
 
 def location_full_sweep(model: LocationGibbsTau, state, z, g):
@@ -409,65 +463,23 @@ def deinit_pair_step(model, state, stream):
     The reduced value coincides exactly with :func:`step` fed the
     innovations from :func:`gibbs_innovations_from_full`.
     """
-    rng = stochastics._as_generator(stream)
-    size = None if np.asarray(state).ndim == 0 else np.asarray(state).shape[0]
-    if isinstance(model, LocationGibbsTau):
-        z = rng.standard_normal(size=size)
-        g = stochastics.sample(Gamma((model.j + 2) / 2, 1.0), rng, size=size)
-        return location_full_sweep(model, state, z, g)
-    if isinstance(model, RegressionGibbsSigma):
-        wshape = (model.p,) if size is None else (size, model.p)
-        w = rng.standard_normal(size=wshape)
-        g = stochastics.sample(Gamma((model.k + model.p) / 2, 1.0), rng, size=size)
-        return regression_full_sweep(model, state, w, g)
-    raise ParameterError("de-initialized stepping exists only for the Gibbs families")
-
-
-_FAMILY_TAGS = {
-    NonlinearAR: "nonlinear-ar",
-    ARNormal1D: "ar1",
-    ARNormalD: "ar-d",
-    LocationGibbsTau: "location-gibbs",
-    RegressionGibbsSigma: "regression-gibbs",
-    LARCH: "larch",
-    AsymARCH: "asym-arch",
-    GARCH: "garch",
-}
+    return model.full_step(state, stochastics._as_generator(stream))
 
 
 def model_to_dict(model: ModelSpec) -> dict:
-    """JSON-ready {"family": ..., "params": {...}} form."""
-    family = _FAMILY_TAGS.get(type(model))
-    if family is None:
+    """JSON-ready {"family": ..., "params": {...}} form: one entry per
+    field, the noise ``z`` as a tagged distribution object."""
+    if FAMILIES.get(getattr(model, "family", None)) is not type(model):
         raise ParameterError(f"unknown model {model!r}")
-    if isinstance(model, NonlinearAR):
-        params = {}
-    elif isinstance(model, ARNormal1D):
-        params = {"a": model.a, "sigma": model.sigma}
-    elif isinstance(model, ARNormalD):
-        params = {"a": model.a_matrix.tolist(), "sigma": model.sigma_matrix.tolist()}
-    elif isinstance(model, LocationGibbsTau):
-        params = {"j": model.j, "s": model.s, "y_bar": model.y_bar}
-    elif isinstance(model, RegressionGibbsSigma):
-        params = {
-            "k": model.k,
-            "p": model.p,
-            "c_stat": model.c_stat,
-            "beta_tilde1": model.beta_tilde1,
-            "a_inv_11": model.a_inv_11,
-        }
-    elif isinstance(model, LARCH):
-        params = {"beta0": model.beta0, "beta1": model.beta1, "z": dist_to_dict(model.z)}
-    elif isinstance(model, AsymARCH):
-        params = {"a": model.a, "b": model.b, "c": model.c, "z": dist_to_dict(model.z)}
-    else:
-        params = {
-            "alpha2": model.alpha2,
-            "beta2": model.beta2,
-            "gamma2": model.gamma2,
-            "z": dist_to_dict(model.z),
-        }
-    return {"family": family, "params": params}
+    params = {}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if f.name == "z":
+            value = dist_to_dict(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        params[model.json_keys.get(f.name, f.name)] = value
+    return {"family": model.family, "params": params}
 
 
 def model_from_dict(d: dict) -> ModelSpec:
@@ -476,25 +488,14 @@ def model_from_dict(d: dict) -> ModelSpec:
         params = dict(d.get("params", {}))
     except (TypeError, KeyError):
         raise ParameterError(f"model spec must carry 'family' and 'params': {d!r}") from None
+    cls = FAMILIES.get(str(family))
+    if cls is None:
+        raise ParameterError(f"unknown family '{family}'")
+    field_of = {key: name for name, key in cls.json_keys.items()}
+    kwargs = {field_of.get(k, k): v for k, v in params.items()}
+    if "z" in kwargs:
+        kwargs["z"] = dist_from_dict(kwargs["z"])
     try:
-        if family == "nonlinear-ar":
-            return NonlinearAR()
-        if family == "ar1":
-            return ARNormal1D(**params)
-        if family == "ar-d":
-            return ARNormalD(np.asarray(params["a"], dtype=float), np.asarray(params["sigma"], dtype=float))
-        if family == "location-gibbs":
-            return LocationGibbsTau(**params)
-        if family == "regression-gibbs":
-            return RegressionGibbsSigma(**params)
-        if family == "larch":
-            return LARCH(params["beta0"], params["beta1"], dist_from_dict(params["z"]))
-        if family == "asym-arch":
-            return AsymARCH(params["a"], params["b"], params["c"], dist_from_dict(params["z"]))
-        if family == "garch":
-            return GARCH(
-                params["alpha2"], params["beta2"], params["gamma2"], dist_from_dict(params["z"])
-            )
-    except (TypeError, KeyError) as exc:
+        return cls(**kwargs)
+    except TypeError as exc:
         raise ParameterError(f"bad parameters for family '{family}': {exc}") from None
-    raise ParameterError(f"unknown family '{family}'")

@@ -18,8 +18,8 @@ evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "Gamma",
     "InverseGamma",
     "Dist",
+    "DISTS",
     "NoiseStream",
     "sample",
     "density",
@@ -45,6 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Normal:
+    tag: ClassVar[str] = "normal"
     mu: float
     sigma: float
 
@@ -52,20 +54,28 @@ class Normal:
         if not (self.sigma > 0):
             raise ParameterError(f"Normal sigma must be > 0, got {self.sigma}")
 
+    def draw(self, rng: np.random.Generator, size=None):
+        return rng.normal(self.mu, self.sigma, size=size)
+
 
 @dataclass(frozen=True)
 class ChiSquare:
+    tag: ClassVar[str] = "chi-square"
     nu: float
 
     def __post_init__(self):
         if not (self.nu > 0):
             raise ParameterError(f"ChiSquare nu must be > 0, got {self.nu}")
 
+    def draw(self, rng: np.random.Generator, size=None):
+        return rng.chisquare(self.nu, size=size)
+
 
 @dataclass(frozen=True)
 class Gamma:
     """Gamma with SHAPE-RATE convention: mean = shape/rate."""
 
+    tag: ClassVar[str] = "gamma"
     shape: float
     rate: float
 
@@ -75,11 +85,16 @@ class Gamma:
                 f"Gamma shape and rate must be > 0, got ({self.shape}, {self.rate})"
             )
 
+    def draw(self, rng: np.random.Generator, size=None):
+        return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+
 
 @dataclass(frozen=True)
 class InverseGamma:
-    """Inverse gamma with SHAPE-RATE convention: mean = rate/(shape-1)."""
+    """Inverse gamma with SHAPE-RATE convention: mean = rate/(shape-1);
+    drawn as the reciprocal of a Gamma(shape, rate) draw."""
 
+    tag: ClassVar[str] = "inverse-gamma"
     shape: float
     rate: float
 
@@ -89,8 +104,12 @@ class InverseGamma:
                 f"InverseGamma shape and rate must be > 0, got ({self.shape}, {self.rate})"
             )
 
+    def draw(self, rng: np.random.Generator, size=None):
+        return 1.0 / rng.gamma(self.shape, 1.0 / self.rate, size=size)
+
 
 Dist = Union[Normal, ChiSquare, Gamma, InverseGamma]
+DISTS = {cls.tag: cls for cls in (Normal, ChiSquare, Gamma, InverseGamma)}
 
 
 @dataclass(frozen=True)
@@ -126,21 +145,8 @@ def _as_generator(stream) -> np.random.Generator:
 
 
 def sample(dist: Dist, stream, size=None):
-    """Draw from ``dist`` using ``stream`` (a NoiseStream or Generator).
-
-    Inverse-gamma draws are taken as the reciprocal of a gamma draw with
-    the same shape and rate.
-    """
-    rng = _as_generator(stream)
-    if isinstance(dist, Normal):
-        return rng.normal(dist.mu, dist.sigma, size=size)
-    if isinstance(dist, ChiSquare):
-        return rng.chisquare(dist.nu, size=size)
-    if isinstance(dist, Gamma):
-        return rng.gamma(dist.shape, 1.0 / dist.rate, size=size)
-    if isinstance(dist, InverseGamma):
-        return 1.0 / rng.gamma(dist.shape, 1.0 / dist.rate, size=size)
-    raise ParameterError(f"unknown distribution {dist!r}")
+    """Draw from ``dist`` using ``stream`` (a NoiseStream or Generator)."""
+    return dist.draw(_as_generator(stream), size)
 
 
 def log_density(dist: Dist, x):
@@ -241,15 +247,10 @@ def log_chi2_density_sup() -> float:
 
 
 def dist_to_dict(dist: Dist) -> dict:
-    if isinstance(dist, Normal):
-        return {"dist": "normal", "mu": dist.mu, "sigma": dist.sigma}
-    if isinstance(dist, ChiSquare):
-        return {"dist": "chi-square", "nu": dist.nu}
-    if isinstance(dist, Gamma):
-        return {"dist": "gamma", "shape": dist.shape, "rate": dist.rate}
-    if isinstance(dist, InverseGamma):
-        return {"dist": "inverse-gamma", "shape": dist.shape, "rate": dist.rate}
-    raise ParameterError(f"unknown distribution {dist!r}")
+    """JSON-ready {"dist": tag, <field>: value, ...} form."""
+    if DISTS.get(getattr(dist, "tag", None)) is not type(dist):
+        raise ParameterError(f"unknown distribution {dist!r}")
+    return {"dist": dist.tag, **{f.name: getattr(dist, f.name) for f in fields(dist)}}
 
 
 def dist_from_dict(d: dict) -> Dist:
@@ -257,16 +258,10 @@ def dist_from_dict(d: dict) -> Dist:
         tag = d["dist"]
     except (TypeError, KeyError):
         raise ParameterError(f"distribution object must carry a 'dist' tag: {d!r}") from None
-    params = {k: v for k, v in d.items() if k != "dist"}
+    cls = DISTS.get(str(tag))
+    if cls is None:
+        raise ParameterError(f"unknown distribution tag '{tag}'")
     try:
-        if tag == "normal":
-            return Normal(**params)
-        if tag == "chi-square":
-            return ChiSquare(**params)
-        if tag == "gamma":
-            return Gamma(**params)
-        if tag == "inverse-gamma":
-            return InverseGamma(**params)
+        return cls(**{k: v for k, v in d.items() if k != "dist"})
     except TypeError as exc:
         raise ParameterError(f"bad parameters for distribution '{tag}': {exc}") from None
-    raise ParameterError(f"unknown distribution tag '{tag}'")

@@ -317,9 +317,7 @@ def simulate_tv_curve(
         raise ParameterError(f"need n_max >= 1, got {n_max}")
     if not (bin_width > 0):
         raise ParameterError(f"bin width must be > 0, got {bin_width}")
-    if isinstance(model, models_mod.GARCH) and (s20 is None or s20_prime is None):
-        raise ParameterError("GARCH curves need both initial sigma^2 values")
-    if isinstance(model, models_mod.ARNormalD):
+    if model.state_ndim:
         raise ParameterError(
             "TV curves are scalar-only; validate vector chains coordinate-wise "
             "or with the exact one-dimensional formula"

@@ -35,6 +35,7 @@ from tvbounds.bounds import (
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, density
+from tvbounds.tvlab import tv_exact_ar_normal
 
 S_TREES = 295.43741935483877
 
@@ -326,6 +327,43 @@ def test_ar_normal_d_one_dimensional_collapse():
     cert = ar_normal_d_certificate(np.array([[0.5]]), np.array([[1.0]]), [2.0], [0.5])
     assert cert.d == 0.5
     assert cert.c == pytest.approx(math.sqrt(1 / (2 * math.pi)) * 1.5, rel=1e-12)
+
+
+def exact_tv_gaussian_ar(a, sigma, x0, x0_prime, n_max):
+    """Exact TV at n = 1..n_max between two copies of X_n = A X_{n-1} + Sigma Z_n
+    started at x0 and x0'.  Both laws are normal with the common covariance
+    Sigma_n = sum_{k<n} A^k Sigma Sigma^T A^kT and means that differ by
+    m = A^n (x0 - x0'), so TV = 2 Phi(delta/2) - 1 = erf(delta / (2 sqrt 2))
+    with delta^2 = m^T Sigma_n^{-1} m."""
+    a, s = np.atleast_2d(a).astype(float), np.atleast_2d(sigma).astype(float)
+    noise_cov = s @ s.T
+    diff = np.atleast_1d(np.asarray(x0, dtype=float) - np.asarray(x0_prime, dtype=float))
+    cov, a_k, out = np.zeros_like(a), np.eye(len(a)), []
+    for _ in range(n_max):
+        cov = cov + a_k @ noise_cov @ a_k.T
+        a_k = a_k @ a
+        m = a_k @ diff
+        out.append(math.erf(math.sqrt(m @ np.linalg.solve(cov, m)) / (2 * math.sqrt(2))))
+    return out
+
+
+def test_ar_normal_d_bound_dominates_exact_tv():
+    d = 100
+    a = tridiagonal(d, 0.5, 0.125)
+    cert = ar_normal_d_certificate(a, a, np.ones(d), np.zeros(d))
+    exact = exact_tv_gaussian_ar(a, a, np.ones(d), np.zeros(d), 79)
+    margins = [bound_eval(cert, n).raw - tv for n, tv in enumerate(exact, start=1)]
+    assert min(margins) > 0
+    assert min(margins) == pytest.approx(1.315e-5, rel=1e-3)
+    assert min(n for n, tv in enumerate(exact, start=1) if tv < 0.01) == 21
+    assert iterations_to_epsilon(cert, 0.01) == 56
+
+
+def test_exact_tv_gaussian_ar_matches_ar1_closed_form():
+    for x0, x0p in [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0), (0.3, 0.2), (10.0, -10.0)]:
+        exact = exact_tv_gaussian_ar(0.5, math.sqrt(0.75), x0, x0p, 59)
+        for n, tv in enumerate(exact, start=1):
+            assert abs(tv - tv_exact_ar_normal(x0, x0p, n)) <= 1e-15
 
 
 def test_ar_normal_d_errors():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tvbounds import cli, models
 from tvbounds.cli import main, reproduction_rows
 
 GARCH_PARAMS = json.dumps(
@@ -242,3 +243,73 @@ def test_repro_writes_comparison_curves(capsys, tmp_path):
     ]
     header = (curves / "curve-ar1.csv").read_text().splitlines()[0]
     assert header == "n,bound,bound_clamped,tv_sim,tv_exact,mc_se"
+
+
+# --family choice -> (certificate parameters, curve start points x0, x0');
+# no start points where the family has no scalar chain, so `curve` exits 2
+FAMILY_CASES = {
+    "ar1": ({"a": 0.5, "sigma": math.sqrt(0.75), "gap": 1.0}, (0.0, 1.0)),
+    "nonlinear-ar": ({"gap": 1.0}, (1.0, 2.0)),
+    "ar-d": ({"a": [[0.5, 0.125], [0.125, 0.5]], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+              "x0": [1.0, 1.0], "x0p": [0.0, 0.0]}, None),
+    "independent-coordinates": ({"amplitude": math.sqrt(2 / (3 * math.pi)), "rate": 0.5, "d": 100, "gap": 1.0},
+                                None),
+    "location-gibbs": ({"j": 31, "s": 295.43741935483877, "gap": 18.12198}, (1.0, 20.0)),
+    "regression-gibbs": ({"k": 333, "p": 4, "c_stat": 26123.0, "gap": 1000.0}, (1.0, 1001.0)),
+    "larch": ({"beta0": 1.0, "beta1": 0.5, "z": {"dist": "chi-square", "nu": 1}, "gap": 1.2}, (0.01, 1.21)),
+    "asym-arch": ({"a": 0.5, "b": 3.0, "c": 5.0, "gap": 5.0}, (0.0, 5.0)),
+    "garch": ({"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "x0": 0.1, "x0p": -0.1,
+               "s20": 0.0001, "s20p": 0.01}, (0.1, -0.1)),
+}
+
+
+def test_every_family_choice_builds_a_certificate_and_a_curve(capsys):
+    assert set(FAMILY_CASES) == set(cli.CERTIFICATES)
+    for family, (params, starts) in FAMILY_CASES.items():
+        code, out, err = run(capsys, "certificate", "--family", family, "--params", json.dumps(params))
+        assert code == 0, (family, err)
+        assert 0 <= json.loads(out)["D"] < 1, family
+        x0, x0p = starts or (0.0, 1.0)
+        code, out, err = run(
+            capsys, "curve", "--family", family, "--params", json.dumps(params), "--x0", str(x0), "--x0p", str(x0p),
+            "--n-max", "3", "--paths", "2000", "--seed", "1", "--workers", "1",
+        )
+        if starts is None:
+            assert code == 2 and err.startswith("error:"), (family, err)
+        else:
+            assert code == 0, (family, err)
+            assert len(out.splitlines()) == 4, family
+
+
+@pytest.mark.parametrize("family", sorted(models.FAMILIES))
+def test_curve_rejects_unknown_model_key(capsys, family):
+    params, starts = FAMILY_CASES[family]
+    x0, x0p = starts or (0.0, 1.0)
+    code, out, err = run(
+        capsys, "curve", "--family", family, "--params", json.dumps({**params, "bogus": 3}),
+        "--x0", str(x0), "--x0p", str(x0p), "--n-max", "1", "--paths", "100", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "bogus" in err
+
+
+@pytest.mark.parametrize("family,params,starts", [
+    ("asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0}, ["--x0", "0", "--x0p", "5"]),
+    ("garch", {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922},
+     ["--x0", "0.1", "--x0p", "-0.1", "--s20", "0.0001", "--s20p", "0.01"]),
+])
+def test_curve_default_noise_is_standard_normal(tmp_path, capsys, family, params, starts):
+    # the model and the certificate share one default z = N(0, 1)
+    csvs = []
+    for p in (params, {**params, "z": {"dist": "normal", "mu": 0.0, "sigma": 1.0}}):
+        out = tmp_path / "curve.csv"
+        code, _, err = run(
+            capsys, "curve", "--family", family, "--params", json.dumps(p), *starts,
+            "--n-max", "3", "--paths", "2000", "--seed", "1", "--workers", "1", "--out", str(out),
+        )
+        assert code == 0, err
+        assert "no bound column" not in err
+        csvs.append(out.read_text())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].splitlines()[-1].split(",")[1] != ""

@@ -1,0 +1,48 @@
+"""Each chain family is described once: by its class in ``models``, found
+through ``models.FAMILIES``, and by its certificate builder in
+``cli.CERTIFICATES``.  Code that compares a value against a family tag
+re-describes the family somewhere else, so no module may do it."""
+
+import ast
+from pathlib import Path
+
+from tvbounds import cli, models
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tvbounds"
+TAGS = set(models.FAMILIES) | set(cli.CERTIFICATES)
+
+
+def _string_constants(node) -> list:
+    """String literals of a comparison operand (a tuple, list or set of
+    literals counts for each of its elements)."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return [n.value for n in items if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _tag_comparisons(path: Path) -> list:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        tags = {s for op in operands for s in _string_constants(op)} & TAGS
+        found += [f"{path.name}:{node.lineno} compares against {tag!r}" for tag in sorted(tags)]
+    return found
+
+
+def test_no_module_compares_against_a_family_tag():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _tag_comparisons(path)] == []
+
+
+def test_every_tagged_family_class_is_registered():
+    tagged = {
+        cls.family: cls
+        for cls in vars(models).values()
+        if isinstance(cls, type) and issubclass(cls, models.Family) and hasattr(cls, "family")
+    }
+    assert tagged == models.FAMILIES

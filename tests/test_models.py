@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from tvbounds.models import (
     ARNormalD,
     AsymARCH,
     CoupledState,
+    FAMILIES,
     GARCH,
     GarchState,
     INDEPENDENT,
@@ -30,7 +32,7 @@ from tvbounds.models import (
     regression_full_sweep,
     step,
 )
-from tvbounds.stochastics import ChiSquare, Gamma, Normal, NoiseStream, sample
+from tvbounds.stochastics import DISTS, ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, sample
 
 S_TREES = 295.43741935483877
 
@@ -261,19 +263,34 @@ def test_make_state_and_observable():
 
 
 def test_model_dict_roundtrip():
-    cases = [
-        NonlinearAR(),
-        ARNormal1D(0.5, math.sqrt(0.75)),
-        LocationGibbsTau(31, S_TREES, y_bar=1.5),
-        RegressionGibbsSigma(333, 4, 26123.0),
-        LARCH(1.0, 0.5, ChiSquare(1)),
-        AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)),
-        GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)),
-    ]
-    for m in cases:
-        assert model_from_dict(model_to_dict(m)) == m
-    md = ARNormalD(np.eye(2) * 0.5, np.eye(2))
-    back = model_from_dict(model_to_dict(md))
-    assert np.array_equal(back.a_matrix, md.a_matrix)
+    # every registered family, every distribution tag, through JSON text
+    cases = {
+        "nonlinear-ar": [NonlinearAR()],
+        "ar1": [ARNormal1D(0.5, math.sqrt(0.75))],
+        "ar-d": [ARNormalD(np.eye(2) * 0.5, np.eye(2))],
+        "location-gibbs": [LocationGibbsTau(31, S_TREES, y_bar=1.5)],
+        "regression-gibbs": [RegressionGibbsSigma(333, 4, 26123.0), RegressionGibbsSigma(5, 2, 3.0, 0.25, 0.5)],
+        "larch": [LARCH(1.0, 0.5, ChiSquare(1)), LARCH(1.0, 0.5, Gamma(0.5, 2.0)), LARCH(1.0, 0.5, InverseGamma(3.0, 2.0))],
+        "asym-arch": [AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), AsymARCH(-0.2, 1.0, 2.0, Normal(0.5, 2.0))],
+        "garch": [GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))],
+    }
+    assert set(cases) == set(FAMILIES)
+    dist_tags = set()
+    for family, ms in cases.items():
+        for m in ms:
+            d = model_to_dict(m)
+            assert d["family"] == family
+            back = model_from_dict(json.loads(json.dumps(d)))
+            assert type(back) is type(m)
+            assert model_to_dict(back) == d
+            if isinstance(m, ARNormalD):
+                assert np.array_equal(back.a_matrix, m.a_matrix)
+                assert np.array_equal(back.sigma_matrix, m.sigma_matrix)
+                assert set(d["params"]) == {"a", "sigma"}
+            else:
+                assert back == m
+            if "z" in d["params"]:
+                dist_tags.add(d["params"]["z"]["dist"])
+    assert dist_tags == set(DISTS)
     with pytest.raises(ParameterError):
         model_from_dict({"family": "brownian"})
