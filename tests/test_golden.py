@@ -1,4 +1,5 @@
-"""Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds.
+"""Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds and
+of the ``certificate`` JSON of every ``--family`` choice.
 
 The other curve tests check self-consistency (reruns, worker counts), so
 a silent change to the random bit stream, the binning or the estimator
@@ -8,11 +9,13 @@ so in CHANGES.md.
 """
 
 import hashlib
+import json
 import math
 
 import pytest
 
-from tvbounds import models
+from test_cli import FAMILY_CASES
+from tvbounds import cli, models
 from tvbounds.stochastics import ChiSquare, NoiseStream, Normal
 from tvbounds.tvlab import simulate_tv_curve
 
@@ -72,3 +75,29 @@ def test_two_chunk_curve_golden_digest(workers):
     curve = simulate_tv_curve(model, 0.1, -0.1, 3, 140_000, 0.01, NoiseStream(108),
                               workers=workers, s20=0.0001, s20_prime=0.01)
     assert _digest(curve) == TWO_CHUNK_DIGEST
+
+
+# --family choice -> sha256 of the `certificate` JSON text for its
+# test_cli.FAMILY_CASES parameters
+CERTIFICATE_DIGESTS = {
+    "ar1": "8c587c4173ce96306aa0c5999153928429185e2ebfdb20d491dabf9081df793a",
+    "nonlinear-ar": "f8985021a5c0cc48217e90c44c8b13cd6a22cda5ab9ea122730172b9c725a860",
+    "ar-d": "d3801c93ffe8655a15d10f4ea5a29ef81ae2c6fbdffa31488f236b5c80dfee9f",
+    "independent-coordinates": "45f54f8a4a41ff2bd4e49e105d906836118c28d30112338937c981091aee87df",
+    "location-gibbs": "83e918d8f7fefbd28558f6e202d50da7a973437f3d947ed03b6f509cdbfaead0",
+    "regression-gibbs": "0568e03b823c868e17715b91527416e8463d4ce3e4df729205c130278db47bc0",
+    "larch": "32c143f3e2e7da2ae60c844f69dbda01223ea5998ba2d5f7ebc7a50148f352da",
+    "asym-arch": "c3b7f5daa85f6ab178aa092984ec18d12ba056e3ec294684c4391e066e8c99d4",
+    "garch": "6a5a03528de7722207fcf5787e62657e58bce94055b46d793ed36ca48cbad01a",
+}
+
+
+@pytest.mark.parametrize("family", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_json_golden_digest(capsys, family):
+    params, _ = FAMILY_CASES[family]
+    assert cli.main(["certificate", "--family", family, "--params", json.dumps(params)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CERTIFICATE_DIGESTS[family]
+
+
+def test_certificate_digests_cover_every_family_choice():
+    assert set(CERTIFICATE_DIGESTS) == set(FAMILY_CASES)
