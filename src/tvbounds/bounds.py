@@ -56,12 +56,20 @@ __all__ = [
     "nonlinear_ar_D",
     "nonlinear_ar_certificate",
     "golden_section_max",
+    "integral",
     "larch_certificate",
     "asym_arch_certificate",
     "garch_certificate",
     "certificate_to_dict",
     "certificate_from_dict",
 ]
+
+
+def integral(name: str, value) -> int:
+    """``value`` as an int; ints, numpy integers and integral floats pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class BoundValue(NamedTuple):
@@ -380,6 +388,7 @@ def independent_coordinates(certs: Sequence, d: int):
     one rate this is exact aggregation; otherwise the max rate and max
     amplitude are used.
     """
+    d = integral("dimension d", d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     pairs = list(certs)
@@ -404,13 +413,15 @@ def independent_coordinates_certificate(a: float, r: float, d: int, gap: float =
         family="ar1-independent-d",
         exp_offset=1,
         notes=("bound convention D^n",),
-        details={"d": d, "coordinate_amplitude": a},
+        details={"d": int(d), "coordinate_amplitude": a},
     )
 
 
 def ar_normal_1d_certificate(a: float, sigma: float, gap: float) -> BoundCertificate:
     """Certificate for X_n = a X_{n-1} + sigma Z_n: D = |a|, C from the
     noise density height 1/(sigma sqrt(2 pi)) with a single mode."""
+    if not (sigma > 0):
+        raise ParameterError(f"noise scale sigma must be > 0, got {sigma}")
     d = random_coeff_D(a)
     k = 1.0 / (sigma * math.sqrt(2 * math.pi))
     return BoundCertificate(
@@ -645,6 +656,7 @@ def larch_certificate(beta0: float, beta1: float, z: Dist, m: int, gap: float) -
     """
     if not (beta0 > 0 and beta1 > 0):
         raise ParameterError(f"need beta0, beta1 > 0, got ({beta0}, {beta1})")
+    m = integral("mode count M", m)
     if m < 1:
         raise ParameterError(f"mode count M must be >= 1, got {m}")
     if isinstance(z, stochastics.Normal):
@@ -674,6 +686,8 @@ def asym_arch_certificate(
     """
     if c == 0:
         raise ParameterError("asymmetric ARCH requires c != 0")
+    if not isinstance(jensen, bool):
+        raise ParameterError(f"jensen must be true or false, got {jensen!r}")
     d_exact = abs(a) * abs_moment(z, 1)
     d_jensen = abs(a) * math.sqrt(abs_moment(z, 2))
     d = d_jensen if jensen else d_exact
@@ -721,22 +735,12 @@ def garch_certificate(
     e_abs_z = abs_moment(z, 1)
     alpha = math.sqrt(alpha2)
     init = math.sqrt(beta2 * abs(x0**2 - x0_prime**2) + gamma2 * abs(s20 - s20_prime))
-    gap = init * e_abs_z
-    if gap == 0.0:
-        # degenerate but legal: identical initial conditions
-        return BoundCertificate(
-            c=d / (alpha * e_abs_z) if e_abs_z > 0 else 1.0,
-            d=d,
-            n0=1,
-            gap=0.0,
-            family="garch",
-            details={"coefficient": 0.0},
-        )
+    # identical initial conditions give gap 0: degenerate but legal
     return BoundCertificate(
-        c=d / (alpha * e_abs_z),
+        c=d / (alpha * e_abs_z) if e_abs_z > 0 else 1.0,
         d=d,
         n0=1,
-        gap=gap,
+        gap=init * e_abs_z,
         family="garch",
         details={"coefficient": init / alpha},
     )

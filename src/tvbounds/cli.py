@@ -16,6 +16,7 @@ failure.  ``ONESHOT_SEED`` is honored as the seed fallback.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -25,10 +26,12 @@ import numpy as np
 
 from . import bounds, data, models, tvlab
 from .errors import DomainError, IngestionError, NoContractionError, ParameterError, StateError
-from .stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density, dist_from_dict
+from .stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
+# the start points; every command accepts them
+START_KEYS = ("x0", "x0p", "s20", "s20p")
 
 def _fmt9(x: float) -> str:
     return f"{x:.9g}"
@@ -72,74 +75,54 @@ def _load_params(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ParameterError(f"--params is not valid JSON: {exc}") from None
     # convenience flags override the JSON blob
-    for flag in ("a", "sigma", "gap", "x0", "x0p", "s20", "s20p", "epsilon"):
+    for flag in ("a", "sigma", "gap", *START_KEYS):
         v = getattr(args, flag, None)
         if v is not None:
             params[flag] = v
     return params
 
 
-def _need(params: dict, *names):
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ParameterError(f"missing parameter(s): {', '.join(missing)}")
-    return [params[n] for n in names]
+def _independent_coordinates(amplitude, rate, d, gap):
+    return bounds.independent_coordinates_certificate(amplitude, rate, d, gap)
 
 
-def _dist_of(params: dict, default=None):
-    z = params.get("z", default)
-    if z is None:
-        raise ParameterError("missing noise distribution 'z'")
-    return dist_from_dict(z) if isinstance(z, dict) else z
+# the --family choices: every chain family, and one certificate without a chain
+CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
 
 
-def _nonlinear_ar_certificate(params: dict) -> bounds.BoundCertificate:
-    (gap,) = _need(params, "gap")
-    d2 = params.get("d_squared")
-    if d2 is None:
-        search = {
-            name: cast(params[key])
-            for key, name, cast in (
-                ("grid", "grid", int), ("range", "half_range", float), ("min_separation", "min_separation", float)
-            )
-            if key in params
-        }
-        d = bounds.nonlinear_ar_D(**search)
-        d2 = d * d
-    return bounds.nonlinear_ar_certificate(gap, d2)
+def _split(family: str, params: dict):
+    """The chain model of ``family`` (None for independent-coordinates) and
+    a function building its certificate from ``params``: the certificate's
+    keyword parameters take their keys, the start keys are always accepted,
+    every other key is a model field (so an unknown key raises
+    ParameterError), and ``gap`` defaults to ||x0 - x0'||."""
+    if family not in CERTIFICATES:
+        raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
+    cls = models.FAMILIES.get(family)
+    keys = inspect.signature(_independent_coordinates if cls is None else cls.certificate).parameters
+    options = {k: v for k, v in params.items() if k in keys}
+    if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
+        x0, x0p = np.asarray(params["x0"], dtype=float), np.asarray(params["x0p"], dtype=float)
+        options["gap"] = float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
+    fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
+    if cls is None:  # no model: the certificate call rejects any other key
+        model, build, options = None, _independent_coordinates, {**options, **fields}
+    else:
+        model = models.model_from_dict({"family": family, "params": fields})
+        build = model.certificate
 
+    def certify() -> bounds.BoundCertificate:
+        try:
+            return build(**options)
+        except TypeError as exc:
+            raise ParameterError(f"bad certificate parameters for family '{family}': {exc}") from None
 
-CERTIFICATES = {
-    "ar1": lambda p: bounds.ar_normal_1d_certificate(*_need(p, "a", "sigma", "gap")),
-    "nonlinear-ar": _nonlinear_ar_certificate,
-    "ar-d": lambda p: bounds.ar_normal_d_certificate(
-        *(np.asarray(v, dtype=float) for v in _need(p, "a", "sigma", "x0", "x0p"))
-    ),
-    "independent-coordinates": lambda p: bounds.independent_coordinates_certificate(
-        *_need(p, "amplitude", "rate"), int(*_need(p, "d")), *_need(p, "gap")
-    ),
-    "location-gibbs": lambda p: bounds.location_gibbs_certificate(int(*_need(p, "j")), *_need(p, "s", "gap")),
-    "regression-gibbs": lambda p: bounds.regression_gibbs_certificate(
-        *map(int, _need(p, "k", "p")), *_need(p, "c_stat", "gap")
-    ),
-    "larch": lambda p: bounds.larch_certificate(
-        *_need(p, "beta0", "beta1"), _dist_of(p), int(p.get("m", 1)), *_need(p, "gap")
-    ),
-    "asym-arch": lambda p: bounds.asym_arch_certificate(
-        *_need(p, "a", "b", "c"), _dist_of(p, models.AsymARCH.z), *_need(p, "gap"),
-        jensen=bool(p.get("jensen", True)),
-    ),
-    "garch": lambda p: bounds.garch_certificate(
-        *_need(p, "alpha2", "beta2", "gamma2"), _dist_of(p, models.GARCH.z), *_need(p, "x0", "x0p", "s20", "s20p")
-    ),
-}
+    return model, certify
 
 
 def build_certificate(family: str, params: dict) -> bounds.BoundCertificate:
     """Shared certificate construction for ``certificate``/``iters``/``repro``."""
-    if family not in CERTIFICATES:
-        raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
-    return CERTIFICATES[family](params)
+    return _split(family, params)[1]()
 
 
 def _emit(text: str, out_path) -> None:
@@ -157,12 +140,8 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_iters(args) -> int:
-    params = _load_params(args)
-    eps = params.pop("epsilon", None)
-    if eps is None:
-        raise ParameterError("missing --epsilon")
-    cert = build_certificate(args.family, params)
-    print(bounds.iterations_to_epsilon(cert, float(eps)))
+    cert = build_certificate(args.family, _load_params(args))
+    print(bounds.iterations_to_epsilon(cert, args.epsilon))
     return 0
 
 
@@ -171,16 +150,13 @@ def cmd_curve(args) -> int:
     for k in ("x0", "x0p"):
         if k not in params:
             raise ParameterError(f"missing --{k}")
-    non_model_keys = (
-        "x0", "x0p", "s20", "s20p", "gap", "epsilon", "jensen", "m",
-        "grid", "range", "min_separation", "d_squared",
-    )
-    model_params = {k: v for k, v in params.items() if k not in non_model_keys}
-    model = models.model_from_dict({"family": args.family, "params": model_params})
+    model, certify = _split(args.family, params)
+    if model is None:
+        raise ParameterError(f"family '{args.family}' has no chain to simulate")
     cert = None
     if not args.no_bound:
         try:
-            cert = build_certificate(args.family, _curve_cert_params(params))
+            cert = certify()
         except (ParameterError, NoContractionError) as exc:
             print(f"note: no bound column ({exc})", file=sys.stderr)
     stream = NoiseStream(_seed_from(args), args.stream_id)
@@ -205,14 +181,6 @@ def cmd_curve(args) -> int:
         return 3
     _emit(curve.to_csv(), args.out)
     return 0
-
-
-def _curve_cert_params(params: dict) -> dict:
-    p = dict(params)
-    if "gap" not in p and "x0" in p and "x0p" in p:
-        x0, x0p = np.asarray(p["x0"], dtype=float), np.asarray(p["x0p"], dtype=float)
-        p["gap"] = float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
-    return p
 
 
 def cmd_dataset_stats(args) -> int:
@@ -472,16 +440,11 @@ def write_figure_curves(directory, seed, n_paths, workers=1):
     os.makedirs(directory, exist_ok=True)
     written = []
     for idx, (stem, cfg) in enumerate(sorted(FIGURE_CURVES.items())):
-        params = dict(cfg["params"])
-        full = {**params, "x0": cfg["x0"], "x0p": cfg["x0p"]}
-        if "s20" in cfg:
-            full.update(s20=cfg["s20"], s20p=cfg["s20p"])
-        cert = build_certificate(cfg["family"], _curve_cert_params(full))
-        model = models.model_from_dict({"family": cfg["family"], "params": params})
+        model, certify = _split(cfg["family"], {**cfg["params"], **{k: cfg[k] for k in START_KEYS if k in cfg}})
         curve = tvlab.simulate_tv_curve(
             model, cfg["x0"], cfg["x0p"], n_max=cfg["n_max"], n_paths=n_paths,
             bin_width=0.01, stream=NoiseStream(seed, 9000 + idx),
-            certificate=cert, workers=workers,
+            certificate=certify(), workers=workers,
             s20=cfg.get("s20"), s20_prime=cfg.get("s20p"),
         )
         path = os.path.join(directory, stem + ".csv")

@@ -2,7 +2,8 @@
 
 Each family is one frozen dataclass derived from :class:`Family` that
 describes it whole: JSON tag, parameters, innovation draw, transition,
-state and observable.  :data:`FAMILIES` (tag -> class) is the registry.
+state, observable, certificate and (where known) exact TV.
+:data:`FAMILIES` (tag -> class) is the registry.
 The module functions delegate to the family:
 
 * :func:`draw_innovations` pulls one iteration's worth of noise,
@@ -25,7 +26,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from . import stochastics
+from . import bounds, stochastics
 from .errors import ParameterError, StateError
 from .stochastics import Dist, Gamma, InverseGamma, NoiseStream, Normal, dist_from_dict, dist_to_dict
 
@@ -70,8 +71,10 @@ class GarchState(NamedTuple):
 @dataclass(frozen=True)
 class Family:
     """A chain family.  Subclasses set ``family`` (the JSON tag) and
-    define ``step``; by default a family draws its noise from the field
-    ``z`` and runs on its scalar observable."""
+    define ``step`` and ``certificate`` (built from the fields; its keyword
+    parameters are the certificate's only other inputs); by default a
+    family draws its noise from the field ``z`` and runs on its scalar
+    observable."""
 
     family: ClassVar[str]
     # field name -> JSON parameter key, where the two differ
@@ -93,6 +96,10 @@ class Family:
         arr = np.asarray(self.observable(state))
         return None if arr.ndim == self.state_ndim else arr.shape[0]
 
+    def exact_tv(self, x0, x0p, n):
+        """Exact TV at iteration n from the starts x0, x0p; None if unknown."""
+        return None
+
 
 @dataclass(frozen=True)
 class NonlinearAR(Family):
@@ -105,6 +112,9 @@ class NonlinearAR(Family):
 
     def step(self, state, noise):
         return 0.5 * (state - np.sin(state)) + noise
+
+    def certificate(self, gap, d_squared=None):
+        return bounds.nonlinear_ar_certificate(gap, d_squared)
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,16 @@ class ARNormal1D(Family):
 
     def step(self, state, noise):
         return self.a * state + self.sigma * noise
+
+    def certificate(self, gap):
+        return bounds.ar_normal_1d_certificate(self.a, self.sigma, gap)
+
+    def exact_tv(self, x0, x0p, n):
+        """Both n-step laws are normal with variance
+        v_n = sigma^2 sum_{k<n} a^(2k) and means a^n x0, a^n x0p, so
+        TV = 1 - erfc(|a^n (x0 - x0p)| / (2 sqrt(2 v_n)))."""
+        v = self.sigma**2 * sum(self.a ** (2 * k) for k in range(n))
+        return 1.0 - math.erfc(abs(self.a**n * (x0 - x0p)) / (2 * math.sqrt(2 * v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +183,9 @@ class ARNormalD(Family):
             raise ParameterError(f"state dimension {v.shape[-1]} != model dimension {self.dim}")
         return v
 
+    def certificate(self, x0, x0p):
+        return bounds.ar_normal_d_certificate(self.a_matrix, self.sigma_matrix, x0, x0p)
+
 
 def _check_positive_state(x):
     if np.any(np.asarray(x) <= 0):
@@ -200,10 +223,11 @@ class LocationGibbsTau(_Gibbs):
     y_bar: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "j", bounds.integral("J", self.j))
         if self.j < 3:
             raise ParameterError(f"location model needs J >= 3, got {self.j}")
-        if not (self.s >= 0):
-            raise ParameterError(f"S must be >= 0, got {self.s}")
+        if not (self.s > 0):
+            raise ParameterError(f"S must be > 0, got {self.s}")
 
     def draw(self, rng: np.random.Generator, size=None):
         x = stochastics.sample(Gamma(0.5, self.s / 2), rng, size=size)
@@ -218,6 +242,9 @@ class LocationGibbsTau(_Gibbs):
         z = rng.standard_normal(size=size)
         g = stochastics.sample(Gamma((self.j + 2) / 2, 1.0), rng, size=size)
         return location_full_sweep(self, state, z, g)
+
+    def certificate(self, gap):
+        return bounds.location_gibbs_certificate(self.j, self.s, gap)
 
 
 @dataclass(frozen=True)
@@ -240,6 +267,8 @@ class RegressionGibbsSigma(_Gibbs):
     a_inv_11: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "k", bounds.integral("k", self.k))
+        object.__setattr__(self, "p", bounds.integral("p", self.p))
         if self.k < 1 or self.p < 1:
             raise ParameterError(f"need k, p >= 1, got ({self.k}, {self.p})")
         if not (self.c_stat > 0):
@@ -261,6 +290,9 @@ class RegressionGibbsSigma(_Gibbs):
         w = rng.standard_normal(size=(self.p,) if size is None else (size, self.p))
         g = stochastics.sample(Gamma((self.k + self.p) / 2, 1.0), rng, size=size)
         return regression_full_sweep(self, state, w, g)
+
+    def certificate(self, gap):
+        return bounds.regression_gibbs_certificate(self.k, self.p, self.c_stat, gap)
 
 
 @dataclass(frozen=True)
@@ -288,6 +320,9 @@ class LARCH(Family):
     def step(self, state, noise):
         return (self.beta0 + self.beta1 * state) * noise
 
+    def certificate(self, gap, m=1):
+        return bounds.larch_certificate(self.beta0, self.beta1, self.z, m, gap)
+
 
 @dataclass(frozen=True)
 class AsymARCH(Family):
@@ -305,6 +340,9 @@ class AsymARCH(Family):
 
     def step(self, state, noise):
         return np.sqrt((self.a * state + self.b) ** 2 + self.c**2) * noise
+
+    def certificate(self, gap, jensen=True):
+        return bounds.asym_arch_certificate(self.a, self.b, self.c, self.z, gap, jensen=jensen)
 
 
 @dataclass(frozen=True)
@@ -342,6 +380,9 @@ class GARCH(Family):
 
     def observable(self, state):
         return state.x
+
+    def certificate(self, x0, x0p, s20, s20p):
+        return bounds.garch_certificate(self.alpha2, self.beta2, self.gamma2, self.z, x0, x0p, s20, s20p)
 
 
 FAMILIES = {

@@ -250,14 +250,6 @@ class TVCurve:
         return "\n".join(lines) + "\n"
 
 
-def _is_standard_ar1(model: ModelSpec) -> bool:
-    return (
-        isinstance(model, models_mod.ARNormal1D)
-        and abs(model.a - 0.5) < 1e-12
-        and abs(model.sigma - math.sqrt(0.75)) < 1e-12
-    )
-
-
 def _simulate_chunk(args):
     """Advance one chunk of coupled paths and histogram every iteration.
 
@@ -308,8 +300,8 @@ def simulate_tv_curve(
 
     Both copies use independent innovations throughout.  When a
     certificate is supplied its bound (raw and clamped) is attached for
-    every n > n0.  For the standard AR(1) normal chain (a=1/2,
-    sigma=sqrt(3/4)) the exact TV column is filled from the closed form.
+    every n > n0.  The exact TV column is filled wherever the family
+    declares a closed form (``model.exact_tv``).
     """
     if n_paths < 1:
         raise ParameterError(f"need n_paths >= 1, got {n_paths}")
@@ -342,7 +334,6 @@ def simulate_tv_curve(
     else:
         results = [_simulate_chunk(j) for j in jobs]
 
-    fill_exact = _is_standard_ar1(model) and np.ndim(x0) == 0
     rows = []
     for n_i in range(n_max):
         n = n_i + 1
@@ -354,7 +345,7 @@ def simulate_tv_curve(
         if certificate is not None and n > certificate.n0:
             bv = bound_eval(certificate, n)
             bound, clamped = bv.raw, bv.clamped
-        exact = tv_exact_ar_normal(float(x0), float(x0_prime), n) if fill_exact else None
+        exact = model.exact_tv(float(x0), float(x0_prime), n)
         rows.append(
             TVCurveRow(
                 n=n,

@@ -34,6 +34,7 @@ from tvbounds.bounds import (
     sideways_C,
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
+from tvbounds.models import ARNormal1D, NonlinearAR
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, density
 from tvbounds.tvlab import tv_exact_ar_normal
 
@@ -302,9 +303,27 @@ def test_independent_coordinates_identity():
     assert (a, r) == (0.3, 0.5)
 
 
+def test_independent_coordinates_dimension_must_be_integral():
+    for d in (100.5, "100", None, True):
+        with pytest.raises(ParameterError):
+            independent_coordinates([(0.3, 0.5)], d)
+        with pytest.raises(ParameterError):
+            independent_coordinates_certificate(0.3, 0.5, d)
+    cert = independent_coordinates_certificate(0.3, 0.5, 100.0)
+    assert type(cert.details["d"]) is int and cert.c == independent_coordinates_certificate(0.3, 0.5, 100).c
+
+
 def test_independent_coordinates_mixed_rates():
     a, r = independent_coordinates([(0.3, 0.5), (0.4, 0.25)], 2)
     assert (a, r) == (0.8, 0.5)
+
+
+# ------------------------------------------------------------------ AR(1)
+
+def test_ar_normal_1d_rejects_nonpositive_sigma():
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="sigma"):
+            ar_normal_1d_certificate(0.5, sigma, 1.0)
 
 
 # ----------------------------------------------------------- vector AR bound
@@ -364,6 +383,19 @@ def test_exact_tv_gaussian_ar_matches_ar1_closed_form():
         exact = exact_tv_gaussian_ar(0.5, math.sqrt(0.75), x0, x0p, 59)
         for n, tv in enumerate(exact, start=1):
             assert abs(tv - tv_exact_ar_normal(x0, x0p, n)) <= 1e-15
+
+
+def test_ar1_family_exact_tv_matches_closed_forms():
+    standard = ARNormal1D(0.5, math.sqrt(0.75))
+    for x0, x0p in [(0.0, 1.0), (-2.0, 3.0), (0.3, 0.2), (10.0, -10.0), (4.0, 4.0)]:
+        for n in range(1, 60):
+            assert abs(standard.exact_tv(x0, x0p, n) - tv_exact_ar_normal(x0, x0p, n)) <= 1e-15
+    # any a (|a| >= 1 included) and sigma, against the covariance-sum formula
+    for a, sigma in [(0.8, 1.0), (-0.3, 2.0), (1.0, 0.5), (1.1, 0.7)]:
+        exact = exact_tv_gaussian_ar(a, sigma, 0.5, -1.0, 30)
+        for n, tv in enumerate(exact, start=1):
+            assert ARNormal1D(a, sigma).exact_tv(0.5, -1.0, n) == pytest.approx(tv, rel=1e-12, abs=1e-15)
+    assert NonlinearAR().exact_tv(0.0, 1.0, 1) is None
 
 
 def test_ar_normal_d_errors():
@@ -439,6 +471,13 @@ def test_larch_numeric_sup_matches_closed_form():
     assert c_numeric == pytest.approx(c_closed, rel=1e-9)
 
 
+def test_larch_mode_count_must_be_integral():
+    with pytest.raises(ParameterError):
+        larch_certificate(1.0, 0.5, ChiSquare(1), m=1.9, gap=1.0)
+    assert larch_certificate(1.0, 0.5, ChiSquare(1), m=2.0, gap=1.0).c == \
+        larch_certificate(1.0, 0.5, ChiSquare(1), m=2, gap=1.0).c
+
+
 def test_larch_no_contraction():
     with pytest.raises(NoContractionError):
         larch_certificate(1.0, 2.0, ChiSquare(1), m=1, gap=1.0)
@@ -457,6 +496,12 @@ def test_asym_arch_jensen_and_exact_rates():
     assert cert.details["d_exact"] == pytest.approx(0.5 * math.sqrt(2 / math.pi), rel=1e-12)
     exact = asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0, jensen=False)
     assert exact.d == pytest.approx(0.3989422804, abs=1e-9)
+
+
+def test_asym_arch_jensen_must_be_a_bool():
+    for jensen in ("no", 0, None):
+        with pytest.raises(ParameterError):
+            asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0, jensen=jensen)
 
 
 def test_asym_arch_zero_slope_couples_immediately():

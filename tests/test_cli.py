@@ -281,17 +281,61 @@ def test_every_family_choice_builds_a_certificate_and_a_curve(capsys):
             assert len(out.splitlines()) == 4, family
 
 
-@pytest.mark.parametrize("family", sorted(models.FAMILIES))
-def test_curve_rejects_unknown_model_key(capsys, family):
+# `curve` takes every chain family, `certificate` and `iters` every --family
+# choice; the curve cases keep their bare family ids
+UNKNOWN_KEY_CASES = [pytest.param("curve", family, id=family) for family in sorted(models.FAMILIES)] + [
+    pytest.param(command, family, id=f"{command}-{family}")
+    for command in ("certificate", "iters")
+    for family in sorted(cli.CERTIFICATES)
+]
+
+
+@pytest.mark.parametrize("command,family", UNKNOWN_KEY_CASES)
+def test_curve_rejects_unknown_model_key(capsys, command, family):
     params, starts = FAMILY_CASES[family]
     x0, x0p = starts or (0.0, 1.0)
+    extra = {
+        "curve": ["--x0", str(x0), "--x0p", str(x0p), "--n-max", "1", "--paths", "100", "--seed", "1"],
+        "certificate": [],
+        "iters": ["--epsilon", "0.01"],
+    }[command]
     code, out, err = run(
-        capsys, "curve", "--family", family, "--params", json.dumps({**params, "bogus": 3}),
-        "--x0", str(x0), "--x0p", str(x0p), "--n-max", "1", "--paths", "100", "--seed", "1",
+        capsys, command, "--family", family, "--params", json.dumps({**params, "bogus": 3}), *extra
     )
     assert code == 2
     assert out == ""
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("command,family,params", [
+    ("certificate", "ar1", {"a": 0.5, "sigma": 0, "gap": 1}),
+    ("certificate", "ar1", {"a": 0.5, "sigma": -1.0, "gap": 1}),
+    ("certificate", "location-gibbs", {"j": 31.7, "s": 295.0, "gap": 1}),
+    ("iters", "regression-gibbs", {"k": 333, "p": 4.5, "c_stat": 26123.0, "gap": 1}),
+    ("certificate", "independent-coordinates", {"amplitude": 0.46, "rate": 0.5, "d": 100.5, "gap": 1}),
+    ("certificate", "larch", {"beta0": 1.0, "beta1": 0.5, "z": {"dist": "chi-square", "nu": 1}, "m": 1.9,
+                              "gap": 1}),
+    ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "jensen": "no", "gap": 1}),
+    ("curve", "location-gibbs", {"j": 31, "s": 0}),
+])
+def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
+    extra = {"certificate": [], "iters": ["--epsilon", "0.01"],
+             "curve": ["--x0", "1", "--x0p", "2", "--n-max", "1", "--paths", "100"]}[command]
+    code, out, err = run(capsys, command, "--family", family, "--params", json.dumps(params), *extra)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and "no bound column" not in err
+
+
+@pytest.mark.parametrize("command,extra", [("certificate", []), ("iters", ["--epsilon", "0.5"])])
+def test_gap_defaults_to_start_distance_in_every_command(capsys, command, extra):
+    starts = ["--x0", "0", "--x0p", "2"]
+    outs = [
+        run(capsys, command, "--family", "ar1", "--a", "0.5", "--sigma", "1", *gap, *extra)
+        for gap in (starts, ["--gap", "2"])
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
 
 
 @pytest.mark.parametrize("family,params,starts", [

@@ -1,7 +1,7 @@
 """Each chain family is described once: by its class in ``models``, found
-through ``models.FAMILIES``, and by its certificate builder in
-``cli.CERTIFICATES``.  Code that compares a value against a family tag
-re-describes the family somewhere else, so no module may do it."""
+through ``models.FAMILIES``, which also builds its certificate.  Code that
+compares a value against a family tag re-describes the family somewhere
+else, so no module may do it."""
 
 import ast
 from pathlib import Path
@@ -46,3 +46,9 @@ def test_every_tagged_family_class_is_registered():
         if isinstance(cls, type) and issubclass(cls, models.Family) and hasattr(cls, "family")
     }
     assert tagged == models.FAMILIES
+
+
+def test_every_family_builds_its_own_certificate():
+    assert [tag for tag, cls in models.FAMILIES.items() if "certificate" not in vars(cls)] == []
+    # independent-coordinates is the one certificate without a chain
+    assert cli.CERTIFICATES == (*models.FAMILIES, "independent-coordinates")

@@ -72,6 +72,26 @@ def test_family_validation():
         LocationGibbsTau(2, 1.0)
 
 
+def test_location_gibbs_domain_matches_certificate():
+    # location_k_closed_form needs S > 0; so does the model
+    for s in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            LocationGibbsTau(31, s)
+
+
+def test_gibbs_counts_must_be_integral():
+    for bad in (31.7, "31", None):
+        with pytest.raises(ParameterError):
+            LocationGibbsTau(bad, 295.0)
+    for k, p in [(333.5, 4), (333, 4.5), (333, "4")]:
+        with pytest.raises(ParameterError):
+            RegressionGibbsSigma(k, p, 26123.0)
+    for j in (31.0, np.int64(31)):
+        assert type(LocationGibbsTau(j, 295.0).j) is int
+    m = RegressionGibbsSigma(np.int64(333), 4.0, 26123.0)
+    assert (type(m.k), type(m.p)) == (int, int)
+
+
 def test_garch_domain_matches_certificate():
     # garch_certificate takes alpha2 > 0 and beta2, gamma2 >= 0; so does the model
     for beta2, gamma2 in [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)]:

@@ -205,15 +205,18 @@ def test_tv_exact_one_step():
 # ------------------------------------------------------------------- curves
 
 def test_curve_tracks_exact_ar1():
-    model = ARNormal1D(0.5, math.sqrt(0.75))
-    cert = bounds.ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0)
-    curve = simulate_tv_curve(model, 0.0, 1.0, n_max=8, n_paths=100_000, bin_width=0.01,
-                              stream=NoiseStream(2026), certificate=cert)
-    for r in curve.rows:
-        assert abs(r.tv_sim - r.tv_exact) <= 3 * r.mc_se + r.noise_floor + 0.01
-        assert r.bound_clamped <= 1.0
-        # soundness against the bound, floor-aware
-        assert r.tv_sim <= r.bound_clamped + 3 * r.mc_se + r.noise_floor
+    # every AR(1) curve fills tv_exact, not only the standard a = 1/2 chain
+    for a, sigma in [(0.5, math.sqrt(0.75)), (0.8, 1.0)]:
+        model = ARNormal1D(a, sigma)
+        cert = bounds.ar_normal_1d_certificate(a, sigma, 1.0)
+        curve = simulate_tv_curve(model, 0.0, 1.0, n_max=8, n_paths=100_000, bin_width=0.01,
+                                  stream=NoiseStream(2026), certificate=cert)
+        for r in curve.rows:
+            assert r.tv_exact == model.exact_tv(0.0, 1.0, r.n)
+            assert abs(r.tv_sim - r.tv_exact) <= 3 * r.mc_se + r.noise_floor + 0.01
+            assert r.bound_clamped <= 1.0
+            # soundness against the bound, floor-aware
+            assert r.tv_sim <= r.bound_clamped + 3 * r.mc_se + r.noise_floor
 
 
 def test_curve_sound_for_nonlinear_ar():
