@@ -29,7 +29,7 @@ import numpy as np
 
 from . import spectral, stochastics
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import ChiSquare, Dist, abs_moment, log_chi2_density_sup
+from .stochastics import ChiSquare, Dist, InverseGamma, abs_moment, log_chi2_density_sup
 
 __all__ = [
     "BoundCertificate",
@@ -118,11 +118,7 @@ def bound_eval(cert: BoundCertificate, n: int) -> BoundValue:
     """Evaluate the certificate at iteration n > n0."""
     if n <= cert.n0:
         raise DomainError(f"bound is defined for n > n0 = {cert.n0}, got n = {n}")
-    e = cert.exponent(n)
-    if cert.d == 0.0:
-        raw = cert.c * cert.gap * (1.0 if e == 0 else 0.0)
-    else:
-        raw = cert.c * cert.d**e * cert.gap
+    raw = cert.c * cert.d ** cert.exponent(n) * cert.gap
     return BoundValue(raw, min(1.0, raw))
 
 
@@ -187,15 +183,7 @@ def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
 
     Evaluated in log space; safe for shapes in the hundreds.
     """
-    if not (alpha > 0 and beta > 0):
-        raise ParameterError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-    ln = (
-        alpha * math.log(beta)
-        - math.lgamma(alpha)
-        + (alpha + 1) * (math.log(alpha + 1) - math.log(beta))
-        - (alpha + 1)
-    )
-    return float(math.exp(ln))
+    return stochastics.density(InverseGamma(alpha, beta), beta / (alpha + 1))
 
 
 def regression_gibbs_certificate(k: int, p: int, c_stat: float, gap: float) -> BoundCertificate:
@@ -639,7 +627,7 @@ def golden_section_max(f, lo: float, hi: float) -> float:
 
 def _log_scale_density_sup(z: Dist) -> float:
     """sup_x e^x f_Z(e^x), the density height of log(Z) for Z > 0 a.s."""
-    if isinstance(z, ChiSquare) and z.nu == 1:
+    if z == ChiSquare(1):
         return log_chi2_density_sup()
     u = np.exp(np.linspace(-40.0, 12.0, 20001))
     vals = u * stochastics.density(z, u)
@@ -659,7 +647,7 @@ def larch_certificate(beta0: float, beta1: float, z: Dist, m: int, gap: float) -
     m = integral("mode count M", m)
     if m < 1:
         raise ParameterError(f"mode count M must be >= 1, got {m}")
-    if isinstance(z, stochastics.Normal):
+    if not z.positive:
         raise ParameterError("the noise must be positive almost surely")
     d = beta1 * abs_moment(z, 1)
     if d >= 1.0:
@@ -737,7 +725,7 @@ def garch_certificate(
     init = math.sqrt(beta2 * abs(x0**2 - x0_prime**2) + gamma2 * abs(s20 - s20_prime))
     # identical initial conditions give gap 0: degenerate but legal
     return BoundCertificate(
-        c=d / (alpha * e_abs_z) if e_abs_z > 0 else 1.0,
+        c=d / (alpha * e_abs_z),
         d=d,
         n0=1,
         gap=init * e_abs_z,

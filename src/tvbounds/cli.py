@@ -10,7 +10,8 @@ Subcommands:
                    recorded reference value and print a verdict table
 
 Exit codes: 0 success, 2 parameter/ingestion problems, 3 simulation
-failure.  ``ONESHOT_SEED`` is honored as the seed fallback.
+failure.  ``curve`` and ``repro`` take ``--seed``; ``ONESHOT_SEED`` is
+honored as its fallback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import bounds, data, models, tvlab
 from .errors import DomainError, IngestionError, NoContractionError, ParameterError, StateError
-from .stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density
+from .stochastics import InverseGamma, NoiseStream, density
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
@@ -356,7 +357,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     # AR(1) normal, exact vs bound
     first_exact = min(n for n in range(1, 20) if tvlab.tv_exact_ar_normal(0.0, 1.0, n) < 0.01)
     row("AR(1) first n with exact TV < 0.01", 6, first_exact, 0)
-    cert_ar1 = bounds.ar_normal_1d_certificate(0.5, math.sqrt(0.75), gap=1.0)
+    cert_ar1 = _figure_chain("curve-ar1")[1]
     row("AR(1) first n with bound < 0.01", 7, bounds.iterations_to_epsilon(cert_ar1, 0.01), 0)
 
     # independent coordinates in dimension 100
@@ -383,8 +384,8 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     )
     row("vector-AR-100 first n with bound < 0.01", 56, bounds.iterations_to_epsilon(cert_ard, 0.01), 0)
 
-    # LARCH squared chain
-    cert_larch = bounds.larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=1.2)
+    # LARCH squared chain (gap |1.21 - 0.01| = 1.2)
+    cert_larch = _figure_chain("curve-larch-squared")[1]
     row("LARCH coefficient C", 1 / math.sqrt(8 * math.pi * math.e), cert_larch.c, 1e-9)
     row("LARCH contraction D", 0.5, cert_larch.d, 1e-12)
     row(
@@ -397,15 +398,13 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     )
 
     # asymmetric ARCH
-    cert_asym = bounds.asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0)
+    cert_asym = _figure_chain("curve-asym-arch")[1]
     row("asym-ARCH bound at n=7 (= 0.5^7)", 0.5**7, bounds.bound_eval(cert_asym, 7).raw, 1e-15)
     row("asym-ARCH first n with bound < 0.01", 7, bounds.iterations_to_epsilon(cert_asym, 0.01), 0,
         note=f"exact (non-Jensen) D would be {cert_asym.details['d_exact']:.6g}")
 
     # GARCH
-    cert_g = bounds.garch_certificate(
-        0.13, 0.1266, 0.7922, Normal(0.0, 1.0), x0=0.1, x0_prime=-0.1, s20=0.0001, s20_prime=0.01
-    )
+    cert_g = _figure_chain("curve-garch")[1]
     row("GARCH coefficient", 0.2456, cert_g.details["coefficient"], 5e-4)
     row("GARCH contraction D", math.sqrt(0.9188), cert_g.d, 1e-9)
     row("GARCH first n with bound < 0.01", 77, bounds.iterations_to_epsilon(cert_g, 0.01), 0)
@@ -434,17 +433,25 @@ FIGURE_CURVES = {
 }
 
 
+def _figure_chain(stem: str):
+    """The model and certificate of the comparison curve ``stem``, built
+    the way ``curve`` builds them from the same parameters and starts."""
+    cfg = FIGURE_CURVES[stem]
+    model, certify = _split(cfg["family"], {**cfg["params"], **{k: cfg[k] for k in START_KEYS if k in cfg}})
+    return model, certify()
+
+
 def write_figure_curves(directory, seed, n_paths, workers=1):
     """Simulate the four built-in comparison curves (bound vs simulated
     TV) and write one CSV per chain into ``directory``."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for idx, (stem, cfg) in enumerate(sorted(FIGURE_CURVES.items())):
-        model, certify = _split(cfg["family"], {**cfg["params"], **{k: cfg[k] for k in START_KEYS if k in cfg}})
+        model, cert = _figure_chain(stem)
         curve = tvlab.simulate_tv_curve(
             model, cfg["x0"], cfg["x0p"], n_max=cfg["n_max"], n_paths=n_paths,
             bin_width=0.01, stream=NoiseStream(seed, 9000 + idx),
-            certificate=certify(), workers=workers,
+            certificate=cert, workers=workers,
             s20=cfg.get("s20"), s20_prime=cfg.get("s20p"),
         )
         path = os.path.join(directory, stem + ".csv")
@@ -488,7 +495,6 @@ def _add_common_cert_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s20", type=float)
     p.add_argument("--s20p", type=float)
     p.add_argument("--out", help="write output here instead of stdout")
-    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--bin-width", type=float, default=0.01)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--seed", type=int)
     p.add_argument("--stream-id", type=int, default=0)
     p.add_argument("--no-bound", action="store_true", help="skip the analytic bound column")
     p.set_defaults(fn=cmd_curve)
@@ -521,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-columns", help="comma-separated design columns (regression)")
     p.add_argument("--prior-lambda", type=float)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_dataset_stats)
 
     p = sub.add_parser("repro", help="replay the worked examples against reference values")

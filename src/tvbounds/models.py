@@ -141,7 +141,12 @@ class ARNormal1D(Family):
     def exact_tv(self, x0, x0p, n):
         """Both n-step laws are normal with variance
         v_n = sigma^2 sum_{k<n} a^(2k) and means a^n x0, a^n x0p, so
-        TV = 1 - erfc(|a^n (x0 - x0p)| / (2 sqrt(2 v_n)))."""
+        TV = 1 - erfc(|a^n (x0 - x0p)| / (2 sqrt(2 v_n))).  For |a| > 1 both
+        a^n and v_n overflow, so the argument is divided through by a^n:
+        |x0 - x0p| / (2 sigma sqrt(2 sum_{j=1..n} a^(-2j)))."""
+        if abs(self.a) > 1:
+            s = sum(self.a ** (-2 * j) for j in range(1, n + 1))
+            return 1.0 - math.erfc(abs(x0 - x0p) / (2 * self.sigma * math.sqrt(2 * s)))
         v = self.sigma**2 * sum(self.a ** (2 * k) for k in range(n))
         return 1.0 - math.erfc(abs(self.a**n * (x0 - x0p)) / (2 * math.sqrt(2 * v)))
 
@@ -314,7 +319,7 @@ class LARCH(Family):
             raise ParameterError(
                 f"LARCH requires beta0, beta1 > 0, got ({self.beta0}, {self.beta1})"
             )
-        if isinstance(self.z, Normal):
+        if not self.z.positive:
             raise ParameterError("LARCH noise must be positive almost surely")
 
     def step(self, state, noise):

@@ -1,7 +1,15 @@
 """Innovation distributions and reproducible random streams.
 
-Only the four families the chain definitions need are provided: normal,
-chi-square, gamma and inverse-gamma.
+Only the four laws the chain definitions need are provided: normal,
+chi-square, gamma and inverse-gamma.  Each is one frozen dataclass that
+describes its law whole: JSON ``tag``, parameter fields, ``draw``,
+``log_density`` on its support, the absolute moment ``abs_moment(k)`` and
+the class flag ``positive`` for laws on (0, inf).  :data:`DISTS` (tag ->
+class) is the registry.  The module functions :func:`log_density`,
+:func:`density` and :func:`abs_moment` add what every law shares: array
+coercion, -inf off the support of a positive law, scalar results for
+scalar input and the moment-order check.  Chi-square is Gamma(nu/2, 1/2)
+and takes its formulas from it.
 
 Gamma and inverse-gamma use the SHAPE-RATE parametrization throughout:
 ``Gamma(shape, rate)`` has mean ``shape/rate`` and ``InverseGamma(shape,
@@ -47,6 +55,7 @@ __all__ = [
 @dataclass(frozen=True)
 class Normal:
     tag: ClassVar[str] = "normal"
+    positive: ClassVar[bool] = False
     mu: float
     sigma: float
 
@@ -57,10 +66,31 @@ class Normal:
     def draw(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mu, self.sigma, size=size)
 
+    def log_density(self, x):
+        z = (x - self.mu) / self.sigma
+        return -0.5 * z * z - math.log(self.sigma) - 0.5 * math.log(2 * math.pi)
+
+    def abs_moment(self, k: int) -> float:
+        m, s = self.mu, self.sigma
+        if k == 2:
+            return m**2 + s**2
+        if m == 0.0:
+            # E|sigma Z|^k = sigma^k 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
+            return s**k * math.exp(0.5 * k * math.log(2) + math.lgamma((k + 1) / 2) - 0.5 * math.log(math.pi))
+        if k == 1:
+            # folded-normal mean
+            return (s * math.sqrt(2 / math.pi) * math.exp(-(m * m) / (2 * s * s))
+                    + m * math.erf(m / (s * math.sqrt(2))))
+        raise DomainError(f"no closed form for Normal(mu!=0) absolute moment of order {k}")
+
 
 @dataclass(frozen=True)
 class ChiSquare:
+    """Chi-square with nu degrees of freedom: the law of Gamma(nu/2, 1/2),
+    whose density and moments it uses."""
+
     tag: ClassVar[str] = "chi-square"
+    positive: ClassVar[bool] = True
     nu: float
 
     def __post_init__(self):
@@ -70,12 +100,19 @@ class ChiSquare:
     def draw(self, rng: np.random.Generator, size=None):
         return rng.chisquare(self.nu, size=size)
 
+    def log_density(self, x):
+        return Gamma(self.nu / 2, 0.5).log_density(x)
+
+    def abs_moment(self, k: int) -> float:
+        return Gamma(self.nu / 2, 0.5).abs_moment(k)
+
 
 @dataclass(frozen=True)
 class Gamma:
     """Gamma with SHAPE-RATE convention: mean = shape/rate."""
 
     tag: ClassVar[str] = "gamma"
+    positive: ClassVar[bool] = True
     shape: float
     rate: float
 
@@ -88,6 +125,14 @@ class Gamma:
     def draw(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
+    def log_density(self, x):
+        a, b = self.shape, self.rate
+        return a * math.log(b) + (a - 1) * np.log(x) - b * x - math.lgamma(a)
+
+    def abs_moment(self, k: int) -> float:
+        a, b = self.shape, self.rate
+        return math.exp(math.lgamma(a + k) - math.lgamma(a) - k * math.log(b))
+
 
 @dataclass(frozen=True)
 class InverseGamma:
@@ -95,6 +140,7 @@ class InverseGamma:
     drawn as the reciprocal of a Gamma(shape, rate) draw."""
 
     tag: ClassVar[str] = "inverse-gamma"
+    positive: ClassVar[bool] = True
     shape: float
     rate: float
 
@@ -106,6 +152,16 @@ class InverseGamma:
 
     def draw(self, rng: np.random.Generator, size=None):
         return 1.0 / rng.gamma(self.shape, 1.0 / self.rate, size=size)
+
+    def log_density(self, x):
+        a, b = self.shape, self.rate
+        return a * math.log(b) - (a + 1) * np.log(x) - b / x - math.lgamma(a)
+
+    def abs_moment(self, k: int) -> float:
+        a, b = self.shape, self.rate
+        if a <= k:
+            raise DomainError(f"InverseGamma moment of order {k} requires shape > {k}, got {a}")
+        return math.exp(k * math.log(b) + math.lgamma(a - k) - math.lgamma(a))
 
 
 Dist = Union[Normal, ChiSquare, Gamma, InverseGamma]
@@ -152,44 +208,16 @@ def sample(dist: Dist, stream, size=None):
 def log_density(dist: Dist, x):
     """Log density of ``dist`` at ``x`` (-inf outside the support)."""
     x = np.asarray(x, dtype=float)
+    # the support: (0, inf) for a positive law, the whole line otherwise
+    inside = (x > 0) | (not dist.positive)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(dist, Normal):
-            z = (x - dist.mu) / dist.sigma
-            out = -0.5 * z * z - math.log(dist.sigma) - 0.5 * math.log(2 * math.pi)
-        elif isinstance(dist, ChiSquare):
-            h = dist.nu / 2
-            out = np.where(
-                x > 0,
-                (h - 1) * np.log(np.where(x > 0, x, 1.0)) - x / 2 - h * math.log(2) - math.lgamma(h),
-                -np.inf,
-            )
-        elif isinstance(dist, Gamma):
-            out = np.where(
-                x > 0,
-                dist.shape * math.log(dist.rate)
-                + (dist.shape - 1) * np.log(np.where(x > 0, x, 1.0))
-                - dist.rate * x
-                - math.lgamma(dist.shape),
-                -np.inf,
-            )
-        elif isinstance(dist, InverseGamma):
-            out = np.where(
-                x > 0,
-                dist.shape * math.log(dist.rate)
-                - (dist.shape + 1) * np.log(np.where(x > 0, x, 1.0))
-                - dist.rate / np.where(x > 0, x, 1.0)
-                - math.lgamma(dist.shape),
-                -np.inf,
-            )
-        else:
-            raise ParameterError(f"unknown distribution {dist!r}")
+        out = np.where(inside, dist.log_density(np.where(inside, x, 1.0)), -np.inf)
     return out if out.ndim else float(out)
 
 
 def density(dist: Dist, x):
     """Normalized density of ``dist`` at ``x`` (0 outside the support)."""
-    ld = np.asarray(log_density(dist, x))
-    out = np.exp(ld)
+    out = np.exp(log_density(dist, x))
     return out if out.ndim else float(out)
 
 
@@ -201,37 +229,9 @@ def abs_moment(dist: Dist, k: int) -> float:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"moment order must be a positive integer, got {k}")
-    if isinstance(dist, Normal):
-        if dist.mu == 0.0:
-            if k == 2:
-                return float(dist.sigma**2)
-            # E|sigma Z|^k = sigma^k 2^{k/2} Gamma((k+1)/2) / sqrt(pi)
-            return float(
-                dist.sigma**k
-                * math.exp(0.5 * k * math.log(2) + math.lgamma((k + 1) / 2) - 0.5 * math.log(math.pi))
-            )
-        if k == 1:
-            # folded-normal mean
-            m, s = dist.mu, dist.sigma
-            return float(
-                s * math.sqrt(2 / math.pi) * math.exp(-(m * m) / (2 * s * s))
-                + m * math.erf(m / (s * math.sqrt(2)))
-            )
-        if k == 2:
-            return float(dist.mu**2 + dist.sigma**2)
-        raise DomainError(f"no closed form for Normal(mu!=0) absolute moment of order {k}")
-    if isinstance(dist, ChiSquare):
-        h = dist.nu / 2
-        return float(math.exp(k * math.log(2) + math.lgamma(h + k) - math.lgamma(h)))
-    if isinstance(dist, Gamma):
-        return float(math.exp(math.lgamma(dist.shape + k) - math.lgamma(dist.shape) - k * math.log(dist.rate)))
-    if isinstance(dist, InverseGamma):
-        if dist.shape <= k:
-            raise DomainError(
-                f"InverseGamma moment of order {k} requires shape > {k}, got {dist.shape}"
-            )
-        return float(math.exp(k * math.log(dist.rate) + math.lgamma(dist.shape - k) - math.lgamma(dist.shape)))
-    raise ParameterError(f"unknown distribution {dist!r}")
+    if DISTS.get(getattr(dist, "tag", None)) is not type(dist):  # random_coeff_D sends any non-number here
+        raise ParameterError(f"unknown distribution {dist!r}")
+    return float(dist.abs_moment(k))
 
 
 def log_chi2_density(x):

@@ -398,6 +398,19 @@ def test_ar1_family_exact_tv_matches_closed_forms():
     assert NonlinearAR().exact_tv(0.0, 1.0, 1) is None
 
 
+def test_ar1_exact_tv_of_an_explosive_chain_does_not_overflow():
+    # for |a| > 1 the TV tends to 1 - erfc(|x0 - x0'| sqrt(a^2 - 1) / (2 sqrt(2) sigma))
+    limit = 1.0 - math.erfc(math.sqrt(1.5**2 - 1) / (2 * math.sqrt(2)))
+    assert limit == pytest.approx(0.4238498780, abs=1e-10)
+    for a in (1.5, -1.5):
+        model = ARNormal1D(a, 1.0)
+        assert abs(model.exact_tv(0.0, 1.0, 900) - limit) <= 1e-12
+        for n in range(1, 51):
+            v = sum(a ** (2 * k) for k in range(n))
+            direct = 1.0 - math.erfc(abs(a**n * (0.0 - 1.0)) / (2 * math.sqrt(2 * v)))
+            assert abs(model.exact_tv(0.0, 1.0, n) - direct) <= 1e-12
+
+
 def test_ar_normal_d_errors():
     with pytest.raises(NoContractionError):
         ar_normal_d_certificate(np.eye(2), np.eye(2), np.ones(2), np.zeros(2))

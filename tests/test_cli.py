@@ -183,6 +183,22 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1"],
+        ["iters", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1", "--epsilon", "0.01"],
+        ["dataset-stats", "--builtin", "trees-girth"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_taken_only_by_commands_that_draw(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "3"])
+    assert exc.value.code == 2
+
+
 def test_dataset_stats_builtin(capsys):
     code, out, _ = run(capsys, "dataset-stats", "--builtin", "trees-girth")
     assert code == 0
@@ -317,6 +333,7 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
                               "gap": 1}),
     ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "jensen": "no", "gap": 1}),
     ("curve", "location-gibbs", {"j": 31, "s": 0}),
+    ("certificate", "ar1", {"a": "0.5", "sigma": 1, "gap": 1}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],

@@ -1,15 +1,21 @@
 """Each chain family is described once: by its class in ``models``, found
 through ``models.FAMILIES``, which also builds its certificate.  Code that
 compares a value against a family tag re-describes the family somewhere
-else, so no module may do it."""
+else, so no module may do it.
+
+Each noise law is described once in the same way: by its class in
+``stochastics``, found through ``stochastics.DISTS``, which owns its
+density, moments and support.  Code that tests a law's type re-describes
+the law somewhere else, so no module may do it either."""
 
 import ast
 from pathlib import Path
 
-from tvbounds import cli, models
+from tvbounds import cli, models, stochastics
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tvbounds"
 TAGS = set(models.FAMILIES) | set(cli.CERTIFICATES)
+LAWS = {cls.__name__ for cls in stochastics.DISTS.values()}
 
 
 def _string_constants(node) -> list:
@@ -52,3 +58,27 @@ def test_every_family_builds_its_own_certificate():
     assert [tag for tag, cls in models.FAMILIES.items() if "certificate" not in vars(cls)] == []
     # independent-coordinates is the one certificate without a chain
     assert cli.CERTIFICATES == (*models.FAMILIES, "independent-coordinates")
+
+
+def _law_type_tests(path: Path) -> list:
+    """``isinstance`` calls whose class argument names a ``DISTS`` class."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        names = {c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in classes}
+        found += [f"{path.name}:{node.lineno} tests for {name}" for name in sorted(names & LAWS)]
+    return found
+
+
+def test_no_module_tests_the_type_of_a_noise_law():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _law_type_tests(path)] == []
+
+
+def test_every_noise_law_describes_itself():
+    for tag, cls in stochastics.DISTS.items():
+        assert isinstance(cls.positive, bool), tag
+        assert "log_density" in vars(cls) and "abs_moment" in vars(cls), tag

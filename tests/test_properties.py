@@ -1,0 +1,92 @@
+"""Property tests over drawn inputs: certificate evaluation and its JSON
+round-trip, and the contract every registered noise law keeps.
+
+Runs are derandomized and small, so the suite stays reproducible and fast.
+"""
+
+import math
+from dataclasses import fields
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvbounds.bounds import (
+    BoundCertificate,
+    bound_eval,
+    certificate_from_dict,
+    certificate_to_dict,
+    iterations_to_epsilon,
+)
+from tvbounds.stochastics import (
+    DISTS,
+    ChiSquare,
+    Gamma,
+    abs_moment,
+    density,
+    dist_from_dict,
+    dist_to_dict,
+    log_density,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+certificates = st.builds(
+    BoundCertificate,
+    c=st.floats(0.0, 1e6),
+    d=st.floats(0.0, 0.999),
+    n0=st.integers(0, 50),
+    gap=st.floats(0.0, 1e6),
+    family=st.sampled_from(("", "ar1", "garch")),
+    notes=st.lists(st.text(max_size=8), max_size=2).map(tuple),
+    exp_offset=st.sampled_from((0, 1)),
+    exp_step=st.sampled_from((1, 2)),
+    details=st.dictionaries(st.text(max_size=5), st.floats(-1e6, 1e6), max_size=2),
+)
+epsilons = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+# every registered law, each field drawn from (0.01, 100)
+laws = st.one_of(
+    [st.builds(cls, **{f.name: st.floats(0.01, 100.0) for f in fields(cls)}) for cls in DISTS.values()]
+)
+
+
+@PROPERTY
+@given(certificates)
+def test_bound_is_non_increasing_and_clamped(cert):
+    values = [bound_eval(cert, n) for n in range(cert.n0 + 1, cert.n0 + 41)]
+    for v in values:
+        assert v.clamped == min(1.0, v.raw)
+    raws = [v.raw for v in values]
+    assert all(later <= earlier for earlier, later in zip(raws, raws[1:]))
+
+
+@PROPERTY
+@given(certificates, epsilons)
+def test_iterations_to_epsilon_is_the_first_crossing(cert, eps):
+    n = iterations_to_epsilon(cert, eps)
+    assert n > cert.n0
+    assert bound_eval(cert, n).raw < eps
+    assert n - 1 == cert.n0 or bound_eval(cert, n - 1).raw >= eps
+
+
+@PROPERTY
+@given(certificates)
+def test_certificate_json_roundtrip(cert):
+    assert certificate_from_dict(certificate_to_dict(cert)) == cert
+
+
+@PROPERTY
+@given(laws, st.floats(-1e6, 0.0))
+def test_law_roundtrips_and_has_no_density_off_its_support(law, x):
+    assert dist_from_dict(dist_to_dict(law)) == law
+    if law.positive:
+        assert log_density(law, x) == -math.inf
+        assert density(law, x) == 0.0
+
+
+@PROPERTY
+@given(st.floats(0.01, 100.0), st.floats(-10.0, 1e3), st.integers(1, 4))
+def test_chi_square_is_gamma_half_nu_one_half(nu, x, k):
+    gamma = Gamma(nu / 2, 0.5)
+    assert log_density(ChiSquare(nu), x) == log_density(gamma, x)
+    assert abs_moment(ChiSquare(nu), k) == abs_moment(gamma, k)
