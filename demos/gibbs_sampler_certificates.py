@@ -37,5 +37,5 @@ print(f"bound at n = 3 with the recorded coefficient 68.16454: "
 
 # the full Gibbs pair is de-initialized by the scalar chain; one sweep:
 m = models.RegressionGibbsSigma(k, p, 26123.0)
-reduced, (beta1, _) = models.deinit_pair_step(m, 1.0, NoiseStream(3))
+reduced, (beta1, _) = m.full_step(1.0, NoiseStream(3))
 print(f"one full sweep from sigma^2 = 1: next sigma^2 = {reduced:.4f}, beta_1 draw = {beta1:.4f}")

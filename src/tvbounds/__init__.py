@@ -7,7 +7,7 @@ stochastics
     Innovation distributions (shape-rate gamma conventions) and
     reproducible random streams.
 models
-    The chain families and their shared/independent-noise coupled steps.
+    The chain families and their shared-noise coupled step.
 bounds
     Certificate construction: (C, D, n0, gap) tuples evaluating to
     C * D^(n-n0-1) * gap.

@@ -22,6 +22,7 @@ and the value clamped into [0, 1].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -98,14 +99,14 @@ class BoundCertificate:
 
     def __post_init__(self):
         # C = 0 / D = 0 are degenerate but legal (immediate coupling)
-        if not (self.c >= 0):
-            raise ParameterError(f"certificate C must be >= 0, got {self.c}")
+        if not (0 <= self.c < math.inf):
+            raise ParameterError(f"certificate C must be finite and >= 0, got {self.c}")
         if not (0 <= self.d < 1):
             raise NoContractionError(f"certificate D must lie in [0, 1), got {self.d}")
         if self.n0 < 0:
             raise ParameterError(f"n0 must be >= 0, got {self.n0}")
-        if not (self.gap >= 0):
-            raise ParameterError(f"gap must be >= 0, got {self.gap}")
+        if not (0 <= self.gap < math.inf):
+            raise ParameterError(f"gap must be finite and >= 0, got {self.gap}")
         if self.exp_step < 1:
             raise ParameterError(f"exp_step must be >= 1, got {self.exp_step}")
 
@@ -166,13 +167,13 @@ def sideways_C(k: float, m: int, l: Optional[float] = None) -> float:
 def random_coeff_D(*theta1_factors) -> float:
     """Contraction factor E|theta_1| for a random-coefficient chain.
 
-    Each factor is a constant or a Dist; independent factors multiply.
+    Each factor is a real constant or a Dist; independent factors multiply.
     """
     if not theta1_factors:
         raise ParameterError("need at least one coefficient factor")
     d = 1.0
     for f in theta1_factors:
-        d *= abs_moment(f, 1) if not isinstance(f, (int, float)) else abs(float(f))
+        d *= abs(float(f)) if isinstance(f, numbers.Real) else abs_moment(f, 1)
     if d >= 1.0:
         raise NoContractionError(f"E|theta_1| = {d:.6g} >= 1: chain does not contract")
     return d

@@ -196,20 +196,22 @@ def cmd_dataset_stats(args) -> int:
         raise ParameterError("need --builtin or --csv")
     if isinstance(ds, data.LocationData):
         j, y_bar, s = data.location_stats(ds)
+        cert = models.LocationGibbsTau(j, s, y_bar).certificate(gap=1.0)
         out = {
             "kind": "location",
             "J": j,
             "y_bar": y_bar,
             "S": s,
             "certificate_constants": {
-                "D": 1.0 / j,
-                "K_closed_form": bounds.location_k_closed_form(j, s),
-                "K_mode_height": bounds.inverse_gamma_mode_height((j - 1) / 2, s / 2),
+                "D": cert.d,
+                "K_closed_form": cert.c,
+                "K_mode_height": cert.details["c_mode_height"],
             },
         }
     else:
         a, beta_tilde, c_stat = data.regression_stats(ds)
         k, p = ds.x.shape
+        cert = models.RegressionGibbsSigma(k, p, c_stat).certificate(gap=1.0)
         out = {
             "kind": "regression",
             "k": k,
@@ -217,10 +219,7 @@ def cmd_dataset_stats(args) -> int:
             "condition_A": float(np.linalg.cond(a)),
             "C_stat": c_stat,
             "beta_tilde": beta_tilde.tolist(),
-            "certificate_constants": {
-                "D": p / (k + p - 2),
-                "K_mode_height": bounds.inverse_gamma_mode_height((k + 2 * p) / 2, c_stat / 2),
-            },
+            "certificate_constants": {"D": cert.d, "K_mode_height": cert.c},
         }
     _emit(json.dumps(_round9(out), indent=2) + "\n", args.out)
     return 0
@@ -483,6 +482,13 @@ def cmd_repro(args) -> int:
     return 1 if bad else 0
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {n}")
+    return n
+
+
 def _add_common_cert_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=CERTIFICATES)
     p.add_argument("--params", help="inline JSON parameter object")
@@ -515,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--bin-width", type=float, default=0.01)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int)
     p.add_argument("--stream-id", type=int, default=0)
     p.add_argument("--no-bound", action="store_true", help="skip the analytic bound column")
@@ -536,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-mc", action="store_true", help="skip the Monte-Carlo drift oracle")
     p.add_argument("--curves", metavar="DIR", help="also write the four comparison-curve CSVs here")
     p.add_argument("--paths", type=int, default=100_000, help="paths per comparison curve")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(fn=cmd_repro)
     return ap
 

@@ -1,16 +1,15 @@
 """Chain families as iterated random functions X_n = g(theta_n, X_{n-1}).
 
 Each family is one frozen dataclass derived from :class:`Family` that
-describes it whole: JSON tag, parameters, innovation draw, transition,
-state, observable, certificate and (where known) exact TV.
-:data:`FAMILIES` (tag -> class) is the registry.
-The module functions delegate to the family:
-
-* :func:`draw_innovations` pulls one iteration's worth of noise,
-* :func:`step` applies one deterministic transition given that noise,
-* :func:`couple_step` advances two copies, either with shared noise
-  (the common-random-number coupling that realizes the contraction
-  phase) or with independent noise from distinct substreams.
+describes it whole, each operation a method: JSON tag, parameters,
+innovation draw, transition, state, observable, certificate, (where
+known) exact TV, and for the Gibbs families the full sweep they
+de-initialize.  :data:`FAMILIES` (tag -> class) is the registry.
+:func:`draw_innovations`, :func:`step` and :func:`observable` forward to
+the family only because they are the layer boundaries
+``perfbench/layertrace.py`` hooks.  :func:`couple_step` advances two
+copies on shared noise (the common-random-number coupling that realizes
+the contraction phase).
 
 States are numpy-friendly: scalars and arrays flow through the same
 code, so a million coupled paths advance in one vectorized call.  The
@@ -21,6 +20,7 @@ both initial components.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
@@ -41,26 +41,15 @@ __all__ = [
     "LARCH",
     "AsymARCH",
     "GARCH",
-    "ModelSpec",
     "GarchState",
     "CoupledState",
-    "SHARED",
-    "INDEPENDENT",
     "draw_innovations",
     "step",
     "couple_step",
-    "deinit_pair_step",
-    "location_full_sweep",
-    "regression_full_sweep",
-    "gibbs_innovations_from_full",
-    "make_state",
     "observable",
     "model_to_dict",
     "model_from_dict",
 ]
-
-SHARED = "shared"
-INDEPENDENT = "independent"
 
 
 class GarchState(NamedTuple):
@@ -77,8 +66,6 @@ class Family:
     observable."""
 
     family: ClassVar[str]
-    # field name -> JSON parameter key, where the two differ
-    json_keys: ClassVar[dict] = {}
     # dimensions of one path's observable
     state_ndim: ClassVar[int] = 0
 
@@ -126,6 +113,10 @@ class ARNormal1D(Family):
     sigma: float
 
     def __post_init__(self):
+        for name in ("a", "sigma"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ParameterError(f"ARNormal1D {name} must be a real number, got {v!r}")
         if not (self.sigma > 0):
             raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
 
@@ -156,31 +147,30 @@ class ARNormalD(Family):
     """X_n = A X_{n-1} + Sigma Z_n with Z a standard normal vector."""
 
     family: ClassVar[str] = "ar-d"
-    json_keys: ClassVar[dict] = {"a_matrix": "a", "sigma_matrix": "sigma"}
     state_ndim: ClassVar[int] = 1
-    a_matrix: np.ndarray
-    sigma_matrix: np.ndarray
+    a: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float)
-        s = np.asarray(self.sigma_matrix, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        s = np.asarray(self.sigma, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ParameterError(f"A must be square, got shape {a.shape}")
         if s.shape != a.shape:
             raise ParameterError(f"Sigma shape {s.shape} must match A shape {a.shape}")
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "sigma_matrix", s)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "sigma", s)
 
     @property
     def dim(self) -> int:
-        return self.a_matrix.shape[0]
+        return self.a.shape[0]
 
     def draw(self, rng: np.random.Generator, size=None):
         return rng.standard_normal(size=(self.dim,) if size is None else (size, self.dim))
 
     def step(self, state, noise):
         x = np.asarray(state, dtype=float)
-        return x @ self.a_matrix.T + np.asarray(noise) @ self.sigma_matrix.T
+        return x @ self.a.T + np.asarray(noise) @ self.sigma.T
 
     def make_state(self, x, s2=None):
         v = np.asarray(x, dtype=float)
@@ -189,7 +179,7 @@ class ARNormalD(Family):
         return v
 
     def certificate(self, x0, x0p):
-        return bounds.ar_normal_d_certificate(self.a_matrix, self.sigma_matrix, x0, x0p)
+        return bounds.ar_normal_d_certificate(self.a, self.sigma, x0, x0p)
 
 
 def _check_positive_state(x):
@@ -211,6 +201,22 @@ class _Gibbs(Family):
         _check_positive_state(x)
         return x
 
+    def full_step(self, state, stream):
+        """Advance the chain through its full two-block sweep, drawing from
+        ``stream`` (a NoiseStream or numpy Generator).
+
+        Returns ``(reduced, full)``: the reduced chain value (tau^{-1} or
+        sigma^2) and the full Gibbs draw it de-initializes — (mu, tau^{-1})
+        for the location model, (beta_1, sigma^2) for the regression model
+        (the first regression coordinate; the remaining coordinates are
+        exchangeable copies of the same construction).
+
+        The reduced value coincides exactly with :meth:`step` fed the
+        innovations from :meth:`innovations_from_full`.
+        """
+        rng = stochastics._as_generator(stream)
+        return self.full_sweep(state, *self._full_draw(rng, self.paths(state)))
+
 
 @dataclass(frozen=True)
 class LocationGibbsTau(_Gibbs):
@@ -219,7 +225,7 @@ class LocationGibbsTau(_Gibbs):
     tau^{-1}_n = X_n Y_n tau^{-1}_{n-1} + Y_n with X ~ Gamma(1/2, S/2)
     and Y ~ InverseGamma((J+2)/2, S/2).  ``y_bar`` is only needed to
     reconstruct the full draw (the location coordinate) in
-    :func:`deinit_pair_step`; the reduced chain never uses it.
+    :meth:`full_step`; the reduced chain never uses it.
     """
 
     family: ClassVar[str] = "location-gibbs"
@@ -240,13 +246,28 @@ class LocationGibbsTau(_Gibbs):
         return x, y
 
     def innovations_from_full(self, z, g):
+        """The reduced chain's (X, Y) from the full sweep's draws z and g."""
         return z * z / self.s, self.s / (2 * g)
 
-    def full_step(self, state, rng):
-        size = self.paths(state)
+    def _full_draw(self, rng, size):
         z = rng.standard_normal(size=size)
         g = stochastics.sample(Gamma((self.j + 2) / 2, 1.0), rng, size=size)
-        return location_full_sweep(self, state, z, g)
+        return z, g
+
+    def full_sweep(self, state, z, g):
+        """One full location-Gibbs sweep from the inverse precision ``state``:
+
+            mu      = y_bar + z / sqrt(J tau),        tau = 1/state
+            reduced = (S/2 + (J/2)(y_bar - mu)^2) / g
+
+        with z standard normal and g ~ Gamma((J+2)/2, 1).  Returns
+        (reduced, (mu, reduced)); z = 0 collapses mu onto y_bar.
+        """
+        _check_positive_state(state)
+        tau = 1.0 / state
+        mu = self.y_bar + z / np.sqrt(self.j * tau)
+        reduced = (self.s / 2 + self.j / 2 * (self.y_bar - mu) ** 2) / g
+        return reduced, (mu, reduced)
 
     def certificate(self, gap):
         return bounds.location_gibbs_certificate(self.j, self.s, gap)
@@ -259,7 +280,7 @@ class RegressionGibbsSigma(_Gibbs):
     sigma^2_n = X_n Y_n sigma^2_{n-1} + Y_n with X ~ Gamma(p/2, C/2) and
     Y ~ InverseGamma((k+p)/2, C/2).  ``beta_tilde1`` and ``a_inv_11``
     (the first posterior-mean coordinate and the (1,1) entry of the
-    inverse Gram matrix) let :func:`deinit_pair_step` reconstruct the
+    inverse Gram matrix) let :meth:`full_step` reconstruct the
     first regression coordinate of the full draw; they default to the
     standardized values (0, 1) when no dataset is attached.
     """
@@ -287,14 +308,31 @@ class RegressionGibbsSigma(_Gibbs):
         return x, y
 
     def innovations_from_full(self, w, g):
+        """The reduced chain's (X, Y) from the full sweep's draws w and g."""
         q = np.sum(np.asarray(w) ** 2, axis=-1)
         return q / self.c_stat, self.c_stat / (2 * g)
 
-    def full_step(self, state, rng):
-        size = self.paths(state)
+    def _full_draw(self, rng, size):
         w = rng.standard_normal(size=(self.p,) if size is None else (size, self.p))
         g = stochastics.sample(Gamma((self.k + self.p) / 2, 1.0), rng, size=size)
-        return regression_full_sweep(self, state, w, g)
+        return w, g
+
+    def full_sweep(self, state, w, g):
+        """One full regression-Gibbs sweep from the variance ``state``:
+
+            beta_1  = beta_tilde1 + sigma sqrt((A^-1)_11) w_1
+            reduced = (sigma^2 ||w||^2 + C) / (2 g)
+
+        with w a standard normal p-vector and g ~ Gamma((k+p)/2, 1).
+        Returns (reduced, (beta_1, reduced)).
+        """
+        _check_positive_state(state)
+        w = np.asarray(w, dtype=float)
+        sigma = np.sqrt(state)
+        beta1 = self.beta_tilde1 + sigma * math.sqrt(self.a_inv_11) * w[..., 0]
+        quad = state * np.sum(w**2, axis=-1)
+        reduced = (quad + self.c_stat) / (2 * g)
+        return reduced, (beta1, reduced)
 
     def certificate(self, gap):
         return bounds.regression_gibbs_certificate(self.k, self.p, self.c_stat, gap)
@@ -395,8 +433,6 @@ FAMILIES = {
     for cls in (NonlinearAR, ARNormal1D, ARNormalD, LocationGibbsTau, RegressionGibbsSigma, LARCH, AsymARCH, GARCH)
 }
 
-ModelSpec = Family
-
 
 @dataclass
 class CoupledState:
@@ -407,112 +443,46 @@ class CoupledState:
     iteration: int = 0
 
 
-def make_state(model: ModelSpec, x, s2=None):
-    """Build a family-appropriate state from plain numbers/arrays."""
-    return model.make_state(x, s2)
-
-
-def observable(model: ModelSpec, state):
-    """The scalar the TV curves histogram (X_n itself; GARCH tracks x)."""
+def observable(model: Family, state):
+    """The scalar the TV curves histogram (X_n itself; GARCH tracks x).
+    Forwards to ``model.observable``; a layer boundary perfbench hooks."""
     return model.observable(state)
 
 
-def draw_innovations(model: ModelSpec, rng: np.random.Generator, size=None):
+def draw_innovations(model: Family, rng: np.random.Generator, size=None):
     """One iteration's innovations for ``model``.
 
     ``size`` is None for a single path or an int for that many paths.
-    For the vector family the draw has shape (d,) or (size, d).
+    For the vector family the draw has shape (d,) or (size, d).  Forwards
+    to ``model.draw``; a layer boundary perfbench hooks.
     """
     return model.draw(rng, size)
 
 
-def step(model: ModelSpec, state, noise):
-    """One transition; deterministic given (state, noise)."""
+def step(model: Family, state, noise):
+    """One transition; deterministic given (state, noise).  Forwards to
+    ``model.step``; a layer boundary perfbench hooks."""
     return model.step(state, noise)
 
 
-def couple_step(model: ModelSpec, cs: CoupledState, mode: str, stream: NoiseStream) -> CoupledState:
-    """Advance both copies one iteration.
+def couple_step(model: Family, cs: CoupledState, stream: NoiseStream) -> CoupledState:
+    """Advance both copies one iteration on one shared innovation draw
+    (the common-random-number coupling).
 
-    ``shared`` mode reuses one innovation draw for both copies (the
-    common-random-number coupling); ``independent`` mode draws each
-    copy's innovations from a distinct substream.  The draws are derived
-    from (stream, iteration), so trajectories are a pure function of
-    (seed, stream_id, initial states).
+    Iteration ``it`` draws from ``stream.substream(2 * it)`` (the layout
+    of earlier releases, so a seed keeps its trajectories); trajectories
+    are a pure function of (seed, stream_id, initial states).
     """
-    it = cs.iteration
-    rng = stream.substream(2 * it).generator()
+    rng = stream.substream(2 * cs.iteration).generator()
     noise = draw_innovations(model, rng, size=model.paths(cs.x))
-    if mode == SHARED:
-        noise_prime = noise
-    elif mode == INDEPENDENT:
-        rng_p = stream.substream(2 * it + 1).generator()
-        noise_prime = draw_innovations(model, rng_p, size=model.paths(cs.x_prime))
-    else:
-        raise ParameterError(f"coupling mode must be '{SHARED}' or '{INDEPENDENT}', got {mode!r}")
     return CoupledState(
         x=step(model, cs.x, noise),
-        x_prime=step(model, cs.x_prime, noise_prime),
-        iteration=it + 1,
+        x_prime=step(model, cs.x_prime, noise),
+        iteration=cs.iteration + 1,
     )
 
 
-def gibbs_innovations_from_full(model, z, g):
-    """Map the full Gibbs draws (normal z, gamma-rate-1 g, or a normal
-    vector w for the regression family) onto the reduced chain's (X, Y)."""
-    return model.innovations_from_full(z, g)
-
-
-def location_full_sweep(model: LocationGibbsTau, state, z, g):
-    """One full location-Gibbs sweep from the inverse precision ``state``:
-
-        mu      = y_bar + z / sqrt(J tau),        tau = 1/state
-        reduced = (S/2 + (J/2)(y_bar - mu)^2) / g
-
-    with z standard normal and g ~ Gamma((J+2)/2, 1).  Returns
-    (reduced, (mu, reduced)); z = 0 collapses mu onto y_bar.
-    """
-    _check_positive_state(state)
-    tau = 1.0 / state
-    mu = model.y_bar + z / np.sqrt(model.j * tau)
-    reduced = (model.s / 2 + model.j / 2 * (model.y_bar - mu) ** 2) / g
-    return reduced, (mu, reduced)
-
-
-def regression_full_sweep(model: RegressionGibbsSigma, state, w, g):
-    """One full regression-Gibbs sweep from the variance ``state``:
-
-        beta_1  = beta_tilde1 + sigma sqrt((A^-1)_11) w_1
-        reduced = (sigma^2 ||w||^2 + C) / (2 g)
-
-    with w a standard normal p-vector and g ~ Gamma((k+p)/2, 1).
-    Returns (reduced, (beta_1, reduced)).
-    """
-    _check_positive_state(state)
-    w = np.asarray(w, dtype=float)
-    sigma = np.sqrt(state)
-    beta1 = model.beta_tilde1 + sigma * math.sqrt(model.a_inv_11) * w[..., 0]
-    quad = state * np.sum(w**2, axis=-1)
-    reduced = (quad + model.c_stat) / (2 * g)
-    return reduced, (beta1, reduced)
-
-
-def deinit_pair_step(model, state, stream):
-    """Advance a Gibbs chain through its full two-block sweep.
-
-    Returns ``(reduced, full)``: the reduced chain value (tau^{-1} or
-    sigma^2) and the full Gibbs draw it de-initializes — (mu, tau^{-1})
-    for the location model, (beta_1, sigma^2) for the regression model
-    (the first regression coordinate; the remaining coordinates are
-    exchangeable copies of the same construction).
-
-    The reduced value coincides exactly with :func:`step` fed the
-    innovations from :func:`gibbs_innovations_from_full`.
-    """
-    return model.full_step(state, stochastics._as_generator(stream))
-
-
-def model_to_dict(model: ModelSpec) -> dict:
+def model_to_dict(model: Family) -> dict:
     """JSON-ready {"family": ..., "params": {...}} form: one entry per
     field, the noise ``z`` as a tagged distribution object."""
     if FAMILIES.get(getattr(model, "family", None)) is not type(model):
@@ -524,11 +494,11 @@ def model_to_dict(model: ModelSpec) -> dict:
             value = dist_to_dict(value)
         elif isinstance(value, np.ndarray):
             value = value.tolist()
-        params[model.json_keys.get(f.name, f.name)] = value
+        params[f.name] = value
     return {"family": model.family, "params": params}
 
 
-def model_from_dict(d: dict) -> ModelSpec:
+def model_from_dict(d: dict) -> Family:
     try:
         family = d["family"]
         params = dict(d.get("params", {}))
@@ -537,11 +507,9 @@ def model_from_dict(d: dict) -> ModelSpec:
     cls = FAMILIES.get(str(family))
     if cls is None:
         raise ParameterError(f"unknown family '{family}'")
-    field_of = {key: name for name, key in cls.json_keys.items()}
-    kwargs = {field_of.get(k, k): v for k, v in params.items()}
-    if "z" in kwargs:
-        kwargs["z"] = dist_from_dict(kwargs["z"])
+    if "z" in params:
+        params["z"] = dist_from_dict(params["z"])
     try:
-        return cls(**kwargs)
+        return cls(**params)
     except TypeError as exc:
         raise ParameterError(f"bad parameters for family '{family}': {exc}") from None

@@ -26,6 +26,7 @@ evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
@@ -181,6 +182,12 @@ class NoiseStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+                raise ParameterError(f"NoiseStream {name} must be a non-negative integer, got {v!r}")
+
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -229,7 +236,7 @@ def abs_moment(dist: Dist, k: int) -> float:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"moment order must be a positive integer, got {k}")
-    if DISTS.get(getattr(dist, "tag", None)) is not type(dist):  # random_coeff_D sends any non-number here
+    if DISTS.get(getattr(dist, "tag", None)) is not type(dist):  # random_coeff_D sends any non-real here
         raise ParameterError(f"unknown distribution {dist!r}")
     return float(dist.abs_moment(k))
 

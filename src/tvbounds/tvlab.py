@@ -26,6 +26,7 @@ for any worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -35,7 +36,8 @@ import numpy as np
 from . import models as models_mod
 from .bounds import BoundCertificate, bound_eval
 from .errors import DomainError, ParameterError, PrecisionError, SimulationError
-from .models import ModelSpec, NoiseStream
+from .models import Family
+from .stochastics import NoiseStream
 
 __all__ = [
     "Histogram",
@@ -263,7 +265,7 @@ def _simulate_chunk(args):
     ones = np.ones(n_paths)
 
     def broadcast_state(x, s2):
-        return models_mod.make_state(model, float(x) * ones, None if s2 is None else float(s2) * ones)
+        return model.make_state(float(x) * ones, None if s2 is None else float(s2) * ones)
 
     def histogram(state, n):
         h = Histogram(bin_width)
@@ -284,7 +286,7 @@ def _simulate_chunk(args):
 
 
 def simulate_tv_curve(
-    model: ModelSpec,
+    model: Family,
     x0,
     x0_prime,
     n_max: int,
@@ -315,8 +317,11 @@ def simulate_tv_curve(
             "or with the exact one-dimensional formula"
         )
     # reject invalid initial states before any chunk starts
-    models_mod.make_state(model, x0, s20)
-    models_mod.make_state(model, x0_prime, s20_prime)
+    for name, v in (("x0", x0), ("x0'", x0_prime), ("s20", s20), ("s20'", s20_prime)):
+        if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            raise ParameterError(f"start {name} must be a finite number, got {v!r}")
+    model.make_state(x0, s20)
+    model.make_state(x0_prime, s20_prime)
 
     chunk_sizes = []
     remaining = n_paths

@@ -325,8 +325,8 @@ def test_criterion_10_property_suites(trees):
     ok_deinit = True
     prev_red = None
     for it in range(3):
-        red_a, (mu_a, _) = models.deinit_pair_step(m, state_a, stream.substream(2 * it))
-        red_b, (mu_b, _) = models.deinit_pair_step(m, state_b, stream.substream(2 * it + 1))
+        red_a, (mu_a, _) = m.full_step(state_a, stream.substream(2 * it))
+        red_b, (mu_b, _) = m.full_step(state_b, stream.substream(2 * it + 1))
         tv_red = tvlab.tv_histogram(red_a, red_b, 0.05)
         tv_mu = tvlab.tv_histogram(mu_a, mu_b, 0.05)
         if prev_red is not None:

@@ -142,6 +142,12 @@ def test_random_coeff_constant():
     assert random_coeff_D(0.5) == 0.5
 
 
+def test_random_coeff_numpy_scalar_is_a_constant():
+    assert random_coeff_D(np.float32(0.5)) == 0.5
+    assert random_coeff_D(np.int64(0), Normal(0.0, 1.0)) == 0.0
+    assert ARNormal1D(np.float32(-0.5), np.float64(1.0)).certificate(gap=1.0).d == 0.5
+
+
 def test_random_coeff_gamma_products():
     # regression: Gamma(p/2, C/2) x InverseGamma((k+p)/2, C/2) -> p/(k+p-2)
     c = 26123.0

@@ -334,6 +334,9 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
     ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "jensen": "no", "gap": 1}),
     ("curve", "location-gibbs", {"j": 31, "s": 0}),
     ("certificate", "ar1", {"a": "0.5", "sigma": 1, "gap": 1}),
+    ("certificate", "ar1", {"a": 0.5, "sigma": 1e-320, "gap": 1}),
+    ("iters", "ar1", {"a": 0.5, "sigma": 1, "gap": math.inf}),
+    ("certificate", "ar1", {"a": 0.5, "sigma": True, "gap": 1}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],
@@ -342,6 +345,38 @@ def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, pa
     assert code == 2, err
     assert out == ""
     assert err.startswith("error:") and "no bound column" not in err
+
+
+CURVE_AR1 = ["curve", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0p", "1", "--n-max", "1", "--paths", "100"]
+CURVE_GARCH = ["curve", "--family", "garch", "--params", GARCH_PARAMS, "--x0", "0.1", "--x0p", "-0.1",
+               "--s20p", "0.01", "--n-max", "1", "--paths", "100"]
+
+
+@pytest.mark.parametrize("argv,env_seed", [
+    pytest.param([*CURVE_AR1, "--x0", "nan"], None, id="x0-nan"),
+    pytest.param([*CURVE_AR1, "--x0", "inf"], None, id="x0-inf"),
+    pytest.param([*CURVE_GARCH, "--s20", "nan"], None, id="s20-nan"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--seed", "-5"], None, id="seed-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--stream-id", "-1"], None, id="stream-id-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0"], "-3", id="env-seed-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "0"], None, id="curve-workers-0"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "-3"], None, id="curve-workers-negative"),
+    pytest.param(["repro", "--skip-mc", "--workers", "0"], None, id="repro-workers-0"),
+    pytest.param(["repro", "--skip-mc", "--workers", "-3"], None, id="repro-workers-negative"),
+])
+def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_seed):
+    # a started chunk would fail on a non-finite state or a bad stream with exit 3
+    monkeypatch.delenv("ONESHOT_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("ONESHOT_SEED", env_seed)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2, err
+    assert out == ""
+    assert "error:" in err
 
 
 @pytest.mark.parametrize("command,extra", [("certificate", []), ("iters", ["--epsilon", "0.5"])])

@@ -1,5 +1,6 @@
-"""Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds and
-of the ``certificate`` JSON of every ``--family`` choice.
+"""Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds, of
+the ``certificate`` JSON of every ``--family`` choice and of the
+``dataset-stats`` JSON.
 
 The other curve tests check self-consistency (reruns, worker counts), so
 a silent change to the random bit stream, the binning or the estimator
@@ -101,3 +102,23 @@ def test_certificate_json_golden_digest(capsys, family):
 
 def test_certificate_digests_cover_every_family_choice():
     assert set(CERTIFICATE_DIGESTS) == set(FAMILY_CASES)
+
+
+# dataset -> sha256 of the `dataset-stats` JSON text; "toy" is the
+# intercept-only CSV of test_cli.test_dataset_stats_regression_toy
+DATASET_STATS_DIGESTS = {
+    "trees-girth": "0f243d7877a4e7352a11aecfaaa1b4dc18216e9d5c93c305ff79398793ff8732",
+    "toy": "c5b0d3dfeacdbff3030597f326c01064c461e9f9f9ad8cc03068b10063a685a0",
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(DATASET_STATS_DIGESTS))
+def test_dataset_stats_json_golden_digest(tmp_path, capsys, dataset):
+    if dataset == "toy":
+        csv = tmp_path / "toy.csv"
+        csv.write_text("y,one\n1.0,1\n2.0,1\n3.0,1\n", encoding="utf-8")
+        argv = ["--csv", str(csv), "--y-column", "y", "--x-columns", "one", "--prior-lambda", "1e-12"]
+    else:
+        argv = ["--builtin", dataset]
+    assert cli.main(["dataset-stats", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DATASET_STATS_DIGESTS[dataset]

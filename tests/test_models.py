@@ -14,22 +14,15 @@ from tvbounds.models import (
     FAMILIES,
     GARCH,
     GarchState,
-    INDEPENDENT,
     LARCH,
     LocationGibbsTau,
     NonlinearAR,
     RegressionGibbsSigma,
-    SHARED,
     couple_step,
-    deinit_pair_step,
     draw_innovations,
-    gibbs_innovations_from_full,
-    location_full_sweep,
-    make_state,
     model_from_dict,
     model_to_dict,
     observable,
-    regression_full_sweep,
     step,
 )
 from tvbounds.stochastics import DISTS, ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, sample
@@ -106,7 +99,7 @@ def test_garch_domain_matches_certificate():
 def test_couple_step_shared_ar1_exact_contraction(stream):
     m = ARNormal1D(0.5, math.sqrt(0.75))
     cs = CoupledState(np.zeros(1000), np.ones(1000))
-    out = couple_step(m, cs, SHARED, stream)
+    out = couple_step(m, cs, stream)
     assert np.allclose(np.abs(out.x - out.x_prime), 0.5 * 1.0, rtol=0, atol=1e-14)
 
 
@@ -122,27 +115,22 @@ def test_couple_step_shared_asym_arch_contraction_per_draw(stream):
     assert np.all(np.abs(x1 - x1p) <= abs(m.a) * np.abs(z) * np.abs(x0 - x0p) + 1e-12)
 
 
-def test_couple_step_independent_innovations_uncorrelated(stream):
-    n = 100_000
+def test_couple_step_shares_one_draw(stream):
     m = ARNormal1D(0.5, math.sqrt(0.75))
-    cs = CoupledState(np.zeros(n), np.zeros(n))
-    out = couple_step(m, cs, INDEPENDENT, stream)
-    # recover the innovations from the linear update
-    z = (out.x - 0.5 * 0.0) / m.sigma
-    zp = (out.x_prime - 0.5 * 0.0) / m.sigma
-    corr = np.corrcoef(z, zp)[0, 1]
-    assert abs(corr) < 4 / math.sqrt(n)
-    shared = couple_step(m, cs, SHARED, stream)
-    assert np.array_equal(shared.x, shared.x_prime)
+    cs = CoupledState(np.zeros(100_000), np.zeros(100_000))
+    out = couple_step(m, cs, stream)
+    # equal starts stay equal: both copies take the same innovations
+    assert np.array_equal(out.x, out.x_prime)
+    assert out.iteration == 1 and np.std(out.x) > 0
 
 
 def test_couple_step_determinism(stream):
     m = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
     runs = []
     for _ in range(2):
-        cs = CoupledState(make_state(m, 0.1, 0.0001), make_state(m, -0.1, 0.01))
+        cs = CoupledState(m.make_state(0.1, 0.0001), m.make_state(-0.1, 0.01))
         for _ in range(5):
-            cs = couple_step(m, cs, INDEPENDENT, NoiseStream(20260809))
+            cs = couple_step(m, cs, NoiseStream(20260809))
         runs.append((np.asarray(cs.x.x), np.asarray(cs.x_prime.x)))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -150,10 +138,10 @@ def test_couple_step_determinism(stream):
 
 def test_garch_sigma2_floor_invariant(stream):
     m = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
-    cs = CoupledState(make_state(m, 0.1 * np.ones(10_000), 0.0001 * np.ones(10_000)),
-                      make_state(m, -0.1 * np.ones(10_000), 0.01 * np.ones(10_000)))
+    cs = CoupledState(m.make_state(0.1 * np.ones(10_000), 0.0001 * np.ones(10_000)),
+                      m.make_state(-0.1 * np.ones(10_000), 0.01 * np.ones(10_000)))
     for _ in range(5):
-        cs = couple_step(m, cs, INDEPENDENT, stream)
+        cs = couple_step(m, cs, stream)
         assert np.all(np.asarray(cs.x.s2) >= m.alpha2)
         assert np.all(np.asarray(cs.x_prime.s2) >= m.alpha2)
 
@@ -176,7 +164,7 @@ def test_shared_mode_contraction(name, model, x0, x0p, rate, lag):
     for block in range(2):
         prev = np.abs(np.asarray(cs.x) - np.asarray(cs.x_prime))
         for _ in range(lag):
-            cs = couple_step(model, cs, SHARED, stream)
+            cs = couple_step(model, cs, stream)
         cur = np.abs(np.asarray(cs.x) - np.asarray(cs.x_prime))
         mean_prev, mean_cur = prev.mean(), cur.mean()
         se = cur.std(ddof=1) / math.sqrt(n)
@@ -188,13 +176,13 @@ def test_shared_mode_contraction_garch():
     n = 100_000
     m = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
     rate = math.sqrt(0.1266 + 0.7922)
-    cs = CoupledState(make_state(m, 0.1 * np.ones(n), 0.0001 * np.ones(n)),
-                      make_state(m, -0.1 * np.ones(n), 0.01 * np.ones(n)))
+    cs = CoupledState(m.make_state(0.1 * np.ones(n), 0.0001 * np.ones(n)),
+                      m.make_state(-0.1 * np.ones(n), 0.01 * np.ones(n)))
     stream = NoiseStream(314, 43)
-    cs = couple_step(m, cs, SHARED, stream)
+    cs = couple_step(m, cs, stream)
     for _ in range(3):
         prev = np.abs(np.asarray(cs.x.x) - np.asarray(cs.x_prime.x))
-        cs = couple_step(m, cs, SHARED, stream)
+        cs = couple_step(m, cs, stream)
         cur = np.abs(np.asarray(cs.x.x) - np.asarray(cs.x_prime.x))
         se = cur.std(ddof=1) / math.sqrt(n)
         assert cur.mean() <= rate * prev.mean() * (1 + 3 * se / cur.mean())
@@ -209,14 +197,14 @@ def test_shared_mode_contraction_vector_ar():
     stream = NoiseStream(314, 44)
     for _ in range(3):
         prev = float(np.linalg.norm(np.asarray(cs.x) - np.asarray(cs.x_prime)))
-        cs = couple_step(m, cs, SHARED, stream)
+        cs = couple_step(m, cs, stream)
         cur = float(np.linalg.norm(np.asarray(cs.x) - np.asarray(cs.x_prime)))
         assert cur <= rate * prev * (1 + 1e-12)
 
 
 def test_location_full_sweep_zero_noise_collapses_to_mean():
     m = LocationGibbsTau(31, S_TREES, y_bar=13.2484)
-    _, (mu, _) = location_full_sweep(m, 1.0, z=0.0, g=1.0)
+    _, (mu, _) = m.full_sweep(1.0, z=0.0, g=1.0)
     assert mu == m.y_bar
 
 
@@ -225,8 +213,8 @@ def test_reduced_equals_full_under_same_draws(rng):
     state = rng.uniform(0.5, 4.0, size=1000)
     z = rng.standard_normal(1000)
     g = sample(Gamma((31 + 2) / 2, 1.0), rng, size=1000)
-    reduced_full, _ = location_full_sweep(m, state, z, g)
-    x, y = gibbs_innovations_from_full(m, z, g)
+    reduced_full, _ = m.full_sweep(state, z, g)
+    x, y = m.innovations_from_full(z, g)
     reduced_direct = step(m, state, (x, y))
     assert np.allclose(reduced_full, reduced_direct, rtol=1e-12)
 
@@ -234,15 +222,15 @@ def test_reduced_equals_full_under_same_draws(rng):
     state = rng.uniform(0.5, 4.0, size=1000)
     w = rng.standard_normal((1000, 4))
     g = sample(Gamma((333 + 4) / 2, 1.0), rng, size=1000)
-    reduced_full, _ = regression_full_sweep(mr, state, w, g)
-    x, y = gibbs_innovations_from_full(mr, w, g)
+    reduced_full, _ = mr.full_sweep(state, w, g)
+    x, y = mr.innovations_from_full(w, g)
     assert np.allclose(reduced_full, step(mr, state, (x, y)), rtol=1e-12)
 
 
 def test_location_first_iterate_mean():
     # E[tau^{-1}_1 | tau^{-1}_0 = 1] = E[XY] + E[Y] = 1/J + S/J
     m = LocationGibbsTau(31, S_TREES)
-    reduced, _ = deinit_pair_step(m, np.ones(1_000_000), NoiseStream(21))
+    reduced, _ = m.full_step(np.ones(1_000_000), NoiseStream(21))
     expected = 1 / 31 + S_TREES / 31
     assert abs(reduced.mean() - expected) < 0.01 * expected
 
@@ -258,8 +246,8 @@ def test_deinit_tv_ordering():
     stream = NoiseStream(88)
     prev_tv_red = None
     for it in range(3):
-        red_a, (mu_a, _) = deinit_pair_step(m, state_a, stream.substream(2 * it))
-        red_b, (mu_b, _) = deinit_pair_step(m, state_b, stream.substream(2 * it + 1))
+        red_a, (mu_a, _) = m.full_step(state_a, stream.substream(2 * it))
+        red_b, (mu_b, _) = m.full_step(state_b, stream.substream(2 * it + 1))
         tv_red = tvlab.tv_histogram(red_a, red_b, 0.05)
         tv_mu = tvlab.tv_histogram(mu_a, mu_b, 0.05)
         if prev_tv_red is not None:
@@ -273,13 +261,13 @@ def test_deinit_tv_ordering():
 
 def test_make_state_and_observable():
     g = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
-    st = make_state(g, 0.1, 0.0001)
+    st = g.make_state(0.1, 0.0001)
     assert observable(g, st) == 0.1
     with pytest.raises(ParameterError):
-        make_state(g, 0.1)
+        g.make_state(0.1)
     m = ARNormalD(np.eye(2) * 0.5, np.eye(2))
     with pytest.raises(ParameterError):
-        make_state(m, np.ones(3))
+        m.make_state(np.ones(3))
 
 
 def test_model_dict_roundtrip():
@@ -304,8 +292,8 @@ def test_model_dict_roundtrip():
             assert type(back) is type(m)
             assert model_to_dict(back) == d
             if isinstance(m, ARNormalD):
-                assert np.array_equal(back.a_matrix, m.a_matrix)
-                assert np.array_equal(back.sigma_matrix, m.sigma_matrix)
+                assert np.array_equal(back.a, m.a)
+                assert np.array_equal(back.sigma, m.sigma)
                 assert set(d["params"]) == {"a", "sigma"}
             else:
                 assert back == m
