@@ -78,6 +78,19 @@ def test_two_chunk_curve_golden_digest(workers):
     assert _digest(curve) == TWO_CHUNK_DIGEST
 
 
+# 300_000 paths make three chunks, the last one partial; at width 0.001
+# each chunk occupies tail cells the others lack, so the merge of cells
+# present in only some parts is pinned too
+MULTI_CHUNK_DIGEST = "874cf367db85e42da8e5148d4b9c967aabe01d4e5e8e2778c887dc726fee84db"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_chunk_curve_golden_digest(workers):
+    model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
+    curve = simulate_tv_curve(model, 0.0, 5.0, 5, 300_000, 0.001, NoiseStream(109), workers=workers)
+    assert _digest(curve) == MULTI_CHUNK_DIGEST
+
+
 # --family choice -> sha256 of the `certificate` JSON text for its
 # test_cli.FAMILY_CASES parameters
 CERTIFICATE_DIGESTS = {
