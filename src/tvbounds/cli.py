@@ -91,6 +91,22 @@ def _independent_coordinates(amplitude, rate, d, gap):
 CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
 
 
+def _start_distance(params: dict) -> float:
+    """||x0 - x0'|| of the starts in ``params``, the default gap; a start
+    that is not a number or a list of numbers raises ParameterError."""
+    starts = []
+    for key in ("x0", "x0p"):
+        try:
+            starts.append(np.asarray(params[key], dtype=float))
+        except (TypeError, ValueError):
+            raise ParameterError(f"start {key} must be a number or a list of numbers, got {params[key]!r}") from None
+    x0, x0p = starts
+    try:
+        return float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
+    except ValueError:
+        raise ParameterError(f"starts x0 and x0p have shapes {x0.shape} and {x0p.shape}") from None
+
+
 def _split(family: str, params: dict):
     """The chain model of ``family`` (None for independent-coordinates) and
     a function building its certificate from ``params``: the certificate's
@@ -103,8 +119,7 @@ def _split(family: str, params: dict):
     keys = inspect.signature(_independent_coordinates if cls is None else cls.certificate).parameters
     options = {k: v for k, v in params.items() if k in keys}
     if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
-        x0, x0p = np.asarray(params["x0"], dtype=float), np.asarray(params["x0p"], dtype=float)
-        options["gap"] = float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
+        options["gap"] = _start_distance(params)
     fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
     if cls is None:  # no model: the certificate call rejects any other key
         model, build, options = None, _independent_coordinates, {**options, **fields}

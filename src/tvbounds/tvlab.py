@@ -11,16 +11,20 @@ The floor is not subtracted from the reported estimate.
 
 A Histogram stores only its occupied cells, as two sorted int64 arrays
 (cells and counts).  Binning counts offset cell indices with
-np.bincount, merging re-counts the concatenated cells of all parts, and
-the TV estimate aligns two histograms on the union of their occupied
-cells; spans much wider than the input fall back to sorting, so heavy
-tails and tiny widths never allocate span-sized arrays.
+np.bincount, merging adds the integer counts of all parts over their
+joint span, and the TV estimate aligns two histograms on the union of
+their occupied cells; spans much wider than the input fall back to
+sorting, so heavy tails and tiny widths never allocate span-sized
+arrays.
 
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling lives in the
 models module for contraction diagnostics.  Curve simulation is chunked,
-and each chunk owns a fixed substream, so results are byte-identical
-for any worker count.
+and each chunk owns a fixed substream.  Chunks are folded into running
+per-iteration histograms in chunk order as they arrive, so memory is
+bounded by n_max merged histogram pairs plus the chunks in flight and
+does not grow with the path count; counts are integers, so results are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -79,21 +84,17 @@ def _cells(x: np.ndarray, bin_width: float, origin: float):
     return cells.astype(np.int64), int(lo), int(hi)
 
 
-def _tally(cells: np.ndarray, lo: int, hi: int, weights=None):
-    """Sorted distinct cells and how often each occurs (summing
-    ``weights`` instead of counting 1s when given), as int64 arrays.
+def _tally(cells: np.ndarray, lo: int, hi: int):
+    """Sorted distinct cells and how often each occurs, as int64 arrays.
 
     Counts by np.bincount on the offset index cells - lo; when the span
     hi - lo + 1 exceeds 8 values per input, the span-sized count array
     would outweigh the input, so np.unique sorts instead.
     """
     if hi - lo + 1 > _SPAN_PER_VALUE * cells.size:
-        if weights is None:
-            return np.unique(cells, return_counts=True)
-        uniq, inv = np.unique(cells, return_inverse=True)
-        return uniq, np.bincount(inv, weights=weights).astype(np.int64)
-    counts = np.bincount(cells - lo, weights=weights)
-    occupied = np.flatnonzero(counts)
+        return np.unique(cells, return_counts=True)
+    counts = np.bincount(cells - lo)
+    occupied = np.flatnonzero(counts != 0)  # nonzero scans a bool mask several times faster than int64
     return occupied + lo, counts[occupied].astype(np.int64, copy=False)
 
 
@@ -113,8 +114,8 @@ class Histogram:
     counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        if not (self.bin_width > 0):
-            raise ParameterError(f"bin width must be > 0, got {self.bin_width}")
+        if not (0 < self.bin_width < math.inf):
+            raise ParameterError(f"bin width must be finite and > 0, got {self.bin_width}")
 
     @property
     def total(self) -> int:
@@ -134,16 +135,29 @@ class Histogram:
         self.merge(Histogram(self.bin_width, self.origin, *_tally(cells, lo, hi)))
 
     def merge(self, *others: "Histogram") -> None:
-        """Add the counts of ``others`` (one concatenation, one re-count)."""
+        """Add the counts of ``others``: one integer add per part over the
+        span of all parts, or, when that span exceeds 8 cells per stored
+        cell, one sort of their concatenated cells.  Each part keeps its
+        cells sorted and distinct, as every Histogram does."""
         if any(o.bin_width != self.bin_width or o.origin != self.origin for o in others):
             raise ParameterError("cannot merge histograms with different grids")
         parts = [h for h in (self, *others) if h.cells.size]
         if len(parts) == 1:
             self.cells, self.counts = parts[0].cells, parts[0].counts
         elif parts:
-            cells = np.concatenate([h.cells for h in parts])
-            weights = np.concatenate([h.counts for h in parts])
-            self.cells, self.counts = _tally(cells, int(cells.min()), int(cells.max()), weights)
+            lo = min(int(h.cells[0]) for h in parts)
+            hi = max(int(h.cells[-1]) for h in parts)
+            if hi - lo + 1 > _SPAN_PER_VALUE * sum(h.cells.size for h in parts):
+                cells, where = np.unique(np.concatenate([h.cells for h in parts]), return_inverse=True)
+                counts = np.zeros(cells.size, dtype=np.int64)
+                np.add.at(counts, where, np.concatenate([h.counts for h in parts]))
+                self.cells, self.counts = cells, counts
+            else:
+                dense = np.zeros(hi - lo + 1, dtype=np.int64)
+                for h in parts:  # the cells of one part are distinct
+                    dense[h.cells - lo] += h.counts
+                occupied = np.flatnonzero(dense != 0)  # as in _tally
+                self.cells, self.counts = occupied + lo, dense[occupied]
 
     def density_sup(self) -> float:
         """Plug-in estimate of the density maximum, max_i p_i / w."""
@@ -309,8 +323,8 @@ def simulate_tv_curve(
         raise ParameterError(f"need n_paths >= 1, got {n_paths}")
     if n_max < 1:
         raise ParameterError(f"need n_max >= 1, got {n_max}")
-    if not (bin_width > 0):
-        raise ParameterError(f"bin width must be > 0, got {bin_width}")
+    if not (0 < bin_width < math.inf):
+        raise ParameterError(f"bin width must be finite and > 0, got {bin_width}")
     if model.state_ndim:
         raise ParameterError(
             "TV curves are scalar-only; validate vector chains coordinate-wise "
@@ -333,18 +347,20 @@ def simulate_tv_curve(
         (model, x0, x0_prime, s20, s20_prime, n_max, size, bin_width, stream, i)
         for i, size in enumerate(chunk_sizes)
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_chunk, jobs))
-    else:
-        results = [_simulate_chunk(j) for j in jobs]
+    # fold each chunk into running per-iteration histograms as it arrives,
+    # in chunk order, so only n_max merged pairs and the chunks in flight
+    # are held whatever n_paths is
+    merged = [(Histogram(bin_width), Histogram(bin_width)) for _ in range(n_max)]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(jobs) > 1 else None
+    with pool or nullcontext():
+        for chunk in (pool.map if pool else map)(_simulate_chunk, jobs):
+            for (ha, hb), (ca, cb) in zip(merged, chunk):
+                ha.merge(ca)
+                hb.merge(cb)
+            del chunk  # drop it before the next chunk is simulated
 
     rows = []
-    for n_i in range(n_max):
-        n = n_i + 1
-        ha, hb = Histogram(bin_width), Histogram(bin_width)
-        ha.merge(*(chunk[n_i][0] for chunk in results))
-        hb.merge(*(chunk[n_i][1] for chunk in results))
+    for n, (ha, hb) in enumerate(merged, start=1):
         est = tv_from_histograms(ha, hb)
         bound = clamped = None
         if certificate is not None and n > certificate.n0:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tvbounds import cli, models
-from tvbounds.cli import main, reproduction_rows
+from tvbounds.cli import build_certificate, main, reproduction_rows
+from tvbounds.errors import ParameterError
 
 GARCH_PARAMS = json.dumps(
     {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "z": {"dist": "normal", "mu": 0, "sigma": 1}}
@@ -351,6 +352,8 @@ CURVE_AR1 = ["curve", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0p", 
 CURVE_GARCH = ["curve", "--family", "garch", "--params", GARCH_PARAMS, "--x0", "0.1", "--x0p", "-0.1",
                "--s20p", "0.01", "--n-max", "1", "--paths", "100"]
 
+X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})
+
 
 @pytest.mark.parametrize("argv,env_seed", [
     pytest.param([*CURVE_AR1, "--x0", "nan"], None, id="x0-nan"),
@@ -363,6 +366,13 @@ CURVE_GARCH = ["curve", "--family", "garch", "--params", GARCH_PARAMS, "--x0", "
     pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "-3"], None, id="curve-workers-negative"),
     pytest.param(["repro", "--skip-mc", "--workers", "0"], None, id="repro-workers-0"),
     pytest.param(["repro", "--skip-mc", "--workers", "-3"], None, id="repro-workers-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--bin-width", "inf"], None, id="bin-width-inf"),
+    pytest.param(["curve", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--paths", "10", "--n-max", "1"],
+                 None, id="curve-x0-not-a-number"),
+    pytest.param(["certificate", "--family", "ar1", "--params", X0_NOT_A_NUMBER], None,
+                 id="certificate-x0-not-a-number"),
+    pytest.param(["iters", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--epsilon", "0.5"], None,
+                 id="iters-x0-not-a-number"),
 ])
 def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_seed):
     # a started chunk would fail on a non-finite state or a bad stream with exit 3
@@ -377,6 +387,16 @@ def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_
     assert code == 2, err
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("starts,match", [
+    ({"x0": "abc", "x0p": 1}, "start x0 must be a number"),
+    ({"x0": 0, "x0p": [1, "q"]}, "start x0p must be a number"),
+    ({"x0": [1, 2], "x0p": [1, 2, 3]}, r"shapes \(2,\) and \(3,\)"),
+])
+def test_default_gap_names_the_bad_start(starts, match):
+    with pytest.raises(ParameterError, match=match):
+        build_certificate("ar1", {"a": 0.5, "sigma": 1, **starts})
 
 
 @pytest.mark.parametrize("command,extra", [("certificate", []), ("iters", ["--epsilon", "0.5"])])

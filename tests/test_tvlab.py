@@ -118,6 +118,21 @@ def test_histogram_merge_matches_bulk(rng):
     assert h1.total == bulk.total
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])  # a dense span, and one sorted instead
+def test_histogram_merge_of_many_parts_matches_bulk(rng, scale):
+    # parts with tail cells the others lack, merged at once and folded in any order
+    parts = [rng.standard_t(3, n) * scale for n in (3_000, 500, 7, 2_000)]
+    bulk = Histogram.from_samples(np.concatenate(parts), 0.01)
+    at_once = Histogram(0.01)
+    at_once.merge(*(Histogram.from_samples(x, 0.01) for x in parts))
+    folded = Histogram(0.01)
+    for x in reversed(parts):
+        folded.merge(Histogram.from_samples(x, 0.01))
+    for h in (at_once, folded):
+        assert np.array_equal(h.cells, bulk.cells) and np.array_equal(h.counts, bulk.counts)
+        assert h.cells.dtype == h.counts.dtype == np.int64
+
+
 def test_histogram_matches_np_unique(rng):
     # cells on both sides of zero, some bins empty, a non-zero origin
     for n, w, origin in [(1, 0.1, 0.0), (5_000, 0.1, 0.37), (50_000, 0.003, -2.5), (2_000, 2.0, 11.0)]:
@@ -170,6 +185,17 @@ def test_histogram_wide_span_stays_small():
         tracemalloc.stop()
     assert h.cells.tolist() == [-10**15, 0, 10**15] and h.counts.tolist() == [1, 1, 2]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -1.0])
+def test_histogram_rejects_width_not_finite_positive(width):
+    # an infinite width puts every sample in one cell and reports TV = 0
+    with pytest.raises(ParameterError, match="bin width must be finite and > 0"):
+        Histogram(width)
+    with pytest.raises(ParameterError, match="bin width must be finite and > 0"):
+        tv_histogram([0.0], [1.0], width)
+    with pytest.raises(ParameterError, match="bin width must be finite and > 0"):
+        simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 1.0, 2, 10, width, NoiseStream(1))
 
 
 def test_histogram_rejects_out_of_range_cells():
@@ -272,6 +298,29 @@ def test_curve_deterministic_across_workers_and_reruns():
     b = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=3, **kw)
     c = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=1, **kw)
     assert a.to_csv() == b.to_csv() == c.to_csv()
+
+
+def _curve_peak_bytes(n_chunks):
+    model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        simulate_tv_curve(model, 0.0, 5.0, 5, n_chunks << 17, 0.001, NoiseStream(110))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_curve_memory_does_not_grow_with_paths():
+    """Chunks are folded into running per-iteration histograms as they
+    arrive, so tripling the chunk count barely moves the traced peak.
+
+    Bound: the 6-chunk peak is at most 1.6x the 2-chunk peak.  Keeping
+    every chunk's histograms until the last chunk ends gave 16.0 -> 36.5 MB
+    (ratio 2.28); folding and dropping each chunk gives 16.0 -> 17.9 MB
+    (ratio 1.12).  Both runs take under 1 s.
+    """
+    assert _curve_peak_bytes(6) <= 1.6 * _curve_peak_bytes(2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
