@@ -280,8 +280,8 @@ class LocationDriftResult:
     ``consistent`` is True when the supplied h makes the linear term of
     E[(X Y v + Y + h)^2] equal 2*lam*h*v, i.e. when the expansion is an
     exact multiple of (v + h)^2 plus a constant.  When False the raw
-    moment-based coefficients are still reported (quad, lin, const) so a
-    Monte-Carlo fit can arbitrate.
+    linear coefficient ``lin`` is still reported next to lam (the
+    quadratic one) so a Monte-Carlo fit can arbitrate.
     """
 
     drift: Optional[DriftSpec]
@@ -289,13 +289,10 @@ class LocationDriftResult:
     b: float
     h: float
     consistent: bool
-    quad: float
     lin: float
-    const: float
-    moments: dict
 
 
-def location_drift_constants(j: int, s: float, h: Optional[float] = None, rtol: float = 1e-9) -> LocationDriftResult:
+def location_drift_constants(j: int, s: float, h: Optional[float] = None) -> LocationDriftResult:
     """Drift constants (lam, b, h) for V(x) = (x+h)^2 on the location chain.
 
     With X ~ Gamma(1/2, S/2), Y ~ InverseGamma((J+2)/2, S/2):
@@ -318,10 +315,9 @@ def location_drift_constants(j: int, s: float, h: Optional[float] = None, rtol: 
     lam = ex2 * ey2  # = 3/(J(J-2))
     if h is None:
         h = ex1 * ey2 / (lam + ex1 * ey1)  # = S/(J+1)
-    quad = lam
     lin = 2 * ex1 * (ey2 - h * ey1)
     const = ey2 - 2 * h * ey1 + h * h
-    consistent = abs(lin - 2 * lam * h) <= rtol * max(abs(lin), abs(2 * lam * h), 1e-300)
+    consistent = abs(lin - 2 * lam * h) <= 1e-9 * max(abs(lin), abs(2 * lam * h), 1e-300)
     b = const - lam * h * h
     drift = None
     if consistent and 0 < lam < 1 and b >= 0:
@@ -332,37 +328,25 @@ def location_drift_constants(j: int, s: float, h: Optional[float] = None, rtol: 
         b=b,
         h=h,
         consistent=consistent,
-        quad=quad,
         lin=lin,
-        const=const,
-        moments={"ex1": ex1, "ex2": ex2, "ey1": ey1, "ey2": ey2},
     )
 
 
-def mc_location_drift_fit(
-    j: int,
-    s: float,
-    h: float,
-    stream,
-    n_draws: int = 1_000_000,
-    grid: Optional[Sequence[float]] = None,
-):
+def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_000_000):
     """Monte-Carlo oracle for the drift expansion.
 
     Estimates E[(X Y v + Y + h)^2] over one shared set of draws at each
-    grid value v (common random numbers across the grid; the product
-    X^2 Y^2 is heavy-tailed, and independent per-point draws would need
-    hundreds of times more samples for the same coefficient accuracy)
-    and least-squares fits a quadratic in v.  Returns (quad, lin, const)
+    of 20 grid values v in [0.5, 20] (common random numbers across the
+    grid; the product X^2 Y^2 is heavy-tailed, and independent per-point
+    draws would need hundreds of times more samples for the same
+    coefficient accuracy) and least-squares fits a quadratic in v.  Returns (quad, lin, const)
     fitted coefficients; the quadratic one estimates E[X^2]E[Y^2].
     """
     from .models import LocationGibbsTau  # local import to avoid a cycle
 
     model = LocationGibbsTau(j, s)
     rng = stochastics._as_generator(stream)
-    if grid is None:
-        grid = np.linspace(0.5, 20.0, 20)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.5, 20.0, 20)
     x, y = model.draw(rng, n_draws)
     means = np.array([np.mean((x * y * v + y + h) ** 2) for v in grid])
     coeffs = np.polyfit(grid, means, 2)
@@ -515,16 +499,13 @@ def nonlinear_ar_exact_two_step_ratio(x, y):
 
 
 _ZOOM_CELLS = 4  # coarse cells zoomed by nonlinear_ar_D
+_NLAR_HALF_RANGE = 4 * math.pi  # nonlinear_ar_D searches [-4 pi, 4 pi]^2
+_NLAR_MIN_SEPARATION = 0.5  # and excludes pairs closer than this
 
 
-def nonlinear_ar_D(
-    grid: int = 201,
-    half_range: float = 4 * math.pi,
-    min_separation: float = 0.5,
-    refine: bool = True,
-) -> float:
+def nonlinear_ar_D(grid: int = 201, refine: bool = True) -> float:
     """Two-step contraction factor D for the sine-map chain, as the square
-    root of the sup of the closed-form ratio over [-R, R]^2.
+    root of the sup of the closed-form ratio over [-4 pi, 4 pi]^2.
 
     The sup is searched on a coarse ``grid`` x ``grid`` lattice.  With
     ``refine`` set, the best coarse cells are then zoomed: a 41 x 41
@@ -536,22 +517,18 @@ def nonlinear_ar_D(
 
     The closed-form surrogate is a Cauchy-Schwarz envelope of the exact
     expected-gap ratio and inflates near the diagonal: its x -> y limit
-    (~0.669) overstates the exact ratio there (~0.61).  ``min_separation``
-    therefore excludes pairs with |x - y| below the cutoff and the sup is
-    taken at the surrogate's interior maximum (~0.662), which still
-    dominates the exact ratio everywhere, grid-refines stably, and is
-    checked against the quadrature oracle in the test suite.  Pass
-    ``min_separation=0`` for the full (diagonal-limit) envelope sup; the
-    cutoff is then half the coarse spacing, so a finer ``grid`` moves the
-    result closer to that limit.
+    (~0.669) overstates the exact ratio there (~0.61).  Pairs with
+    |x - y| below 0.5 (or half the coarse spacing, if larger) are
+    therefore excluded and the sup is taken at the surrogate's interior
+    maximum (~0.662), which still dominates the exact ratio everywhere,
+    grid-refines stably, and is checked against the quadrature oracle in
+    the test suite.
     """
     if grid < 3:
         raise ParameterError(f"grid resolution must be >= 3, got {grid}")
-    if half_range < 4 * math.pi:
-        raise ParameterError("the grid must cover at least [-4 pi, 4 pi]^2")
-    ax = np.linspace(-half_range, half_range, grid)
+    ax = np.linspace(-_NLAR_HALF_RANGE, _NLAR_HALF_RANGE, grid)
     spacing = ax[1] - ax[0]
-    cutoff = max(min_separation, 0.5 * spacing)
+    cutoff = max(_NLAR_MIN_SEPARATION, 0.5 * spacing)
 
     def ratio(xs, ys):
         return np.where(np.abs(xs - ys) >= cutoff, nonlinear_ar_two_step_ratio(xs, ys), -np.inf)
@@ -572,8 +549,8 @@ def nonlinear_ar_D(
         for _, cx, cy in cells[:_ZOOM_CELLS]:
             half = spacing
             while half > 1e-10:
-                xs = np.clip(cx + half * offsets, -half_range, half_range)[:, None]
-                ys = np.clip(cy + half * offsets, -half_range, half_range)[None, :]
+                xs = np.clip(cx + half * offsets, -_NLAR_HALF_RANGE, _NLAR_HALF_RANGE)[:, None]
+                ys = np.clip(cy + half * offsets, -_NLAR_HALF_RANGE, _NLAR_HALF_RANGE)[None, :]
                 r = ratio(xs, ys)
                 i, j = np.unravel_index(np.argmax(r), r.shape)
                 best = max(best, float(r[i, j]))

@@ -87,6 +87,13 @@ class Family:
         """Exact TV at iteration n from the starts x0, x0p; None if unknown."""
         return None
 
+    def _require_real(self, *names):
+        """Raise ParameterError unless every named field is a real number, not a bool."""
+        for name in names:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ParameterError(f"{type(self).__name__} {name} must be a real number, got {v!r}")
+
 
 @dataclass(frozen=True)
 class NonlinearAR(Family):
@@ -113,10 +120,7 @@ class ARNormal1D(Family):
     sigma: float
 
     def __post_init__(self):
-        for name in ("a", "sigma"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ParameterError(f"ARNormal1D {name} must be a real number, got {v!r}")
+        self._require_real("a", "sigma")
         if not (self.sigma > 0):
             raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
 
@@ -235,6 +239,7 @@ class LocationGibbsTau(_Gibbs):
 
     def __post_init__(self):
         object.__setattr__(self, "j", bounds.integral("J", self.j))
+        self._require_real("s", "y_bar")
         if self.j < 3:
             raise ParameterError(f"location model needs J >= 3, got {self.j}")
         if not (self.s > 0):
@@ -295,6 +300,7 @@ class RegressionGibbsSigma(_Gibbs):
     def __post_init__(self):
         object.__setattr__(self, "k", bounds.integral("k", self.k))
         object.__setattr__(self, "p", bounds.integral("p", self.p))
+        self._require_real("c_stat", "beta_tilde1", "a_inv_11")
         if self.k < 1 or self.p < 1:
             raise ParameterError(f"need k, p >= 1, got ({self.k}, {self.p})")
         if not (self.c_stat > 0):
@@ -353,6 +359,7 @@ class LARCH(Family):
     z: Dist
 
     def __post_init__(self):
+        self._require_real("beta0", "beta1")
         if not (self.beta0 > 0 and self.beta1 > 0):
             raise ParameterError(
                 f"LARCH requires beta0, beta1 > 0, got ({self.beta0}, {self.beta1})"
@@ -378,6 +385,7 @@ class AsymARCH(Family):
     z: Dist = Normal(0.0, 1.0)
 
     def __post_init__(self):
+        self._require_real("a", "b", "c")
         if self.c == 0:
             raise ParameterError("asymmetric ARCH requires c != 0")
 
@@ -404,6 +412,7 @@ class GARCH(Family):
     z: Dist = Normal(0.0, 1.0)
 
     def __post_init__(self):
+        self._require_real("alpha2", "beta2", "gamma2")
         if not (self.alpha2 > 0 and self.beta2 >= 0 and self.gamma2 >= 0):
             raise ParameterError(
                 "GARCH requires alpha2 > 0 and beta2, gamma2 >= 0, got "

@@ -10,12 +10,12 @@ comparisons "estimate <= bound" can be read against estimate-floor.
 The floor is not subtracted from the reported estimate.
 
 A Histogram stores only its occupied cells, as two sorted int64 arrays
-(cells and counts).  Binning counts offset cell indices with
-np.bincount, merging adds the integer counts of all parts over their
-joint span, and the TV estimate aligns two histograms on the union of
-their occupied cells; spans much wider than the input fall back to
-sorting, so heavy tails and tiny widths never allocate span-sized
-arrays.
+(cells and counts), on bins anchored at 0.  One counting routine serves
+binning, merging (weighted by the parts' counts) and the TV estimate's
+alignment of two histograms on the union of their occupied cells: it
+counts offset cell indices with np.bincount, or sorts when the span is
+much wider than the input, so heavy tails and tiny widths never
+allocate span-sized arrays.
 
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling lives in the
@@ -63,14 +63,14 @@ _MAX_CELL = 2.0**62
 _SPAN_PER_VALUE = 8
 
 
-def _cells(x: np.ndarray, bin_width: float, origin: float):
-    """Cell index floor((x - origin) / w) of every value, as int64, with
-    the lowest and highest cell.
+def _cells(x: np.ndarray, bin_width: float):
+    """Cell index floor(x / w) of every value, as int64, with the lowest
+    and highest cell.
 
     Raises ParameterError when a value is non-finite or its cell lies
     beyond +-2**62, where the int64 cast would wrap.
     """
-    cells = (x - origin) / bin_width if origin else x / bin_width
+    cells = x / bin_width
     np.floor(cells, out=cells)
     lo, hi = cells.min(), cells.max()
     # NaN fails both comparisons, so min/max also catch non-finite values
@@ -79,37 +79,40 @@ def _cells(x: np.ndarray, bin_width: float, origin: float):
         too_large = int(np.count_nonzero(np.isfinite(x) & ~(np.abs(cells) < _MAX_CELL)))
         raise ParameterError(
             f"{non_finite} of {x.size} values non-finite, {too_large} out of histogram "
-            "range (|x - origin| / bin_width >= 2**62)"
+            "range (|x| / bin_width >= 2**62)"
         )
     return cells.astype(np.int64), int(lo), int(hi)
 
 
-def _tally(cells: np.ndarray, lo: int, hi: int):
-    """Sorted distinct cells and how often each occurs, as int64 arrays.
+def _tally(cells: np.ndarray, lo: int, hi: int, weights: Optional[np.ndarray] = None):
+    """Sorted distinct cells and the summed weight of each (how often it
+    occurs when ``weights`` is None), as int64 arrays.
 
-    Counts by np.bincount on the offset index cells - lo; when the span
-    hi - lo + 1 exceeds 8 values per input, the span-sized count array
-    would outweigh the input, so np.unique sorts instead.
+    The one place that chooses how to count: np.bincount on the offset
+    index cells - lo, or, when the span hi - lo + 1 exceeds 8 values per
+    input and a span-sized count array would outweigh the input, a sort.
     """
     if hi - lo + 1 > _SPAN_PER_VALUE * cells.size:
-        return np.unique(cells, return_counts=True)
-    counts = np.bincount(cells - lo)
+        if weights is None:
+            return np.unique(cells, return_counts=True)
+        distinct, where = np.unique(cells, return_inverse=True)
+        return distinct, np.bincount(where, weights).astype(np.int64)
+    counts = np.bincount(cells - lo, weights)
     occupied = np.flatnonzero(counts != 0)  # nonzero scans a bool mask several times faster than int64
     return occupied + lo, counts[occupied].astype(np.int64, copy=False)
 
 
 @dataclass(eq=False)
 class Histogram:
-    """Fixed-width counting histogram anchored at ``origin`` (default 0).
+    """Fixed-width counting histogram anchored at 0.
 
-    Bin i covers [origin + i*w, origin + (i+1)*w).  Only occupied bins
-    are stored: ``cells`` holds their indices i in increasing order and
-    ``counts`` the matching counts, both int64 arrays, so unbounded
-    supports cost nothing.
+    Bin i covers [i*w, (i+1)*w).  Only occupied bins are stored:
+    ``cells`` holds their indices i in increasing order and ``counts``
+    the matching counts, both int64 arrays, so unbounded supports cost
+    nothing.  Binning and merging both count through ``_tally``.
     """
 
     bin_width: float
-    origin: float = 0.0
     cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -122,42 +125,25 @@ class Histogram:
         return int(self.counts.sum())
 
     @classmethod
-    def from_samples(cls, samples, bin_width: float, origin: float = 0.0) -> "Histogram":
-        h = cls(bin_width, origin)
-        h.add(samples)
+    def from_samples(cls, samples, bin_width: float) -> "Histogram":
+        h = cls(bin_width)
+        x = np.asarray(samples, dtype=float).ravel()
+        if x.size:
+            h.cells, h.counts = _tally(*_cells(x, bin_width))
         return h
 
-    def add(self, samples) -> None:
-        x = np.asarray(samples, dtype=float).ravel()
-        if x.size == 0:
-            return
-        cells, lo, hi = _cells(x, self.bin_width, self.origin)
-        self.merge(Histogram(self.bin_width, self.origin, *_tally(cells, lo, hi)))
-
     def merge(self, *others: "Histogram") -> None:
-        """Add the counts of ``others``: one integer add per part over the
-        span of all parts, or, when that span exceeds 8 cells per stored
-        cell, one sort of their concatenated cells.  Each part keeps its
-        cells sorted and distinct, as every Histogram does."""
-        if any(o.bin_width != self.bin_width or o.origin != self.origin for o in others):
+        """Add the counts of ``others``: their cells are concatenated and
+        counted once by ``_tally``, weighted by their counts."""
+        if any(o.bin_width != self.bin_width for o in others):
             raise ParameterError("cannot merge histograms with different grids")
         parts = [h for h in (self, *others) if h.cells.size]
         if len(parts) == 1:
             self.cells, self.counts = parts[0].cells, parts[0].counts
         elif parts:
-            lo = min(int(h.cells[0]) for h in parts)
-            hi = max(int(h.cells[-1]) for h in parts)
-            if hi - lo + 1 > _SPAN_PER_VALUE * sum(h.cells.size for h in parts):
-                cells, where = np.unique(np.concatenate([h.cells for h in parts]), return_inverse=True)
-                counts = np.zeros(cells.size, dtype=np.int64)
-                np.add.at(counts, where, np.concatenate([h.counts for h in parts]))
-                self.cells, self.counts = cells, counts
-            else:
-                dense = np.zeros(hi - lo + 1, dtype=np.int64)
-                for h in parts:  # the cells of one part are distinct
-                    dense[h.cells - lo] += h.counts
-                occupied = np.flatnonzero(dense != 0)  # as in _tally
-                self.cells, self.counts = occupied + lo, dense[occupied]
+            cells = np.concatenate([h.cells for h in parts])
+            counts = np.concatenate([h.counts for h in parts])
+            self.cells, self.counts = _tally(cells, int(cells.min()), int(cells.max()), counts)
 
     def density_sup(self) -> float:
         """Plug-in estimate of the density maximum, max_i p_i / w."""
@@ -180,7 +166,7 @@ def tv_from_histograms(ha: Histogram, hb: Histogram) -> TVEstimate:
     noise_floor is the expected value of the statistic under identical
     laws (normal approximation with pooled per-bin probabilities).
     """
-    if ha.bin_width != hb.bin_width or ha.origin != hb.origin:
+    if ha.bin_width != hb.bin_width:
         raise ParameterError("histograms must share one bin grid")
     na, nb = ha.total, hb.total
     if na == 0 or nb == 0:
@@ -203,7 +189,7 @@ def tv_from_histograms(ha: Histogram, hb: Histogram) -> TVEstimate:
     return TVEstimate(est, se, floor)
 
 
-def tv_histogram(samples_a, samples_b, bin_width: float, origin: float = 0.0) -> TVEstimate:
+def tv_histogram(samples_a, samples_b, bin_width: float) -> TVEstimate:
     """Histogram TV between two equal-size sample sets."""
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
@@ -212,8 +198,8 @@ def tv_histogram(samples_a, samples_b, bin_width: float, origin: float = 0.0) ->
     if a.size != b.size:
         raise ParameterError(f"sample sets must have equal size, got {a.size} and {b.size}")
     return tv_from_histograms(
-        Histogram.from_samples(a, bin_width, origin),
-        Histogram.from_samples(b, bin_width, origin),
+        Histogram.from_samples(a, bin_width),
+        Histogram.from_samples(b, bin_width),
     )
 
 
@@ -282,12 +268,10 @@ def _simulate_chunk(args):
         return model.make_state(float(x) * ones, None if s2 is None else float(s2) * ones)
 
     def histogram(state, n):
-        h = Histogram(bin_width)
         try:
-            h.add(models_mod.observable(model, state))
+            return Histogram.from_samples(models_mod.observable(model, state), bin_width)
         except ParameterError as exc:
             raise SimulationError(f"chain diverged at iteration {n} (chunk {chunk_index}): {exc}") from None
-        return h
 
     state_a = broadcast_state(x0, s20)
     state_b = broadcast_state(x0p, s20p)
@@ -382,21 +366,14 @@ def simulate_tv_curve(
     return TVCurve(rows)
 
 
-def shifted_l1(
-    density: Callable,
-    delta: float,
-    quadrature_step: float = 1e-3,
-    tol: float = 1e-6,
-    initial_half_range: float = 16.0,
-) -> float:
+def shifted_l1(density: Callable, delta: float) -> float:
     """Integral of |f(x + delta) - f(x)| dx by step-halving trapezoid
-    quadrature with window expansion.
+    quadrature with window expansion, to within about 1e-6.
 
-    The window grows (doubling) until the shifted difference is
-    negligible at the ends and the added tail mass is below tol/10; the
-    step then halves until two successive refinements agree within tol.
-    Requested accuracy unreachable within the refinement budget raises
-    PrecisionError.
+    From [-16, 16 + delta] at step 1e-3, the window grows (doubling)
+    until the added tail mass is below 1e-7; the step then halves until
+    two successive refinements agree within 5e-7.  That accuracy
+    unreachable within the refinement budget raises PrecisionError.
     """
     if delta < 0:
         raise ParameterError(f"shift must be >= 0, got {delta}")
@@ -414,8 +391,8 @@ def shifted_l1(
             raise PrecisionError("integrand is not finite on the quadrature window")
         return float(np.trapezoid(ys, xs))
 
-    lo, hi = -initial_half_range, initial_half_range + delta
-    step = max(quadrature_step, 1e-6)
+    lo, hi = -16.0, 16.0 + delta
+    step = 1e-3
     total = trapz(lo, hi, step)
     for _ in range(24):
         left = trapz(2 * lo, lo, step)
@@ -423,14 +400,14 @@ def shifted_l1(
         tail = left + right
         lo, hi = 2 * lo, 2 * hi
         total += tail
-        if tail < tol / 10:
+        if tail < 1e-7:
             break
     else:
         raise PrecisionError("shifted-density integral did not localize; window kept growing")
     for _ in range(16):
         step /= 2
         refined = trapz(lo, hi, step)
-        if abs(refined - total) < tol / 2:
+        if abs(refined - total) < 5e-7:
             return refined
         total = refined
     raise PrecisionError("trapezoid refinement did not converge to the requested accuracy")

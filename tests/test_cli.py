@@ -338,6 +338,13 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
     ("certificate", "ar1", {"a": 0.5, "sigma": 1e-320, "gap": 1}),
     ("iters", "ar1", {"a": 0.5, "sigma": 1, "gap": math.inf}),
     ("certificate", "ar1", {"a": 0.5, "sigma": True, "gap": 1}),
+    ("curve", "asym-arch", {"a": "0.5", "b": 3.0, "c": 5.0}),
+    ("certificate", "asym-arch", {"a": 0.5, "b": True, "c": 5.0, "gap": 1}),
+    ("certificate", "larch", {"beta0": True, "beta1": 0.5, "z": {"dist": "chi-square", "nu": 1}, "gap": 1}),
+    ("iters", "garch", {"alpha2": True, "beta2": 0.1266, "gamma2": 0.7922, "x0": 0.1, "x0p": -0.1,
+                        "s20": 0.0001, "s20p": 0.01}),
+    ("certificate", "location-gibbs", {"j": 31, "s": True, "gap": 1}),
+    ("certificate", "regression-gibbs", {"k": 333, "p": 4, "c_stat": True, "gap": 1}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],
@@ -373,6 +380,9 @@ X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})
                  id="certificate-x0-not-a-number"),
     pytest.param(["iters", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--epsilon", "0.5"], None,
                  id="iters-x0-not-a-number"),
+    pytest.param(["curve", "--family", "asym-arch", "--params", json.dumps({"a": "0.5", "b": 3, "c": 5}),
+                  "--x0", "0", "--x0p", "1", "--no-bound", "--paths", "100", "--n-max", "1"],
+                 None, id="curve-coefficient-not-a-number"),
 ])
 def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_seed):
     # a started chunk would fail on a non-finite state or a bad stream with exit 3

@@ -42,6 +42,30 @@ def test_runtime_imports_are_declared_dependencies():
         assert third_party <= declared, f"{path.name} imports undeclared {sorted(third_party - declared)}"
 
 
+def _unused_imports(path: Path) -> list:
+    """Names a module imports but never reads and does not list in
+    ``__all__`` (pyflakes' unused-import check, which is not installed)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted((SRC / "tvbounds").glob("*.py"))
+    assert modules
+    unused = {path.name: _unused_imports(path) for path in modules}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 def test_cli_commands_load_no_scipy(tmp_path):
     script = (
         "import json, sys\n"

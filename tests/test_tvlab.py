@@ -96,8 +96,8 @@ def test_monotone_map_invariance(rng):
     for g, ginv_edges in [(lambda x: 2 * x + 1, 2 * edges + 1), (np.exp, np.exp(edges))]:
         adapted = tv_on_edges(g(a), g(b), ginv_edges)
         assert adapted == pytest.approx(raw, abs=1e-15)
-    # affine map with re-anchored uniform grid of matching width: exact too
-    affine = tv_histogram(2 * a + 1, 2 * b + 1, 2 * w, origin=1.0)
+    # doubling the samples and the width is exact, so every sample keeps its cell
+    affine = tv_histogram(2 * a, 2 * b, 2 * w)
     assert affine.estimate == pytest.approx(base.estimate, abs=1e-15)
     # exp map onto a fresh uniform grid: within the binning allowance
     dens_sup = max(
@@ -134,20 +134,20 @@ def test_histogram_merge_of_many_parts_matches_bulk(rng, scale):
 
 
 def test_histogram_matches_np_unique(rng):
-    # cells on both sides of zero, some bins empty, a non-zero origin
-    for n, w, origin in [(1, 0.1, 0.0), (5_000, 0.1, 0.37), (50_000, 0.003, -2.5), (2_000, 2.0, 11.0)]:
+    # cells on both sides of zero, some bins empty
+    for n, w in [(1, 0.1), (5_000, 0.1), (50_000, 0.003), (2_000, 2.0)]:
         x = rng.standard_normal(n) * rng.uniform(0.5, 40.0)
-        h = Histogram.from_samples(x, w, origin)
-        cells, counts = np.unique(np.floor((x - origin) / w).astype(np.int64), return_counts=True)
+        h = Histogram.from_samples(x, w)
+        cells, counts = np.unique(np.floor(x / w).astype(np.int64), return_counts=True)
         assert np.array_equal(h.cells, cells) and np.array_equal(h.counts, counts)
         assert h.cells.dtype == h.counts.dtype == np.int64
         assert h.total == n
 
 
-def _dict_tv(a, b, w, origin):
+def _dict_tv(a, b, w):
     """Reference: the per-cell dict form of the plug-in estimator."""
     def counts(x):
-        cells, cnts = np.unique(np.floor((np.asarray(x) - origin) / w).astype(np.int64), return_counts=True)
+        cells, cnts = np.unique(np.floor(np.asarray(x) / w).astype(np.int64), return_counts=True)
         return dict(zip(cells.tolist(), cnts.tolist()))
 
     da, db = counts(a), counts(b)
@@ -166,12 +166,12 @@ def _dict_tv(a, b, w, origin):
 
 def test_tv_matches_dict_reference_exactly(rng):
     # same cells, same order, same arithmetic: equal to the last bit
-    for n, w, origin in [(1, 0.01, 0.0), (3_000, 0.001, 0.3), (40_000, 0.05, -1.0), (500, 1e-6, 0.0)]:
+    for n, w in [(1, 0.01), (3_000, 0.001), (40_000, 0.05), (500, 1e-6)]:
         a = rng.standard_normal(n) * 3
         b = rng.standard_t(2, n) + 0.5
-        assert tuple(tv_histogram(a, b, w, origin)) == _dict_tv(a, b, w, origin)
+        assert tuple(tv_histogram(a, b, w)) == _dict_tv(a, b, w)
     a, b = rng.uniform(0.0, 1.0, 2_000), rng.uniform(0.5, 9.0, 2_000)  # partly disjoint
-    assert tuple(tv_histogram(a, b, 0.01)) == _dict_tv(a, b, 0.01, 0.0)
+    assert tuple(tv_histogram(a, b, 0.01)) == _dict_tv(a, b, 0.01)
 
 
 def test_histogram_wide_span_stays_small():
@@ -428,3 +428,5 @@ def test_tv_from_histograms_grid_mismatch(rng):
     b = Histogram.from_samples(rng.standard_normal(100), 0.2)
     with pytest.raises(ParameterError):
         tv_from_histograms(a, b)
+    with pytest.raises(ParameterError, match="different grids"):
+        a.merge(b)
