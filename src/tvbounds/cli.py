@@ -338,7 +338,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
             fit.lam,
             quad,
             0.02 * fit.lam,
-            note="independent draws at 20 grid points",
+            note="one shared draw set at all 20 grid values (common random numbers)",
         )
     ref_drift = bounds.DriftSpec(0.6583702, 106.3874, 0.5248723)
     row(

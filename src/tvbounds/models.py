@@ -88,11 +88,11 @@ class Family:
         return None
 
     def _require_real(self, *names):
-        """Raise ParameterError unless every named field is a real number, not a bool."""
+        """Raise ParameterError unless every named field is a finite real number, not a bool."""
         for name in names:
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ParameterError(f"{type(self).__name__} {name} must be a real number, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ParameterError(f"{type(self).__name__} {name} must be a finite real number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -478,9 +478,9 @@ def couple_step(model: Family, cs: CoupledState, stream: NoiseStream) -> Coupled
     """Advance both copies one iteration on one shared innovation draw
     (the common-random-number coupling).
 
-    Iteration ``it`` draws from ``stream.substream(2 * it)`` (the layout
-    of earlier releases, so a seed keeps its trajectories); trajectories
-    are a pure function of (seed, stream_id, initial states).
+    Iteration ``it`` draws from ``stream.substream(2 * it)``, so
+    trajectories are a pure function of the stream's key and the initial
+    states.
     """
     rng = stream.substream(2 * cs.iteration).generator()
     noise = draw_innovations(model, rng, size=model.paths(cs.x))

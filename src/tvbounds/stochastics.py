@@ -9,7 +9,17 @@ class) is the registry.  The module functions :func:`log_density`,
 :func:`density` and :func:`abs_moment` add what every law shares: array
 coercion, -inf off the support of a positive law, scalar results for
 scalar input and the moment-order check.  Chi-square is Gamma(nu/2, 1/2)
-and takes its formulas from it.
+and takes its formulas and its draws from it.  Every parameter must be
+finite.
+
+Gamma of shape 1/2 (chi-square(1), and the Gibbs X-draws) is drawn as
+Z^2/(2 rate) from one standard normal, which is exact in law and about a
+third of the cost of numpy's gamma sampler at that shape; other shapes
+use ``rng.gamma``.
+
+:class:`NoiseStream` keys each stream by (seed, stream_id, *path), passed
+to NumPy's ``SeedSequence`` as entropy and spawn key, so no two streams
+alias.
 
 Gamma and inverse-gamma use the SHAPE-RATE parametrization throughout:
 ``Gamma(shape, rate)`` has mean ``shape/rate`` and ``InverseGamma(shape,
@@ -53,6 +63,10 @@ __all__ = [
 ]
 
 
+def _finite_positive(*values) -> bool:
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
 @dataclass(frozen=True)
 class Normal:
     tag: ClassVar[str] = "normal"
@@ -61,8 +75,10 @@ class Normal:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ParameterError(f"Normal sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and _finite_positive(self.sigma)):
+            raise ParameterError(
+                f"Normal mu must be finite and sigma finite and > 0, got ({self.mu}, {self.sigma})"
+            )
 
     def draw(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mu, self.sigma, size=size)
@@ -95,11 +111,11 @@ class ChiSquare:
     nu: float
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise ParameterError(f"ChiSquare nu must be > 0, got {self.nu}")
+        if not _finite_positive(self.nu):
+            raise ParameterError(f"ChiSquare nu must be finite and > 0, got {self.nu}")
 
     def draw(self, rng: np.random.Generator, size=None):
-        return rng.chisquare(self.nu, size=size)
+        return Gamma(self.nu / 2, 0.5).draw(rng, size)
 
     def log_density(self, x):
         return Gamma(self.nu / 2, 0.5).log_density(x)
@@ -118,12 +134,19 @@ class Gamma:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
+        if not _finite_positive(self.shape, self.rate):
             raise ParameterError(
-                f"Gamma shape and rate must be > 0, got ({self.shape}, {self.rate})"
+                f"Gamma shape and rate must be finite and > 0, got ({self.shape}, {self.rate})"
             )
 
     def draw(self, rng: np.random.Generator, size=None):
+        if self.shape == 0.5:
+            # Gamma(1/2, rate) is the law of Z^2/(2 rate): exact, and a third
+            # of the cost of rng.gamma at this shape
+            z = rng.standard_normal(size)
+            z *= z
+            z /= 2 * self.rate
+            return z
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
 
     def log_density(self, x):
@@ -146,9 +169,9 @@ class InverseGamma:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
+        if not _finite_positive(self.shape, self.rate):
             raise ParameterError(
-                f"InverseGamma shape and rate must be > 0, got ({self.shape}, {self.rate})"
+                f"InverseGamma shape and rate must be finite and > 0, got ({self.shape}, {self.rate})"
             )
 
     def draw(self, rng: np.random.Generator, size=None):
@@ -173,30 +196,42 @@ DISTS = {cls.tag: cls for cls in (Normal, ChiSquare, Gamma, InverseGamma)}
 class NoiseStream:
     """Reproducible, splittable source of innovations.
 
-    The same (seed, stream_id) pair always yields the bit-identical draw
-    sequence; distinct stream ids yield statistically independent
-    sequences.  A stream is owned by one execution context at a time;
-    parallel work must use distinct stream ids (see :meth:`substream`).
+    A stream is the key ``(seed, stream_id, *path)``; ``path`` is the
+    chain of :meth:`substream` indices that derived it.  The same key
+    always yields the bit-identical draw sequence and distinct keys yield
+    statistically independent sequences: the generator is seeded with
+    NumPy's ``SeedSequence(seed, spawn_key=(stream_id, *path))``.  A
+    stream is owned by one execution context at a time; parallel work
+    must use distinct keys (see :meth:`substream`).
+
+    ``SeedSequence`` splits an integer into 32-bit words, so a key part
+    of 2**32 or more would read as two parts (and a seed of 2**128 or
+    more would run into the key); both are rejected so that distinct
+    keys never alias.
     """
 
     seed: int
     stream_id: int = 0
+    path: tuple = ()
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
-                raise ParameterError(f"NoiseStream {name} must be a non-negative integer, got {v!r}")
+        object.__setattr__(self, "path", tuple(self.path))
+        parts = [("seed", self.seed, 128), ("stream_id", self.stream_id, 32)]
+        parts += [("substream index", k, 32) for k in self.path]
+        for name, v, bits in parts:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not 0 <= v < 2**bits:
+                raise ParameterError(f"NoiseStream {name} must be an integer in [0, 2**{bits}), got {v!r}")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, *self.path))
         return np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, k: int) -> "NoiseStream":
-        """Derive the k-th child stream (deterministic, collision-free
-        for k < 1_000_003 and the nesting depths used here)."""
-        return NoiseStream(self.seed, self.stream_id * 1_000_003 + k + 1)
+        """The k-th child stream: this stream's key with ``k`` appended.
+        Children of distinct parents, or at distinct depths, never share
+        a key."""
+        return NoiseStream(self.seed, self.stream_id, (*self.path, k))
 
 
 def _as_generator(stream) -> np.random.Generator:

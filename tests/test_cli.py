@@ -399,6 +399,24 @@ def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_
     assert "error:" in err
 
 
+@pytest.mark.parametrize("family,params,name", [
+    pytest.param("asym-arch", {"a": math.nan, "b": 3.0, "c": 5.0}, "a", id="asym-arch-a-nan"),
+    pytest.param("garch", {"alpha2": 0.13, "beta2": math.inf, "gamma2": 0.7922}, "beta2", id="garch-beta2-inf"),
+    pytest.param("ar1", {"a": math.nan, "sigma": 1.0}, "a", id="ar1-a-nan"),
+    pytest.param("larch", {"beta0": 1.0, "beta1": 0.5, "z": {"dist": "chi-square", "nu": math.inf}}, "nu",
+                 id="larch-nu-inf"),
+])
+def test_non_finite_coefficient_exits_2(capsys, family, params, name):
+    # JSON NaN and Infinity slip past the families' order checks (inf >= 0
+    # holds, and `a` has none); unchecked, the chain runs and exits 3
+    code, out, err = run(capsys, "curve", "--family", family, "--params", json.dumps(params), "--x0", "0.1",
+                         "--x0p", "1", "--s20", "0.01", "--s20p", "0.01", "--no-bound", "--paths", "100",
+                         "--n-max", "1", "--seed", "1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and name in err and "finite" in err
+
+
 @pytest.mark.parametrize("starts,match", [
     ({"x0": "abc", "x0p": 1}, "start x0 must be a number"),
     ({"x0": 0, "x0p": [1, "q"]}, "start x0p must be a number"),

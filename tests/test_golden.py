@@ -26,36 +26,36 @@ PATHS = 20_000
 CASES = {
     "ar1": (
         models.ARNormal1D(0.5, math.sqrt(0.75)), 0.0, 1.0, 8, 0.01, 101, None, None,
-        "3477a45538f1757f837a548dc94b37452cf43465e3e0acf062ed9bb9636fc660",
+        "bc030ea1c320e754b31b9582717498c03608cbfc2a5e829d2599b851a185e10d",
     ),
     "nonlinear-ar": (
         models.NonlinearAR(), 1.0, 2.0, 8, 0.01, 102, None, None,
-        "58129c955cade211247cd1f46cdc48fc2e350524ed24e0426fcf6903ce20736c",
+        "4d81ec3f371b86ebfae23626d58fe5f945de01aee3a67703e6d980256a1335b1",
     ),
     "larch": (
         models.LARCH(1.0, 0.5, ChiSquare(1)), 0.01, 1.21, 10, 0.01, 103, None, None,
-        "013a046250d6335a972e6ac1f14d54e9ef47ccf59dd37e6528b9f7597f292db0",
+        "aec6ff8a4d1392292c2d3ae1b623a32ec1c6340577fc028425dc4960e9f96040",
     ),
     "asym-arch": (
         models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), 0.0, 5.0, 10, 0.001, 104, None, None,
-        "4c277b2c74d8d009f0d9dbdcc3e399c0f9f57fd9435d2bcdd84f583f3da23822",
+        "8396de22e63ddf0f525ac79a8efb6aaa2c97adbb6e84ea0b145efefbc8b9ce7e",
     ),
     "garch": (
         models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)), 0.1, -0.1, 10, 0.01, 105, 0.0001, 0.01,
-        "7f66b88fd7e14aa8d0f2b2cb6d2165417e2e1c8fde010b7d21b0c514068a9b34",
+        "56570414ad84fa41b18c84289969b4b81c9f0f2bdb31efe449867e35aec81e1a",
     ),
     "location-gibbs": (
         models.LocationGibbsTau(31, 295.43741935483877), 1.0, 20.0, 5, 0.05, 106, None, None,
-        "3519b53599a9f58ed6e5b40570b5f8a2ca8f5ec155d11bf91fbda34def3b4408",
+        "34201126d6845a7ee5dcd5e5c77919057140fb7069b2a8f37ced16ad2b40b3cd",
     ),
     "regression-gibbs": (
         models.RegressionGibbsSigma(333, 4, 26123.0), 1.0, 1001.0, 4, 0.05, 107, None, None,
-        "ba678a34996cae687706532f7c79d8334aaa57193f2ac481b34e7aa57b089e43",
+        "62c7fa48b8337b6067444c29bbe5af5cdd581b0a61251146fe2e25fa34b67b3a",
     ),
 }
 
 # 140_000 paths make two chunks, so the cross-chunk merge is pinned too
-TWO_CHUNK_DIGEST = "d4d1f8e5c705aa83591293f9a07696fc11ebee9fffdd2eb5800a6a7437ac3eb5"
+TWO_CHUNK_DIGEST = "4ce85a9dc828c19e9b8bac93d0f3d1cf6e52a4616272654edb07ee05a9ff7c63"
 
 
 def _digest(curve) -> str:
@@ -81,7 +81,7 @@ def test_two_chunk_curve_golden_digest(workers):
 # 300_000 paths make three chunks, the last one partial; at width 0.001
 # each chunk occupies tail cells the others lack, so the merge of cells
 # present in only some parts is pinned too
-MULTI_CHUNK_DIGEST = "874cf367db85e42da8e5148d4b9c967aabe01d4e5e8e2778c887dc726fee84db"
+MULTI_CHUNK_DIGEST = "8e337b9cb72ff85a25340a0b3df06dc93af56a61a478ba04204cbf2ab01c6135"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -232,8 +232,86 @@ def test_substreams_are_distinct():
             assert not np.array_equal(seqs[i], seqs[j])
 
 
+def _first_draws(stream):
+    return tuple(stream.generator().standard_normal(4))
+
+
+@pytest.mark.parametrize("a,b", [
+    # the pairs the former id arithmetic stream_id * 1_000_003 + k + 1 mapped to one stream
+    (NoiseStream(5, 7), NoiseStream(5, 0).substream(6)),
+    (NoiseStream(5, 1).substream(0), NoiseStream(5, 0).substream(1_000_003)),
+    (NoiseStream(5, 0).substream(1_000_003).substream(0), NoiseStream(5, 1).substream(0).substream(0)),
+    (NoiseStream(5, 0).substream(2**32 - 1), NoiseStream(5, 4294).substream(954_413)),
+], ids=["stream-id-vs-child", "large-k", "large-k-nested", "largest-k"])
+def test_streams_that_once_aliased_are_distinct(a, b):
+    assert a != b
+    assert _first_draws(a) != _first_draws(b)
+
+
+def test_substream_paths_with_equal_index_sums_are_distinct():
+    s = NoiseStream(9)
+    streams = [s.substream(3), s.substream(1).substream(2), s.substream(2).substream(1),
+               s.substream(0).substream(3), s.substream(3).substream(0), s.substream(1).substream(1).substream(1)]
+    assert len({_first_draws(t) for t in streams}) == len(streams)
+
+
+def test_stream_key_is_the_seed_sequence_spawn_key():
+    t = NoiseStream(20260809, 4).substream(7).substream(0)
+    assert t == NoiseStream(20260809, 4, (7, 0))
+    ss = np.random.SeedSequence(20260809, spawn_key=(4, 7, 0))
+    assert np.array_equal(t.generator().random(8), np.random.Generator(np.random.PCG64(ss)).random(8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NoiseStream(-1),
+    lambda: NoiseStream(2**128),
+    lambda: NoiseStream(1, -1),
+    lambda: NoiseStream(1, True),
+    lambda: NoiseStream(1, 2**32),
+    lambda: NoiseStream(1).substream(-1),
+    lambda: NoiseStream(1).substream(2.0),
+    lambda: NoiseStream(1).substream(False),
+    lambda: NoiseStream(1).substream(0).substream(2**32),
+], ids=["seed-negative", "seed-too-wide", "stream-id-negative", "stream-id-bool", "stream-id-too-wide",
+        "k-negative", "k-float", "k-bool", "nested-k-too-wide"])
+def test_stream_key_parts_must_be_bounded_non_negative_integers(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+@pytest.mark.parametrize("dist", [Gamma(0.5, 2.0), Gamma(0.5, S_TREES / 2), ChiSquare(1)], ids=str)
+def test_half_shape_gamma_draws_match_their_moments(dist):
+    n = 2**17
+    x = sample(dist, NoiseStream(31), size=n)
+    m1, m2, m4 = (abs_moment(dist, k) for k in (1, 2, 4))
+    assert abs(x.mean() - m1) < 5 * math.sqrt((m2 - m1**2) / n)
+    assert abs(np.mean(x**2) - m2) < 5 * math.sqrt((m4 - m2**2) / n)
+    one = sample(dist, NoiseStream(31), size=None)
+    assert np.ndim(one) == 0 and one > 0
+
+
+def test_other_gamma_shapes_draw_as_numpy_gamma():
+    x = sample(Gamma(16.5, 1.0), NoiseStream(32), size=1000)
+    assert np.array_equal(x, NoiseStream(32).generator().gamma(16.5, 1.0, size=1000))
+
+
 def test_dist_dict_roundtrip():
     for d in [Normal(0.0, 1.0), ChiSquare(1), Gamma(0.5, 2.0), InverseGamma(16.5, 147.5)]:
         assert dist_from_dict(dist_to_dict(d)) == d
     with pytest.raises(ParameterError):
         dist_from_dict({"dist": "cauchy"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Normal(math.nan, 1.0),
+    lambda: Normal(0.0, math.inf),
+    lambda: ChiSquare(math.inf),
+    lambda: Gamma(math.nan, 1.0),
+    lambda: Gamma(0.5, math.inf),
+    lambda: InverseGamma(math.inf, 1.0),
+    lambda: InverseGamma(16.5, math.nan),
+], ids=["normal-mu-nan", "normal-sigma-inf", "chi-square-nu-inf", "gamma-shape-nan", "gamma-rate-inf",
+        "inverse-gamma-shape-inf", "inverse-gamma-rate-nan"])
+def test_noise_laws_reject_non_finite_parameters(make):
+    with pytest.raises(ParameterError, match="finite"):
+        make()
