@@ -369,9 +369,9 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     )
 
     # AR(1) normal, exact vs bound
-    first_exact = min(n for n in range(1, 20) if tvlab.tv_exact_ar_normal(0.0, 1.0, n) < 0.01)
+    model_ar1, cert_ar1 = _figure_chain("curve-ar1")
+    first_exact = min(n for n in range(1, 20) if model_ar1.exact_tv(0.0, 1.0, n) < 0.01)
     row("AR(1) first n with exact TV < 0.01", 6, first_exact, 0)
-    cert_ar1 = _figure_chain("curve-ar1")[1]
     row("AR(1) first n with bound < 0.01", 7, bounds.iterations_to_epsilon(cert_ar1, 0.01), 0)
 
     # independent coordinates in dimension 100
@@ -497,6 +497,13 @@ def cmd_repro(args) -> int:
     return 1 if bad else 0
 
 
+_WORKERS_HELP = (
+    "threads in this process that simulate a curve, one job per 2**17-path chunk and copy; "
+    "each extra worker costs one copy's chunk in flight, not one interpreter, and the output "
+    "is byte-identical for any worker count"
+)
+
+
 def _workers(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -536,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--bin-width", type=float, default=0.01)
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1, help=_WORKERS_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--stream-id", type=int, default=0)
     p.add_argument("--no-bound", action="store_true", help="skip the analytic bound column")
@@ -557,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-mc", action="store_true", help="skip the Monte-Carlo drift oracle")
     p.add_argument("--curves", metavar="DIR", help="also write the four comparison-curve CSVs here")
     p.add_argument("--paths", type=int, default=100_000, help="paths per comparison curve")
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.set_defaults(fn=cmd_repro)
     return ap
 

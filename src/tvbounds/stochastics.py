@@ -81,6 +81,9 @@ class Normal:
             )
 
     def draw(self, rng: np.random.Generator, size=None):
+        if self.mu == 0.0:
+            # bit-identical to rng.normal(0, sigma) and faster
+            return self.sigma * rng.standard_normal(size)
         return rng.normal(self.mu, self.sigma, size=size)
 
     def log_density(self, x):

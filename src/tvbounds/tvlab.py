@@ -19,19 +19,21 @@ allocate span-sized arrays.
 
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling lives in the
-models module for contraction diagnostics.  Curve simulation is chunked,
-and each chunk owns a fixed substream.  Chunks are folded into running
-per-iteration histograms in chunk order as they arrive, so memory is
-bounded by n_max merged histogram pairs plus the chunks in flight and
-does not grow with the path count; counts are integers, so results are
-byte-identical for any worker count.
+models module for contraction diagnostics.  Curve simulation is chunked
+into one job per chunk and copy, each on its own fixed substream, and
+the jobs run on threads in one process (numpy releases the GIL in the
+draw, step and binning kernels).  Jobs are folded into running
+per-iteration histograms in job order as they arrive, so memory is
+bounded by n_max merged histogram pairs plus the jobs in flight: each
+extra worker costs one copy's chunk in flight, not one interpreter.
+Counts are integers, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import models as models_mod
 from .bounds import BoundCertificate, bound_eval
-from .errors import DomainError, ParameterError, PrecisionError, SimulationError
+from .errors import ParameterError, PrecisionError, SimulationError
 from .models import Family
 from .stochastics import NoiseStream
 
@@ -51,7 +53,6 @@ __all__ = [
     "TVCurve",
     "tv_histogram",
     "tv_from_histograms",
-    "tv_exact_ar_normal",
     "simulate_tv_curve",
     "shifted_l1",
 ]
@@ -203,21 +204,6 @@ def tv_histogram(samples_a, samples_b, bin_width: float) -> TVEstimate:
     )
 
 
-def tv_exact_ar_normal(x0: float, x0_prime: float, n: int) -> float:
-    """Exact TV at iteration n between two copies of
-    X_n = X_{n-1}/2 + sqrt(3/4) Z_n started at known points:
-
-        1 - 2 Phi(-|x0 - x0'| / (2^{n+1} sqrt(1 - 4^{-n})))
-    """
-    if n < 1:
-        raise DomainError(f"exact TV needs n >= 1, got {n}")
-    delta = abs(x0 - x0_prime)
-    if delta == 0.0:
-        return 0.0
-    scale = 2.0 ** (n + 1) * math.sqrt(1.0 - 0.25**n)
-    return 1.0 - math.erfc(delta / (scale * math.sqrt(2.0)))
-
-
 @dataclass
 class TVCurveRow:
     n: int
@@ -252,34 +238,26 @@ class TVCurve:
         return "\n".join(lines) + "\n"
 
 
-def _simulate_chunk(args):
-    """Advance one chunk of coupled paths and histogram every iteration.
+def _simulate_chunk(model, x, s2, n_max, n_paths, bin_width, stream, chunk, copy):
+    """Advance one copy of one chunk of paths and histogram every iteration.
 
-    Returns per-iteration histogram pairs for both copies; the chunk
-    index pins the substream, making the result independent of which
-    worker ran it.
+    Returns the copy's n_max per-iteration histograms.  Substream
+    2 * chunk + copy pins its draws, so the result does not depend on
+    which worker ran it.
     """
-    (model, x0, x0p, s20, s20p, n_max, n_paths, bin_width, stream, chunk_index) = args
-    rng_a = stream.substream(2 * chunk_index).generator()
-    rng_b = stream.substream(2 * chunk_index + 1).generator()
+    rng = stream.substream(2 * chunk + copy).generator()
     ones = np.ones(n_paths)
-
-    def broadcast_state(x, s2):
-        return model.make_state(float(x) * ones, None if s2 is None else float(s2) * ones)
-
-    def histogram(state, n):
-        try:
-            return Histogram.from_samples(models_mod.observable(model, state), bin_width)
-        except ParameterError as exc:
-            raise SimulationError(f"chain diverged at iteration {n} (chunk {chunk_index}): {exc}") from None
-
-    state_a = broadcast_state(x0, s20)
-    state_b = broadcast_state(x0p, s20p)
+    state = model.make_state(float(x) * ones, None if s2 is None else float(s2) * ones)
     out = []
     for n in range(1, n_max + 1):
-        state_a = models_mod.step(model, state_a, models_mod.draw_innovations(model, rng_a, size=n_paths))
-        state_b = models_mod.step(model, state_b, models_mod.draw_innovations(model, rng_b, size=n_paths))
-        out.append((histogram(state_a, n), histogram(state_b, n)))
+        state = models_mod.step(model, state, models_mod.draw_innovations(model, rng, size=n_paths))
+        try:
+            out.append(Histogram.from_samples(models_mod.observable(model, state), bin_width))
+        except ParameterError as exc:
+            start = ("x0", "x0'")[copy]
+            raise SimulationError(
+                f"chain diverged at iteration {n} (chunk {chunk}, start {start}): {exc}"
+            ) from None
     return out
 
 
@@ -302,6 +280,12 @@ def simulate_tv_curve(
     certificate is supplied its bound (raw and clamped) is attached for
     every n > n0.  The exact TV column is filled wherever the family
     declares a closed form (``model.exact_tv``).
+
+    Each 2**17-path chunk runs as two jobs, one per copy.  With
+    ``workers`` > 1 the jobs run on a thread pool of min(workers, jobs)
+    threads in this process; the result is byte-identical for any
+    ``workers``.  A diverging copy raises SimulationError naming the
+    iteration, chunk and start of the first failing job in job order.
     """
     if n_paths < 1:
         raise ParameterError(f"need n_paths >= 1, got {n_paths}")
@@ -321,27 +305,27 @@ def simulate_tv_curve(
     model.make_state(x0, s20)
     model.make_state(x0_prime, s20_prime)
 
-    chunk_sizes = []
-    remaining = n_paths
-    while remaining > 0:
-        take = min(_CHUNK_PATHS, remaining)
-        chunk_sizes.append(take)
-        remaining -= take
+    starts = ((x0, s20), (x0_prime, s20_prime))
     jobs = [
-        (model, x0, x0_prime, s20, s20_prime, n_max, size, bin_width, stream, i)
-        for i, size in enumerate(chunk_sizes)
+        (chunk, copy, min(_CHUNK_PATHS, n_paths - first))
+        for chunk, first in enumerate(range(0, n_paths, _CHUNK_PATHS))
+        for copy in (0, 1)
     ]
-    # fold each chunk into running per-iteration histograms as it arrives,
-    # in chunk order, so only n_max merged pairs and the chunks in flight
-    # are held whatever n_paths is
+
+    def run(job):
+        chunk, copy, size = job
+        return _simulate_chunk(model, *starts[copy], n_max, size, bin_width, stream, chunk, copy)
+
+    # fold each job into running per-iteration histograms as it arrives,
+    # in job order, so only n_max merged pairs and the jobs in flight are
+    # held whatever n_paths is
     merged = [(Histogram(bin_width), Histogram(bin_width)) for _ in range(n_max)]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(jobs) > 1 else None
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
     with pool or nullcontext():
-        for chunk in (pool.map if pool else map)(_simulate_chunk, jobs):
-            for (ha, hb), (ca, cb) in zip(merged, chunk):
-                ha.merge(ca)
-                hb.merge(cb)
-            del chunk  # drop it before the next chunk is simulated
+        for (_, copy, _), hists in zip(jobs, (pool.map if pool else map)(run, jobs)):
+            for pair, h in zip(merged, hists):
+                pair[copy].merge(h)
+            del hists  # drop it before the next job is simulated
 
     rows = []
     for n, (ha, hb) in enumerate(merged, start=1):

@@ -135,14 +135,14 @@ def test_criterion_3_nonlinear_ar():
 
 def test_criterion_4_ar_normal_1d():
     t0 = time.time()
-    first_exact = min(n for n in range(1, 20) if tvlab.tv_exact_ar_normal(0.0, 1.0, n) < 0.01)
+    model = models.ARNormal1D(0.5, math.sqrt(0.75))
+    first_exact = min(n for n in range(1, 20) if model.exact_tv(0.0, 1.0, n) < 0.01)
     cert = bounds.ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0)
     first_bound = min(
         n for n in range(1, 20) if bounds.bound_eval(cert, n).clamped < 0.01
     )
     ok_firsts = first_exact == 6 and first_bound == 7
 
-    model = models.ARNormal1D(0.5, math.sqrt(0.75))
     curve = tvlab.simulate_tv_curve(
         model, 0.0, 1.0, n_max=10, n_paths=1_000_000, bin_width=0.01,
         stream=NoiseStream(SEED, 4), certificate=cert,

@@ -36,7 +36,6 @@ from tvbounds.bounds import (
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
 from tvbounds.models import ARNormal1D, NonlinearAR
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, density
-from tvbounds.tvlab import tv_exact_ar_normal
 
 S_TREES = 295.43741935483877
 
@@ -384,18 +383,31 @@ def test_ar_normal_d_bound_dominates_exact_tv():
     assert iterations_to_epsilon(cert, 0.01) == 56
 
 
+def _ar_half_exact_tv(x0, x0p, n):
+    """Exact TV at iteration n between two copies of
+    X_n = X_{n-1}/2 + sqrt(3/4) Z_n started at known points:
+
+        1 - 2 Phi(-|x0 - x0'| / (2^{n+1} sqrt(1 - 4^{-n})))
+    """
+    delta = abs(x0 - x0p)
+    if delta == 0.0:
+        return 0.0
+    scale = 2.0 ** (n + 1) * math.sqrt(1.0 - 0.25**n)
+    return 1.0 - math.erfc(delta / (scale * math.sqrt(2.0)))
+
+
 def test_exact_tv_gaussian_ar_matches_ar1_closed_form():
     for x0, x0p in [(0.0, 1.0), (1.0, 0.0), (-2.0, 3.0), (0.3, 0.2), (10.0, -10.0)]:
         exact = exact_tv_gaussian_ar(0.5, math.sqrt(0.75), x0, x0p, 59)
         for n, tv in enumerate(exact, start=1):
-            assert abs(tv - tv_exact_ar_normal(x0, x0p, n)) <= 1e-15
+            assert abs(tv - _ar_half_exact_tv(x0, x0p, n)) <= 1e-15
 
 
 def test_ar1_family_exact_tv_matches_closed_forms():
     standard = ARNormal1D(0.5, math.sqrt(0.75))
     for x0, x0p in [(0.0, 1.0), (-2.0, 3.0), (0.3, 0.2), (10.0, -10.0), (4.0, 4.0)]:
         for n in range(1, 60):
-            assert abs(standard.exact_tv(x0, x0p, n) - tv_exact_ar_normal(x0, x0p, n)) <= 1e-15
+            assert abs(standard.exact_tv(x0, x0p, n) - _ar_half_exact_tv(x0, x0p, n)) <= 1e-15
     # any a (|a| >= 1 included) and sigma, against the covariance-sum formula
     for a, sigma in [(0.8, 1.0), (-0.3, 2.0), (1.0, 0.5), (1.1, 0.7)]:
         exact = exact_tv_gaussian_ar(a, sigma, 0.5, -1.0, 30)

@@ -84,3 +84,25 @@ def test_cli_commands_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0], "scipy": []}
 
+
+
+def test_curve_workers_run_on_threads_not_processes(tmp_path):
+    # 140_000 paths make two chunks, so two workers share four jobs
+    script = (
+        "import json, sys\n"
+        "from tvbounds import cli\n"
+        "code = cli.main(['curve', '--family', 'ar1', '--a', '0.5', '--sigma', '1', '--x0', '0',\n"
+        "                 '--x0p', '1', '--n-max', '2', '--paths', '140000', '--workers', '2',\n"
+        "                 '--seed', '1', '--out', 'curve.csv'])\n"
+        "print(json.dumps({'code': code,\n"
+        "                  'process': sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+        "                                    or m == 'concurrent.futures.process')}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "process": []}
+    assert (tmp_path / "curve.csv").read_text(encoding="utf-8").count("\n") == 3

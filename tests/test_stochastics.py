@@ -295,6 +295,13 @@ def test_other_gamma_shapes_draw_as_numpy_gamma():
     assert np.array_equal(x, NoiseStream(32).generator().gamma(16.5, 1.0, size=1000))
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.5, 1e-3, math.sqrt(0.75)])
+def test_centred_normal_draws_are_bit_identical_to_numpy_normal(sigma):
+    x = sample(Normal(0.0, sigma), NoiseStream(33), size=2**17)
+    assert x.tobytes() == NoiseStream(33).generator().normal(0.0, sigma, size=2**17).tobytes()
+    assert sample(Normal(0.0, sigma), NoiseStream(33)) == NoiseStream(33).generator().normal(0.0, sigma)
+
+
 def test_dist_dict_roundtrip():
     for d in [Normal(0.0, 1.0), ChiSquare(1), Gamma(0.5, 2.0), InverseGamma(16.5, 147.5)]:
         assert dist_from_dict(dist_to_dict(d)) == d

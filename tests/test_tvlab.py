@@ -1,11 +1,14 @@
+import functools
 import math
+import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from tvbounds import bounds, models
+from tvbounds import bounds, models, tvlab
 from tvbounds.errors import ParameterError, SimulationError
 from tvbounds.models import ARNormal1D
 from tvbounds.stochastics import Normal, NoiseStream
@@ -13,7 +16,6 @@ from tvbounds.tvlab import (
     Histogram,
     shifted_l1,
     simulate_tv_curve,
-    tv_exact_ar_normal,
     tv_from_histograms,
     tv_histogram,
 )
@@ -210,22 +212,26 @@ def test_histogram_rejects_out_of_range_cells():
 
 # -------------------------------------------------------------- exact TV
 
+# X_n = X_{n-1}/2 + sqrt(3/4) Z_n, the chain of the paper's AR(1) example
+AR_HALF = ARNormal1D(0.5, math.sqrt(0.75))
+
+
 def test_tv_exact_first_below_threshold_at_six():
-    vals = {n: tv_exact_ar_normal(0.0, 1.0, n) for n in range(1, 9)}
+    vals = {n: AR_HALF.exact_tv(0.0, 1.0, n) for n in range(1, 9)}
     assert vals[6] < 0.01 < vals[5]
     assert vals[6] == pytest.approx(0.006234170759827351, rel=1e-12)
 
 
 def test_tv_exact_identical_starts():
-    assert tv_exact_ar_normal(1.3, 1.3, 4) == 0.0
+    assert AR_HALF.exact_tv(1.3, 1.3, 4) == 0.0
 
 
 def test_tv_exact_one_step():
-    assert tv_exact_ar_normal(0.0, 1.0, 1) == pytest.approx(0.22717000731555248, rel=1e-12)
+    assert AR_HALF.exact_tv(0.0, 1.0, 1) == pytest.approx(0.22717000731555248, rel=1e-12)
     # cross-check against the generic normal location family TV formula
     delta = 1.0 / 2.0
     sigma = math.sqrt(1 - 0.25)
-    assert tv_exact_ar_normal(0.0, 1.0, 1) == pytest.approx(1 - 2 * norm.cdf(-delta / (2 * sigma)), rel=1e-12)
+    assert AR_HALF.exact_tv(0.0, 1.0, 1) == pytest.approx(1 - 2 * norm.cdf(-delta / (2 * sigma)), rel=1e-12)
 
 
 # ------------------------------------------------------------------- curves
@@ -323,12 +329,40 @@ def test_curve_memory_does_not_grow_with_paths():
     assert _curve_peak_bytes(6) <= 1.6 * _curve_peak_bytes(2)
 
 
+@functools.cache
+def _diverging_message(workers):
+    # 140_000 paths make two chunks, four jobs; workers=2 runs them on the pool
+    model = ARNormal1D(3.0, 1.0)
+    with pytest.raises(SimulationError) as info:
+        simulate_tv_curve(model, 0.0, 1.0, 40, 140_000, 0.01, NoiseStream(3), workers=workers)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_curve_diverging_chain_raises(workers):
-    # 140_000 paths make two chunks, so workers=2 runs them in the pool
-    model = ARNormal1D(3.0, 1.0)
-    with pytest.raises(SimulationError, match=r"iteration 3\d .* out of histogram range"):
-        simulate_tv_curve(model, 0.0, 1.0, 40, 140_000, 0.01, NoiseStream(3), workers=workers)
+    message = _diverging_message(workers)
+    assert re.search(r"iteration 3\d \(chunk 0, start x0\): .* out of histogram range", message)
+    # the first failing job in job order raises, whatever the thread timing
+    assert message == _diverging_message(1)
+
+
+def test_curve_pool_capped_at_job_count(monkeypatch):
+    sizes = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(tvlab, "ThreadPoolExecutor", Recorder)
+    model = ARNormal1D(0.5, math.sqrt(0.75))
+    kw = dict(n_max=2, bin_width=0.01, stream=NoiseStream(12))
+    for n_paths in (100_000, 140_000):
+        serial = simulate_tv_curve(model, 0.0, 1.0, n_paths=n_paths, workers=1, **kw).to_csv()
+        for workers in (3, 100_000):
+            assert simulate_tv_curve(model, 0.0, 1.0, n_paths=n_paths, workers=workers, **kw).to_csv() == serial
+    # one chunk is two jobs and two chunks four; workers=1 starts no pool
+    assert sizes == [2, 2, 3, 4]
 
 
 def test_curve_single_path_degenerate_but_legal():
