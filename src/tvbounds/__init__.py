@@ -10,12 +10,10 @@ models
     The chain families and their shared-noise coupled step.
 bounds
     Certificate construction: (C, D, n0, gap) tuples evaluating to
-    C * D^(n-n0-1) * gap.
-spectral
-    Dense symmetric linear algebra for the vector autoregressive bound.
+    C * D^(n-n0-1) * gap, with the matrix checks of the vector bound.
 tvlab
-    Histogram TV estimation, exact AR-normal TV, simulated TV curves,
-    shifted-density integrals.
+    Histogram TV estimation, simulated TV curves, shifted-density
+    integrals.
 data
     Dataset ingestion and Gibbs sufficient statistics (embedded tree
     girth sample included).
@@ -23,7 +21,7 @@ cli
     Batch front door: ``tvbounds certificate|iters|curve|dataset-stats|repro``.
 """
 
-from . import bounds, data, models, spectral, stochastics, tvlab
+from . import bounds, data, models, stochastics, tvlab
 from .bounds import (
     BoundCertificate,
     BoundValue,
@@ -46,7 +44,6 @@ __all__ = [
     "bounds",
     "data",
     "models",
-    "spectral",
     "stochastics",
     "tvlab",
     "BoundCertificate",

@@ -28,9 +28,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import spectral, stochastics
+from . import stochastics
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import ChiSquare, Dist, InverseGamma, abs_moment, log_chi2_density_sup
+from .stochastics import Dist, InverseGamma, abs_moment
 
 __all__ = [
     "BoundCertificate",
@@ -71,6 +71,31 @@ def integral(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _square_matrix(name: str, m) -> np.ndarray:
+    """``m`` as a float array; ParameterError unless it is square with finite entries."""
+    try:
+        a = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a matrix of numbers, got {m!r}") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ParameterError(f"{name} entries must be finite")
+    return a
+
+
+def _inverse(name: str, m) -> np.ndarray:
+    """Inverse of a square finite matrix whose condition number is at most 1e12."""
+    a = _square_matrix(name, m)
+    try:
+        cond = np.linalg.cond(a)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"{name} inversion failed: {exc}") from None
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ParameterError(f"{name} is singular or ill-conditioned (condition {cond:.3e})")
+    return np.linalg.inv(a)
 
 
 class BoundValue(NamedTuple):
@@ -413,22 +438,24 @@ def ar_normal_d_certificate(a_matrix, sigma_matrix, x0, x0_prime) -> BoundCertif
     C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2
     and rate max_i |lambda_i|, evaluated against D^n (exp_offset=1).
     """
-    a = np.asarray(a_matrix, dtype=float)
-    evals, p = spectral.sym_eigen(a)
+    a = _square_matrix("A", a_matrix)
+    if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
+        raise ParameterError("A is not symmetric; only symmetric input is supported")
+    evals, p = np.linalg.eigh(a)
     rate = float(np.max(np.abs(evals)))
     if rate >= 1.0:
         raise NoContractionError(f"spectral radius {rate:.6g} >= 1: chain does not contract")
-    sigma_inv = spectral.inverse(sigma_matrix)
+    sigma_inv = _inverse("Sigma", sigma_matrix)
     x0 = np.asarray(x0, dtype=float)
     x0p = np.asarray(x0_prime, dtype=float)
     d = a.shape[0]
     gap_norm = float(np.linalg.norm(x0 - x0p))
     # P from the symmetric eigendecomposition is orthogonal, so P^-1 = P^T
-    c = (
+    c = float(
         math.sqrt(d / (2 * math.pi))
-        * spectral.frobenius(sigma_inv)
-        * spectral.frobenius(p)
-        * spectral.frobenius(p.T)
+        * np.linalg.norm(sigma_inv)
+        * np.linalg.norm(p)
+        * np.linalg.norm(p.T)
         * gap_norm
     )
     return BoundCertificate(
@@ -605,8 +632,6 @@ def golden_section_max(f, lo: float, hi: float) -> float:
 
 def _log_scale_density_sup(z: Dist) -> float:
     """sup_x e^x f_Z(e^x), the density height of log(Z) for Z > 0 a.s."""
-    if z == ChiSquare(1):
-        return log_chi2_density_sup()
     u = np.exp(np.linspace(-40.0, 12.0, 20001))
     vals = u * stochastics.density(z, u)
     i = int(np.argmax(vals))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds, data, models, tvlab
 from .errors import DomainError, IngestionError, NoContractionError, ParameterError, StateError
-from .stochastics import InverseGamma, NoiseStream, density
+from .stochastics import InverseGamma, NoiseStream, _is_real, density
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
@@ -60,21 +60,27 @@ def _seed_from(args) -> int:
     return DEFAULT_SEED
 
 
+def _json_object(text: str, what: str, error) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} must hold a JSON object, not a {type(obj).__name__}")
+    return obj
+
+
 def _load_params(args) -> dict:
     params = {}
     if getattr(args, "params_file", None):
         try:
             with open(args.params_file, "r", encoding="utf-8") as fh:
-                params.update(json.load(fh))
+                text = fh.read()
         except OSError as exc:
             raise IngestionError(f"cannot open params file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"params file is not valid JSON: {exc}") from None
+        params.update(_json_object(text, "params file", IngestionError))
     if getattr(args, "params", None):
-        try:
-            params.update(json.loads(args.params))
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"--params is not valid JSON: {exc}") from None
+        params.update(_json_object(args.params, "--params", ParameterError))
     # convenience flags override the JSON blob
     for flag in ("a", "sigma", "gap", *START_KEYS):
         v = getattr(args, flag, None)
@@ -93,14 +99,12 @@ CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
 
 def _start_distance(params: dict) -> float:
     """||x0 - x0'|| of the starts in ``params``, the default gap; a start
-    that is not a number or a list of numbers raises ParameterError."""
-    starts = []
+    that is not a finite number or a list of them raises ParameterError."""
     for key in ("x0", "x0p"):
-        try:
-            starts.append(np.asarray(params[key], dtype=float))
-        except (TypeError, ValueError):
-            raise ParameterError(f"start {key} must be a number or a list of numbers, got {params[key]!r}") from None
-    x0, x0p = starts
+        if not all(_is_real(v) for v in np.ravel(np.array(params[key], dtype=object))):
+            raise ParameterError(f"start {key} must be a number or a list of numbers, finite and not bool, "
+                                 f"got {params[key]!r}")
+    x0, x0p = (np.asarray(params[key], dtype=float) for key in ("x0", "x0p"))
     try:
         return float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
     except ValueError:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import bounds
 from .errors import IngestionError, ParameterError
 
 __all__ = [
@@ -149,7 +149,7 @@ def regression_stats(d: RegressionData):
     x, y = d.x, d.y
     a = x.T @ x + d.prior_lambda * np.eye(x.shape[1])
     try:
-        a_inv = spectral.inverse(a)
+        a_inv = bounds._inverse("A", a)
     except ParameterError as exc:
         raise ParameterError(f"design matrix is rank deficient: {exc}") from None
     beta_tilde = a_inv @ (x.T @ y)

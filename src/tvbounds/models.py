@@ -20,7 +20,6 @@ both initial components.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
@@ -91,7 +90,7 @@ class Family:
         """Raise ParameterError unless every named field is a finite real number, not a bool."""
         for name in names:
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not stochastics._is_real(v):
                 raise ParameterError(f"{type(self).__name__} {name} must be a finite real number, got {v!r}")
 
 
@@ -156,10 +155,8 @@ class ARNormalD(Family):
     sigma: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        s = np.asarray(self.sigma, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterError(f"A must be square, got shape {a.shape}")
+        a = bounds._square_matrix("A", self.a)
+        s = bounds._square_matrix("Sigma", self.sigma)
         if s.shape != a.shape:
             raise ParameterError(f"Sigma shape {s.shape} must match A shape {a.shape}")
         object.__setattr__(self, "a", a)

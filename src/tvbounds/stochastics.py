@@ -10,7 +10,7 @@ class) is the registry.  The module functions :func:`log_density`,
 coercion, -inf off the support of a positive law, scalar results for
 scalar input and the moment-order check.  Chi-square is Gamma(nu/2, 1/2)
 and takes its formulas and its draws from it.  Every parameter must be
-finite.
+a finite real number; a bool is not one.
 
 Gamma of shape 1/2 (chi-square(1), and the Gibbs X-draws) is drawn as
 Z^2/(2 rate) from one standard normal, which is exact in law and about a
@@ -56,15 +56,18 @@ __all__ = [
     "density",
     "log_density",
     "abs_moment",
-    "log_chi2_density",
-    "log_chi2_density_sup",
     "dist_to_dict",
     "dist_from_dict",
 ]
 
 
+def _is_real(v) -> bool:
+    """True for a finite real number; bools (JSON true/false) are not numbers."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 def _finite_positive(*values) -> bool:
-    return all(math.isfinite(v) and v > 0 for v in values)
+    return all(_is_real(v) and v > 0 for v in values)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class Normal:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and _finite_positive(self.sigma)):
+        if not (_is_real(self.mu) and _finite_positive(self.sigma)):
             raise ParameterError(
                 f"Normal mu must be finite and sigma finite and > 0, got ({self.mu}, {self.sigma})"
             )
@@ -277,18 +280,6 @@ def abs_moment(dist: Dist, k: int) -> float:
     if DISTS.get(getattr(dist, "tag", None)) is not type(dist):  # random_coeff_D sends any non-real here
         raise ParameterError(f"unknown distribution {dist!r}")
     return float(dist.abs_moment(k))
-
-
-def log_chi2_density(x):
-    """Density of log(W) for W ~ chi-square(1): (2 pi)^{-1/2} exp((x - e^x)/2)."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(0.5 * (x - np.exp(x))) / math.sqrt(2 * math.pi)
-    return out if out.ndim else float(out)
-
-
-def log_chi2_density_sup() -> float:
-    """sup_x of :func:`log_chi2_density`, attained at x = 0."""
-    return 1.0 / math.sqrt(2 * math.pi * math.e)
 
 
 def dist_to_dict(dist: Dist) -> dict:

@@ -1,4 +1,4 @@
-"""Total variation estimation, exact evaluation, and integral checks.
+"""Histogram total-variation estimation, simulated TV curves, and integral checks.
 
 The plug-in histogram estimator 0.5 * sum_bins |p_a - p_b| carries a
 positive noise floor of order sum_i sqrt(p_i / (pi N)): summing absolute
@@ -32,7 +32,6 @@ Counts are integers, so output is byte-identical for any worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from . import models as models_mod
 from .bounds import BoundCertificate, bound_eval
 from .errors import ParameterError, PrecisionError, SimulationError
 from .models import Family
-from .stochastics import NoiseStream
+from .stochastics import NoiseStream, _is_real
 
 __all__ = [
     "Histogram",
@@ -300,7 +299,7 @@ def simulate_tv_curve(
         )
     # reject invalid initial states before any chunk starts
     for name, v in (("x0", x0), ("x0'", x0_prime), ("s20", s20), ("s20'", s20_prime)):
-        if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        if v is not None and not _is_real(v):
             raise ParameterError(f"start {name} must be a finite number, got {v!r}")
     model.make_state(x0, s20)
     model.make_state(x0_prime, s20_prime)

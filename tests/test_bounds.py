@@ -429,11 +429,50 @@ def test_ar1_exact_tv_of_an_explosive_chain_does_not_overflow():
             assert abs(model.exact_tv(0.0, 1.0, n) - direct) <= 1e-12
 
 
+def test_ar_normal_d_constant_on_diagonal_input():
+    # with A and Sigma diagonal, P is a signed permutation (||P||_F^2 = d)
+    # and ||Sigma^-1||_F is the root sum of squared reciprocals
+    cert = ar_normal_d_certificate(np.diag([0.2, 0.6, -0.4]), np.diag([2.0, 4.0, 4.0]), [1.0, 2.0, 2.0], np.zeros(3))
+    assert cert.d == pytest.approx(0.6, rel=1e-15)
+    assert cert.c == pytest.approx(math.sqrt(3 / (2 * math.pi)) * math.sqrt(1 / 4 + 2 / 16) * 3 * 3, rel=1e-14)
+    cert = ar_normal_d_certificate(0.5 * np.eye(3), np.eye(3), np.ones(3), np.zeros(3))
+    assert cert.d == 0.5
+    assert cert.c == pytest.approx(math.sqrt(3 / (2 * math.pi)) * math.sqrt(3) * 3 * math.sqrt(3), rel=1e-14)
+
+
+def test_ar_normal_d_constant_on_random_symmetric_input(rng):
+    # an orthogonal P has ||P||_F = ||P^-1||_F = sqrt(d); the rate is the
+    # spectral norm of a symmetric A, here from an SVD rather than eigh
+    for d in (5, 30, 100):
+        m = rng.standard_normal((d, d))
+        a = (m + m.T) / 2
+        a *= 0.9 / np.linalg.norm(a, 2)
+        sigma = rng.standard_normal((d, d)) + 8 * np.eye(d)
+        x0 = rng.standard_normal(d)
+        cert = ar_normal_d_certificate(a, sigma, x0, np.zeros(d))
+        assert cert.d == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+        sigma_inv_f = np.linalg.norm(np.linalg.solve(sigma, np.eye(d)))
+        expected = math.sqrt(d / (2 * math.pi)) * sigma_inv_f * d * np.linalg.norm(x0)
+        assert cert.c == pytest.approx(expected, rel=1e-10)
+
+
 def test_ar_normal_d_errors():
     with pytest.raises(NoContractionError):
         ar_normal_d_certificate(np.eye(2), np.eye(2), np.ones(2), np.zeros(2))
-    with pytest.raises(ParameterError):
-        ar_normal_d_certificate(0.5 * np.eye(2), np.zeros((2, 2)), np.ones(2), np.zeros(2))
+    bad = [
+        (np.array([[0.5, 0.2], [0.0, 0.5]]), np.eye(2)),  # asymmetric A
+        (np.full((2, 3), 0.1), np.eye(2)),  # non-square A
+        (np.array([[0.5, math.nan], [math.nan, 0.5]]), np.eye(2)),
+        (np.diag([0.5, math.inf]), np.eye(2)),
+        (0.5 * np.eye(2), np.zeros((2, 2))),
+        (0.5 * np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])),  # singular Sigma
+        (0.5 * np.eye(2), np.diag([1.0, 1e-13])),  # condition 1e13
+        (0.5 * np.eye(2), np.diag([1.0, math.nan])),
+        (0.5 * np.eye(2), np.full((2, 3), 0.1)),  # non-square Sigma
+    ]
+    for a, sigma in bad:
+        with pytest.raises(ParameterError):
+            ar_normal_d_certificate(a, sigma, np.ones(2), np.zeros(2))
 
 
 # ------------------------------------------------------------- nonlinear AR
@@ -495,11 +534,14 @@ def test_larch_certificate_chi_square_coefficient():
 
 
 def test_larch_numeric_sup_matches_closed_form():
-    # Gamma(1/2, 1/2) is the chi-square(1) law; the numeric maximizer
-    # must land on the same log-scale density height
-    c_closed = larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=1.0).c
-    c_numeric = larch_certificate(1.0, 0.5, Gamma(0.5, 0.5), m=1, gap=1.0).c
-    assert c_numeric == pytest.approx(c_closed, rel=1e-9)
+    # the log of a chi-square(1) = Gamma(1/2, 1/2) variable has density
+    # (2 pi)^-1/2 exp((x - e^x)/2), whose height at its mode x = 0 is
+    # 1/sqrt(2 pi e); the numeric maximizer must land on it
+    sup = 1 / math.sqrt(2 * math.pi * math.e)
+    for z in (ChiSquare(1), Gamma(0.5, 0.5)):
+        cert = larch_certificate(1.0, 0.5, z, m=1, gap=1.0)
+        assert cert.details["log_noise_density_sup"] == pytest.approx(sup, rel=1e-12)
+        assert cert.c == pytest.approx(0.5 * sup, rel=1e-12)
 
 
 def test_larch_mode_count_must_be_integral():

@@ -298,6 +298,9 @@ def test_every_family_choice_builds_a_certificate_and_a_curve(capsys):
             assert len(out.splitlines()) == 4, family
 
 
+AR_D = {"a": [[0.5, 0.125], [0.125, 0.5]], "sigma": [[1.0, 0.0], [0.0, 1.0]], "x0": [1.0, 1.0], "x0p": [0.0, 0.0]}
+
+
 # `curve` takes every chain family, `certificate` and `iters` every --family
 # choice; the curve cases keep their bare family ids
 UNKNOWN_KEY_CASES = [pytest.param("curve", family, id=family) for family in sorted(models.FAMILIES)] + [
@@ -345,6 +348,11 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
                         "s20": 0.0001, "s20p": 0.01}),
     ("certificate", "location-gibbs", {"j": 31, "s": True, "gap": 1}),
     ("certificate", "regression-gibbs", {"k": 333, "p": 4, "c_stat": True, "gap": 1}),
+    ("certificate", "ar-d", {**AR_D, "a": [[0.5, 0.2], [0.0, 0.5]]}),
+    ("certificate", "ar-d", {**AR_D, "a": [[0.5, 0.1]]}),
+    ("certificate", "ar-d", {**AR_D, "a": [[0.5, math.nan], [math.nan, 0.5]]}),
+    ("certificate", "ar-d", {**AR_D, "sigma": [[1.0, 2.0], [2.0, 4.0]]}),
+    ("certificate", "ar-d", {**AR_D, "sigma": [[1.0, 0.0], [0.0, 1e-13]]}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],
@@ -383,6 +391,17 @@ X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})
     pytest.param(["curve", "--family", "asym-arch", "--params", json.dumps({"a": "0.5", "b": 3, "c": 5}),
                   "--x0", "0", "--x0p", "1", "--no-bound", "--paths", "100", "--n-max", "1"],
                  None, id="curve-coefficient-not-a-number"),
+    pytest.param(["curve", "--family", "ar1", "--params", json.dumps({"a": 0.5, "sigma": 1, "x0": True, "x0p": 1}),
+                  "--paths", "10", "--n-max", "1"], None, id="curve-x0-true"),
+    pytest.param(["iters", "--family", "ar1", "--params",
+                  json.dumps({"a": 0.5, "sigma": 1, "x0": False, "x0p": True}), "--epsilon", "0.01"],
+                 None, id="iters-starts-bool"),
+    pytest.param(["certificate", "--family", "larch", "--params",
+                  json.dumps({"beta0": 1.0, "beta1": 0.5, "z": {"dist": "chi-square", "nu": True}, "gap": 1})],
+                 None, id="certificate-noise-nu-true"),
+    pytest.param(["certificate", "--family", "asym-arch", "--params",
+                  json.dumps({"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": False, "sigma": True},
+                              "gap": 1})], None, id="certificate-noise-mu-sigma-bool"),
 ])
 def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_seed):
     # a started chunk would fail on a non-finite state or a bad stream with exit 3
@@ -397,6 +416,21 @@ def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_
     assert code == 2, err
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--params", "[1, 2]"], id="params-array"),
+    pytest.param(["--params", '"x"'], id="params-string"),
+    pytest.param(["--params-file", "pairs.json"], id="params-file-pairs"),
+])
+def test_params_must_be_a_json_object(tmp_path, monkeypatch, capsys, argv):
+    # a file of [key, value] pairs would otherwise be read as a dict
+    (tmp_path / "pairs.json").write_text('[["a", 0.5], ["sigma", 1]]', encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "certificate", "--family", "ar1", "--gap", "1", *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error:") and "JSON object" in err
 
 
 @pytest.mark.parametrize("family,params,name", [

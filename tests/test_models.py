@@ -85,6 +85,19 @@ def test_gibbs_counts_must_be_integral():
     assert (type(m.k), type(m.p)) == (int, int)
 
 
+def test_vector_ar_matrices_match_certificate():
+    # ar_normal_d_certificate takes square matrices with finite entries; so does the model
+    for a, sigma in [
+        ([[math.nan]], [[1.0]]),
+        ([[0.5]], [[math.inf]]),
+        ([[0.5, 0.1]], [[1.0, 0.0]]),
+        ([[0.5, "x"], [0.0, 0.5]], np.eye(2)),
+        (np.eye(2) * 0.5, np.eye(3)),
+    ]:
+        with pytest.raises(ParameterError):
+            ARNormalD(a, sigma)
+
+
 def test_garch_domain_matches_certificate():
     # garch_certificate takes alpha2 > 0 and beta2, gamma2 >= 0; so does the model
     for beta2, gamma2 in [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)]:

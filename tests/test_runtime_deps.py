@@ -106,3 +106,21 @@ def test_curve_workers_run_on_threads_not_processes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "process": []}
     assert (tmp_path / "curve.csv").read_text(encoding="utf-8").count("\n") == 3
+
+
+def test_docs_list_only_the_modules_that_exist():
+    # README's module list names files; the package docstring's Submodules
+    # list names what tvbounds/__init__.py imports, plus the cli entry point
+    named = set(re.findall(r"src/tvbounds/(\w+)\.py", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert named
+    assert sorted(n for n in named if not (SRC / "tvbounds" / f"{n}.py").is_file()) == []
+    tree = ast.parse((SRC / "tvbounds" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    assert imported
+    submodules = ast.get_docstring(tree).split("Submodules\n----------\n", 1)[1]
+    assert set(re.findall(r"^(\w+)$", submodules, re.M)) == imported | {"cli"}

@@ -17,8 +17,6 @@ from tvbounds.stochastics import (
     density,
     dist_from_dict,
     dist_to_dict,
-    log_chi2_density,
-    log_chi2_density_sup,
     log_density,
     sample,
 )
@@ -187,33 +185,6 @@ def test_abs_moment_and_log_density_match_scipy(dist, oracle):
     np.testing.assert_allclose(log_density(dist, x), oracle.logpdf(x), rtol=1e-12)
 
 
-def test_log_chi2_sup_closed_form():
-    assert log_chi2_density_sup() == pytest.approx(1 / math.sqrt(2 * math.pi * math.e), rel=1e-15)
-
-
-def test_log_chi2_sup_golden_section_oracle():
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = -10.0, 10.0
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = log_chi2_density(c1), log_chi2_density(c2)
-    for _ in range(300):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = log_chi2_density(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = log_chi2_density(c1)
-    assert max(f1, f2) == pytest.approx(log_chi2_density_sup(), abs=1e-9)
-
-
-def test_log_chi2_stationary_at_mode():
-    h = 1e-6
-    deriv = (log_chi2_density(h) - log_chi2_density(-h)) / (2 * h)
-    assert abs(deriv) < 1e-6
-
-
 def test_reproducible_streams():
     s = NoiseStream(123, 7)
     a = sample(Normal(0.0, 1.0), s, size=50)
@@ -317,8 +288,14 @@ def test_dist_dict_roundtrip():
     lambda: Gamma(0.5, math.inf),
     lambda: InverseGamma(math.inf, 1.0),
     lambda: InverseGamma(16.5, math.nan),
+    lambda: dist_from_dict({"dist": "chi-square", "nu": True}),
+    lambda: dist_from_dict({"dist": "normal", "mu": False, "sigma": 1.0}),
+    lambda: dist_from_dict({"dist": "normal", "mu": 0.0, "sigma": True}),
+    lambda: Gamma(True, 1.0),
+    lambda: InverseGamma(16.5, True),
 ], ids=["normal-mu-nan", "normal-sigma-inf", "chi-square-nu-inf", "gamma-shape-nan", "gamma-rate-inf",
-        "inverse-gamma-shape-inf", "inverse-gamma-rate-nan"])
+        "inverse-gamma-shape-inf", "inverse-gamma-rate-nan", "chi-square-nu-true", "normal-mu-false",
+        "normal-sigma-true", "gamma-shape-true", "inverse-gamma-rate-true"])
 def test_noise_laws_reject_non_finite_parameters(make):
     with pytest.raises(ParameterError, match="finite"):
         make()
