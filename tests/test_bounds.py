@@ -429,33 +429,6 @@ def test_ar1_exact_tv_of_an_explosive_chain_does_not_overflow():
             assert abs(model.exact_tv(0.0, 1.0, n) - direct) <= 1e-12
 
 
-def test_ar_normal_d_constant_on_diagonal_input():
-    # with A and Sigma diagonal, P is a signed permutation (||P||_F^2 = d)
-    # and ||Sigma^-1||_F is the root sum of squared reciprocals
-    cert = ar_normal_d_certificate(np.diag([0.2, 0.6, -0.4]), np.diag([2.0, 4.0, 4.0]), [1.0, 2.0, 2.0], np.zeros(3))
-    assert cert.d == pytest.approx(0.6, rel=1e-15)
-    assert cert.c == pytest.approx(math.sqrt(3 / (2 * math.pi)) * math.sqrt(1 / 4 + 2 / 16) * 3 * 3, rel=1e-14)
-    cert = ar_normal_d_certificate(0.5 * np.eye(3), np.eye(3), np.ones(3), np.zeros(3))
-    assert cert.d == 0.5
-    assert cert.c == pytest.approx(math.sqrt(3 / (2 * math.pi)) * math.sqrt(3) * 3 * math.sqrt(3), rel=1e-14)
-
-
-def test_ar_normal_d_constant_on_random_symmetric_input(rng):
-    # an orthogonal P has ||P||_F = ||P^-1||_F = sqrt(d); the rate is the
-    # spectral norm of a symmetric A, here from an SVD rather than eigh
-    for d in (5, 30, 100):
-        m = rng.standard_normal((d, d))
-        a = (m + m.T) / 2
-        a *= 0.9 / np.linalg.norm(a, 2)
-        sigma = rng.standard_normal((d, d)) + 8 * np.eye(d)
-        x0 = rng.standard_normal(d)
-        cert = ar_normal_d_certificate(a, sigma, x0, np.zeros(d))
-        assert cert.d == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
-        sigma_inv_f = np.linalg.norm(np.linalg.solve(sigma, np.eye(d)))
-        expected = math.sqrt(d / (2 * math.pi)) * sigma_inv_f * d * np.linalg.norm(x0)
-        assert cert.c == pytest.approx(expected, rel=1e-10)
-
-
 def test_ar_normal_d_errors():
     with pytest.raises(NoContractionError):
         ar_normal_d_certificate(np.eye(2), np.eye(2), np.ones(2), np.zeros(2))

@@ -185,6 +185,37 @@ def test_abs_moment_and_log_density_match_scipy(dist, oracle):
     np.testing.assert_allclose(log_density(dist, x), oracle.logpdf(x), rtol=1e-12)
 
 
+def _log_chi2_sup():
+    """sup_x e^x f(e^x) for chi-square(1), as the LARCH certificate computes it."""
+    return bounds.larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=1.0).details["log_noise_density_sup"]
+
+
+def test_log_chi2_sup_closed_form():
+    # log of a chi-square(1) variable has density (2 pi)^-1/2 exp((x - e^x)/2),
+    # whose height at its mode x = 0 is 1/sqrt(2 pi e)
+    assert _log_chi2_sup() == pytest.approx(1 / math.sqrt(2 * math.pi * math.e), rel=1e-15)
+
+
+def test_log_chi2_sup_golden_section_oracle():
+    def log_chi2_density(x):
+        return math.exp(x) * float(density(ChiSquare(1), math.exp(x)))
+
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = -10.0, 10.0
+    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = log_chi2_density(c1), log_chi2_density(c2)
+    for _ in range(300):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = log_chi2_density(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = log_chi2_density(c1)
+    assert max(f1, f2) == pytest.approx(_log_chi2_sup(), abs=1e-9)
+
+
 def test_reproducible_streams():
     s = NoiseStream(123, 7)
     a = sample(Normal(0.0, 1.0), s, size=50)
