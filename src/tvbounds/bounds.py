@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "drift_expected_distance",
     "location_drift_constants",
     "mc_location_drift_fit",
-    "independent_coordinates",
     "independent_coordinates_certificate",
     "ar_normal_1d_certificate",
     "ar_normal_d_certificate",
@@ -62,7 +61,6 @@ __all__ = [
     "asym_arch_certificate",
     "garch_certificate",
     "certificate_to_dict",
-    "certificate_from_dict",
 ]
 
 
@@ -378,40 +376,23 @@ def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_0
     return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
 
-def independent_coordinates(certs: Sequence, d: int):
-    """Combine per-coordinate bounds A_i r_i^n into the d-dimensional
-    bound (d * max A) * (max r)^n.
-
-    ``certs`` is a sequence of (A, r) pairs.  When the coordinates share
-    one rate this is exact aggregation; otherwise the max rate and max
-    amplitude are used.
-    """
+def independent_coordinates_certificate(amplitude: float, rate: float, d: int, gap: float) -> BoundCertificate:
+    """Certificate for d independent coordinates whose scalar bounds are
+    amplitude * rate^n: the d-dimensional bound (d * amplitude) * rate^n * gap."""
     d = integral("dimension d", d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    pairs = list(certs)
-    if not pairs:
-        raise ParameterError("need at least one per-coordinate bound")
-    a = max(p[0] for p in pairs)
-    r = max(p[1] for p in pairs)
-    if not (0 <= r < 1):
-        raise NoContractionError(f"coordinate rate {r} is not < 1")
-    return d * a, r
-
-
-def independent_coordinates_certificate(a: float, r: float, d: int, gap: float = 1.0) -> BoundCertificate:
-    """Certificate form of :func:`independent_coordinates` for a single
-    shared per-coordinate amplitude; evaluates (d*a) * r^n * gap."""
-    a_total, rate = independent_coordinates([(a, r)], d)
+    if not (0 <= rate < 1):
+        raise NoContractionError(f"coordinate rate {rate} is not < 1")
     return BoundCertificate(
-        c=a_total,
+        c=d * amplitude,
         d=rate,
         n0=0,
         gap=gap,
         family="ar1-independent-d",
         exp_offset=1,
         notes=("bound convention D^n",),
-        details={"d": int(d), "coordinate_amplitude": a},
+        details={"d": d, "coordinate_amplitude": amplitude},
     )
 
 
@@ -446,9 +427,16 @@ def ar_normal_d_certificate(a_matrix, sigma_matrix, x0, x0_prime) -> BoundCertif
     if rate >= 1.0:
         raise NoContractionError(f"spectral radius {rate:.6g} >= 1: chain does not contract")
     sigma_inv = _inverse("Sigma", sigma_matrix)
-    x0 = np.asarray(x0, dtype=float)
-    x0p = np.asarray(x0_prime, dtype=float)
+    if sigma_inv.shape != a.shape:
+        raise ParameterError(f"Sigma shape {sigma_inv.shape} must match A shape {a.shape}")
     d = a.shape[0]
+    try:
+        x0, x0p = np.asarray(x0, dtype=float), np.asarray(x0_prime, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"starts must be lists of numbers, got {x0!r} and {x0_prime!r}") from None
+    for name, x in (("x0", x0), ("x0p", x0p)):
+        if x.shape != (d,):
+            raise ParameterError(f"start {name} must have shape ({d},) to match A, got shape {x.shape}")
     gap_norm = float(np.linalg.norm(x0 - x0p))
     # P from the symmetric eigendecomposition is orthogonal, so P^-1 = P^T
     c = float(
@@ -526,63 +514,50 @@ def nonlinear_ar_exact_two_step_ratio(x, y):
 
 
 _ZOOM_CELLS = 4  # coarse cells zoomed by nonlinear_ar_D
+_NLAR_GRID = 201  # points per axis of its coarse lattice
 _NLAR_HALF_RANGE = 4 * math.pi  # nonlinear_ar_D searches [-4 pi, 4 pi]^2
 _NLAR_MIN_SEPARATION = 0.5  # and excludes pairs closer than this
 
 
-def nonlinear_ar_D(grid: int = 201, refine: bool = True) -> float:
+def nonlinear_ar_D() -> float:
     """Two-step contraction factor D for the sine-map chain, as the square
     root of the sup of the closed-form ratio over [-4 pi, 4 pi]^2.
 
-    The sup is searched on a coarse ``grid`` x ``grid`` lattice.  With
-    ``refine`` set, the best coarse cells are then zoomed: a 41 x 41
-    lattice is laid over a window two coarse spacings wide around each
-    cell, re-centred on its best point, and shrunk tenfold per step down
-    to a half-width of about 1e-10.  Every zoom point lies in the box and
-    respects the separation cutoff, and the coarse maximum is kept, so
-    refinement only ever raises D (the conservative direction).
+    The sup is searched on a coarse 201 x 201 lattice, and its best cells
+    are then zoomed: a 41 x 41 lattice is laid over a window two coarse
+    spacings wide around each cell, re-centred on its best point, and
+    shrunk tenfold per step down to a half-width of about 1e-10.  Every
+    zoom point lies in the box and respects the separation cutoff, and the
+    coarse maximum is kept, so zooming only ever raises D (the
+    conservative direction).
 
     The closed-form surrogate is a Cauchy-Schwarz envelope of the exact
     expected-gap ratio and inflates near the diagonal: its x -> y limit
     (~0.669) overstates the exact ratio there (~0.61).  Pairs with
-    |x - y| below 0.5 (or half the coarse spacing, if larger) are
-    therefore excluded and the sup is taken at the surrogate's interior
-    maximum (~0.662), which still dominates the exact ratio everywhere,
-    grid-refines stably, and is checked against the quadrature oracle in
-    the test suite.
+    |x - y| below 0.5 are therefore excluded and the sup is taken at the
+    surrogate's interior maximum (~0.662), which still dominates the exact
+    ratio everywhere, grid-refines stably, and is checked against the
+    quadrature oracle in the test suite.
     """
-    if grid < 3:
-        raise ParameterError(f"grid resolution must be >= 3, got {grid}")
-    ax = np.linspace(-_NLAR_HALF_RANGE, _NLAR_HALF_RANGE, grid)
-    spacing = ax[1] - ax[0]
-    cutoff = max(_NLAR_MIN_SEPARATION, 0.5 * spacing)
+    ax = np.linspace(-_NLAR_HALF_RANGE, _NLAR_HALF_RANGE, _NLAR_GRID)
 
     def ratio(xs, ys):
-        return np.where(np.abs(xs - ys) >= cutoff, nonlinear_ar_two_step_ratio(xs, ys), -np.inf)
+        return np.where(np.abs(xs - ys) >= _NLAR_MIN_SEPARATION, nonlinear_ar_two_step_ratio(xs, ys), -np.inf)
 
-    # the best cells of every block, as (value, x, y)
-    cells = []
-    block = max(1, 4_000_000 // grid)
-    for i in range(0, grid, block):
-        xs = ax[i : i + block][:, None]
-        r = ratio(xs, ax[None, :])
-        top = np.argpartition(r, -min(_ZOOM_CELLS, r.size), axis=None)[-_ZOOM_CELLS:]
-        ii, jj = np.unravel_index(top, r.shape)
-        cells.extend(zip(r[ii, jj].tolist(), xs[ii, 0].tolist(), ax[jj].tolist()))
-    cells.sort(reverse=True)
-    best = cells[0][0]
-    if refine:
-        offsets = np.linspace(-1.0, 1.0, 41)
-        for _, cx, cy in cells[:_ZOOM_CELLS]:
-            half = spacing
-            while half > 1e-10:
-                xs = np.clip(cx + half * offsets, -_NLAR_HALF_RANGE, _NLAR_HALF_RANGE)[:, None]
-                ys = np.clip(cy + half * offsets, -_NLAR_HALF_RANGE, _NLAR_HALF_RANGE)[None, :]
-                r = ratio(xs, ys)
-                i, j = np.unravel_index(np.argmax(r), r.shape)
-                best = max(best, float(r[i, j]))
-                cx, cy = float(xs[i, 0]), float(ys[0, j])
-                half /= 10
+    r = ratio(ax[:, None], ax[None, :])
+    best = float(r.max())
+    offsets = np.linspace(-1.0, 1.0, 41)
+    for cell in np.argpartition(r, -_ZOOM_CELLS, axis=None)[-_ZOOM_CELLS:]:
+        i, j = np.unravel_index(cell, r.shape)
+        cx, cy, half = float(ax[i]), float(ax[j]), ax[1] - ax[0]
+        while half > 1e-10:
+            xs = np.clip(cx + half * offsets, -_NLAR_HALF_RANGE, _NLAR_HALF_RANGE)[:, None]
+            ys = np.clip(cy + half * offsets, -_NLAR_HALF_RANGE, _NLAR_HALF_RANGE)[None, :]
+            z = ratio(xs, ys)
+            i, j = np.unravel_index(np.argmax(z), z.shape)
+            best = max(best, float(z[i, j]))
+            cx, cy = float(xs[i, 0]), float(ys[0, j])
+            half /= 10
     return math.sqrt(best)
 
 
@@ -751,21 +726,3 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
     if cert.details:
         out["details"] = {k: v for k, v in cert.details.items()}
     return out
-
-
-def certificate_from_dict(d: dict) -> BoundCertificate:
-    try:
-        exp = d.get("exponent", {})
-        return BoundCertificate(
-            c=float(d["C"]),
-            d=float(d["D"]),
-            n0=int(d["n0"]),
-            gap=float(d["gap"]),
-            family=str(d.get("family", "")),
-            notes=tuple(d.get("notes", ())),
-            exp_offset=int(exp.get("offset", 0)),
-            exp_step=int(exp.get("step", 1)),
-            details=dict(d.get("details", {})),
-        )
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParameterError(f"bad certificate object: {exc}") from None

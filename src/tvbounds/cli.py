@@ -89,10 +89,6 @@ def _load_params(args) -> dict:
     return params
 
 
-def _independent_coordinates(amplitude, rate, d, gap):
-    return bounds.independent_coordinates_certificate(amplitude, rate, d, gap)
-
-
 # the --family choices: every chain family, and one certificate without a chain
 CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
 
@@ -120,13 +116,13 @@ def _split(family: str, params: dict):
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
     cls = models.FAMILIES.get(family)
-    keys = inspect.signature(_independent_coordinates if cls is None else cls.certificate).parameters
+    keys = inspect.signature(bounds.independent_coordinates_certificate if cls is None else cls.certificate).parameters
     options = {k: v for k, v in params.items() if k in keys}
     if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
         options["gap"] = _start_distance(params)
     fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
     if cls is None:  # no model: the certificate call rejects any other key
-        model, build, options = None, _independent_coordinates, {**options, **fields}
+        model, build, options = None, bounds.independent_coordinates_certificate, {**options, **fields}
     else:
         model = models.model_from_dict({"family": family, "params": fields})
         build = model.certificate
@@ -171,8 +167,8 @@ def cmd_curve(args) -> int:
         if k not in params:
             raise ParameterError(f"missing --{k}")
     model, certify = _split(args.family, params)
-    if model is None:
-        raise ParameterError(f"family '{args.family}' has no chain to simulate")
+    if model is None or model.state_ndim:  # before certifying: a vector certificate rejects scalar starts
+        raise ParameterError(f"family '{args.family}' has no scalar chain to simulate; TV curves are scalar-only")
     cert = None
     if not args.no_bound:
         try:
@@ -268,8 +264,9 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         )
 
     # regression Gibbs (k=333, p=4)
-    d_reg = 4 / 335
+    d_reg = bounds.regression_gibbs_certificate(333, 4, 26123.0, gap=1000.0).d
     row("regression D = p/(k+p-2)", 0.0119403, d_reg, 5e-8)
+    # the bound row pairs that D with the recorded coefficient
     cert_ref = bounds.BoundCertificate(c=0.06816454, d=d_reg, n0=0, gap=1000.0, family="regression-gibbs")
     row(
         "regression bound at n=3 (gap 1000)",
@@ -379,7 +376,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     row("AR(1) first n with bound < 0.01", 7, bounds.iterations_to_epsilon(cert_ar1, 0.01), 0)
 
     # independent coordinates in dimension 100
-    cert_ind = bounds.independent_coordinates_certificate(math.sqrt(2 / (3 * math.pi)), 0.5, 100)
+    cert_ind = bounds.independent_coordinates_certificate(math.sqrt(2 / (3 * math.pi)), 0.5, 100, 1.0)
     row("independent-100 bound at n=14", 0.0028, bounds.bound_eval(cert_ind, 14).raw, 1e-4,
         note="below 0.01 at the recorded n=14")
     row("independent-100 first n with bound < 0.01", 13, bounds.iterations_to_epsilon(cert_ind, 0.01), 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvbounds import data
+from tvbounds.bounds import BoundCertificate
 from tvbounds.stochastics import NoiseStream
 
 
@@ -19,3 +20,20 @@ def trees():
 @pytest.fixture
 def rng():
     return np.random.default_rng(991)
+
+
+def _certificate_from_dict(d: dict) -> BoundCertificate:
+    """The certificate that ``bounds.certificate_to_dict`` wrote as ``d``;
+    the round-trip tests use it to check that the JSON form loses no field."""
+    exp = d.get("exponent", {})
+    return BoundCertificate(
+        c=d["C"],
+        d=d["D"],
+        n0=d["n0"],
+        gap=d["gap"],
+        family=d["family"],
+        notes=tuple(d["notes"]),
+        exp_offset=exp.get("offset", 0),
+        exp_step=exp.get("step", 1),
+        details=d.get("details", {}),
+    )

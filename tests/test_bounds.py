@@ -12,11 +12,9 @@ from tvbounds.bounds import (
     ar_normal_d_certificate,
     asym_arch_certificate,
     bound_eval,
-    certificate_from_dict,
     certificate_to_dict,
     drift_expected_distance,
     garch_certificate,
-    independent_coordinates,
     independent_coordinates_certificate,
     inverse_gamma_mode_height,
     iterations_to_epsilon,
@@ -36,6 +34,8 @@ from tvbounds.bounds import (
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
 from tvbounds.models import ARNormal1D, NonlinearAR
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, density
+
+from conftest import _certificate_from_dict
 
 S_TREES = 295.43741935483877
 
@@ -294,9 +294,10 @@ def test_mc_drift_fit_smoke(trees):
 # ------------------------------------------------- independent coordinates, d
 
 def test_independent_coordinates_example():
-    a, r = independent_coordinates([(math.sqrt(2 / (3 * math.pi)), 0.5)], 100)
-    assert a == pytest.approx(100 * 0.4606588660, abs=1e-6)
-    cert = independent_coordinates_certificate(math.sqrt(2 / (3 * math.pi)), 0.5, 100)
+    amplitude = math.sqrt(2 / (3 * math.pi))
+    cert = independent_coordinates_certificate(amplitude, 0.5, 100, 1.0)
+    assert (cert.c, cert.d) == (100 * amplitude, 0.5)
+    assert cert.c == pytest.approx(100 * 0.4606588660, abs=1e-6)
     v = bound_eval(cert, 14).raw
     assert v == pytest.approx(0.0028116386, abs=1e-8)
     assert v < 0.01
@@ -304,23 +305,16 @@ def test_independent_coordinates_example():
 
 
 def test_independent_coordinates_identity():
-    a, r = independent_coordinates([(0.3, 0.5)], 1)
-    assert (a, r) == (0.3, 0.5)
+    cert = independent_coordinates_certificate(0.3, 0.5, 1, 1.0)
+    assert (cert.c, cert.d) == (0.3, 0.5)
 
 
 def test_independent_coordinates_dimension_must_be_integral():
-    for d in (100.5, "100", None, True):
+    for d in (100.5, "100", None, True, 0):
         with pytest.raises(ParameterError):
-            independent_coordinates([(0.3, 0.5)], d)
-        with pytest.raises(ParameterError):
-            independent_coordinates_certificate(0.3, 0.5, d)
-    cert = independent_coordinates_certificate(0.3, 0.5, 100.0)
-    assert type(cert.details["d"]) is int and cert.c == independent_coordinates_certificate(0.3, 0.5, 100).c
-
-
-def test_independent_coordinates_mixed_rates():
-    a, r = independent_coordinates([(0.3, 0.5), (0.4, 0.25)], 2)
-    assert (a, r) == (0.8, 0.5)
+            independent_coordinates_certificate(0.3, 0.5, d, 1.0)
+    cert = independent_coordinates_certificate(0.3, 0.5, 100.0, 1.0)
+    assert type(cert.details["d"]) is int and cert.c == independent_coordinates_certificate(0.3, 0.5, 100, 1.0).c
 
 
 # ------------------------------------------------------------------ AR(1)
@@ -429,6 +423,20 @@ def test_ar1_exact_tv_of_an_explosive_chain_does_not_overflow():
             assert abs(model.exact_tv(0.0, 1.0, n) - direct) <= 1e-12
 
 
+def test_ar_normal_d_shapes_must_match_A():
+    a = 0.5 * np.eye(2)
+    bad = [
+        (np.eye(3), np.ones(2), np.zeros(2), r"Sigma shape \(3, 3\) must match A shape \(2, 2\)"),
+        (np.eye(2), [1.0, 2.0, 3.0], np.zeros(3), r"x0 must have shape \(2,\).*\(3,\)"),
+        (np.eye(2), 1.0, 0.0, r"x0 must have shape \(2,\).*\(\)"),
+        (np.eye(2), np.ones(2), np.zeros((1, 2)), r"x0p must have shape \(2,\).*\(1, 2\)"),
+        (np.eye(2), ["abc", 1.0], np.zeros(2), "starts must be lists of numbers"),
+    ]
+    for sigma, x0, x0p, message in bad:
+        with pytest.raises(ParameterError, match=message):
+            ar_normal_d_certificate(a, sigma, x0, x0p)
+
+
 def test_ar_normal_d_errors():
     with pytest.raises(NoContractionError):
         ar_normal_d_certificate(np.eye(2), np.eye(2), np.ones(2), np.zeros(2))
@@ -450,13 +458,26 @@ def test_ar_normal_d_errors():
 
 # ------------------------------------------------------------- nonlinear AR
 
+def _nonlinear_ar_lattice_D(points: int) -> float:
+    """sqrt of the sup of the closed-form ratio on a points x points lattice
+    of [-4 pi, 4 pi]^2, pairs closer than 0.5 excluded: nonlinear_ar_D's
+    coarse search at a finer lattice and without its zoom."""
+    ax = np.linspace(-4 * math.pi, 4 * math.pi, points)
+    best = -math.inf
+    for i in range(0, points, 500):  # row blocks keep the memory small
+        xs = ax[i : i + 500, None]
+        r = np.where(np.abs(xs - ax) >= 0.5, nonlinear_ar_two_step_ratio(xs, ax[None, :]), -np.inf)
+        best = max(best, float(r.max()))
+    return math.sqrt(best)
+
+
 def test_nonlinear_ar_D_in_band():
     d = nonlinear_ar_D()
     assert 0.808 <= d <= 0.818
     assert d * d == pytest.approx(0.661, abs=0.005)
-    # refinement may only raise D: it dominates the 2001-point grid sup and
-    # 0.8139256, the Nelder-Mead refinement of that grid's best point
-    assert d >= nonlinear_ar_D(grid=2001, refine=False)
+    # zooming may only raise D: it dominates the 2001-point lattice sup and
+    # 0.8139256, the Nelder-Mead refinement of that lattice's best point
+    assert d >= _nonlinear_ar_lattice_D(2001)
     assert d >= 0.8139256
 
 
@@ -482,8 +503,8 @@ def test_nonlinear_ar_envelope_dominates_exact_ratio():
 
 
 def test_nonlinear_ar_grid_refinement_stable():
-    d_coarse = nonlinear_ar_D(grid=1001, refine=False)
-    d_fine = nonlinear_ar_D(grid=2001, refine=False)
+    d_coarse = _nonlinear_ar_lattice_D(1001)
+    d_fine = _nonlinear_ar_lattice_D(2001)
     assert d_fine >= d_coarse - 1e-12  # grid sup is nondecreasing under refinement
     assert abs(d_fine - d_coarse) < 1e-3
 
@@ -597,7 +618,7 @@ def test_certificate_json_roundtrip():
     ]
     for cert in certs:
         d = certificate_to_dict(cert)
-        back = certificate_from_dict(d)
+        back = _certificate_from_dict(d)
         for n in range(cert.n0 + 1, cert.n0 + 6):
             assert bound_eval(back, n) == bound_eval(cert, n)
     d = certificate_to_dict(certs[0])

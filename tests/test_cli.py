@@ -122,6 +122,16 @@ def test_iters_independent_coordinates(capsys):
     assert out.strip() == "13"
 
 
+@pytest.mark.parametrize("command", [["certificate"], ["iters", "--epsilon", "0.01"]])
+def test_independent_coordinates_without_gap_exits_2(capsys, command):
+    # no gap and no starts to default it from
+    params = {"amplitude": math.sqrt(2 / (3 * math.pi)), "rate": 0.5, "d": 100}
+    code, out, err = run(capsys, command[0], "--family", "independent-coordinates", "--params", json.dumps(params),
+                         *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "gap" in err
+
+
 def test_curve_writes_csv_and_is_worker_invariant(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -353,6 +363,8 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
     ("certificate", "ar-d", {**AR_D, "a": [[0.5, math.nan], [math.nan, 0.5]]}),
     ("certificate", "ar-d", {**AR_D, "sigma": [[1.0, 2.0], [2.0, 4.0]]}),
     ("certificate", "ar-d", {**AR_D, "sigma": [[1.0, 0.0], [0.0, 1e-13]]}),
+    ("certificate", "ar-d", {**AR_D, "x0": [1, 2, 3], "x0p": [0, 0, 0]}),
+    ("certificate", "ar-d", {**AR_D, "x0": 1, "x0p": 0}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tvbounds.bounds import (
     BoundCertificate,
     bound_eval,
-    certificate_from_dict,
     certificate_to_dict,
     iterations_to_epsilon,
 )
@@ -27,6 +26,8 @@ from tvbounds.stochastics import (
     dist_to_dict,
     log_density,
 )
+
+from conftest import _certificate_from_dict
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -72,7 +73,7 @@ def test_iterations_to_epsilon_is_the_first_crossing(cert, eps):
 @PROPERTY
 @given(certificates)
 def test_certificate_json_roundtrip(cert):
-    assert certificate_from_dict(certificate_to_dict(cert)) == cert
+    assert _certificate_from_dict(certificate_to_dict(cert)) == cert
 
 
 @PROPERTY

@@ -124,3 +124,11 @@ def test_docs_list_only_the_modules_that_exist():
     assert imported
     submodules = ast.get_docstring(tree).split("Submodules\n----------\n", 1)[1]
     assert set(re.findall(r"^(\w+)$", submodules, re.M)) == imported | {"cli"}
+
+
+def test_readme_names_every_certificate_constructor():
+    # the family table's last column against the *_certificate names bounds exports
+    from tvbounds import bounds
+
+    listed = set(re.findall(r"^\|.*\| `bounds\.(\w+)` \|$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M))
+    assert listed == {name for name in bounds.__all__ if name.endswith("_certificate")}
