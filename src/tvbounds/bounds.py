@@ -121,15 +121,18 @@ class BoundCertificate:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key, v in (("C", self.c), ("D", self.d), ("gap", self.gap)):
+            if not stochastics._is_real(v):
+                raise ParameterError(f"certificate {key} must be a finite real number, got {v!r}")
         # C = 0 / D = 0 are degenerate but legal (immediate coupling)
-        if not (0 <= self.c < math.inf):
-            raise ParameterError(f"certificate C must be finite and >= 0, got {self.c}")
+        if self.c < 0:
+            raise ParameterError(f"certificate C must be >= 0, got {self.c}")
         if not (0 <= self.d < 1):
             raise NoContractionError(f"certificate D must lie in [0, 1), got {self.d}")
         if self.n0 < 0:
             raise ParameterError(f"n0 must be >= 0, got {self.n0}")
-        if not (0 <= self.gap < math.inf):
-            raise ParameterError(f"gap must be finite and >= 0, got {self.gap}")
+        if self.gap < 0:
+            raise ParameterError(f"gap must be >= 0, got {self.gap}")
         if self.exp_step < 1:
             raise ParameterError(f"exp_step must be >= 1, got {self.exp_step}")
 
@@ -382,6 +385,9 @@ def independent_coordinates_certificate(amplitude: float, rate: float, d: int, g
     d = integral("dimension d", d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
+    for name, v in (("amplitude", amplitude), ("rate", rate)):
+        if not stochastics._is_real(v):
+            raise ParameterError(f"coordinate {name} must be a finite real number, got {v!r}")
     if not (0 <= rate < 1):
         raise NoContractionError(f"coordinate rate {rate} is not < 1")
     return BoundCertificate(

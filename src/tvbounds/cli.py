@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import bounds, data, models, tvlab
-from .errors import DomainError, IngestionError, NoContractionError, ParameterError, StateError
+from .errors import DomainError, IngestionError, NoContractionError, ParameterError, SimulationError, StateError
 from .stochastics import InverseGamma, NoiseStream, _is_real, density
 
 DEFAULT_SEED = 20260809
@@ -190,9 +190,7 @@ def cmd_curve(args) -> int:
             s20=params.get("s20"),
             s20_prime=params.get("s20p"),
         )
-    except (ParameterError, DomainError, StateError):
-        raise
-    except Exception as exc:  # simulation failure -> exit 3
+    except SimulationError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         return 3
     _emit(curve.to_csv(), args.out)

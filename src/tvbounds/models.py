@@ -190,8 +190,17 @@ def _check_positive_state(x):
 
 @dataclass(frozen=True)
 class _Gibbs(Family):
-    """Reduced Gibbs chain r_n = X_n Y_n r_{n-1} + Y_n on a positive
-    state; ``draw`` returns the independent pair (X, Y)."""
+    """Reduced Gibbs chain r_n = X_n Y_n r_{n-1} + Y_n on a positive state,
+    with X ~ Gamma(p/2, C/2) and Y ~ InverseGamma((k+p)/2, C/2), and the
+    full two-block sweep it de-initializes.  Subclasses supply ``k``,
+    ``p``, ``c_stat`` (C), ``beta_tilde1`` and ``a_inv_11``; the location
+    chain is the regression chain at p = 1, k = J + 1, C = S.
+    ``draw`` returns the independent pair (X, Y)."""
+
+    def draw(self, rng: np.random.Generator, size=None):
+        x = stochastics.sample(Gamma(self.p / 2, self.c_stat / 2), rng, size=size)
+        y = stochastics.sample(InverseGamma((self.k + self.p) / 2, self.c_stat / 2), rng, size=size)
+        return x, y
 
     def step(self, state, noise):
         _check_positive_state(state)
@@ -201,6 +210,31 @@ class _Gibbs(Family):
     def make_state(self, x, s2=None):
         _check_positive_state(x)
         return x
+
+    def innovations_from_full(self, w, g):
+        """The reduced chain's (X, Y) from the full sweep's draws w and g."""
+        q = np.sum(np.asarray(w) ** 2, axis=-1)
+        return q / self.c_stat, self.c_stat / (2 * g)
+
+    def full_sweep(self, state, w, g):
+        """One full Gibbs sweep from the variance ``state``:
+
+            beta_1  = beta_tilde1 + sigma sqrt((A^-1)_11) w_1
+            reduced = (sigma^2 ||w||^2 + C) / (2 g)
+
+        with w a standard normal p-vector (trailing axis of length p) and
+        g ~ Gamma((k+p)/2, 1).  Returns (reduced, (beta_1, reduced)); for
+        the location chain beta_1 is mu and w = 0 collapses it onto y_bar.
+        """
+        _check_positive_state(state)
+        w = np.asarray(w, dtype=float)
+        if w.shape[-1:] != (self.p,):
+            raise ParameterError(f"w must have a trailing axis of length p = {self.p}, got shape {w.shape}")
+        sigma = np.sqrt(state)
+        beta1 = self.beta_tilde1 + sigma * math.sqrt(self.a_inv_11) * w[..., 0]
+        quad = state * np.sum(w**2, axis=-1)
+        reduced = (quad + self.c_stat) / (2 * g)
+        return reduced, (beta1, reduced)
 
     def full_step(self, state, stream):
         """Advance the chain through its full two-block sweep, drawing from
@@ -216,7 +250,10 @@ class _Gibbs(Family):
         innovations from :meth:`innovations_from_full`.
         """
         rng = stochastics._as_generator(stream)
-        return self.full_sweep(state, *self._full_draw(rng, self.paths(state)))
+        size = self.paths(state)
+        w = rng.standard_normal(size=(self.p,) if size is None else (size, self.p))
+        g = stochastics.sample(Gamma((self.k + self.p) / 2, 1.0), rng, size=size)
+        return self.full_sweep(state, w, g)
 
 
 @dataclass(frozen=True)
@@ -224,12 +261,14 @@ class LocationGibbsTau(_Gibbs):
     """Reduced location-model Gibbs chain on the inverse precision.
 
     tau^{-1}_n = X_n Y_n tau^{-1}_{n-1} + Y_n with X ~ Gamma(1/2, S/2)
-    and Y ~ InverseGamma((J+2)/2, S/2).  ``y_bar`` is only needed to
-    reconstruct the full draw (the location coordinate) in
-    :meth:`full_step`; the reduced chain never uses it.
+    and Y ~ InverseGamma((J+2)/2, S/2): the regression chain at p = 1,
+    k = J + 1, C = S, with beta_tilde1 = y_bar and (A^-1)_11 = 1/J.
+    ``y_bar`` is only needed to reconstruct the full draw (the location
+    coordinate) in :meth:`full_step`; the reduced chain never uses it.
     """
 
     family: ClassVar[str] = "location-gibbs"
+    p: ClassVar[int] = 1
     j: int
     s: float
     y_bar: float = 0.0
@@ -242,34 +281,10 @@ class LocationGibbsTau(_Gibbs):
         if not (self.s > 0):
             raise ParameterError(f"S must be > 0, got {self.s}")
 
-    def draw(self, rng: np.random.Generator, size=None):
-        x = stochastics.sample(Gamma(0.5, self.s / 2), rng, size=size)
-        y = stochastics.sample(InverseGamma((self.j + 2) / 2, self.s / 2), rng, size=size)
-        return x, y
-
-    def innovations_from_full(self, z, g):
-        """The reduced chain's (X, Y) from the full sweep's draws z and g."""
-        return z * z / self.s, self.s / (2 * g)
-
-    def _full_draw(self, rng, size):
-        z = rng.standard_normal(size=size)
-        g = stochastics.sample(Gamma((self.j + 2) / 2, 1.0), rng, size=size)
-        return z, g
-
-    def full_sweep(self, state, z, g):
-        """One full location-Gibbs sweep from the inverse precision ``state``:
-
-            mu      = y_bar + z / sqrt(J tau),        tau = 1/state
-            reduced = (S/2 + (J/2)(y_bar - mu)^2) / g
-
-        with z standard normal and g ~ Gamma((J+2)/2, 1).  Returns
-        (reduced, (mu, reduced)); z = 0 collapses mu onto y_bar.
-        """
-        _check_positive_state(state)
-        tau = 1.0 / state
-        mu = self.y_bar + z / np.sqrt(self.j * tau)
-        reduced = (self.s / 2 + self.j / 2 * (self.y_bar - mu) ** 2) / g
-        return reduced, (mu, reduced)
+    k = property(lambda self: self.j + 1)
+    c_stat = property(lambda self: self.s)
+    beta_tilde1 = property(lambda self: self.y_bar)
+    a_inv_11 = property(lambda self: 1 / self.j)
 
     def certificate(self, gap):
         return bounds.location_gibbs_certificate(self.j, self.s, gap)
@@ -304,38 +319,6 @@ class RegressionGibbsSigma(_Gibbs):
             raise ParameterError(f"C statistic must be > 0, got {self.c_stat}")
         if not (self.a_inv_11 > 0):
             raise ParameterError(f"a_inv_11 must be > 0, got {self.a_inv_11}")
-
-    def draw(self, rng: np.random.Generator, size=None):
-        x = stochastics.sample(Gamma(self.p / 2, self.c_stat / 2), rng, size=size)
-        y = stochastics.sample(InverseGamma((self.k + self.p) / 2, self.c_stat / 2), rng, size=size)
-        return x, y
-
-    def innovations_from_full(self, w, g):
-        """The reduced chain's (X, Y) from the full sweep's draws w and g."""
-        q = np.sum(np.asarray(w) ** 2, axis=-1)
-        return q / self.c_stat, self.c_stat / (2 * g)
-
-    def _full_draw(self, rng, size):
-        w = rng.standard_normal(size=(self.p,) if size is None else (size, self.p))
-        g = stochastics.sample(Gamma((self.k + self.p) / 2, 1.0), rng, size=size)
-        return w, g
-
-    def full_sweep(self, state, w, g):
-        """One full regression-Gibbs sweep from the variance ``state``:
-
-            beta_1  = beta_tilde1 + sigma sqrt((A^-1)_11) w_1
-            reduced = (sigma^2 ||w||^2 + C) / (2 g)
-
-        with w a standard normal p-vector and g ~ Gamma((k+p)/2, 1).
-        Returns (reduced, (beta_1, reduced)).
-        """
-        _check_positive_state(state)
-        w = np.asarray(w, dtype=float)
-        sigma = np.sqrt(state)
-        beta1 = self.beta_tilde1 + sigma * math.sqrt(self.a_inv_11) * w[..., 0]
-        quad = state * np.sum(w**2, axis=-1)
-        reduced = (quad + self.c_stat) / (2 * g)
-        return reduced, (beta1, reduced)
 
     def certificate(self, gap):
         return bounds.regression_gibbs_certificate(self.k, self.p, self.c_stat, gap)

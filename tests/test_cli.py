@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tvbounds import cli, models
+from tvbounds import cli, models, tvlab
 from tvbounds.cli import build_certificate, main, reproduction_rows
 from tvbounds.errors import ParameterError
 
@@ -375,9 +375,36 @@ def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, pa
     assert err.startswith("error:") and "no bound column" not in err
 
 
+@pytest.mark.parametrize("command,family,params,named", [
+    ("certificate", "independent-coordinates", {"amplitude": True, "rate": False, "d": 100, "gap": True}, "True"),
+    ("certificate", "independent-coordinates", {"amplitude": 0.46, "rate": False, "d": 100, "gap": 1}, "False"),
+    ("iters", "independent-coordinates", {"amplitude": 0.46, "rate": "0.5", "d": 100, "gap": 1}, "'0.5'"),
+    ("certificate", "independent-coordinates", {"amplitude": 0.46, "rate": 0.5, "d": 100, "gap": True}, "True"),
+    ("certificate", "ar1", {"a": 0.5, "sigma": 1, "gap": True}, "True"),
+    ("iters", "ar1", {"a": 0.5, "sigma": 1, "gap": "1"}, "'1'"),
+])
+def test_certificate_key_that_is_not_a_number_exits_2(capsys, command, family, params, named):
+    # certificate keys are not model fields, so the certificate itself rejects bools and strings
+    extra = ["--epsilon", "0.01"] if command == "iters" else []
+    code, out, err = run(capsys, command, "--family", family, "--params", json.dumps(params), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and f"got {named}" in err, err
+
+
 CURVE_AR1 = ["curve", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0p", "1", "--n-max", "1", "--paths", "100"]
 CURVE_GARCH = ["curve", "--family", "garch", "--params", GARCH_PARAMS, "--x0", "0.1", "--x0p", "-0.1",
                "--s20p", "0.01", "--n-max", "1", "--paths", "100"]
+
+
+def test_curve_reports_only_simulation_errors_as_failures(monkeypatch):
+    # a bug inside the simulation propagates; only SimulationError exits 3
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(tvlab, "simulate_tv_curve", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main([*CURVE_AR1, "--x0", "0"])
+
 
 X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})
 

@@ -1,6 +1,6 @@
 """Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds, of
-the ``certificate`` JSON of every ``--family`` choice and of the
-``dataset-stats`` JSON.
+the Gibbs families' ``full_step`` output, of the ``certificate`` JSON of
+every ``--family`` choice and of the ``dataset-stats`` JSON.
 
 The other curve tests check self-consistency (reruns, worker counts), so
 a silent change to the random bit stream, the binning or the estimator
@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from test_cli import FAMILY_CASES
@@ -89,6 +90,28 @@ def test_multi_chunk_curve_golden_digest(workers):
     model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
     curve = simulate_tv_curve(model, 0.0, 5.0, 5, 300_000, 0.001, NoiseStream(109), workers=workers)
     assert _digest(curve) == MULTI_CHUNK_DIGEST
+
+
+# family: (model, sha256 of full_step's reduced value then first coordinate,
+# as little-endian float64, from the state grid STATE_GRID and NoiseStream(110))
+FULL_STEP_CASES = {
+    "location-gibbs": (
+        models.LocationGibbsTau(31, 295.43741935483877, 13.2484),
+        "6a48191e96f93a9241b423e2163bab513166de9d99484d5c674a30034407c2b8",
+    ),
+    "regression-gibbs": (
+        models.RegressionGibbsSigma(333, 4, 26123.0, 0.5, 0.25),
+        "81ee7a141dab436097ff987d6c5e6ce52b1637bb3496910f9e8354416d38e1b1",
+    ),
+}
+STATE_GRID = np.geomspace(0.5, 2000.0, 1000)
+
+
+@pytest.mark.parametrize("family", sorted(FULL_STEP_CASES))
+def test_full_step_golden_digest(family):
+    model, expected = FULL_STEP_CASES[family]
+    reduced, (first, _) = model.full_step(STATE_GRID, NoiseStream(110))
+    assert hashlib.sha256(np.concatenate([reduced, first]).astype("<f8").tobytes()).hexdigest() == expected
 
 
 # --family choice -> sha256 of the `certificate` JSON text for its

@@ -217,8 +217,9 @@ def test_shared_mode_contraction_vector_ar():
 
 def test_location_full_sweep_zero_noise_collapses_to_mean():
     m = LocationGibbsTau(31, S_TREES, y_bar=13.2484)
-    _, (mu, _) = m.full_sweep(1.0, z=0.0, g=1.0)
+    reduced, (mu, _) = m.full_sweep(1.0, w=[0.0], g=1.0)
     assert mu == m.y_bar
+    assert np.shape(reduced) == np.shape(mu) == ()
 
 
 def test_reduced_equals_full_under_same_draws(rng):
@@ -226,8 +227,9 @@ def test_reduced_equals_full_under_same_draws(rng):
     state = rng.uniform(0.5, 4.0, size=1000)
     z = rng.standard_normal(1000)
     g = sample(Gamma((31 + 2) / 2, 1.0), rng, size=1000)
-    reduced_full, _ = m.full_sweep(state, z, g)
-    x, y = m.innovations_from_full(z, g)
+    reduced_full, (mu, _) = m.full_sweep(state, z[:, None], g)
+    assert reduced_full.shape == mu.shape == state.shape
+    x, y = m.innovations_from_full(z[:, None], g)
     reduced_direct = step(m, state, (x, y))
     assert np.allclose(reduced_full, reduced_direct, rtol=1e-12)
 
@@ -238,6 +240,28 @@ def test_reduced_equals_full_under_same_draws(rng):
     reduced_full, _ = mr.full_sweep(state, w, g)
     x, y = mr.innovations_from_full(w, g)
     assert np.allclose(reduced_full, step(mr, state, (x, y)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("j", [3, 31, 100])
+def test_location_chain_is_regression_chain_at_p_1(j):
+    # p = 1, k = J + 1, C = S, beta_tilde1 = y_bar, (A^-1)_11 = 1/J
+    s, y_bar = 295.43741935483877, 13.2484
+    loc, reg = LocationGibbsTau(j, s, y_bar), RegressionGibbsSigma(j + 1, 1, s, y_bar, 1 / j)
+    for a, b in zip(loc.draw(np.random.default_rng(j), 5000), reg.draw(np.random.default_rng(j), 5000)):
+        assert np.array_equal(a, b)
+    state = np.geomspace(0.5, 2000.0, 5000)
+    red_l, (mu, _) = loc.full_step(state, NoiseStream(j))
+    red_r, (beta1, _) = reg.full_step(state, NoiseStream(j))
+    assert np.array_equal(red_l, red_r) and np.array_equal(mu, beta1)
+
+
+def test_full_sweep_rejects_w_without_a_trailing_p_axis():
+    # a bare (paths,) normal draw would otherwise be summed across paths
+    state, g = np.ones(1000), np.ones(1000)
+    with pytest.raises(ParameterError, match=r"p = 1, got shape \(1000,\)"):
+        LocationGibbsTau(31, S_TREES).full_sweep(state, np.zeros(1000), g)
+    with pytest.raises(ParameterError, match=r"p = 4, got shape \(1000, 3\)"):
+        RegressionGibbsSigma(333, 4, 26123.0).full_sweep(state, np.zeros((1000, 3)), g)
 
 
 def test_location_first_iterate_mean():

@@ -66,6 +66,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def test_no_module_catches_every_exception():
+    # a catch-all handler reports a bug as a bad input or a failed simulation
+    broad = []
+    for path in sorted((SRC / "tvbounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler):
+                caught = [] if node.type is None else getattr(node.type, "elts", [node.type])
+                names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
+                if node.type is None or names & {"Exception", "BaseException"}:
+                    broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []
+
+
 def test_cli_commands_load_no_scipy(tmp_path):
     script = (
         "import json, sys\n"
