@@ -36,11 +36,8 @@ __all__ = [
     "BoundCertificate",
     "BoundValue",
     "DriftSpec",
-    "LocationDriftResult",
     "bound_eval",
     "iterations_to_epsilon",
-    "sideways_C",
-    "random_coeff_D",
     "inverse_gamma_mode_height",
     "regression_gibbs_certificate",
     "location_k_closed_form",
@@ -171,40 +168,6 @@ def iterations_to_epsilon(cert: BoundCertificate, eps: float) -> int:
     return n
 
 
-def sideways_C(k: float, m: int, l: Optional[float] = None) -> float:
-    """Coalescing constant K(M+1)/2 + [M>1]/L for additive-noise chains.
-
-    ``k`` is the sup of the noise density, ``m`` its number of local
-    extrema, ``l`` the largest distance between extrema (ignored when
-    m == 1).
-    """
-    if not (k > 0):
-        raise ParameterError(f"density sup K must be > 0, got {k}")
-    if m < 1:
-        raise ParameterError(f"mode count M must be >= 1, got {m}")
-    extra = 0.0
-    if m > 1:
-        if l is None or not (l > 0):
-            raise ParameterError("M > 1 requires the extrema spacing L > 0")
-        extra = 1.0 / l
-    return k * (m + 1) / 2 + extra
-
-
-def random_coeff_D(*theta1_factors) -> float:
-    """Contraction factor E|theta_1| for a random-coefficient chain.
-
-    Each factor is a real constant or a Dist; independent factors multiply.
-    """
-    if not theta1_factors:
-        raise ParameterError("need at least one coefficient factor")
-    d = 1.0
-    for f in theta1_factors:
-        d *= abs(float(f)) if isinstance(f, numbers.Real) else abs_moment(f, 1)
-    if d >= 1.0:
-        raise NoContractionError(f"E|theta_1| = {d:.6g} >= 1: chain does not contract")
-    return d
-
-
 def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
     """Density of InverseGamma(alpha, beta) at its mode beta/(alpha+1).
 
@@ -299,26 +262,7 @@ def drift_expected_distance(drift: DriftSpec, e_abs_x0_plus_h: float) -> float:
     return math.sqrt(drift.b / (1.0 - drift.lam)) + e_abs_x0_plus_h
 
 
-@dataclass(frozen=True)
-class LocationDriftResult:
-    """Outcome of matching the quadratic drift expansion for the location chain.
-
-    ``consistent`` is True when the supplied h makes the linear term of
-    E[(X Y v + Y + h)^2] equal 2*lam*h*v, i.e. when the expansion is an
-    exact multiple of (v + h)^2 plus a constant.  When False the raw
-    linear coefficient ``lin`` is still reported next to lam (the
-    quadratic one) so a Monte-Carlo fit can arbitrate.
-    """
-
-    drift: Optional[DriftSpec]
-    lam: float
-    b: float
-    h: float
-    consistent: bool
-    lin: float
-
-
-def location_drift_constants(j: int, s: float, h: Optional[float] = None) -> LocationDriftResult:
+def location_drift_constants(j: int, s: float) -> DriftSpec:
     """Drift constants (lam, b, h) for V(x) = (x+h)^2 on the location chain.
 
     With X ~ Gamma(1/2, S/2), Y ~ InverseGamma((J+2)/2, S/2):
@@ -327,8 +271,7 @@ def location_drift_constants(j: int, s: float, h: Optional[float] = None) -> Loc
                                + E[Y^2] - 2 h E[Y] + h^2
 
     Matching against lam*(v+h)^2 + b forces lam = E[X^2]E[Y^2] = 3/(J(J-2))
-    and h = S/(J+1); any other h leaves a linear-term mismatch, reported
-    via ``consistent=False`` with the raw coefficients.
+    and h = S/(J+1), the only h whose linear term equals 2*lam*h.
     """
     if j < 5:
         raise ParameterError(f"second inverse-gamma moment needs J >= 5, got {j}")
@@ -339,34 +282,20 @@ def location_drift_constants(j: int, s: float, h: Optional[float] = None) -> Loc
     ey1 = s / j
     ey2 = s**2 / (j * (j - 2))
     lam = ex2 * ey2  # = 3/(J(J-2))
-    if h is None:
-        h = ex1 * ey2 / (lam + ex1 * ey1)  # = S/(J+1)
-    lin = 2 * ex1 * (ey2 - h * ey1)
-    const = ey2 - 2 * h * ey1 + h * h
-    consistent = abs(lin - 2 * lam * h) <= 1e-9 * max(abs(lin), abs(2 * lam * h), 1e-300)
-    b = const - lam * h * h
-    drift = None
-    if consistent and 0 < lam < 1 and b >= 0:
-        drift = DriftSpec(lam, b, h)
-    return LocationDriftResult(
-        drift=drift,
-        lam=lam,
-        b=b,
-        h=h,
-        consistent=consistent,
-        lin=lin,
-    )
+    h = ex1 * ey2 / (lam + ex1 * ey1)  # = S/(J+1)
+    b = ey2 - 2 * h * ey1 + h * h - lam * h * h
+    return DriftSpec(lam, b, h)
 
 
-def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_000_000):
+def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_000_000) -> float:
     """Monte-Carlo oracle for the drift expansion.
 
     Estimates E[(X Y v + Y + h)^2] over one shared set of draws at each
     of 20 grid values v in [0.5, 20] (common random numbers across the
     grid; the product X^2 Y^2 is heavy-tailed, and independent per-point
     draws would need hundreds of times more samples for the same
-    coefficient accuracy) and least-squares fits a quadratic in v.  Returns (quad, lin, const)
-    fitted coefficients; the quadratic one estimates E[X^2]E[Y^2].
+    coefficient accuracy) and least-squares fits a quadratic in v.  Returns
+    the fitted quadratic coefficient, an estimate of E[X^2]E[Y^2].
     """
     from .models import LocationGibbsTau  # local import to avoid a cycle
 
@@ -375,8 +304,7 @@ def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_0
     grid = np.linspace(0.5, 20.0, 20)
     x, y = model.draw(rng, n_draws)
     means = np.array([np.mean((x * y * v + y + h) ** 2) for v in grid])
-    coeffs = np.polyfit(grid, means, 2)
-    return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
+    return float(np.polyfit(grid, means, 2)[0])
 
 
 def independent_coordinates_certificate(amplitude: float, rate: float, d: int, gap: float) -> BoundCertificate:
@@ -403,14 +331,18 @@ def independent_coordinates_certificate(amplitude: float, rate: float, d: int, g
 
 
 def ar_normal_1d_certificate(a: float, sigma: float, gap: float) -> BoundCertificate:
-    """Certificate for X_n = a X_{n-1} + sigma Z_n: D = |a|, C from the
-    noise density height 1/(sigma sqrt(2 pi)) with a single mode."""
-    if not (sigma > 0):
-        raise ParameterError(f"noise scale sigma must be > 0, got {sigma}")
-    d = random_coeff_D(a)
+    """Certificate for X_n = a X_{n-1} + sigma Z_n: D = |a| and C the
+    noise density height 1/(sigma sqrt(2 pi)) (a single mode adds nothing)."""
+    if not isinstance(a, numbers.Real):
+        raise ParameterError(f"coefficient a must be a real number, got {a!r}")
+    if not stochastics._finite_positive(sigma):
+        raise ParameterError(f"noise scale sigma must be finite and > 0, got {sigma!r}")
+    d = abs(float(a))
+    if d >= 1.0:
+        raise NoContractionError(f"D = |a| = {d:.6g} >= 1: chain does not contract")
     k = 1.0 / (sigma * math.sqrt(2 * math.pi))
     return BoundCertificate(
-        c=sideways_C(k, 1),
+        c=k,
         d=d,
         n0=0,
         gap=gap,
@@ -574,6 +506,8 @@ def nonlinear_ar_certificate(gap: float, d_squared: Optional[float] = None) -> B
     """
     if d_squared is None:
         d_squared = nonlinear_ar_D() ** 2
+    if not stochastics._is_real(d_squared):
+        raise ParameterError(f"two-step factor D^2 must be a finite real number, got {d_squared!r}")
     if not (0 < d_squared < 1):
         raise NoContractionError(f"two-step factor D^2 = {d_squared} is not in (0, 1)")
     return BoundCertificate(

@@ -94,12 +94,7 @@ CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
 
 
 def _start_distance(params: dict) -> float:
-    """||x0 - x0'|| of the starts in ``params``, the default gap; a start
-    that is not a finite number or a list of them raises ParameterError."""
-    for key in ("x0", "x0p"):
-        if not all(_is_real(v) for v in np.ravel(np.array(params[key], dtype=object))):
-            raise ParameterError(f"start {key} must be a number or a list of numbers, finite and not bool, "
-                                 f"got {params[key]!r}")
+    """||x0 - x0'|| of the starts in ``params``, the default gap."""
     x0, x0p = (np.asarray(params[key], dtype=float) for key in ("x0", "x0p"))
     try:
         return float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
@@ -112,9 +107,14 @@ def _split(family: str, params: dict):
     a function building its certificate from ``params``: the certificate's
     keyword parameters take their keys, the start keys are always accepted,
     every other key is a model field (so an unknown key raises
-    ParameterError), and ``gap`` defaults to ||x0 - x0'||."""
+    ParameterError), and ``gap`` defaults to ||x0 - x0'||.  A start that
+    is not a finite number or a list of them raises ParameterError."""
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
+    for key in START_KEYS:
+        if key in params and not all(_is_real(v) for v in np.ravel(np.array(params[key], dtype=object))):
+            raise ParameterError(f"start {key} must be a number or a list of numbers, finite and not bool, "
+                                 f"got {params[key]!r}")
     cls = models.FAMILIES.get(family)
     keys = inspect.signature(bounds.independent_coordinates_certificate if cls is None else cls.certificate).parameters
     options = {k: v for k, v in params.items() if k in keys}
@@ -321,22 +321,21 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     )
 
     # location drift constants
-    fit = bounds.location_drift_constants(j, s)
+    drift = bounds.location_drift_constants(j, s)
     row(
         "location drift lambda (recorded 0.6583702 vs moment product)",
         0.6583702,
-        fit.lam,
+        drift.lam,
         1e-7,
         note="moment product E[X^2]E[Y^2] = 3/(J(J-2)); recorded value not reproducible",
         flag=True,
     )
     if not skip_mc:
-        quad, _, _ = bounds.mc_location_drift_fit(j, s, fit.h, NoiseStream(seed, 771))
         row(
             "location drift lambda, Monte-Carlo quadratic fit",
-            fit.lam,
-            quad,
-            0.02 * fit.lam,
+            drift.lam,
+            bounds.mc_location_drift_fit(j, s, drift.h, NoiseStream(seed, 771)),
+            0.02 * drift.lam,
             note="one shared draw set at all 20 grid values (common random numbers)",
         )
     ref_drift = bounds.DriftSpec(0.6583702, 106.3874, 0.5248723)
@@ -503,10 +502,10 @@ _WORKERS_HELP = (
 )
 
 
-def _workers(text: str) -> int:
+def _at_least_one(text: str) -> int:
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {n}")
+        raise argparse.ArgumentTypeError(f"need at least 1, got {n}")
     return n
 
 
@@ -542,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--bin-width", type=float, default=0.01)
-    p.add_argument("--workers", type=_workers, default=os.cpu_count() or 1, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=_at_least_one, default=os.cpu_count() or 1, help=_WORKERS_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--stream-id", type=int, default=0)
     p.add_argument("--no-bound", action="store_true", help="skip the analytic bound column")
@@ -562,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--skip-mc", action="store_true", help="skip the Monte-Carlo drift oracle")
     p.add_argument("--curves", metavar="DIR", help="also write the four comparison-curve CSVs here")
-    p.add_argument("--paths", type=int, default=100_000, help="paths per comparison curve")
-    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
+    p.add_argument("--paths", type=_at_least_one, default=100_000, help="paths per comparison curve")
+    p.add_argument("--workers", type=_at_least_one, default=1, help=_WORKERS_HELP)
     p.set_defaults(fn=cmd_repro)
     return ap
 

@@ -277,7 +277,7 @@ def abs_moment(dist: Dist, k: int) -> float:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"moment order must be a positive integer, got {k}")
-    if DISTS.get(getattr(dist, "tag", None)) is not type(dist):  # random_coeff_D sends any non-real here
+    if DISTS.get(getattr(dist, "tag", None)) is not type(dist):
         raise ParameterError(f"unknown distribution {dist!r}")
     return float(dist.abs_moment(k))
 

@@ -27,13 +27,11 @@ from tvbounds.bounds import (
     nonlinear_ar_certificate,
     nonlinear_ar_exact_two_step_ratio,
     nonlinear_ar_two_step_ratio,
-    random_coeff_D,
     regression_gibbs_certificate,
-    sideways_C,
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
 from tvbounds.models import ARNormal1D, NonlinearAR
-from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, density
+from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, abs_moment, density
 
 from conftest import _certificate_from_dict
 
@@ -119,48 +117,42 @@ def test_iterations_matches_naive_scan():
             assert iterations_to_epsilon(cert, eps) == n
 
 
-# ------------------------------------------------------------------ sideways
+# ------------------------------------------------- contraction and coalescing
 
 def test_sideways_single_mode():
-    assert sideways_C(1 / math.sqrt(2 * math.pi), 1) == pytest.approx(0.3989422804, abs=1e-9)
-    assert sideways_C(math.sqrt(2 / (3 * math.pi)), 1) == pytest.approx(0.4606588660, abs=1e-9)
-
-
-def test_sideways_multimode():
-    assert sideways_C(1.0, 3, 2.0) == pytest.approx(2.5, rel=1e-15)
-
-
-def test_sideways_rejects_zero_modes():
-    with pytest.raises(ParameterError):
-        sideways_C(1.0, 0)
-    with pytest.raises(ParameterError):
-        sideways_C(1.0, 2)  # M > 1 without L
+    # one mode: C is the noise density height 1/(sigma sqrt(2 pi))
+    assert ar_normal_1d_certificate(0.5, 1.0, 1.0).c == pytest.approx(0.3989422804, abs=1e-9)
+    assert ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0).c == pytest.approx(0.4606588660, abs=1e-9)
 
 
 def test_random_coeff_constant():
-    assert random_coeff_D(0.5) == 0.5
+    assert ar_normal_1d_certificate(0.5, 1.0, 1.0).d == 0.5
+    assert ar_normal_1d_certificate(-0.5, 1.0, 1.0).d == 0.5
 
 
 def test_random_coeff_numpy_scalar_is_a_constant():
-    assert random_coeff_D(np.float32(0.5)) == 0.5
-    assert random_coeff_D(np.int64(0), Normal(0.0, 1.0)) == 0.0
+    assert ar_normal_1d_certificate(np.float32(0.5), 1.0, 1.0).d == 0.5
+    assert ar_normal_1d_certificate(np.int64(0), 1.0, 1.0).d == 0.0
     assert ARNormal1D(np.float32(-0.5), np.float64(1.0)).certificate(gap=1.0).d == 0.5
 
 
 def test_random_coeff_gamma_products():
-    # regression: Gamma(p/2, C/2) x InverseGamma((k+p)/2, C/2) -> p/(k+p-2)
+    # D = E|theta_1| = E[X] E[Y], the product of the two reduced-chain factors
+    # regression: Gamma(p/2, C/2) x InverseGamma((k+p)/2, C/2)
     c = 26123.0
-    d = random_coeff_D(Gamma(2.0, c / 2), InverseGamma(337 / 2, c / 2))
+    d = abs_moment(Gamma(2.0, c / 2), 1) * abs_moment(InverseGamma(337 / 2, c / 2), 1)
+    assert regression_gibbs_certificate(333, 4, c, gap=1.0).d == pytest.approx(d, rel=1e-12)
     assert d == pytest.approx(4 / 335, rel=1e-12)
     assert d == pytest.approx(0.0119403, abs=1e-7)
-    # location: Gamma(1/2, S/2) x InverseGamma((J+2)/2, S/2) -> 1/J
-    d = random_coeff_D(Gamma(0.5, S_TREES / 2), InverseGamma(16.5, S_TREES / 2))
+    # location: Gamma(1/2, S/2) x InverseGamma((J+2)/2, S/2)
+    d = abs_moment(Gamma(0.5, S_TREES / 2), 1) * abs_moment(InverseGamma(16.5, S_TREES / 2), 1)
+    assert location_gibbs_certificate(31, S_TREES, gap=1.0).d == pytest.approx(d, rel=1e-12)
     assert d == pytest.approx(1 / 31, rel=1e-12)
 
 
 def test_random_coeff_no_contraction():
     with pytest.raises(NoContractionError):
-        random_coeff_D(1.5)
+        ar_normal_1d_certificate(1.5, 1.0, 1.0)
 
 
 # ------------------------------------------------------- inverse-gamma height
@@ -259,36 +251,28 @@ def test_drift_expected_distance_degenerate_cases():
 
 def test_location_drift_constants_consistent_h(trees):
     j, _, s = trees
-    fit = location_drift_constants(j, s)
-    assert fit.consistent
-    assert fit.h == pytest.approx(s / (j + 1), rel=1e-12)
-    assert fit.lam == pytest.approx(3 / (j * (j - 2)), rel=1e-12)
-    assert fit.drift is not None
-    # matching identity: linear coefficient equals 2*lam*h
-    assert fit.lin == pytest.approx(2 * fit.lam * fit.h, rel=1e-9)
-
-
-def test_location_drift_constants_h_zero_collapse(trees):
-    j, _, s = trees
-    fit = location_drift_constants(j, s, h=0.0)
-    ey2 = s**2 / (j * (j - 2))
-    assert fit.b == pytest.approx(ey2, rel=1e-12)
-    assert fit.lam == pytest.approx(3 / (j * (j - 2)), rel=1e-12)
-    assert not fit.consistent  # linear term cannot match with h = 0
+    drift = location_drift_constants(j, s)
+    assert isinstance(drift, DriftSpec)
+    assert drift.h == pytest.approx(s / (j + 1), rel=1e-12)
+    assert drift.lam == pytest.approx(3 / (j * (j - 2)), rel=1e-12)
+    # matching identity: the linear coefficient 2 E[X](E[Y^2] - h E[Y]) equals 2*lam*h
+    x, y = Gamma(0.5, s / 2), InverseGamma((j + 2) / 2, s / 2)
+    lin = 2 * abs_moment(x, 1) * (abs_moment(y, 2) - drift.h * abs_moment(y, 1))
+    assert lin == pytest.approx(2 * drift.lam * drift.h, rel=1e-9)
 
 
 def test_location_drift_reference_lambda_not_reproducible(trees):
     j, _, s = trees
-    fit = location_drift_constants(j, s, h=0.5248723)
-    assert not fit.consistent
-    assert abs(fit.lam - 0.6583702) > 0.5  # the recorded value is far from E[X^2]E[Y^2]
+    drift = location_drift_constants(j, s)
+    assert abs(drift.lam - 0.6583702) > 0.5  # the recorded value is far from E[X^2]E[Y^2]
 
 
 def test_mc_drift_fit_smoke(trees):
     j, _, s = trees
-    fit = location_drift_constants(j, s)
-    quad, lin, const = mc_location_drift_fit(j, s, fit.h, NoiseStream(3), n_draws=100_000)
-    assert quad == pytest.approx(fit.lam, rel=0.10)
+    drift = location_drift_constants(j, s)
+    quad = mc_location_drift_fit(j, s, drift.h, NoiseStream(3), n_draws=100_000)
+    assert isinstance(quad, float)
+    assert quad == pytest.approx(drift.lam, rel=0.10)
 
 
 # ------------------------------------------------- independent coordinates, d
@@ -320,9 +304,14 @@ def test_independent_coordinates_dimension_must_be_integral():
 # ------------------------------------------------------------------ AR(1)
 
 def test_ar_normal_1d_rejects_nonpositive_sigma():
-    for sigma in (0.0, -1.0):
+    for sigma in (0.0, -1.0, math.inf):
         with pytest.raises(ParameterError, match="sigma"):
             ar_normal_1d_certificate(0.5, sigma, 1.0)
+
+
+def test_ar_normal_1d_rejects_non_real_coefficient():
+    with pytest.raises(ParameterError, match="'x'"):
+        ar_normal_1d_certificate("x", 1.0, 1.0)
 
 
 # ----------------------------------------------------------- vector AR bound

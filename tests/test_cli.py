@@ -382,9 +382,16 @@ def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, pa
     ("certificate", "independent-coordinates", {"amplitude": 0.46, "rate": 0.5, "d": 100, "gap": True}, "True"),
     ("certificate", "ar1", {"a": 0.5, "sigma": 1, "gap": True}, "True"),
     ("iters", "ar1", {"a": 0.5, "sigma": 1, "gap": "1"}, "'1'"),
+    ("certificate", "garch", {**FAMILY_CASES["garch"][0], "x0": True}, "True"),
+    ("certificate", "garch", {**FAMILY_CASES["garch"][0], "s20": True}, "True"),
+    ("certificate", "garch", {**FAMILY_CASES["garch"][0], "s20": "a"}, "'a'"),
+    ("certificate", "ar-d", {**AR_D, "x0": [True, 0]}, "[True, 0]"),
+    ("certificate", "ar-d", {**AR_D, "x0": [math.nan, 0]}, "[nan, 0]"),
+    ("certificate", "nonlinear-ar", {"d_squared": "0.5", "gap": 1}, "'0.5'"),
 ])
 def test_certificate_key_that_is_not_a_number_exits_2(capsys, command, family, params, named):
-    # certificate keys are not model fields, so the certificate itself rejects bools and strings
+    # certificate keys and starts are not model fields, so the certificate
+    # and the start check reject bools, strings and non-finite values
     extra = ["--epsilon", "0.01"] if command == "iters" else []
     code, out, err = run(capsys, command, "--family", family, "--params", json.dumps(params), *extra)
     assert code == 2 and out == ""
@@ -404,6 +411,15 @@ def test_curve_reports_only_simulation_errors_as_failures(monkeypatch):
     monkeypatch.setattr(tvlab, "simulate_tv_curve", broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         main([*CURVE_AR1, "--x0", "0"])
+
+
+def test_repro_rejects_paths_below_1_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value itself
+        main(["repro", "--skip-mc", "--paths", "0", "--curves", "curves", "--out", "rows.json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "rows.json").exists() and not (tmp_path / "curves").exists()
 
 
 X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})

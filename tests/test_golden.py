@@ -1,6 +1,7 @@
 """Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds, of
 the Gibbs families' ``full_step`` output, of the ``certificate`` JSON of
-every ``--family`` choice and of the ``dataset-stats`` JSON.
+every ``--family`` choice, of the ``dataset-stats`` JSON and of the
+``repro`` table and its JSON.
 
 The other curve tests check self-consistency (reruns, worker counts), so
 a silent change to the random bit stream, the binning or the estimator
@@ -158,3 +159,22 @@ def test_dataset_stats_json_golden_digest(tmp_path, capsys, dataset):
         argv = ["--builtin", dataset]
     assert cli.main(["dataset-stats", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DATASET_STATS_DIGESTS[dataset]
+
+
+# sha256 of the `repro --seed 11` table on stdout and of its `--out` JSON,
+# Monte-Carlo row included, with the delay dataset absent
+REPRO_DIGESTS = {
+    "stdout": "c3d8a3ca01c8b2a280d43c9713ae24df28f4562d02535da16a6a27e3def07d2b",
+    "json": "cade6f5ee21bafba85a1f34117aa4ebe0104faeb970a160a32015a7a444c641d",
+}
+
+
+def test_repro_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no data/phd-delay.csv here
+    monkeypatch.delenv(cli.PHD_DELAY_ENV, raising=False)
+    assert cli.main(["repro", "--seed", "11", "--out", "rows.json"]) == 0
+    digests = {
+        "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+        "json": hashlib.sha256((tmp_path / "rows.json").read_bytes()).hexdigest(),
+    }
+    assert digests == REPRO_DIGESTS
