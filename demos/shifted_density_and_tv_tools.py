@@ -9,17 +9,26 @@ import numpy as np
 from tvbounds import tvlab
 
 # ---- shifted-density integrals ----------------------------------------------
+# integral of |f(x+D) - f(x)| by the trapezoid rule on [-50, 50] at step 1e-4,
+# within 1e-9 of the closed forms below (every tail is below 1e-20 there)
+GRID = np.linspace(-50.0, 50.0, 1_000_001)
+
+
+def shifted_l1(f, delta):
+    return float(np.trapezoid(np.abs(f(GRID + delta) - f(GRID)), GRID))
+
+
 # For a strictly monotone f with codomain (a, b):  integral |f(x+D)-f(x)| = (b-a) D
 logistic = lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x)))
 for delta in (0.1, 0.3, 1.0):
-    v = tvlab.shifted_l1(logistic, delta)
+    v = shifted_l1(logistic, delta)
     print(f"monotone, codomain (0,1), shift {delta}: integral = {v:.8f} (exact {delta})")
 
 # For a single-mode density with height K:  integral <= 2 K D
 K = 1 / math.sqrt(2 * math.pi)
 ndens = lambda x: np.exp(-np.asarray(x) ** 2 / 2) * K
 for delta in (0.1, 0.5):
-    v = tvlab.shifted_l1(ndens, delta)
+    v = shifted_l1(ndens, delta)
     print(f"normal density, shift {delta}: integral = {v:.6f} <= 2 K delta = {2 * K * delta:.6f}")
 print()
 

@@ -12,8 +12,7 @@ bounds
     Certificate construction: (C, D, n0, gap) tuples evaluating to
     C * D^(n-n0-1) * gap, with the matrix checks of the vector bound.
 tvlab
-    Histogram TV estimation, simulated TV curves, shifted-density
-    integrals.
+    Histogram TV estimation and simulated TV curves.
 data
     Dataset ingestion and Gibbs sufficient statistics (embedded tree
     girth sample included).
@@ -34,7 +33,6 @@ from .errors import (
     IngestionError,
     NoContractionError,
     ParameterError,
-    PrecisionError,
     SimulationError,
     StateError,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "NoContractionError",
     "StateError",
     "IngestionError",
-    "PrecisionError",
     "SimulationError",
 ]
 

@@ -287,10 +287,11 @@ def location_drift_constants(j: int, s: float) -> DriftSpec:
     return DriftSpec(lam, b, h)
 
 
-def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_000_000) -> float:
+def mc_location_drift_fit(j: int, s: float, stream, n_draws: int = 1_000_000) -> float:
     """Monte-Carlo oracle for the drift expansion.
 
-    Estimates E[(X Y v + Y + h)^2] over one shared set of draws at each
+    Estimates E[(X Y v + Y + h)^2], at the matching h of
+    ``location_drift_constants(j, s)``, over one shared set of draws at each
     of 20 grid values v in [0.5, 20] (common random numbers across the
     grid; the product X^2 Y^2 is heavy-tailed, and independent per-point
     draws would need hundreds of times more samples for the same
@@ -299,6 +300,7 @@ def mc_location_drift_fit(j: int, s: float, h: float, stream, n_draws: int = 1_0
     """
     from .models import LocationGibbsTau  # local import to avoid a cycle
 
+    h = location_drift_constants(j, s).h
     model = LocationGibbsTau(j, s)
     rng = stochastics._as_generator(stream)
     grid = np.linspace(0.5, 20.0, 20)

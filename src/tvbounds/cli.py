@@ -9,9 +9,9 @@ Subcommands:
 * ``repro``        replay every built-in worked example against its
                    recorded reference value and print a verdict table
 
-Exit codes: 0 success, 2 parameter/ingestion problems, 3 simulation
-failure.  ``curve`` and ``repro`` take ``--seed``; ``ONESHOT_SEED`` is
-honored as its fallback.
+Exit codes: 0 success, 1 a ``repro`` row mismatched, 2 parameter,
+ingestion or output-path problems, 3 simulation failure.  ``curve`` and
+``repro`` take ``--seed``; ``ONESHOT_SEED`` is honored as its fallback.
 """
 
 from __future__ import annotations
@@ -142,11 +142,30 @@ def build_certificate(family: str, params: dict) -> bounds.BoundCertificate:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    """Write ``text`` to the file ``out_path`` (stdout when None), the one
+    file writer of every command; an OSError becomes a ParameterError."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+
+
+def _check_outputs(args) -> None:
+    """Before any work, fail on an ``--out`` file outside a writable
+    directory and make the ``repro --curves`` directory."""
+    if args.out:
+        directory = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ParameterError(f"cannot write {args.out}: not a file in a writable directory")
+    if getattr(args, "curves", None):
+        try:
+            os.makedirs(args.curves, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot make directory {args.curves}: {exc.strerror or exc}") from None
 
 
 def cmd_certificate(args) -> int:
@@ -157,7 +176,7 @@ def cmd_certificate(args) -> int:
 
 def cmd_iters(args) -> int:
     cert = build_certificate(args.family, _load_params(args))
-    print(bounds.iterations_to_epsilon(cert, args.epsilon))
+    _emit(f"{bounds.iterations_to_epsilon(cert, args.epsilon)}\n", args.out)
     return 0
 
 
@@ -175,30 +194,20 @@ def cmd_curve(args) -> int:
             cert = certify()
         except (ParameterError, NoContractionError) as exc:
             print(f"note: no bound column ({exc})", file=sys.stderr)
-    stream = NoiseStream(_seed_from(args), args.stream_id)
-    try:
-        curve = tvlab.simulate_tv_curve(
-            model,
-            params["x0"],
-            params["x0p"],
-            n_max=args.n_max,
-            n_paths=args.paths,
-            bin_width=args.bin_width,
-            stream=stream,
-            certificate=cert,
-            workers=args.workers,
-            s20=params.get("s20"),
-            s20_prime=params.get("s20p"),
-        )
-    except SimulationError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return 3
+    curve = tvlab.simulate_tv_curve(
+        model, params["x0"], params["x0p"], n_max=args.n_max, n_paths=args.paths,
+        bin_width=args.bin_width, stream=NoiseStream(_seed_from(args), args.stream_id),
+        certificate=cert, workers=args.workers, s20=params.get("s20"), s20_prime=params.get("s20p"),
+    )
     _emit(curve.to_csv(), args.out)
     return 0
 
 
 def cmd_dataset_stats(args) -> int:
     if args.builtin:
+        for flag in ("csv", "y_column", "x_columns", "prior_lambda"):
+            if getattr(args, flag) is not None:
+                raise ParameterError(f"--builtin takes no --{flag.replace('_', '-')}")
         ds = data.builtin_dataset(args.builtin)
     elif args.csv:
         if not args.y_column:
@@ -334,7 +343,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         row(
             "location drift lambda, Monte-Carlo quadratic fit",
             drift.lam,
-            bounds.mc_location_drift_fit(j, s, drift.h, NoiseStream(seed, 771)),
+            bounds.mc_location_drift_fit(j, s, NoiseStream(seed, 771)),
             0.02 * drift.lam,
             note="one shared draw set at all 20 grid values (common random numbers)",
         )
@@ -467,8 +476,7 @@ def write_figure_curves(directory, seed, n_paths, workers=1):
             s20=cfg.get("s20"), s20_prime=cfg.get("s20p"),
         )
         path = os.path.join(directory, stem + ".csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(curve.to_csv())
+        _emit(curve.to_csv(), path)
         written.append(path)
     return written
 
@@ -484,9 +492,7 @@ def cmd_repro(args) -> int:
         )
     bad = [r for r in rows if r["verdict"] == "MISMATCH"]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_round9(rows), fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(_round9(rows), indent=2) + "\n", args.out)
     if args.curves:
         for path in write_figure_curves(args.curves, _seed_from(args), args.paths, args.workers):
             print(f"wrote {path}")
@@ -570,10 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.fn(args)
     except (ParameterError, DomainError, IngestionError, NoContractionError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: simulation failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,10 +25,6 @@ class IngestionError(ValueError):
     """A dataset could not be parsed; the message names the offending cell."""
 
 
-class PrecisionError(RuntimeError):
-    """A numerical routine could not reach its requested accuracy."""
-
-
 class SimulationError(RuntimeError):
     """A simulated chain left the range the estimator can represent
     (non-finite states, or histogram cells beyond int64)."""

@@ -1,4 +1,4 @@
-"""Histogram total-variation estimation, simulated TV curves, and integral checks.
+"""Histogram total-variation estimation and simulated TV curves.
 
 The plug-in histogram estimator 0.5 * sum_bins |p_a - p_b| carries a
 positive noise floor of order sum_i sqrt(p_i / (pi N)): summing absolute
@@ -35,13 +35,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import models as models_mod
 from .bounds import BoundCertificate, bound_eval
-from .errors import ParameterError, PrecisionError, SimulationError
+from .errors import ParameterError, SimulationError
 from .models import Family
 from .stochastics import NoiseStream, _is_real
 
@@ -53,7 +53,6 @@ __all__ = [
     "tv_histogram",
     "tv_from_histograms",
     "simulate_tv_curve",
-    "shifted_l1",
 ]
 
 _CHUNK_PATHS = 1 << 17
@@ -348,49 +347,3 @@ def simulate_tv_curve(
         )
     return TVCurve(rows)
 
-
-def shifted_l1(density: Callable, delta: float) -> float:
-    """Integral of |f(x + delta) - f(x)| dx by step-halving trapezoid
-    quadrature with window expansion, to within about 1e-6.
-
-    From [-16, 16 + delta] at step 1e-3, the window grows (doubling)
-    until the added tail mass is below 1e-7; the step then halves until
-    two successive refinements agree within 5e-7.  That accuracy
-    unreachable within the refinement budget raises PrecisionError.
-    """
-    if delta < 0:
-        raise ParameterError(f"shift must be >= 0, got {delta}")
-    if delta == 0.0:
-        return 0.0
-
-    def h(x):
-        return np.abs(np.asarray(density(x + delta), dtype=float) - np.asarray(density(x), dtype=float))
-
-    def trapz(lo, hi, step):
-        m = max(int(math.ceil((hi - lo) / step)), 8)
-        xs = np.linspace(lo, hi, m + 1)
-        ys = h(xs)
-        if not np.all(np.isfinite(ys)):
-            raise PrecisionError("integrand is not finite on the quadrature window")
-        return float(np.trapezoid(ys, xs))
-
-    lo, hi = -16.0, 16.0 + delta
-    step = 1e-3
-    total = trapz(lo, hi, step)
-    for _ in range(24):
-        left = trapz(2 * lo, lo, step)
-        right = trapz(hi, 2 * hi, step)
-        tail = left + right
-        lo, hi = 2 * lo, 2 * hi
-        total += tail
-        if tail < 1e-7:
-            break
-    else:
-        raise PrecisionError("shifted-density integral did not localize; window kept growing")
-    for _ in range(16):
-        step /= 2
-        refined = trapz(lo, hi, step)
-        if abs(refined - total) < 5e-7:
-            return refined
-        total = refined
-    raise PrecisionError("trapezoid refinement did not converge to the requested accuracy")

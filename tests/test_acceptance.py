@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_tvlab import shifted_l1
 from tvbounds import bounds, data, models, tvlab
 from tvbounds.cli import PHD_DELAY_ENV, reproduction_rows
 from tvbounds.stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density
@@ -279,11 +280,11 @@ def test_criterion_10_property_suites(trees):
 
     # shifted-density integral identities
     logistic = lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x)))
-    v = tvlab.shifted_l1(logistic, 0.3)
+    v = shifted_l1(logistic, 0.3)
     ok_monotone = abs(v - 0.3) <= 1e-6
     notes.append(f"monotone shift integral {v:.8f} vs 0.3")
     ndens = lambda x: np.exp(-np.asarray(x) ** 2 / 2) / math.sqrt(2 * math.pi)
-    ok_unimodal = tvlab.shifted_l1(ndens, 0.25) <= 2 * (1 / math.sqrt(2 * math.pi)) * 0.25 + 1e-6
+    ok_unimodal = shifted_l1(ndens, 0.25) <= 2 * (1 / math.sqrt(2 * math.pi)) * 0.25 + 1e-6
 
     # histogram-TV invariance under strictly monotone maps (transported bins)
     rng = np.random.default_rng(5)

@@ -270,7 +270,7 @@ def test_location_drift_reference_lambda_not_reproducible(trees):
 def test_mc_drift_fit_smoke(trees):
     j, _, s = trees
     drift = location_drift_constants(j, s)
-    quad = mc_location_drift_fit(j, s, drift.h, NoiseStream(3), n_draws=100_000)
+    quad = mc_location_drift_fit(j, s, NoiseStream(3), n_draws=100_000)
     assert isinstance(quad, float)
     assert quad == pytest.approx(drift.lam, rel=0.10)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from tvbounds import cli, models, tvlab
 from tvbounds.cli import build_certificate, main, reproduction_rows
-from tvbounds.errors import ParameterError
+from tvbounds.errors import ParameterError, SimulationError
 
 GARCH_PARAMS = json.dumps(
     {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "z": {"dist": "normal", "mu": 0, "sigma": 1}}
@@ -66,6 +67,14 @@ def test_iters_location(capsys, trees):
     )
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_iters_out_writes_the_count_to_the_file(tmp_path, capsys):
+    out = tmp_path / "it.txt"
+    argv = ["iters", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1", "--epsilon", "0.01"]
+    assert run(capsys, *argv) == (0, "7\n", "")
+    assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == "7\n"
 
 
 def test_iters_garch(capsys):
@@ -231,6 +240,16 @@ def test_dataset_stats_regression_toy(tmp_path, capsys):
     assert stats["C_stat"] == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--csv", "/nonexistent.csv"), ("--y-column", "nope"), ("--x-columns", "a,b"), ("--prior-lambda", "-3"),
+])
+def test_dataset_stats_builtin_rejects_the_csv_flags(capsys, flag, value):
+    # the builtin dataset would otherwise be read with the flag ignored
+    code, out, err = run(capsys, "dataset-stats", "--builtin", "trees-girth", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: --builtin takes no {flag}\n"
+
+
 def test_dataset_stats_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "dataset-stats", "--csv", "/no/such/file.csv", "--y-column", "y")
     assert code == 2
@@ -270,6 +289,61 @@ def test_repro_writes_comparison_curves(capsys, tmp_path):
     ]
     header = (curves / "curve-ar1.csv").read_text().splitlines()[0]
     assert header == "n,bound,bound_clamped,tv_sim,tv_exact,mc_se"
+    # each CSV is what `curve` writes for that chain on stream 9000 + its sorted index
+    for i, (stem, cfg) in enumerate(sorted(cli.FIGURE_CURVES.items())):
+        starts = [arg for key in cli.START_KEYS if key in cfg for arg in (f"--{key}", str(cfg[key]))]
+        out = tmp_path / f"{stem}.csv"
+        code, _, _ = run(
+            capsys, "curve", "--family", cfg["family"], "--params", json.dumps(cfg["params"]), *starts,
+            "--n-max", str(cfg["n_max"]), "--paths", "5000", "--seed", "5", "--stream-id", str(9000 + i),
+            "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (curves / f"{stem}.csv").read_bytes(), stem
+
+
+def test_repro_curves_simulation_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise SimulationError("chain diverged at iteration 1")
+
+    monkeypatch.setattr(tvlab, "simulate_tv_curve", diverge)
+    code, _, err = run(capsys, "repro", "--skip-mc", "--curves", str(tmp_path / "curves"), "--paths", "10")
+    assert code == 3
+    assert err == "error: simulation failed: chain diverged at iteration 1\n"
+
+
+# one run of every subcommand, all but the --out flag
+OUT_CASES = {
+    "certificate": ["--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1"],
+    "iters": ["--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1", "--epsilon", "0.01"],
+    "curve": ["--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0", "0", "--x0p", "1", "--n-max", "1",
+              "--paths", "100", "--seed", "1"],
+    "dataset-stats": ["--builtin", "trees-girth"],
+    "repro": ["--skip-mc"],
+}
+
+
+def test_out_cases_cover_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(OUT_CASES) == set(sub.choices)
+
+
+@pytest.mark.parametrize("command", sorted(OUT_CASES))
+def test_out_in_a_missing_directory_exits_2_before_any_output(tmp_path, capsys, command):
+    # repro would otherwise print its whole table before failing to open the file
+    code, out, err = run(capsys, command, *OUT_CASES[command], "--out", str(tmp_path / "missing" / "out.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "missing" in err, err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_repro_curves_on_a_regular_file_exits_2_before_the_table(tmp_path, capsys):
+    existing = tmp_path / "curves"
+    existing.write_text("keep\n", encoding="utf-8")
+    code, out, err = run(capsys, "repro", "--skip-mc", "--curves", str(existing), "--paths", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert existing.read_text(encoding="utf-8") == "keep\n"
 
 
 # --family choice -> (certificate parameters, curve start points x0, x0');

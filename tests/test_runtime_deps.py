@@ -77,6 +77,17 @@ def test_no_module_catches_every_exception():
                 if node.type is None or names & {"Exception", "BaseException"}:
                     broad.append(f"{path.name}:{node.lineno}")
     assert broad == []
+    # an OSError of a second file writer in the CLI would escape the exit codes
+    # as a traceback; every write goes through _emit, every read of parameters
+    # through _load_params
+    tree = ast.parse((SRC / "tvbounds" / "cli.py").read_text(encoding="utf-8"))
+    opens = sorted(
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+    )
+    assert opens == ["_emit", "_load_params"]
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
