@@ -16,7 +16,7 @@ A, SIGMA = 0.5, math.sqrt(0.75)
 X0, X0P = 0.0, 1.0
 
 model = models.ARNormal1D(A, SIGMA)
-cert = bounds.ar_normal_1d_certificate(A, SIGMA, gap=abs(X0 - X0P))
+cert = model.certificate(gap=abs(X0 - X0P))
 print(f"certificate: C = {cert.c:.6f}, D = {cert.d}, bound(n) = C * D^(n-1) * {cert.gap}")
 print(f"bound first drops below 0.01 at n = {bounds.iterations_to_epsilon(cert, 0.01)}")
 first_exact = min(n for n in range(1, 20) if model.exact_tv(X0, X0P, n) < 0.01)

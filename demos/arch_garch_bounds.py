@@ -25,26 +25,27 @@ def show_curve(name, model, cert, x0, x0p, n_max, **kw):
 
 
 # ---- LARCH, simulated on the squared chain ---------------------------------
-larch = bounds.larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=abs(0.01 - 1.21))
+larch_model = models.LARCH(1.0, 0.5, ChiSquare(1))
+larch = larch_model.certificate(gap=abs(0.01 - 1.21), m=1)
 print(f"LARCH squared chain: C = {larch.c:.6f} (= 1/sqrt(8 pi e)), D = {larch.d}")
 print(f"bound < 0.01 from n = {bounds.iterations_to_epsilon(larch, 0.01)}")
-show_curve("larch", models.LARCH(1.0, 0.5, ChiSquare(1)), larch, 0.01, 1.21, 6)
+show_curve("larch", larch_model, larch, 0.01, 1.21, 6)
 
 # ---- asymmetric ARCH --------------------------------------------------------
-asym = bounds.asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0)
+asym_model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
+asym = asym_model.certificate(gap=5.0)
 print(f"asymmetric ARCH: C = {asym.c}, Jensen D = {asym.d}, exact D = {asym.details['d_exact']:.6f}")
 print(f"bound(n) = 0.5^n; < 0.01 from n = {bounds.iterations_to_epsilon(asym, 0.01)}")
-show_curve("asym", models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), asym, 0.0, 5.0, 6)
+show_curve("asym", asym_model, asym, 0.0, 5.0, 6)
 
 # ---- GARCH(1,1) -------------------------------------------------------------
-garch = bounds.garch_certificate(
-    0.13, 0.1266, 0.7922, Normal(0.0, 1.0), x0=0.1, x0_prime=-0.1, s20=0.0001, s20_prime=0.01
-)
+garch_model = models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
+garch = garch_model.certificate(x0=0.1, x0p=-0.1, s20=0.0001, s20p=0.01)
 print(f"GARCH(1,1): coefficient = {garch.details['coefficient']:.6f}, D = sqrt(0.9188) = {garch.d:.6f}")
 print(f"bound < 0.01 from n = {bounds.iterations_to_epsilon(garch, 0.01)} "
       "(slow rate: the volatility memory is strong)")
 show_curve(
-    "garch", models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)), garch,
+    "garch", garch_model, garch,
     0.1, -0.1, 8, s20=0.0001, s20_prime=0.01,
 )
 print(

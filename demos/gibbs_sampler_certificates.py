@@ -14,7 +14,8 @@ from tvbounds.stochastics import NoiseStream
 j, y_bar, s = data.location_stats(data.builtin_dataset("trees-girth"))
 print(f"girth sample: J = {j}, mean = {y_bar:.4f}, S = {s:.4f}")
 
-cert = bounds.location_gibbs_certificate(j, s, gap=18.12198)
+loc = models.LocationGibbsTau(j, s, y_bar)
+cert = loc.certificate(gap=18.12198)
 print(f"contraction D = 1/J = {cert.d:.6f}")
 print(f"coalescing constant (closed form)  K = {cert.c:.5f}")
 print(f"coalescing constant (mode height)    = {cert.details['c_mode_height']:.5f}")
@@ -24,18 +25,18 @@ print(f"iterations until the bound is < 0.01: {bounds.iterations_to_epsilon(cert
 # drift condition for the stationary-gap bound
 fit = bounds.location_drift_constants(j, s)
 print(f"drift constants from moment matching: lambda = {fit.lam:.7f}, b = {fit.b:.4f}, h = {fit.h:.4f}")
-quad = bounds.mc_location_drift_fit(j, s, NoiseStream(11), n_draws=200_000)
+quad = bounds.mc_location_drift_fit(loc, NoiseStream(11), n_draws=200_000)
 print(f"Monte-Carlo quadratic-fit check of lambda: {quad:.7f} "
       f"({abs(quad - fit.lam) / fit.lam:.2%} off the closed form)\n")
 
 # ---- regression model ------------------------------------------------------
 k, p = 333, 4
-reg = bounds.regression_gibbs_certificate(k, p, c_stat=26123.0, gap=1000.0)
+m = models.RegressionGibbsSigma(k, p, 26123.0)
+reg = m.certificate(gap=1000.0)
 print(f"regression chain (k={k}, p={p}): D = p/(k+p-2) = {reg.d:.7f}")
 print(f"bound at n = 3 with the recorded coefficient 68.16454: "
       f"{68.16454 * reg.d ** 2:.6f}  (< 0.01 from three sweeps on)")
 
 # the full Gibbs pair is de-initialized by the scalar chain; one sweep:
-m = models.RegressionGibbsSigma(k, p, 26123.0)
 reduced, (beta1, _) = m.full_step(1.0, NoiseStream(3))
 print(f"one full sweep from sigma^2 = 1: next sigma^2 = {reduced:.4f}, beta_1 draw = {beta1:.4f}")

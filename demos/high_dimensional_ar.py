@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from tvbounds import bounds
+from tvbounds import bounds, models
 
 D = 100
 
@@ -36,12 +36,12 @@ print(f"tridiagonal coefficient matrix: spectral radius {evals[-1]:.7f}")
 print(f"  analytic tridiagonal-Toeplitz value: {analytic.max():.7f}")
 print(f"  eigensolver vs analytic, worst deviation: {np.max(np.abs(evals - np.sort(analytic))):.2e}")
 
-cert = bounds.ar_normal_d_certificate(a, a, np.ones(D), np.zeros(D))
+cert = models.ARNormalD(a, a).certificate(np.ones(D), np.zeros(D))
 print(f"\ncertificate: C = {cert.c:.2f}, rate = {cert.d:.7f} (bound C * rate^n)")
 print(f"  first n below 0.01: {bounds.iterations_to_epsilon(cert, 0.01)}")
 
 sqrt_a = (p * np.sqrt(evals)) @ p.T  # A is positive definite: its eigenvalues lie in (1/4, 3/4)
-cert_sqrt = bounds.ar_normal_d_certificate(a, sqrt_a, np.ones(D), np.zeros(D))
+cert_sqrt = models.ARNormalD(a, sqrt_a).certificate(np.ones(D), np.zeros(D))
 print(
     f"\nnoise-shape convention matters: with Sigma = A the coefficient is {cert.c:.2f}\n"
     f"(the recorded worked-example value); with Sigma = sqrt(A), i.e. noise\n"

@@ -17,12 +17,15 @@ certificate rather than folded into C:
 
 Raw bound values may exceed 1; evaluation reports both the raw value
 and the value clamped into [0, 1].
+
+A chain family's constructor takes the validated ``models`` family as its
+first argument and reads its fields: the family checks its parameter
+domain once, and the constructor checks only what the certificate needs.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -81,9 +84,8 @@ def _square_matrix(name: str, m) -> np.ndarray:
     return a
 
 
-def _inverse(name: str, m) -> np.ndarray:
-    """Inverse of a square finite matrix whose condition number is at most 1e12."""
-    a = _square_matrix(name, m)
+def _inverse(name: str, a: np.ndarray) -> np.ndarray:
+    """Inverse of the square float matrix ``a``, whose condition number must be at most 1e12."""
     try:
         cond = np.linalg.cond(a)
     except np.linalg.LinAlgError as exc:
@@ -176,9 +178,10 @@ def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
     return stochastics.density(InverseGamma(alpha, beta), beta / (alpha + 1))
 
 
-def regression_gibbs_certificate(k: int, p: int, c_stat: float, gap: float) -> BoundCertificate:
-    """Certificate for the regression Gibbs chain: D = p/(k+p-2), C the
-    mode height of InverseGamma((k+2p)/2, C_stat/2)."""
+def regression_gibbs_certificate(model, gap: float) -> BoundCertificate:
+    """Certificate for a RegressionGibbsSigma: D = p/(k+p-2), C the mode
+    height of InverseGamma((k+2p)/2, C_stat/2)."""
+    k, p, c_stat = model.k, model.p, model.c_stat
     if k + p <= 2:
         raise ParameterError(f"need k + p > 2, got k={k}, p={p}")
     d = p / (k + p - 2)
@@ -213,8 +216,8 @@ def location_k_closed_form(j: int, s: float) -> float:
     return float(math.exp(ln))
 
 
-def location_gibbs_certificate(j: int, s: float, gap: float) -> BoundCertificate:
-    """Certificate for the location Gibbs chain: D = 1/J.
+def location_gibbs_certificate(model, gap: float) -> BoundCertificate:
+    """Certificate for the location Gibbs chain, a LocationGibbsTau: D = 1/J.
 
     Two coalescing constants are carried.  The certificate uses the
     closed form of :func:`location_k_closed_form`; the mode height of
@@ -224,6 +227,7 @@ def location_gibbs_certificate(j: int, s: float, gap: float) -> BoundCertificate
     exponent -(J-3)/2 is not the mode-height exponent -(J+1)/2; both are
     reported rather than silently reconciled.
     """
+    j, s = model.j, model.s
     k_closed = location_k_closed_form(j, s)
     k_mode = inverse_gamma_mode_height((j - 1) / 2, s / 2)
     return BoundCertificate(
@@ -287,21 +291,18 @@ def location_drift_constants(j: int, s: float) -> DriftSpec:
     return DriftSpec(lam, b, h)
 
 
-def mc_location_drift_fit(j: int, s: float, stream, n_draws: int = 1_000_000) -> float:
-    """Monte-Carlo oracle for the drift expansion.
+def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
+    """Monte-Carlo oracle for the drift expansion of a LocationGibbsTau.
 
     Estimates E[(X Y v + Y + h)^2], at the matching h of
-    ``location_drift_constants(j, s)``, over one shared set of draws at each
+    ``location_drift_constants(J, S)``, over one shared set of draws at each
     of 20 grid values v in [0.5, 20] (common random numbers across the
     grid; the product X^2 Y^2 is heavy-tailed, and independent per-point
     draws would need hundreds of times more samples for the same
     coefficient accuracy) and least-squares fits a quadratic in v.  Returns
     the fitted quadratic coefficient, an estimate of E[X^2]E[Y^2].
     """
-    from .models import LocationGibbsTau  # local import to avoid a cycle
-
-    h = location_drift_constants(j, s).h
-    model = LocationGibbsTau(j, s)
+    h = location_drift_constants(model.j, model.s).h
     rng = stochastics._as_generator(stream)
     grid = np.linspace(0.5, 20.0, 20)
     x, y = model.draw(rng, n_draws)
@@ -332,17 +333,13 @@ def independent_coordinates_certificate(amplitude: float, rate: float, d: int, g
     )
 
 
-def ar_normal_1d_certificate(a: float, sigma: float, gap: float) -> BoundCertificate:
-    """Certificate for X_n = a X_{n-1} + sigma Z_n: D = |a| and C the
-    noise density height 1/(sigma sqrt(2 pi)) (a single mode adds nothing)."""
-    if not isinstance(a, numbers.Real):
-        raise ParameterError(f"coefficient a must be a real number, got {a!r}")
-    if not stochastics._finite_positive(sigma):
-        raise ParameterError(f"noise scale sigma must be finite and > 0, got {sigma!r}")
-    d = abs(float(a))
+def ar_normal_1d_certificate(model, gap: float) -> BoundCertificate:
+    """Certificate for an ARNormal1D: D = |a| and C the noise density
+    height 1/(sigma sqrt(2 pi)) (a single mode adds nothing)."""
+    d = abs(float(model.a))
     if d >= 1.0:
         raise NoContractionError(f"D = |a| = {d:.6g} >= 1: chain does not contract")
-    k = 1.0 / (sigma * math.sqrt(2 * math.pi))
+    k = 1.0 / (model.sigma * math.sqrt(2 * math.pi))
     return BoundCertificate(
         c=k,
         d=d,
@@ -353,22 +350,20 @@ def ar_normal_1d_certificate(a: float, sigma: float, gap: float) -> BoundCertifi
     )
 
 
-def ar_normal_d_certificate(a_matrix, sigma_matrix, x0, x0_prime) -> BoundCertificate:
-    """Certificate for X_n = A X_{n-1} + Sigma Z_n with symmetric A.
+def ar_normal_d_certificate(model, x0, x0_prime) -> BoundCertificate:
+    """Certificate for an ARNormalD, X_n = A X_{n-1} + Sigma Z_n, with symmetric A.
 
     C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2
     and rate max_i |lambda_i|, evaluated against D^n (exp_offset=1).
     """
-    a = _square_matrix("A", a_matrix)
+    a = model.a
     if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
         raise ParameterError("A is not symmetric; only symmetric input is supported")
     evals, p = np.linalg.eigh(a)
     rate = float(np.max(np.abs(evals)))
     if rate >= 1.0:
         raise NoContractionError(f"spectral radius {rate:.6g} >= 1: chain does not contract")
-    sigma_inv = _inverse("Sigma", sigma_matrix)
-    if sigma_inv.shape != a.shape:
-        raise ParameterError(f"Sigma shape {sigma_inv.shape} must match A shape {a.shape}")
+    sigma_inv = _inverse("Sigma", model.sigma)
     d = a.shape[0]
     try:
         x0, x0p = np.asarray(x0, dtype=float), np.asarray(x0_prime, dtype=float)
@@ -557,18 +552,15 @@ def _log_scale_density_sup(z: Dist) -> float:
     return max(refined, float(vals[i]))
 
 
-def larch_certificate(beta0: float, beta1: float, z: Dist, m: int, gap: float) -> BoundCertificate:
-    """Certificate for X_n = (beta0 + beta1 X_{n-1}) Z_n with Z > 0 a.s.:
+def larch_certificate(model, m: int, gap: float) -> BoundCertificate:
+    """Certificate for X_n = (beta0 + beta1 X_{n-1}) Z_n (a LARCH, Z > 0 a.s.):
 
         C = beta1 (M+1) / (2 beta0) * sup_x e^x f_Z(e^x),   D = beta1 E|Z|.
     """
-    if not (beta0 > 0 and beta1 > 0):
-        raise ParameterError(f"need beta0, beta1 > 0, got ({beta0}, {beta1})")
+    beta0, beta1, z = model.beta0, model.beta1, model.z
     m = integral("mode count M", m)
     if m < 1:
         raise ParameterError(f"mode count M must be >= 1, got {m}")
-    if not z.positive:
-        raise ParameterError("the noise must be positive almost surely")
     d = beta1 * abs_moment(z, 1)
     if d >= 1.0:
         raise NoContractionError(f"D = beta1 E|Z| = {d:.6g} >= 1: chain does not contract")
@@ -583,19 +575,16 @@ def larch_certificate(beta0: float, beta1: float, z: Dist, m: int, gap: float) -
     )
 
 
-def asym_arch_certificate(
-    a: float, b: float, c: float, z: Dist, gap: float, jensen: bool = True
-) -> BoundCertificate:
-    """Certificate for X_n = sqrt((a X_{n-1} + b)^2 + c^2) Z_n:
+def asym_arch_certificate(model, gap: float, jensen: bool = True) -> BoundCertificate:
+    """Certificate for X_n = sqrt((a X_{n-1} + b)^2 + c^2) Z_n (an AsymARCH):
 
         C = |a| / |c|,   D = |a| E|Z|  (or its Jensen relaxation
         |a| sqrt(E[Z^2]) when ``jensen`` is set, the convention the
         worked example uses; both values are recorded).
     """
-    if c == 0:
-        raise ParameterError("asymmetric ARCH requires c != 0")
     if not isinstance(jensen, bool):
         raise ParameterError(f"jensen must be true or false, got {jensen!r}")
+    a, c, z = model.a, model.c, model.z
     d_exact = abs(a) * abs_moment(z, 1)
     d_jensen = abs(a) * math.sqrt(abs_moment(z, 2))
     d = d_jensen if jensen else d_exact
@@ -612,17 +601,8 @@ def asym_arch_certificate(
     )
 
 
-def garch_certificate(
-    alpha2: float,
-    beta2: float,
-    gamma2: float,
-    z: Dist,
-    x0: float,
-    x0_prime: float,
-    s20: float,
-    s20_prime: float,
-) -> BoundCertificate:
-    """Certificate for the GARCH(1,1) chain with known initial values:
+def garch_certificate(model, x0: float, x0_prime: float, s20: float, s20_prime: float) -> BoundCertificate:
+    """Certificate for a GARCH(1,1) ``model`` with known initial values:
 
         TV(n) <= D^(n-1)/alpha * sqrt(beta2 |x0^2 - x0'^2| + gamma2 |s20 - s20'|)
 
@@ -631,8 +611,7 @@ def garch_certificate(
     sqrt(beta2 |x0^2 - x0'^2| + gamma2 |s20 - s20'|) * E|Z|, so that
     C * D^(n-2) * gap reproduces the display above.
     """
-    if not (alpha2 > 0 and beta2 >= 0 and gamma2 >= 0):
-        raise ParameterError("need alpha2 > 0 and beta2, gamma2 >= 0")
+    alpha2, beta2, gamma2, z = model.alpha2, model.beta2, model.gamma2, model.z
     if not (s20 >= 0 and s20_prime >= 0):
         raise ParameterError("initial sigma^2 values must be >= 0")
     d = math.sqrt(beta2 * abs_moment(z, 2) + gamma2)

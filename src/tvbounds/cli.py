@@ -49,15 +49,14 @@ def _round9(obj):
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ONESHOT_SEED")
-    if env is not None:
+    """``--seed``, else ``ONESHOT_SEED``, else the default, checked by NoiseStream."""
+    seed, env = args.seed, os.environ.get("ONESHOT_SEED")
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ParameterError(f"ONESHOT_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    return NoiseStream(DEFAULT_SEED if seed is None else seed).seed
 
 
 def _json_object(text: str, what: str, error) -> dict:
@@ -196,7 +195,7 @@ def cmd_curve(args) -> int:
             print(f"note: no bound column ({exc})", file=sys.stderr)
     curve = tvlab.simulate_tv_curve(
         model, params["x0"], params["x0p"], n_max=args.n_max, n_paths=args.paths,
-        bin_width=args.bin_width, stream=NoiseStream(_seed_from(args), args.stream_id),
+        bin_width=args.bin_width, stream=NoiseStream(args.seed, args.stream_id),
         certificate=cert, workers=args.workers, s20=params.get("s20"), s20_prime=params.get("s20p"),
     )
     _emit(curve.to_csv(), args.out)
@@ -271,7 +270,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         )
 
     # regression Gibbs (k=333, p=4)
-    d_reg = bounds.regression_gibbs_certificate(333, 4, 26123.0, gap=1000.0).d
+    d_reg = models.RegressionGibbsSigma(333, 4, 26123.0).certificate(gap=1000.0).d
     row("regression D = p/(k+p-2)", 0.0119403, d_reg, 5e-8)
     # the bound row pairs that D with the recorded coefficient
     cert_ref = bounds.BoundCertificate(c=0.06816454, d=d_reg, n0=0, gap=1000.0, family="regression-gibbs")
@@ -310,9 +309,10 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
 
     # location Gibbs (tree girth data)
     j, _, s = data.location_stats(data.builtin_dataset("trees-girth"))
+    loc = models.LocationGibbsTau(j, s)
     k_closed = bounds.location_k_closed_form(j, s)
     row("location K (closed form, girth data)", 13.74027, k_closed, 0.05)
-    cert_loc = bounds.location_gibbs_certificate(j, s, gap=18.12198)
+    cert_loc = loc.certificate(gap=18.12198)
     row(
         "location iterations to TV < 0.01",
         4,
@@ -343,7 +343,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         row(
             "location drift lambda, Monte-Carlo quadratic fit",
             drift.lam,
-            bounds.mc_location_drift_fit(j, s, NoiseStream(seed, 771)),
+            bounds.mc_location_drift_fit(loc, NoiseStream(seed, 771)),
             0.02 * drift.lam,
             note="one shared draw set at all 20 grid values (common random numbers)",
         )
@@ -394,7 +394,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         + np.diag(np.full(d_mat - 1, 0.125), 1)
         + np.diag(np.full(d_mat - 1, 0.125), -1)
     )
-    cert_ard = bounds.ar_normal_d_certificate(a_mat, a_mat, np.ones(d_mat), np.zeros(d_mat))
+    cert_ard = models.ARNormalD(a_mat, a_mat).certificate(np.ones(d_mat), np.zeros(d_mat))
     row("vector-AR-100 rate max|eig|", 0.7498791, cert_ard.d, 1e-6)
     row(
         "vector-AR-100 coefficient",
@@ -482,7 +482,7 @@ def write_figure_curves(directory, seed, n_paths, workers=1):
 
 
 def cmd_repro(args) -> int:
-    rows = reproduction_rows(_seed_from(args), skip_mc=args.skip_mc)
+    rows = reproduction_rows(args.seed, skip_mc=args.skip_mc)
     name_w = max(len(r["name"]) for r in rows) + 2
     print(f"{'worked example':<{name_w}}{'reference':>14}{'computed':>16}{'verdict':>10}  note")
     for r in rows:
@@ -494,7 +494,7 @@ def cmd_repro(args) -> int:
     if args.out:
         _emit(json.dumps(_round9(rows), indent=2) + "\n", args.out)
     if args.curves:
-        for path in write_figure_curves(args.curves, _seed_from(args), args.paths, args.workers):
+        for path in write_figure_curves(args.curves, args.seed, args.paths, args.workers):
             print(f"wrote {path}")
     print(f"\n{len(rows)} checks: {len(bad)} mismatched, "
           f"{sum(r['verdict'] == 'FLAG' for r in rows)} flagged (known discrepancies)")
@@ -544,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="simulate a TV curve and write CSV")
     _add_common_cert_flags(p)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--n-max", type=_at_least_one, default=10)
+    p.add_argument("--paths", type=_at_least_one, default=100_000)
     p.add_argument("--bin-width", type=float, default=0.01)
     p.add_argument("--workers", type=_at_least_one, default=os.cpu_count() or 1, help=_WORKERS_HELP)
     p.add_argument("--seed", type=int)
@@ -576,6 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "seed" in args:  # curve and repro: a bad seed fails before any file is made
+            args.seed = _seed_from(args)
         _check_outputs(args)
         return args.fn(args)
     except (ParameterError, DomainError, IngestionError, NoContractionError, StateError) as exc:

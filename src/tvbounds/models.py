@@ -58,11 +58,11 @@ class GarchState(NamedTuple):
 
 @dataclass(frozen=True)
 class Family:
-    """A chain family.  Subclasses set ``family`` (the JSON tag) and
-    define ``step`` and ``certificate`` (built from the fields; its keyword
-    parameters are the certificate's only other inputs); by default a
-    family draws its noise from the field ``z`` and runs on its scalar
-    observable."""
+    """A chain family.  Subclasses set ``family`` (the JSON tag), check
+    their fields in ``__post_init__`` and define ``step`` and ``certificate``
+    (which passes the instance itself to its ``bounds`` constructor; its
+    keyword parameters are the certificate's only other inputs).  By default
+    a family draws its noise from ``z`` and runs on its scalar observable."""
 
     family: ClassVar[str]
     # dimensions of one path's observable
@@ -130,7 +130,7 @@ class ARNormal1D(Family):
         return self.a * state + self.sigma * noise
 
     def certificate(self, gap):
-        return bounds.ar_normal_1d_certificate(self.a, self.sigma, gap)
+        return bounds.ar_normal_1d_certificate(self, gap)
 
     def exact_tv(self, x0, x0p, n):
         """Both n-step laws are normal with variance
@@ -180,7 +180,7 @@ class ARNormalD(Family):
         return v
 
     def certificate(self, x0, x0p):
-        return bounds.ar_normal_d_certificate(self.a, self.sigma, x0, x0p)
+        return bounds.ar_normal_d_certificate(self, x0, x0p)
 
 
 def _check_positive_state(x):
@@ -287,7 +287,7 @@ class LocationGibbsTau(_Gibbs):
     a_inv_11 = property(lambda self: 1 / self.j)
 
     def certificate(self, gap):
-        return bounds.location_gibbs_certificate(self.j, self.s, gap)
+        return bounds.location_gibbs_certificate(self, gap)
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ class RegressionGibbsSigma(_Gibbs):
             raise ParameterError(f"a_inv_11 must be > 0, got {self.a_inv_11}")
 
     def certificate(self, gap):
-        return bounds.regression_gibbs_certificate(self.k, self.p, self.c_stat, gap)
+        return bounds.regression_gibbs_certificate(self, gap)
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ class LARCH(Family):
         return (self.beta0 + self.beta1 * state) * noise
 
     def certificate(self, gap, m=1):
-        return bounds.larch_certificate(self.beta0, self.beta1, self.z, m, gap)
+        return bounds.larch_certificate(self, m, gap)
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,7 @@ class AsymARCH(Family):
         return np.sqrt((self.a * state + self.b) ** 2 + self.c**2) * noise
 
     def certificate(self, gap, jensen=True):
-        return bounds.asym_arch_certificate(self.a, self.b, self.c, self.z, gap, jensen=jensen)
+        return bounds.asym_arch_certificate(self, gap, jensen=jensen)
 
 
 @dataclass(frozen=True)
@@ -414,7 +414,7 @@ class GARCH(Family):
         return state.x
 
     def certificate(self, x0, x0p, s20, s20p):
-        return bounds.garch_certificate(self.alpha2, self.beta2, self.gamma2, self.z, x0, x0p, s20, s20p)
+        return bounds.garch_certificate(self, x0, x0p, s20, s20p)
 
 
 FAMILIES = {

@@ -138,7 +138,7 @@ def test_criterion_4_ar_normal_1d():
     t0 = time.time()
     model = models.ARNormal1D(0.5, math.sqrt(0.75))
     first_exact = min(n for n in range(1, 20) if model.exact_tv(0.0, 1.0, n) < 0.01)
-    cert = bounds.ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0)
+    cert = model.certificate(1.0)
     first_bound = min(
         n for n in range(1, 20) if bounds.bound_eval(cert, n).clamped < 0.01
     )
@@ -180,7 +180,7 @@ def test_criterion_6_general_vector_ar():
     t0 = time.time()
     d = 100
     a = np.diag(np.full(d, 0.5)) + np.diag(np.full(d - 1, 0.125), 1) + np.diag(np.full(d - 1, 0.125), -1)
-    cert = bounds.ar_normal_d_certificate(a, a, np.ones(d), np.zeros(d))
+    cert = models.ARNormalD(a, a).certificate(np.ones(d), np.zeros(d))
     analytic = 0.5 + 0.25 * math.cos(math.pi / (d + 1))
     ok_rate = abs(cert.d - analytic) < 1e-12 and abs(cert.d - 0.7498791) < 1e-6
     ok_coeff = abs(cert.c - 98782.31) <= 0.01 * 98782.31
@@ -196,12 +196,12 @@ def test_criterion_6_general_vector_ar():
 
 def test_criterion_7_larch():
     t0 = time.time()
-    cert = bounds.larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=1.2)
+    model = models.LARCH(1.0, 0.5, ChiSquare(1))
+    cert = model.certificate(gap=1.2, m=1)
     ok_c = abs(cert.c - 1 / math.sqrt(8 * math.pi * math.e)) < 1e-9
     flagged_n = bounds.iterations_to_epsilon(cert, 0.01)
     ok_flag = flagged_n == 5  # the recorded claim of 3 is re-evaluated
 
-    model = models.LARCH(1.0, 0.5, ChiSquare(1))
     curve = tvlab.simulate_tv_curve(
         model, 0.01, 1.21, n_max=10, n_paths=1_000_000, bin_width=0.01,
         stream=NoiseStream(SEED, 7), certificate=cert,
@@ -220,7 +220,8 @@ def test_criterion_7_larch():
 
 def test_criterion_8_asym_arch():
     t0 = time.time()
-    cert = bounds.asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0)
+    model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
+    cert = model.certificate(gap=5.0)
     # exact rational identity: C*gap*D^{n-1} = (1/2)^n
     c_frac, gap_frac, d_frac = Fraction(1, 10), Fraction(5), Fraction(1, 2)
     ok_exact = all(
@@ -231,7 +232,6 @@ def test_criterion_8_asym_arch():
     first = bounds.iterations_to_epsilon(cert, 0.01)
     ok_first = first == 7
 
-    model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
     curve = tvlab.simulate_tv_curve(
         model, 0.0, 5.0, n_max=10, n_paths=1_000_000, bin_width=0.01,
         stream=NoiseStream(SEED, 8), certificate=cert,
@@ -250,15 +250,13 @@ def test_criterion_8_asym_arch():
 
 def test_criterion_9_garch():
     t0 = time.time()
-    cert = bounds.garch_certificate(
-        0.13, 0.1266, 0.7922, Normal(0.0, 1.0), 0.1, -0.1, 0.0001, 0.01
-    )
+    model = models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
+    cert = model.certificate(0.1, -0.1, 0.0001, 0.01)
     ok_coeff = abs(cert.details["coefficient"] - 0.2456) < 5e-4
     ok_d = abs(cert.d - math.sqrt(0.9188)) < 1e-9
     iters = bounds.iterations_to_epsilon(cert, 0.01)
     ok_iters = iters == 77
 
-    model = models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
     curve = tvlab.simulate_tv_curve(
         model, 0.1, -0.1, n_max=30, n_paths=1_000_000, bin_width=0.01,
         stream=NoiseStream(SEED, 9), certificate=cert, s20=0.0001, s20_prime=0.01,
@@ -342,7 +340,7 @@ def test_criterion_10_property_suites(trees):
     # its analytic value 1/2 + (1/4) cos(pi / (d+1))
     d = 100
     a_mat = np.diag(np.full(d, 0.5)) + np.diag(np.full(d - 1, 0.125), 1) + np.diag(np.full(d - 1, 0.125), -1)
-    rate = bounds.ar_normal_d_certificate(a_mat, a_mat, np.ones(d), np.zeros(d)).d
+    rate = models.ARNormalD(a_mat, a_mat).certificate(np.ones(d), np.zeros(d)).d
     recon = abs(rate - (0.5 + 0.25 * math.cos(math.pi / (d + 1))))
     ok_spectral = recon < 1e-12
 

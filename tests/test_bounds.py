@@ -8,29 +8,31 @@ from scipy import special, stats
 from tvbounds.bounds import (
     BoundCertificate,
     DriftSpec,
-    ar_normal_1d_certificate,
-    ar_normal_d_certificate,
-    asym_arch_certificate,
     bound_eval,
     certificate_to_dict,
     drift_expected_distance,
-    garch_certificate,
     independent_coordinates_certificate,
     inverse_gamma_mode_height,
     iterations_to_epsilon,
-    larch_certificate,
     location_drift_constants,
-    location_gibbs_certificate,
     location_k_closed_form,
     mc_location_drift_fit,
     nonlinear_ar_D,
     nonlinear_ar_certificate,
     nonlinear_ar_exact_two_step_ratio,
     nonlinear_ar_two_step_ratio,
-    regression_gibbs_certificate,
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
-from tvbounds.models import ARNormal1D, NonlinearAR
+from tvbounds.models import (
+    GARCH,
+    LARCH,
+    ARNormal1D,
+    ARNormalD,
+    AsymARCH,
+    LocationGibbsTau,
+    NonlinearAR,
+    RegressionGibbsSigma,
+)
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, abs_moment, density
 
 from conftest import _certificate_from_dict
@@ -41,7 +43,7 @@ S_TREES = 295.43741935483877
 # ---------------------------------------------------------------- bound_eval
 
 def test_bound_eval_asym_arch_example():
-    cert = asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0)
+    cert = AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)).certificate(gap=5.0)
     assert bound_eval(cert, 7).raw == pytest.approx(0.5**7, rel=1e-12)
     assert bound_eval(cert, 7).raw == pytest.approx(0.0078125, abs=1e-9)
 
@@ -75,8 +77,8 @@ def test_bound_eval_rejects_n_at_or_below_n0():
 def test_bound_monotone_and_exact_ratio():
     certs = [
         BoundCertificate(c=13.74027, d=1 / 31, n0=0, gap=18.12198),
-        garch_certificate(0.13, 0.1266, 0.7922, Normal(0.0, 1.0), 0.1, -0.1, 0.0001, 0.01),
-        ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0),
+        GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01),
+        ARNormal1D(0.5, math.sqrt(0.75)).certificate(1.0),
     ]
     for cert in certs:
         prev = bound_eval(cert, cert.n0 + 1).raw
@@ -95,7 +97,7 @@ def test_iterations_location_example():
 
 
 def test_iterations_garch_example():
-    cert = garch_certificate(0.13, 0.1266, 0.7922, Normal(0.0, 1.0), 0.1, -0.1, 0.0001, 0.01)
+    cert = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01)
     assert iterations_to_epsilon(cert, 0.01) == 77
 
 
@@ -121,18 +123,18 @@ def test_iterations_matches_naive_scan():
 
 def test_sideways_single_mode():
     # one mode: C is the noise density height 1/(sigma sqrt(2 pi))
-    assert ar_normal_1d_certificate(0.5, 1.0, 1.0).c == pytest.approx(0.3989422804, abs=1e-9)
-    assert ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0).c == pytest.approx(0.4606588660, abs=1e-9)
+    assert ARNormal1D(0.5, 1.0).certificate(1.0).c == pytest.approx(0.3989422804, abs=1e-9)
+    assert ARNormal1D(0.5, math.sqrt(0.75)).certificate(1.0).c == pytest.approx(0.4606588660, abs=1e-9)
 
 
 def test_random_coeff_constant():
-    assert ar_normal_1d_certificate(0.5, 1.0, 1.0).d == 0.5
-    assert ar_normal_1d_certificate(-0.5, 1.0, 1.0).d == 0.5
+    assert ARNormal1D(0.5, 1.0).certificate(1.0).d == 0.5
+    assert ARNormal1D(-0.5, 1.0).certificate(1.0).d == 0.5
 
 
 def test_random_coeff_numpy_scalar_is_a_constant():
-    assert ar_normal_1d_certificate(np.float32(0.5), 1.0, 1.0).d == 0.5
-    assert ar_normal_1d_certificate(np.int64(0), 1.0, 1.0).d == 0.0
+    assert ARNormal1D(np.float32(0.5), 1.0).certificate(1.0).d == 0.5
+    assert ARNormal1D(np.int64(0), 1.0).certificate(1.0).d == 0.0
     assert ARNormal1D(np.float32(-0.5), np.float64(1.0)).certificate(gap=1.0).d == 0.5
 
 
@@ -141,18 +143,18 @@ def test_random_coeff_gamma_products():
     # regression: Gamma(p/2, C/2) x InverseGamma((k+p)/2, C/2)
     c = 26123.0
     d = abs_moment(Gamma(2.0, c / 2), 1) * abs_moment(InverseGamma(337 / 2, c / 2), 1)
-    assert regression_gibbs_certificate(333, 4, c, gap=1.0).d == pytest.approx(d, rel=1e-12)
+    assert RegressionGibbsSigma(333, 4, c).certificate(gap=1.0).d == pytest.approx(d, rel=1e-12)
     assert d == pytest.approx(4 / 335, rel=1e-12)
     assert d == pytest.approx(0.0119403, abs=1e-7)
     # location: Gamma(1/2, S/2) x InverseGamma((J+2)/2, S/2)
     d = abs_moment(Gamma(0.5, S_TREES / 2), 1) * abs_moment(InverseGamma(16.5, S_TREES / 2), 1)
-    assert location_gibbs_certificate(31, S_TREES, gap=1.0).d == pytest.approx(d, rel=1e-12)
+    assert LocationGibbsTau(31, S_TREES).certificate(gap=1.0).d == pytest.approx(d, rel=1e-12)
     assert d == pytest.approx(1 / 31, rel=1e-12)
 
 
 def test_random_coeff_no_contraction():
     with pytest.raises(NoContractionError):
-        ar_normal_1d_certificate(1.5, 1.0, 1.0)
+        ARNormal1D(1.5, 1.0).certificate(1.0)
 
 
 # ------------------------------------------------------- inverse-gamma height
@@ -206,7 +208,7 @@ def test_mode_height_is_global_max(rng):
 # --------------------------------------------------------- Gibbs certificates
 
 def test_regression_certificate_rate_exact():
-    cert = regression_gibbs_certificate(333, 4, 26123.0, gap=1000.0)
+    cert = RegressionGibbsSigma(333, 4, 26123.0).certificate(gap=1000.0)
     assert Fraction(4, 335) == Fraction(4, 333 + 4 - 2)
     assert cert.d == pytest.approx(4 / 335, rel=0, abs=0)
     assert cert.n0 == 0
@@ -214,13 +216,13 @@ def test_regression_certificate_rate_exact():
 
 def test_regression_certificate_boundary_no_contraction():
     with pytest.raises(NoContractionError):
-        regression_gibbs_certificate(2, 1, 10.0, gap=1.0)
+        RegressionGibbsSigma(2, 1, 10.0).certificate(gap=1.0)
 
 
 def test_location_certificate_reference_constant(trees):
     j, _, s = trees
     assert location_k_closed_form(j, s) == pytest.approx(13.74027, abs=0.01)
-    cert = location_gibbs_certificate(j, s, gap=18.12198)
+    cert = LocationGibbsTau(j, s).certificate(gap=18.12198)
     assert cert.d == pytest.approx(1 / 31, rel=1e-15)
     # mode-height variant agrees with its own numeric maximization
     oracle = golden_max(lambda x: density(InverseGamma((j - 1) / 2, s / 2), x), 0.5, 60.0)
@@ -231,7 +233,9 @@ def test_location_certificate_reference_constant(trees):
 
 def test_location_certificate_rejects_small_j():
     with pytest.raises(ParameterError):
-        location_gibbs_certificate(2, 10.0, gap=1.0)
+        LocationGibbsTau(2, 10.0)
+    with pytest.raises(ParameterError):
+        location_k_closed_form(2, 10.0)
 
 
 # ------------------------------------------------------------ drift condition
@@ -270,7 +274,7 @@ def test_location_drift_reference_lambda_not_reproducible(trees):
 def test_mc_drift_fit_smoke(trees):
     j, _, s = trees
     drift = location_drift_constants(j, s)
-    quad = mc_location_drift_fit(j, s, NoiseStream(3), n_draws=100_000)
+    quad = mc_location_drift_fit(LocationGibbsTau(j, s), NoiseStream(3), n_draws=100_000)
     assert isinstance(quad, float)
     assert quad == pytest.approx(drift.lam, rel=0.10)
 
@@ -306,12 +310,12 @@ def test_independent_coordinates_dimension_must_be_integral():
 def test_ar_normal_1d_rejects_nonpositive_sigma():
     for sigma in (0.0, -1.0, math.inf):
         with pytest.raises(ParameterError, match="sigma"):
-            ar_normal_1d_certificate(0.5, sigma, 1.0)
+            ARNormal1D(0.5, sigma)
 
 
 def test_ar_normal_1d_rejects_non_real_coefficient():
     with pytest.raises(ParameterError, match="'x'"):
-        ar_normal_1d_certificate("x", 1.0, 1.0)
+        ARNormal1D("x", 1.0)
 
 
 # ----------------------------------------------------------- vector AR bound
@@ -323,7 +327,7 @@ def tridiagonal(d, diag, off):
 def test_ar_normal_d_tridiagonal_rate_and_coefficient():
     d = 100
     a = tridiagonal(d, 0.5, 0.125)
-    cert = ar_normal_d_certificate(a, a, np.ones(d), np.zeros(d))
+    cert = ARNormalD(a, a).certificate(np.ones(d), np.zeros(d))
     assert cert.d == pytest.approx(0.5 + 0.25 * math.cos(math.pi / 101), abs=1e-12)
     assert cert.d == pytest.approx(0.7498791, abs=1e-7)
     assert cert.c == pytest.approx(98782.31, rel=0.01)
@@ -331,7 +335,7 @@ def test_ar_normal_d_tridiagonal_rate_and_coefficient():
 
 
 def test_ar_normal_d_one_dimensional_collapse():
-    cert = ar_normal_d_certificate(np.array([[0.5]]), np.array([[1.0]]), [2.0], [0.5])
+    cert = ARNormalD(np.array([[0.5]]), np.array([[1.0]])).certificate([2.0], [0.5])
     assert cert.d == 0.5
     assert cert.c == pytest.approx(math.sqrt(1 / (2 * math.pi)) * 1.5, rel=1e-12)
 
@@ -357,7 +361,7 @@ def exact_tv_gaussian_ar(a, sigma, x0, x0_prime, n_max):
 def test_ar_normal_d_bound_dominates_exact_tv():
     d = 100
     a = tridiagonal(d, 0.5, 0.125)
-    cert = ar_normal_d_certificate(a, a, np.ones(d), np.zeros(d))
+    cert = ARNormalD(a, a).certificate(np.ones(d), np.zeros(d))
     exact = exact_tv_gaussian_ar(a, a, np.ones(d), np.zeros(d), 79)
     margins = [bound_eval(cert, n).raw - tv for n, tv in enumerate(exact, start=1)]
     assert min(margins) > 0
@@ -414,35 +418,46 @@ def test_ar1_exact_tv_of_an_explosive_chain_does_not_overflow():
 
 def test_ar_normal_d_shapes_must_match_A():
     a = 0.5 * np.eye(2)
+    # the family rejects a Sigma of another shape; the certificate, starts of another shape
+    with pytest.raises(ParameterError, match=r"Sigma shape \(3, 3\) must match A shape \(2, 2\)"):
+        ARNormalD(a, np.eye(3))
+    model = ARNormalD(a, np.eye(2))
     bad = [
-        (np.eye(3), np.ones(2), np.zeros(2), r"Sigma shape \(3, 3\) must match A shape \(2, 2\)"),
-        (np.eye(2), [1.0, 2.0, 3.0], np.zeros(3), r"x0 must have shape \(2,\).*\(3,\)"),
-        (np.eye(2), 1.0, 0.0, r"x0 must have shape \(2,\).*\(\)"),
-        (np.eye(2), np.ones(2), np.zeros((1, 2)), r"x0p must have shape \(2,\).*\(1, 2\)"),
-        (np.eye(2), ["abc", 1.0], np.zeros(2), "starts must be lists of numbers"),
+        ([1.0, 2.0, 3.0], np.zeros(3), r"x0 must have shape \(2,\).*\(3,\)"),
+        (1.0, 0.0, r"x0 must have shape \(2,\).*\(\)"),
+        (np.ones(2), np.zeros((1, 2)), r"x0p must have shape \(2,\).*\(1, 2\)"),
+        (["abc", 1.0], np.zeros(2), "starts must be lists of numbers"),
     ]
-    for sigma, x0, x0p, message in bad:
+    for x0, x0p, message in bad:
         with pytest.raises(ParameterError, match=message):
-            ar_normal_d_certificate(a, sigma, x0, x0p)
+            model.certificate(x0, x0p)
 
 
 def test_ar_normal_d_errors():
     with pytest.raises(NoContractionError):
-        ar_normal_d_certificate(np.eye(2), np.eye(2), np.ones(2), np.zeros(2))
-    bad = [
-        (np.array([[0.5, 0.2], [0.0, 0.5]]), np.eye(2)),  # asymmetric A
+        ARNormalD(np.eye(2), np.eye(2)).certificate(np.ones(2), np.zeros(2))
+    # the family rejects matrices that are not square or not finite
+    bad_family = [
         (np.full((2, 3), 0.1), np.eye(2)),  # non-square A
         (np.array([[0.5, math.nan], [math.nan, 0.5]]), np.eye(2)),
         (np.diag([0.5, math.inf]), np.eye(2)),
-        (0.5 * np.eye(2), np.zeros((2, 2))),
-        (0.5 * np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])),  # singular Sigma
-        (0.5 * np.eye(2), np.diag([1.0, 1e-13])),  # condition 1e13
         (0.5 * np.eye(2), np.diag([1.0, math.nan])),
         (0.5 * np.eye(2), np.full((2, 3), 0.1)),  # non-square Sigma
     ]
-    for a, sigma in bad:
+    for a, sigma in bad_family:
         with pytest.raises(ParameterError):
-            ar_normal_d_certificate(a, sigma, np.ones(2), np.zeros(2))
+            ARNormalD(a, sigma)
+    # the certificate rejects an asymmetric A and a Sigma it cannot invert
+    bad_certificate = [
+        (np.array([[0.5, 0.2], [0.0, 0.5]]), np.eye(2)),  # asymmetric A
+        (0.5 * np.eye(2), np.zeros((2, 2))),
+        (0.5 * np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])),  # singular Sigma
+        (0.5 * np.eye(2), np.diag([1.0, 1e-13])),  # condition 1e13
+    ]
+    for a, sigma in bad_certificate:
+        model = ARNormalD(a, sigma)
+        with pytest.raises(ParameterError):
+            model.certificate(np.ones(2), np.zeros(2))
 
 
 # ------------------------------------------------------------- nonlinear AR
@@ -511,7 +526,7 @@ def test_nonlinear_ar_certificate_reference_rate():
 # ------------------------------------------------------------------- LARCH
 
 def test_larch_certificate_chi_square_coefficient():
-    cert = larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=1.2)
+    cert = LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.2, m=1)
     assert cert.c == pytest.approx(1 / math.sqrt(8 * math.pi * math.e), abs=1e-9)
     assert cert.d == pytest.approx(0.5, rel=1e-12)
 
@@ -522,46 +537,46 @@ def test_larch_numeric_sup_matches_closed_form():
     # 1/sqrt(2 pi e); the numeric maximizer must land on it
     sup = 1 / math.sqrt(2 * math.pi * math.e)
     for z in (ChiSquare(1), Gamma(0.5, 0.5)):
-        cert = larch_certificate(1.0, 0.5, z, m=1, gap=1.0)
+        cert = LARCH(1.0, 0.5, z).certificate(gap=1.0, m=1)
         assert cert.details["log_noise_density_sup"] == pytest.approx(sup, rel=1e-12)
         assert cert.c == pytest.approx(0.5 * sup, rel=1e-12)
 
 
 def test_larch_mode_count_must_be_integral():
     with pytest.raises(ParameterError):
-        larch_certificate(1.0, 0.5, ChiSquare(1), m=1.9, gap=1.0)
-    assert larch_certificate(1.0, 0.5, ChiSquare(1), m=2.0, gap=1.0).c == \
-        larch_certificate(1.0, 0.5, ChiSquare(1), m=2, gap=1.0).c
+        LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=1.9)
+    assert LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=2.0).c == \
+        LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=2).c
 
 
 def test_larch_no_contraction():
     with pytest.raises(NoContractionError):
-        larch_certificate(1.0, 2.0, ChiSquare(1), m=1, gap=1.0)
+        LARCH(1.0, 2.0, ChiSquare(1)).certificate(gap=1.0, m=1)
 
 
 def test_larch_rejects_sign_changing_noise():
     with pytest.raises(ParameterError):
-        larch_certificate(1.0, 0.5, Normal(0.0, 1.0), m=1, gap=1.0)
+        LARCH(1.0, 0.5, Normal(0.0, 1.0))
 
 
 # --------------------------------------------------------------- asym ARCH
 
 def test_asym_arch_jensen_and_exact_rates():
-    cert = asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0)
+    cert = AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)).certificate(gap=5.0)
     assert cert.d == 0.5
     assert cert.details["d_exact"] == pytest.approx(0.5 * math.sqrt(2 / math.pi), rel=1e-12)
-    exact = asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0, jensen=False)
+    exact = AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)).certificate(gap=5.0, jensen=False)
     assert exact.d == pytest.approx(0.3989422804, abs=1e-9)
 
 
 def test_asym_arch_jensen_must_be_a_bool():
     for jensen in ("no", 0, None):
         with pytest.raises(ParameterError):
-            asym_arch_certificate(0.5, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0, jensen=jensen)
+            AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)).certificate(gap=5.0, jensen=jensen)
 
 
 def test_asym_arch_zero_slope_couples_immediately():
-    cert = asym_arch_certificate(0.0, 3.0, 5.0, Normal(0.0, 1.0), gap=5.0)
+    cert = AsymARCH(0.0, 3.0, 5.0, Normal(0.0, 1.0)).certificate(gap=5.0)
     assert cert.d == 0.0
     for n in (2, 3, 10):
         assert bound_eval(cert, n).raw == 0.0
@@ -570,7 +585,7 @@ def test_asym_arch_zero_slope_couples_immediately():
 # -------------------------------------------------------------------- GARCH
 
 def test_garch_certificate_constants():
-    cert = garch_certificate(0.13, 0.1266, 0.7922, Normal(0.0, 1.0), 0.1, -0.1, 0.0001, 0.01)
+    cert = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01)
     assert cert.details["coefficient"] == pytest.approx(
         math.sqrt(0.7922 * abs(0.01**2 - 0.1**2) / 0.13), rel=1e-12
     )
@@ -580,13 +595,13 @@ def test_garch_certificate_constants():
 
 
 def test_garch_identical_initials_bound_zero():
-    cert = garch_certificate(0.13, 0.1266, 0.7922, Normal(0.0, 1.0), 0.1, 0.1, 0.01, 0.01)
+    cert = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, 0.1, 0.01, 0.01)
     for n in (2, 5, 30):
         assert bound_eval(cert, n).raw == 0.0
 
 
 def test_garch_memoryless_bound_zero():
-    cert = garch_certificate(0.13, 0.0, 0.0, Normal(0.0, 1.0), 0.1, -0.2, 0.01, 0.3)
+    cert = GARCH(0.13, 0.0, 0.0, Normal(0.0, 1.0)).certificate(0.1, -0.2, 0.01, 0.3)
     assert cert.d == 0.0
     for n in (2, 5):
         assert bound_eval(cert, n).raw == 0.0
@@ -594,16 +609,16 @@ def test_garch_memoryless_bound_zero():
 
 def test_garch_no_contraction():
     with pytest.raises(NoContractionError):
-        garch_certificate(0.13, 0.5, 0.8, Normal(0.0, 1.0), 0.1, -0.1, 0.0001, 0.01)
+        GARCH(0.13, 0.5, 0.8, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01)
 
 
 # -------------------------------------------------------------- serialization
 
 def test_certificate_json_roundtrip():
     certs = [
-        garch_certificate(0.13, 0.1266, 0.7922, Normal(0.0, 1.0), 0.1, -0.1, 0.0001, 0.01),
+        GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01),
         nonlinear_ar_certificate(gap=1.0, d_squared=0.661),
-        ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0),
+        ARNormal1D(0.5, math.sqrt(0.75)).certificate(1.0),
     ]
     for cert in certs:
         d = certificate_to_dict(cert)

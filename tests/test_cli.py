@@ -620,3 +620,47 @@ def test_curve_default_noise_is_standard_normal(tmp_path, capsys, family, params
         csvs.append(out.read_text())
     assert csvs[0] == csvs[1]
     assert csvs[0].splitlines()[-1].split(",")[1] != ""
+
+
+def _exit_code_and_streams(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["curve", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0p", "1"], id="curve-without-x0"),
+    pytest.param(["certificate", "--family", "ar1", "--params", "{bad"], id="params-not-json"),
+    pytest.param(["certificate", "--family", "ar1", "--params-file", "missing.json"], id="params-file-missing"),
+    pytest.param(["dataset-stats", "--csv", "F"], id="dataset-stats-csv-without-y-column"),
+    pytest.param(["dataset-stats"], id="dataset-stats-without-a-source"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--stream-id", "-1"], id="curve-stream-id-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--n-max", "0"], id="curve-n-max-0"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--paths", "0"], id="curve-paths-0"),
+])
+def test_rejected_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _exit_code_and_streams(capsys, argv)
+    assert code == 2, err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,env_seed", [
+    pytest.param(["--seed", "-3"], None, id="seed-negative"),
+    pytest.param(["--seed", str(2**128)], None, id="seed-2-128"),
+    pytest.param([], "-3", id="env-seed-negative"),
+])
+def test_bad_seed_fails_before_the_table_and_the_curves_directory(tmp_path, monkeypatch, capsys, argv, env_seed):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ONESHOT_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("ONESHOT_SEED", env_seed)
+    code, out, err = _exit_code_and_streams(capsys, ["repro", "--skip-mc", "--curves", "D", *argv])
+    assert code == 2, err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert out == ""
+    assert not (tmp_path / "D").exists()

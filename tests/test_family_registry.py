@@ -9,6 +9,7 @@ density, moments and support.  Code that tests a law's type re-describes
 the law somewhere else, so no module may do it either."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 from tvbounds import cli, models, stochastics
@@ -82,3 +83,37 @@ def test_every_noise_law_describes_itself():
     for tag, cls in stochastics.DISTS.items():
         assert isinstance(cls.positive, bool), tag
         assert "log_density" in vars(cls) and "abs_moment" in vars(cls), tag
+
+
+def _is_bounds_certificate_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "bounds" and node.func.attr.endswith("_certificate"))
+
+
+def test_each_certificate_reads_its_validated_family():
+    # a family's domain is checked once, in its __post_init__: a certificate
+    # method passes the instance (when it has fields), never the fields loose,
+    # so no bounds constructor is handed values it would have to check again
+    tree = ast.parse((SRC / "models.py").read_text(encoding="utf-8"))
+    calls = {id(node) for node in ast.walk(tree) if _is_bounds_certificate_call(node)}
+    found = []
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for call in filter(_is_bounds_certificate_call, ast.walk(cls)):
+            calls.discard(id(call))
+            loose = [a for a in (*call.args, *(k.value for k in call.keywords))
+                     if isinstance(a, ast.Attribute) and getattr(a.value, "id", None) == "self"]
+            passes_self = bool(call.args) and getattr(call.args[0], "id", None) == "self"
+            found.append((cls.name, bool(loose), passes_self or not fields(getattr(models, cls.name))))
+    assert calls == set()  # every call sits in a family class
+    assert sorted(found) == sorted((cls.__name__, False, True) for cls in models.FAMILIES.values())
+
+
+def test_bounds_imports_nothing_from_models():
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert [name for name in names if name.split(".")[-1] == "models"] == []

@@ -86,7 +86,8 @@ def test_gibbs_counts_must_be_integral():
 
 
 def test_vector_ar_matrices_match_certificate():
-    # ar_normal_d_certificate takes square matrices with finite entries; so does the model
+    # the model alone checks that A and Sigma are square, finite and of one shape;
+    # ar_normal_d_certificate reads them as the model holds them
     for a, sigma in [
         ([[math.nan]], [[1.0]]),
         ([[0.5]], [[math.inf]]),
@@ -99,7 +100,7 @@ def test_vector_ar_matrices_match_certificate():
 
 
 def test_garch_domain_matches_certificate():
-    # garch_certificate takes alpha2 > 0 and beta2, gamma2 >= 0; so does the model
+    # the model alone checks alpha2 > 0 and beta2, gamma2 >= 0; garch_certificate reads them
     for beta2, gamma2 in [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)]:
         m = GARCH(0.13, beta2, gamma2, Normal(0.0, 1.0))
         s = step(m, GarchState(np.array([0.1, -0.4]), np.array([0.0001, 0.5])), np.array([1.0, -1.0]))

@@ -1,6 +1,7 @@
 """The runtime imports numpy only; scipy is a test oracle."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -151,8 +152,13 @@ def test_docs_list_only_the_modules_that_exist():
 
 
 def test_readme_names_every_certificate_constructor():
-    # the family table's last column against the *_certificate names bounds exports
+    # the family table's last column against the *_certificate names bounds
+    # exports, each with its parameter names
     from tvbounds import bounds
 
-    listed = set(re.findall(r"^\|.*\| `bounds\.(\w+)` \|$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M))
-    assert listed == {name for name in bounds.__all__ if name.endswith("_certificate")}
+    rows = re.findall(r"^\|.*\| `bounds\.(\w+)\((.*)\)` \|$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
+    listed = {name: [arg.split("=")[0].strip() for arg in args.split(",")] for name, args in rows}
+    assert listed == {
+        name: list(inspect.signature(getattr(bounds, name)).parameters)
+        for name in bounds.__all__ if name.endswith("_certificate")
+    }

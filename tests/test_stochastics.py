@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from tvbounds import bounds
 from tvbounds.errors import DomainError, ParameterError
+from tvbounds.models import LARCH
 from tvbounds.stochastics import (
     ChiSquare,
     Gamma,
@@ -187,7 +188,7 @@ def test_abs_moment_and_log_density_match_scipy(dist, oracle):
 
 def _log_chi2_sup():
     """sup_x e^x f(e^x) for chi-square(1), as the LARCH certificate computes it."""
-    return bounds.larch_certificate(1.0, 0.5, ChiSquare(1), m=1, gap=1.0).details["log_noise_density_sup"]
+    return LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=1).details["log_noise_density_sup"]
 
 
 def test_log_chi2_sup_closed_form():

@@ -239,7 +239,7 @@ def test_curve_tracks_exact_ar1():
     # every AR(1) curve fills tv_exact, not only the standard a = 1/2 chain
     for a, sigma in [(0.5, math.sqrt(0.75)), (0.8, 1.0)]:
         model = ARNormal1D(a, sigma)
-        cert = bounds.ar_normal_1d_certificate(a, sigma, 1.0)
+        cert = model.certificate(1.0)
         curve = simulate_tv_curve(model, 0.0, 1.0, n_max=8, n_paths=100_000, bin_width=0.01,
                                   stream=NoiseStream(2026), certificate=cert)
         for r in curve.rows:
@@ -260,15 +260,17 @@ def test_curve_sound_for_nonlinear_ar():
 
 def test_curve_sound_for_gibbs_chains(trees):
     j, _, s = trees
-    cert = bounds.location_gibbs_certificate(j, s, gap=19.0)
-    curve = simulate_tv_curve(models.LocationGibbsTau(j, s), 1.0, 20.0, n_max=5,
+    loc = models.LocationGibbsTau(j, s)
+    cert = loc.certificate(gap=19.0)
+    curve = simulate_tv_curve(loc, 1.0, 20.0, n_max=5,
                               n_paths=400_000, bin_width=0.05, stream=NoiseStream(43),
                               certificate=cert)
     for r in curve.rows:
         assert r.tv_sim <= r.bound_clamped + 3 * r.mc_se + r.noise_floor
 
-    rcert = bounds.regression_gibbs_certificate(333, 4, 26123.0, gap=1000.0)
-    rcurve = simulate_tv_curve(models.RegressionGibbsSigma(333, 4, 26123.0), 1.0, 1001.0,
+    reg = models.RegressionGibbsSigma(333, 4, 26123.0)
+    rcert = reg.certificate(gap=1000.0)
+    rcurve = simulate_tv_curve(reg, 1.0, 1001.0,
                                n_max=4, n_paths=400_000, bin_width=0.05,
                                stream=NoiseStream(44), certificate=rcert)
     for r in rcurve.rows:
@@ -279,8 +281,9 @@ def test_curve_sound_for_gibbs_chains(trees):
 def test_curve_sound_for_degenerate_garch(beta2, gamma2):
     # gamma2 = 0 is ARCH(1); beta2 = 0 makes the volatility deterministic
     z = Normal(0.0, 1.0)
-    cert = bounds.garch_certificate(0.13, beta2, gamma2, z, 0.1, -0.4, 0.0001, 0.5)
-    curve = simulate_tv_curve(models.GARCH(0.13, beta2, gamma2, z), 0.1, -0.4, n_max=6,
+    model = models.GARCH(0.13, beta2, gamma2, z)
+    cert = model.certificate(0.1, -0.4, 0.0001, 0.5)
+    curve = simulate_tv_curve(model, 0.1, -0.4, n_max=6,
                               n_paths=200_000, bin_width=0.01, stream=NoiseStream(45),
                               certificate=cert, s20=0.0001, s20_prime=0.5)
     assert curve.rows[0].bound is None  # the certificate starts after n0 = 1
@@ -373,7 +376,7 @@ def test_curve_single_path_degenerate_but_legal():
 
 def test_curve_csv_format():
     model = ARNormal1D(0.5, math.sqrt(0.75))
-    cert = bounds.ar_normal_1d_certificate(0.5, math.sqrt(0.75), 1.0)
+    cert = model.certificate(1.0)
     curve = simulate_tv_curve(model, 0.0, 1.0, 2, 1000, 0.01, NoiseStream(10), certificate=cert)
     lines = curve.to_csv().strip().split("\n")
     assert lines[0] == "n,bound,bound_clamped,tv_sim,tv_exact,mc_se"
@@ -382,9 +385,7 @@ def test_curve_csv_format():
     assert all(len(f) > 0 for f in first)
     # GARCH bound starts at n0+1 = 2: first row has empty bound fields
     g = models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
-    gcert = bounds.garch_certificate(0.13, 0.1266, 0.7922,
-                                     Normal(0.0, 1.0),
-                                     0.1, -0.1, 0.0001, 0.01)
+    gcert = g.certificate(0.1, -0.1, 0.0001, 0.01)
     gc = simulate_tv_curve(g, 0.1, -0.1, 2, 1000, 0.01, NoiseStream(11), certificate=gcert,
                            s20=0.0001, s20_prime=0.01)
     grow = gc.to_csv().strip().split("\n")[1].split(",")
