@@ -93,6 +93,19 @@ def test_multi_chunk_curve_golden_digest(workers):
     assert _digest(curve) == MULTI_CHUNK_DIGEST
 
 
+# the heavy LARCH tail spans more than 8 cells per value, so binning takes
+# the unweighted sort branch of _tally and the cross-chunk merge its
+# weighted sort branch; the other digests run through bincount
+SORT_BRANCH_DIGEST = "e14c8cb7c7dd88fd81a408c9669b7cb02135cf02a221af1762502e7bf8719302"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sort_branch_curve_golden_digest(workers):
+    model = models.LARCH(1.0, 0.5, ChiSquare(1))
+    curve = simulate_tv_curve(model, 0.01, 1.21, 6, 140_000, 0.01, NoiseStream(110), workers=workers)
+    assert _digest(curve) == SORT_BRANCH_DIGEST
+
+
 # family: (model, sha256 of full_step's reduced value then first coordinate,
 # as little-endian float64, from the state grid STATE_GRID and NoiseStream(110))
 FULL_STEP_CASES = {
