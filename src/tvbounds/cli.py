@@ -187,6 +187,9 @@ def cmd_curve(args) -> int:
     model, certify = _split(args.family, params)
     if model is None or model.state_ndim:  # before certifying: a vector certificate rejects scalar starts
         raise ParameterError(f"family '{args.family}' has no scalar chain to simulate; TV curves are scalar-only")
+    # both starts before the certificate, so a bad start fails with one error line
+    model.make_state(params["x0"], params.get("s20"))
+    model.make_state(params["x0p"], params.get("s20p"))
     cert = None
     if not args.no_bound:
         try:
@@ -195,7 +198,7 @@ def cmd_curve(args) -> int:
             print(f"note: no bound column ({exc})", file=sys.stderr)
     curve = tvlab.simulate_tv_curve(
         model, params["x0"], params["x0p"], n_max=args.n_max, n_paths=args.paths,
-        bin_width=args.bin_width, stream=NoiseStream(args.seed, args.stream_id),
+        bin_width=args.bin_width, stream=args.stream,
         certificate=cert, workers=args.workers, s20=params.get("s20"), s20_prime=params.get("s20p"),
     )
     _emit(curve.to_csv(), args.out)
@@ -578,6 +581,8 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:  # curve and repro: a bad seed fails before any file is made
             args.seed = _seed_from(args)
+        if "stream_id" in args:  # curve: a bad stream id, too, fails before the certificate
+            args.stream = NoiseStream(args.seed, args.stream_id)
         _check_outputs(args)
         return args.fn(args)
     except (ParameterError, DomainError, IngestionError, NoContractionError, StateError) as exc:

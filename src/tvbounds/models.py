@@ -14,7 +14,10 @@ the contraction phase).
 States are numpy-friendly: scalars and arrays flow through the same
 code, so a million coupled paths advance in one vectorized call.  The
 GARCH state carries the pair (x, sigma^2) because its bound consumes
-both initial components.
+both initial components.  ``step(state, noise, out=None)`` writes the
+next state into ``out``, which may be ``state`` itself, so a simulation
+loop advances its paths in place without a fresh array per iteration;
+without ``out`` it allocates one and leaves its inputs untouched.
 """
 
 from __future__ import annotations
@@ -56,13 +59,27 @@ class GarchState(NamedTuple):
     s2: "np.ndarray | float"
 
 
+def _out(out, *operands):
+    """Where a step writes: ``out`` itself, else a fresh float array of the
+    operands' broadcast shape (0-d for scalars)."""
+    return np.empty(np.broadcast(*operands).shape) if out is None else out
+
+
 @dataclass(frozen=True)
 class Family:
     """A chain family.  Subclasses set ``family`` (the JSON tag), check
     their fields in ``__post_init__`` and define ``step`` and ``certificate``
     (which passes the instance itself to its ``bounds`` constructor; its
     keyword parameters are the certificate's only other inputs).  By default
-    a family draws its noise from ``z`` and runs on its scalar observable."""
+    a family draws its noise from ``z`` and runs on its scalar observable.
+
+    ``step(state, noise, out=None)`` is one transition.  It writes the next
+    state into ``out`` (an array, or for GARCH a pair of arrays, of the
+    broadcast shape of state and noise) and returns it; ``out`` may be
+    ``state`` itself.  With ``out`` None it first allocates a fresh float
+    array and runs the same arithmetic, so the result is bit-identical
+    either way.  It never writes ``noise``, and writes ``state`` only when
+    the caller passes it as ``out``."""
 
     family: ClassVar[str]
     # dimensions of one path's observable
@@ -103,8 +120,13 @@ class NonlinearAR(Family):
     def draw(self, rng: np.random.Generator, size=None):
         return rng.standard_normal(size=size)
 
-    def step(self, state, noise):
-        return 0.5 * (state - np.sin(state)) + noise
+    def step(self, state, noise, out=None):
+        out = _out(out, state, noise)
+        sin = np.sin(state)
+        np.subtract(state, sin, out=out)
+        out *= 0.5
+        out += noise
+        return out
 
     def certificate(self, gap, d_squared=None):
         return bounds.nonlinear_ar_certificate(gap, d_squared)
@@ -112,7 +134,9 @@ class NonlinearAR(Family):
 
 @dataclass(frozen=True)
 class ARNormal1D(Family):
-    """X_n = a X_{n-1} + sigma Z_n."""
+    """X_n = a X_{n-1} + sigma Z_n.  The innovation ``draw`` returns is
+    sigma Z_n itself, scaled in place, so ``step`` adds it with no
+    temporary."""
 
     family: ClassVar[str] = "ar1"
     a: float
@@ -124,10 +148,13 @@ class ARNormal1D(Family):
             raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
 
     def draw(self, rng: np.random.Generator, size=None):
-        return rng.standard_normal(size=size)
+        return Normal(0.0, self.sigma).draw(rng, size)
 
-    def step(self, state, noise):
-        return self.a * state + self.sigma * noise
+    def step(self, state, noise, out=None):
+        out = _out(out, state, noise)
+        np.multiply(state, self.a, out=out)
+        out += noise
+        return out
 
     def certificate(self, gap):
         return bounds.ar_normal_1d_certificate(self, gap)
@@ -169,9 +196,10 @@ class ARNormalD(Family):
     def draw(self, rng: np.random.Generator, size=None):
         return rng.standard_normal(size=(self.dim,) if size is None else (size, self.dim))
 
-    def step(self, state, noise):
-        x = np.asarray(state, dtype=float)
-        return x @ self.a.T + np.asarray(noise) @ self.sigma.T
+    def step(self, state, noise, out=None):
+        drift = np.asarray(state, dtype=float) @ self.a.T
+        shock = np.asarray(noise) @ self.sigma.T
+        return np.add(drift, shock, out=_out(out, drift, shock))
 
     def make_state(self, x, s2=None):
         v = np.asarray(x, dtype=float)
@@ -188,6 +216,11 @@ def _check_positive_state(x):
         raise StateError("Gibbs chain state must be strictly positive")
 
 
+def _check_garch_s2(s2):
+    if np.any(np.asarray(s2) < 0):
+        raise StateError("GARCH sigma^2 state must be >= 0")
+
+
 @dataclass(frozen=True)
 class _Gibbs(Family):
     """Reduced Gibbs chain r_n = X_n Y_n r_{n-1} + Y_n on a positive state,
@@ -202,10 +235,14 @@ class _Gibbs(Family):
         y = stochastics.sample(InverseGamma((self.k + self.p) / 2, self.c_stat / 2), rng, size=size)
         return x, y
 
-    def step(self, state, noise):
+    def step(self, state, noise, out=None):
         _check_positive_state(state)
         x, y = noise
-        return x * y * state + y
+        out = _out(out, state, x, y)
+        xy = np.multiply(x, y)
+        np.multiply(xy, state, out=out)
+        out += y
+        return out
 
     def make_state(self, x, s2=None):
         _check_positive_state(x)
@@ -347,8 +384,12 @@ class LARCH(Family):
         if not self.z.positive:
             raise ParameterError("LARCH noise must be positive almost surely")
 
-    def step(self, state, noise):
-        return (self.beta0 + self.beta1 * state) * noise
+    def step(self, state, noise, out=None):
+        out = _out(out, state, noise)
+        np.multiply(state, self.beta1, out=out)
+        out += self.beta0
+        out *= noise
+        return out
 
     def certificate(self, gap, m=1):
         return bounds.larch_certificate(self, m, gap)
@@ -369,8 +410,15 @@ class AsymARCH(Family):
         if self.c == 0:
             raise ParameterError("asymmetric ARCH requires c != 0")
 
-    def step(self, state, noise):
-        return np.sqrt((self.a * state + self.b) ** 2 + self.c**2) * noise
+    def step(self, state, noise, out=None):
+        out = _out(out, state, noise)
+        np.multiply(state, self.a, out=out)
+        out += self.b
+        np.square(out, out=out)
+        out += self.c**2
+        np.sqrt(out, out=out)
+        out *= noise
+        return out
 
     def certificate(self, gap, jensen=True):
         return bounds.asym_arch_certificate(self, gap, jensen=jensen)
@@ -399,15 +447,27 @@ class GARCH(Family):
                 f"({self.alpha2}, {self.beta2}, {self.gamma2})"
             )
 
-    def step(self, state, noise):
-        if np.any(np.asarray(state.s2) < 0):
-            raise StateError("GARCH sigma^2 state must be >= 0")
-        s2 = self.alpha2 + self.beta2 * np.asarray(state.x) ** 2 + self.gamma2 * np.asarray(state.s2)
-        return GarchState(np.sqrt(s2) * noise, s2)
+    def step(self, state, noise, out=None):
+        _check_garch_s2(state.s2)
+        if out is None:
+            shape = np.broadcast(*state, noise).shape
+            out = GarchState(np.empty(shape), np.empty(shape))
+        x, s2 = out
+        # sigma^2_n = (alpha2 + beta2 x^2) + gamma2 sigma^2_{n-1}, built in x
+        # first: state.x is read before x is written, state.s2 before s2
+        np.square(state.x, out=x)
+        x *= self.beta2
+        x += self.alpha2
+        np.multiply(state.s2, self.gamma2, out=s2)
+        s2 += x
+        np.sqrt(s2, out=x)
+        x *= noise
+        return out
 
     def make_state(self, x, s2=None):
         if s2 is None:
             raise ParameterError("GARCH state needs both x and sigma^2")
+        _check_garch_s2(s2)
         return GarchState(x, s2)
 
     def observable(self, state):
@@ -448,10 +508,12 @@ def draw_innovations(model: Family, rng: np.random.Generator, size=None):
     return model.draw(rng, size)
 
 
-def step(model: Family, state, noise):
-    """One transition; deterministic given (state, noise).  Forwards to
-    ``model.step``; a layer boundary perfbench hooks."""
-    return model.step(state, noise)
+def step(model: Family, state, noise, out=None):
+    """One transition; deterministic given (state, noise).  Writes into
+    ``out`` when given (``state`` itself advances in place) and returns
+    it; see :class:`Family`.  Forwards to ``model.step``; a layer boundary
+    perfbench hooks."""
+    return model.step(state, noise, out=out)
 
 
 def couple_step(model: Family, cs: CoupledState, stream: NoiseStream) -> CoupledState:

@@ -85,8 +85,10 @@ class Normal:
 
     def draw(self, rng: np.random.Generator, size=None):
         if self.mu == 0.0:
-            # bit-identical to rng.normal(0, sigma) and faster
-            return self.sigma * rng.standard_normal(size)
+            # bit-identical to rng.normal(0, sigma) and faster; scaled in place
+            z = rng.standard_normal(size)
+            z *= self.sigma
+            return z
         return rng.normal(self.mu, self.sigma, size=size)
 
     def log_density(self, x):
@@ -181,7 +183,9 @@ class InverseGamma:
             )
 
     def draw(self, rng: np.random.Generator, size=None):
-        return 1.0 / rng.gamma(self.shape, 1.0 / self.rate, size=size)
+        g = rng.gamma(self.shape, 1.0 / self.rate, size=size)
+        # an array draw takes the reciprocal in place: the same IEEE division
+        return 1.0 / g if size is None else np.divide(1.0, g, out=g)
 
     def log_density(self, x):
         a, b = self.shape, self.rate

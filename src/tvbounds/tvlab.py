@@ -27,6 +27,15 @@ per-iteration histograms in job order as they arrive, so memory is
 bounded by n_max merged histogram pairs plus the jobs in flight: each
 extra worker costs one copy's chunk in flight, not one interpreter.
 Counts are integers, so output is byte-identical for any worker count.
+
+Each job owns a fixed working set, allocated once when it starts and
+never shared with another thread: its state, which ``models.step``
+advances in place (``out=state``), and one float64 and one int64 array
+of the chunk's size, into which binning divides, floors, casts and
+offsets every iteration's observable.  Per iteration a job allocates
+only its draws, its histograms and, in the steps that need one
+(nonlinear-ar, Gibbs), one temporary, so it hands few chunk-sized
+arrays back to the allocator to be faulted in again.
 """
 
 from __future__ import annotations
@@ -62,14 +71,19 @@ _MAX_CELL = 2.0**62
 _SPAN_PER_VALUE = 8
 
 
-def _cells(x: np.ndarray, bin_width: float):
+def _cells(x: np.ndarray, bin_width: float, work=None):
     """Cell index floor(x / w) of every value, as int64, with the lowest
     and highest cell.
+
+    ``work`` is a (float64, int64) pair of arrays of x's size: the
+    division and floor run in place in the first, the cast writes the
+    second, which is returned.  By default both are fresh.
 
     Raises ParameterError when a value is non-finite or its cell lies
     beyond +-2**62, where the int64 cast would wrap.
     """
-    cells = x / bin_width
+    cells, index = work if work is not None else (np.empty(x.size), np.empty(x.size, dtype=np.int64))
+    np.divide(x, bin_width, out=cells)
     np.floor(cells, out=cells)
     lo, hi = cells.min(), cells.max()
     # NaN fails both comparisons, so min/max also catch non-finite values
@@ -80,23 +94,27 @@ def _cells(x: np.ndarray, bin_width: float):
             f"{non_finite} of {x.size} values non-finite, {too_large} out of histogram "
             "range (|x| / bin_width >= 2**62)"
         )
-    return cells.astype(np.int64), int(lo), int(hi)
+    index[...] = cells
+    return index, int(lo), int(hi)
 
 
 def _tally(cells: np.ndarray, lo: int, hi: int, weights: Optional[np.ndarray] = None):
     """Sorted distinct cells and the summed weight of each (how often it
-    occurs when ``weights`` is None), as int64 arrays.
+    occurs when ``weights`` is None), as fresh int64 arrays.
 
     The one place that chooses how to count: np.bincount on the offset
     index cells - lo, or, when the span hi - lo + 1 exceeds 8 values per
     input and a span-sized count array would outweigh the input, a sort.
+    Every caller passes an int64 array of its own, which the bincount
+    branch offsets in place.
     """
     if hi - lo + 1 > _SPAN_PER_VALUE * cells.size:
         if weights is None:
             return np.unique(cells, return_counts=True)
         distinct, where = np.unique(cells, return_inverse=True)
         return distinct, np.bincount(where, weights).astype(np.int64)
-    counts = np.bincount(cells - lo, weights)
+    cells -= lo
+    counts = np.bincount(cells, weights)
     occupied = np.flatnonzero(counts != 0)  # nonzero scans a bool mask several times faster than int64
     return occupied + lo, counts[occupied].astype(np.int64, copy=False)
 
@@ -124,11 +142,14 @@ class Histogram:
         return int(self.counts.sum())
 
     @classmethod
-    def from_samples(cls, samples, bin_width: float) -> "Histogram":
+    def from_samples(cls, samples, bin_width: float, work=None) -> "Histogram":
+        """Histogram of ``samples``; ``work`` is the caller's own
+        (float64, int64) pair of arrays of the samples' size that binning
+        writes in place (see ``_cells``), fresh when None."""
         h = cls(bin_width)
         x = np.asarray(samples, dtype=float).ravel()
         if x.size:
-            h.cells, h.counts = _tally(*_cells(x, bin_width))
+            h.cells, h.counts = _tally(*_cells(x, bin_width, work))
         return h
 
     def merge(self, *others: "Histogram") -> None:
@@ -241,16 +262,18 @@ def _simulate_chunk(model, x, s2, n_max, n_paths, bin_width, stream, chunk, copy
 
     Returns the copy's n_max per-iteration histograms.  Substream
     2 * chunk + copy pins its draws, so the result does not depend on
-    which worker ran it.
+    which worker ran it.  The job owns its working set: the state steps
+    in place and binning reuses one float64 and one int64 array, all
+    allocated here once and shared with no other job.
     """
     rng = stream.substream(2 * chunk + copy).generator()
-    ones = np.ones(n_paths)
-    state = model.make_state(float(x) * ones, None if s2 is None else float(s2) * ones)
+    state = model.make_state(np.full(n_paths, float(x)), None if s2 is None else np.full(n_paths, float(s2)))
+    work = (np.empty(n_paths), np.empty(n_paths, dtype=np.int64))
     out = []
     for n in range(1, n_max + 1):
-        state = models_mod.step(model, state, models_mod.draw_innovations(model, rng, size=n_paths))
+        models_mod.step(model, state, models_mod.draw_innovations(model, rng, size=n_paths), out=state)
         try:
-            out.append(Histogram.from_samples(models_mod.observable(model, state), bin_width))
+            out.append(Histogram.from_samples(models_mod.observable(model, state), bin_width, work))
         except ParameterError as exc:
             start = ("x0", "x0'")[copy]
             raise SimulationError(

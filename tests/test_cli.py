@@ -649,6 +649,25 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsy
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # a = 1.5 has no certificate: checked after it, the stream id came with a note line
+    pytest.param(["curve", "--family", "ar1", "--a", "1.5", "--sigma", "1", "--x0", "0", "--x0p", "1",
+                  "--stream-id", "-1"], id="stream-id-negative"),
+    pytest.param([*CURVE_GARCH, "--s20", "-1"], id="garch-s20-negative"),
+])
+def test_bad_stream_or_start_fails_before_the_certificate_and_the_jobs(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate_tv_curve called")
+
+    monkeypatch.setattr(tvlab, "simulate_tv_curve", no_simulation)
+    code, out, err = _exit_code_and_streams(capsys, argv)
+    assert code == 2, err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv,env_seed", [
     pytest.param(["--seed", "-3"], None, id="seed-negative"),
     pytest.param(["--seed", str(2**128)], None, id="seed-2-128"),

@@ -9,6 +9,7 @@ density, moments and support.  Code that tests a law's type re-describes
 the law somewhere else, so no module may do it either."""
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -53,6 +54,11 @@ def test_every_tagged_family_class_is_registered():
         if isinstance(cls, type) and issubclass(cls, models.Family) and hasattr(cls, "family")
     }
     assert tagged == models.FAMILIES
+
+
+def test_every_family_steps_into_out():
+    assert [tag for tag, cls in models.FAMILIES.items() if "out" not in inspect.signature(cls.step).parameters] == []
+    assert "out" in inspect.signature(models.step).parameters
 
 
 def test_every_family_builds_its_own_certificate():

@@ -46,6 +46,77 @@ def test_step_garch_volatility_recursion():
     assert out.s2 == pytest.approx(0.13134, abs=1e-5)
 
 
+def test_garch_start_needs_nonnegative_sigma2():
+    m = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
+    with pytest.raises(StateError):
+        m.make_state(0.1, -1.0)
+    with pytest.raises(StateError):
+        m.make_state(np.array([0.1, 0.2]), np.array([0.01, -1e-300]))
+    assert m.make_state(0.1, 0.0) == GarchState(0.1, 0.0)
+
+
+# every scalar family, each at a valid parameter point; a start drawn from
+# (0.5, 3) is inside every family's state domain
+STEP_FAMILIES = {
+    "ar1": ARNormal1D(0.5, math.sqrt(0.75)),
+    "nonlinear-ar": NonlinearAR(),
+    "larch": LARCH(1.0, 0.5, ChiSquare(1)),
+    "asym-arch": AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)),
+    "garch": GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)),
+    "location-gibbs": LocationGibbsTau(31, S_TREES),
+    "regression-gibbs": RegressionGibbsSigma(333, 4, 26123.0),
+}
+
+
+def _garch_reference(m, s, z):
+    s2 = m.alpha2 + m.beta2 * np.asarray(s.x) ** 2 + m.gamma2 * np.asarray(s.s2)
+    return GarchState(np.sqrt(s2) * z, s2)
+
+
+# each transition as one numpy expression: the order of IEEE operations
+# that the in-place steps keep, bit for bit (ar1's draw is already the
+# product sigma Z)
+REFERENCE_STEPS = {
+    "ar1": lambda m, s, z: m.a * s + z,  # z is the scaled draw sigma Z
+    "nonlinear-ar": lambda m, s, z: 0.5 * (s - np.sin(s)) + z,
+    "larch": lambda m, s, z: (m.beta0 + m.beta1 * s) * z,
+    "asym-arch": lambda m, s, z: np.sqrt((m.a * s + m.b) ** 2 + m.c**2) * z,
+    "garch": _garch_reference,
+    "location-gibbs": lambda m, s, z: z[0] * z[1] * s + z[1],
+    "regression-gibbs": lambda m, s, z: z[0] * z[1] * s + z[1],
+}
+
+
+def _copy(v):
+    return tuple(_copy(u) for u in v) if isinstance(v, tuple) else np.copy(v)
+
+
+def _same(a, b):
+    """Bit-identical values of one shape; tuples (a GARCH state, a Gibbs
+    draw) member by member."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("paths", [None, 1000], ids=["0-d", "array"])
+@pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
+def test_step_into_out_is_bit_identical_and_writes_only_out(family, paths):
+    model = STEP_FAMILIES[family]
+    rng = np.random.default_rng(2026)
+    shape = () if paths is None else (paths,)
+    state = model.make_state(rng.uniform(0.5, 3.0, size=shape), rng.uniform(0.5, 3.0, size=shape))
+    for _ in range(3):
+        noise = draw_innovations(model, rng, size=paths)
+        state0, noise0 = _copy(state), _copy(noise)
+        fresh = step(model, state, noise)
+        assert _same(state, state0) and _same(noise, noise0)
+        if paths:
+            assert _same(fresh, REFERENCE_STEPS[family](model, state, noise))
+        assert step(model, state, noise, out=state) is state
+        assert _same(state, fresh) and _same(noise, noise0)
+
+
 def test_step_gibbs_positive_state_required():
     m = LocationGibbsTau(31, S_TREES)
     with pytest.raises(StateError):
