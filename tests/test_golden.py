@@ -150,6 +150,24 @@ def test_certificate_json_golden_digest(capsys, family):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CERTIFICATE_DIGESTS[family]
 
 
+# positive noise law of LARCH(1, 1/2) -> sha256 of its `certificate` JSON
+# text at gap 1: pins the log-scale density height of each law's shape
+LARCH_NOISE_DIGESTS = {
+    "gamma": ({"dist": "gamma", "shape": 2.0, "rate": 1.0},
+              "3a808317a44613585e635580ecf0e92f2a6a5aaa6c957aeeb7fb70d35789bbb0"),
+    "inverse-gamma": ({"dist": "inverse-gamma", "shape": 3.0, "rate": 2.0},
+                      "e33c69f459b972ce238b5d12cc316cf1600c5eea431628ee7ba40274eeb30c66"),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LARCH_NOISE_DIGESTS))
+def test_larch_certificate_json_golden_digest(capsys, law):
+    z, expected = LARCH_NOISE_DIGESTS[law]
+    params = {"beta0": 1.0, "beta1": 0.5, "z": z, "gap": 1.0}
+    assert cli.main(["certificate", "--family", "larch", "--params", json.dumps(params)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
 def test_certificate_digests_cover_every_family_choice():
     assert set(CERTIFICATE_DIGESTS) == set(FAMILY_CASES)
 
