@@ -26,7 +26,7 @@ def show_curve(name, model, cert, x0, x0p, n_max, **kw):
 
 # ---- LARCH, simulated on the squared chain ---------------------------------
 larch_model = models.LARCH(1.0, 0.5, ChiSquare(1))
-larch = larch_model.certificate(gap=abs(0.01 - 1.21), m=1)
+larch = larch_model.certificate(gap=abs(0.01 - 1.21))
 print(f"LARCH squared chain: C = {larch.c:.6f} (= 1/sqrt(8 pi e)), D = {larch.d}")
 print(f"bound < 0.01 from n = {bounds.iterations_to_epsilon(larch, 0.01)}")
 show_curve("larch", larch_model, larch, 0.01, 1.21, 6)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import stochastics
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import Dist, InverseGamma, abs_moment
+from .stochastics import InverseGamma, abs_moment
 
 __all__ = [
     "BoundCertificate",
@@ -161,7 +161,7 @@ def iterations_to_epsilon(cert: BoundCertificate, eps: float) -> int:
             n += 1
         return n
     # jump close with logs, then scan
-    e_needed = (math.log(eps) - math.log(cert.c * cert.gap)) / math.log(cert.d)
+    e_needed = (math.log(eps) - math.log(cert.c) - math.log(cert.gap)) / math.log(cert.d)
     n = max(cert.n0 + 1, cert.n0 + 1 - cert.exp_offset + int(math.floor(e_needed)) * cert.exp_step - 2)
     while bound_eval(cert, n).raw >= eps:
         n += 1
@@ -193,7 +193,7 @@ def regression_gibbs_certificate(model, gap: float) -> BoundCertificate:
         d=d,
         n0=0,
         gap=gap,
-        family="regression-gibbs",
+        family=model.family,
         details={"k": k, "p": p, "c_stat": c_stat},
     )
 
@@ -235,7 +235,7 @@ def location_gibbs_certificate(model, gap: float) -> BoundCertificate:
         d=1.0 / j,
         n0=0,
         gap=gap,
-        family="location-gibbs",
+        family=model.family,
         notes=(
             "coalescing constant uses the closed form; the inverse-gamma "
             "mode height differs by ((J+1)/S)^2 and is kept in details",
@@ -345,7 +345,7 @@ def ar_normal_1d_certificate(model, gap: float) -> BoundCertificate:
         d=d,
         n0=0,
         gap=gap,
-        family="ar1",
+        family=model.family,
         details={"noise_density_sup": k},
     )
 
@@ -386,7 +386,7 @@ def ar_normal_d_certificate(model, x0, x0_prime) -> BoundCertificate:
         d=rate,
         n0=0,
         gap=1.0,
-        family="ar-d",
+        family=model.family,
         exp_offset=1,
         notes=(
             "bound convention D^n; the initial-distance norm is folded into C",
@@ -542,35 +542,24 @@ def golden_section_max(f, lo: float, hi: float) -> float:
     return float(max(f1, f2))
 
 
-def _log_scale_density_sup(z: Dist) -> float:
-    """sup_x e^x f_Z(e^x), the density height of log(Z) for Z > 0 a.s."""
-    u = np.exp(np.linspace(-40.0, 12.0, 20001))
-    vals = u * stochastics.density(z, u)
-    i = int(np.argmax(vals))
-    lo, hi = u[max(i - 1, 0)], u[min(i + 1, len(u) - 1)]
-    refined = golden_section_max(lambda v: v * stochastics.density(z, v), lo, hi)
-    return max(refined, float(vals[i]))
-
-
-def larch_certificate(model, m: int, gap: float) -> BoundCertificate:
+def larch_certificate(model, gap: float) -> BoundCertificate:
     """Certificate for X_n = (beta0 + beta1 X_{n-1}) Z_n (a LARCH, Z > 0 a.s.):
 
-        C = beta1 (M+1) / (2 beta0) * sup_x e^x f_Z(e^x),   D = beta1 E|Z|.
+        C = beta1 / beta0 * sup_x e^x f_Z(e^x),   D = beta1 E|Z|.
+
+    The sup is ``z.log_scale_sup()``; log Z is log-concave, so unimodal: M = 1 and the mode factor (M + 1)/2 is 1.
     """
     beta0, beta1, z = model.beta0, model.beta1, model.z
-    m = integral("mode count M", m)
-    if m < 1:
-        raise ParameterError(f"mode count M must be >= 1, got {m}")
     d = beta1 * abs_moment(z, 1)
     if d >= 1.0:
         raise NoContractionError(f"D = beta1 E|Z| = {d:.6g} >= 1: chain does not contract")
-    sup = _log_scale_density_sup(z)
+    sup = z.log_scale_sup()
     return BoundCertificate(
-        c=beta1 * (m + 1) / (2 * beta0) * sup,
+        c=beta1 / beta0 * sup,
         d=d,
         n0=0,
         gap=gap,
-        family="larch",
+        family=model.family,
         details={"log_noise_density_sup": sup},
     )
 
@@ -595,7 +584,7 @@ def asym_arch_certificate(model, gap: float, jensen: bool = True) -> BoundCertif
         d=d,
         n0=0,
         gap=gap,
-        family="asym-arch",
+        family=model.family,
         notes=("D is the Jensen relaxation |a| sqrt(E[Z^2])",) if jensen else (),
         details={"d_exact": d_exact, "d_jensen": d_jensen},
     )
@@ -628,7 +617,7 @@ def garch_certificate(model, x0: float, x0_prime: float, s20: float, s20_prime: 
         d=d,
         n0=1,
         gap=init * e_abs_z,
-        family="garch",
+        family=model.family,
         details={"coefficient": init / alpha},
     )
 

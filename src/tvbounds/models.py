@@ -391,8 +391,8 @@ class LARCH(Family):
         out *= noise
         return out
 
-    def certificate(self, gap, m=1):
-        return bounds.larch_certificate(self, m, gap)
+    def certificate(self, gap):
+        return bounds.larch_certificate(self, gap)
 
 
 @dataclass(frozen=True)

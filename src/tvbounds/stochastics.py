@@ -3,14 +3,15 @@
 Only the four laws the chain definitions need are provided: normal,
 chi-square, gamma and inverse-gamma.  Each is one frozen dataclass that
 describes its law whole: JSON ``tag``, parameter fields, ``draw``,
-``log_density`` on its support, the absolute moment ``abs_moment(k)`` and
-the class flag ``positive`` for laws on (0, inf).  :data:`DISTS` (tag ->
-class) is the registry.  The module functions :func:`log_density`,
-:func:`density` and :func:`abs_moment` add what every law shares: array
-coercion, -inf off the support of a positive law, scalar results for
-scalar input and the moment-order check.  Chi-square is Gamma(nu/2, 1/2)
-and takes its formulas and its draws from it.  Every parameter must be
-a finite real number; a bool is not one.
+``log_density`` on its support, ``abs_moment(k)``, the flag ``positive``
+for laws on (0, inf) and, on those, ``log_scale_sup()``, the closed-form
+height of the density of log Z.  :data:`DISTS` (tag -> class) is the
+registry.  The module functions :func:`log_density`, :func:`density` and
+:func:`abs_moment` add what every law shares: array coercion, -inf off
+the support of a positive law, scalar results for scalar input and the
+moment-order check.  Chi-square is Gamma(nu/2, 1/2) and takes its
+formulas and its draws from it.  Every parameter must be a finite real
+number; a bool is not one.
 
 Gamma of shape 1/2 (chi-square(1), and the Gibbs X-draws) is drawn as
 Z^2/(2 rate) from one standard normal, which is exact in law and about a
@@ -131,6 +132,9 @@ class ChiSquare:
     def abs_moment(self, k: int) -> float:
         return Gamma(self.nu / 2, 0.5).abs_moment(k)
 
+    def log_scale_sup(self) -> float:
+        return Gamma(self.nu / 2, 0.5).log_scale_sup()
+
 
 @dataclass(frozen=True)
 class Gamma:
@@ -165,6 +169,10 @@ class Gamma:
         a, b = self.shape, self.rate
         return math.exp(math.lgamma(a + k) - math.lgamma(a) - k * math.log(b))
 
+    def log_scale_sup(self) -> float:
+        """a^a e^-a / Gamma(a) for shape a: log Z peaks at log(a/rate), at a height free of the rate."""
+        return math.exp(self.shape * math.log(self.shape) - self.shape - math.lgamma(self.shape))
+
 
 @dataclass(frozen=True)
 class InverseGamma:
@@ -196,6 +204,8 @@ class InverseGamma:
         if a <= k:
             raise DomainError(f"InverseGamma moment of order {k} requires shape > {k}, got {a}")
         return math.exp(k * math.log(b) + math.lgamma(a - k) - math.lgamma(a))
+
+    log_scale_sup = Gamma.log_scale_sup  # log(1/G) = -log G reflects the density: same height
 
 
 Dist = Union[Normal, ChiSquare, Gamma, InverseGamma]

@@ -197,7 +197,7 @@ def test_criterion_6_general_vector_ar():
 def test_criterion_7_larch():
     t0 = time.time()
     model = models.LARCH(1.0, 0.5, ChiSquare(1))
-    cert = model.certificate(gap=1.2, m=1)
+    cert = model.certificate(gap=1.2)
     ok_c = abs(cert.c - 1 / math.sqrt(8 * math.pi * math.e)) < 1e-9
     flagged_n = bounds.iterations_to_epsilon(cert, 0.01)
     ok_flag = flagged_n == 5  # the recorded claim of 3 is re-evaluated

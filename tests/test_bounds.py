@@ -526,7 +526,7 @@ def test_nonlinear_ar_certificate_reference_rate():
 # ------------------------------------------------------------------- LARCH
 
 def test_larch_certificate_chi_square_coefficient():
-    cert = LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.2, m=1)
+    cert = LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.2)
     assert cert.c == pytest.approx(1 / math.sqrt(8 * math.pi * math.e), abs=1e-9)
     assert cert.d == pytest.approx(0.5, rel=1e-12)
 
@@ -534,24 +534,26 @@ def test_larch_certificate_chi_square_coefficient():
 def test_larch_numeric_sup_matches_closed_form():
     # the log of a chi-square(1) = Gamma(1/2, 1/2) variable has density
     # (2 pi)^-1/2 exp((x - e^x)/2), whose height at its mode x = 0 is
-    # 1/sqrt(2 pi e); the numeric maximizer must land on it
+    # 1/sqrt(2 pi e); the certificate's height must land on it
     sup = 1 / math.sqrt(2 * math.pi * math.e)
     for z in (ChiSquare(1), Gamma(0.5, 0.5)):
-        cert = LARCH(1.0, 0.5, z).certificate(gap=1.0, m=1)
+        cert = LARCH(1.0, 0.5, z).certificate(gap=1.0)
         assert cert.details["log_noise_density_sup"] == pytest.approx(sup, rel=1e-12)
         assert cert.c == pytest.approx(0.5 * sup, rel=1e-12)
 
 
-def test_larch_mode_count_must_be_integral():
-    with pytest.raises(ParameterError):
-        LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=1.9)
-    assert LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=2.0).c == \
-        LARCH(1.0, 0.5, ChiSquare(1)).certificate(gap=1.0, m=2).c
+@pytest.mark.parametrize("rate", [1e-20, 1e-6, 1.0, 1e6, 1e20])
+def test_larch_coefficient_is_free_of_the_noise_rate(rate):
+    # log of a Gamma(1, rate) variable peaks at log(1/rate) with height 1/e
+    # whatever the rate; beta0, beta1 scale with it so that D = 1/4
+    cert = LARCH(rate / 2, rate / 4, Gamma(1.0, rate)).certificate(gap=1.0)
+    assert cert.c == pytest.approx(0.5 * math.exp(-1), rel=1e-14)
+    assert cert.d == pytest.approx(0.25, rel=1e-12)
 
 
 def test_larch_no_contraction():
     with pytest.raises(NoContractionError):
-        LARCH(1.0, 2.0, ChiSquare(1)).certificate(gap=1.0, m=1)
+        LARCH(1.0, 2.0, ChiSquare(1)).certificate(gap=1.0)
 
 
 def test_larch_rejects_sign_changing_noise():

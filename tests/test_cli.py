@@ -77,6 +77,13 @@ def test_iters_out_writes_the_count_to_the_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "7\n"
 
 
+def test_iters_survives_a_gap_whose_product_with_c_overflows(capsys):
+    # C * gap = inf, but log C + log gap is finite: bound_eval first drops
+    # below 0.01 at n = 1033
+    argv = ["iters", "--family", "ar1", "--a", "0.5", "--sigma", "0.1", "--gap", "1e308", "--epsilon", "0.01"]
+    assert run(capsys, *argv) == (0, "1033\n", "")
+
+
 def test_iters_garch(capsys):
     code, out, _ = run(
         capsys, "iters", "--family", "garch", "--params", GARCH_PARAMS,

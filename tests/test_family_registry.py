@@ -91,6 +91,11 @@ def test_every_noise_law_describes_itself():
         assert "log_density" in vars(cls) and "abs_moment" in vars(cls), tag
 
 
+def test_every_positive_law_gives_its_log_scale_height():
+    # a certificate on the log scale (LARCH) reads sup_x e^x f(e^x) off the law
+    assert [tag for tag, cls in stochastics.DISTS.items() if cls.positive and "log_scale_sup" not in vars(cls)] == []
+
+
 def _is_bounds_certificate_call(node) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and getattr(node.func.value, "id", None) == "bounds" and node.func.attr.endswith("_certificate"))

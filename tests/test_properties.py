@@ -1,5 +1,6 @@
 """Property tests over drawn inputs: certificate evaluation and its JSON
-round-trip, and the contract every registered noise law keeps.
+round-trip, the contract every registered noise law keeps, and each
+positive law's closed-form log-scale height against a numeric search.
 
 Runs are derandomized and small, so the suite stays reproducible and fast.
 """
@@ -7,6 +8,8 @@ Runs are derandomized and small, so the suite stays reproducible and fast.
 import math
 from dataclasses import fields
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +17,14 @@ from tvbounds.bounds import (
     BoundCertificate,
     bound_eval,
     certificate_to_dict,
+    golden_section_max,
     iterations_to_epsilon,
 )
 from tvbounds.stochastics import (
     DISTS,
     ChiSquare,
     Gamma,
+    InverseGamma,
     abs_moment,
     density,
     dist_from_dict,
@@ -91,3 +96,31 @@ def test_chi_square_is_gamma_half_nu_one_half(nu, x, k):
     gamma = Gamma(nu / 2, 0.5)
     assert log_density(ChiSquare(nu), x) == log_density(gamma, x)
     assert abs_moment(ChiSquare(nu), k) == abs_moment(gamma, k)
+
+
+def _log_scale_density_sup(law, mode: float) -> float:
+    """Numeric sup_x e^x f(e^x) for a positive ``law`` whose log has its
+    mode at ``mode``: the best of 20,001 points on [mode - 8, mode + 8],
+    refined by golden section between that point's grid neighbours."""
+
+    def height(x):
+        return np.exp(x + log_density(law, np.exp(x)))
+
+    x = mode + np.linspace(-8.0, 8.0, 20001)
+    vals = height(x)
+    i = int(np.argmax(vals))
+    refined = golden_section_max(height, x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)])
+    return max(refined, float(vals[i]))
+
+
+@PROPERTY
+@given(st.sampled_from((Gamma, InverseGamma, ChiSquare)),
+       st.floats(-3.0, 3.0).map(lambda e: 10.0**e), st.floats(-20.0, 20.0).map(lambda e: 10.0**e))
+def test_log_scale_height_is_the_numeric_maximum(cls, shape, rate):
+    # log Z peaks at log(shape/rate) for a gamma, at its reflection for an
+    # inverse gamma; chi-square(2 shape) is the gamma of rate 1/2
+    if cls is ChiSquare:
+        law, mode = ChiSquare(2 * shape), math.log(2 * shape)
+    else:
+        law, mode = cls(shape, rate), math.log(shape / rate) * (1 if cls is Gamma else -1)
+    assert law.log_scale_sup() == pytest.approx(_log_scale_density_sup(law, mode), rel=1e-9)
