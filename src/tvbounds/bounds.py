@@ -25,6 +25,7 @@ domain once, and the constructor checks only what the certificate needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import stochastics
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import InverseGamma, abs_moment
+from .stochastics import Gamma, InverseGamma, abs_moment
 
 __all__ = [
     "BoundCertificate",
@@ -291,23 +292,51 @@ def location_drift_constants(j: int, s: float) -> DriftSpec:
     return DriftSpec(lam, b, h)
 
 
-def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
-    """Monte-Carlo oracle for the drift expansion of a LocationGibbsTau.
+_MC_CHUNK = 2**17  # draws per chunk of mc_location_drift_fit
 
-    Estimates E[(X Y v + Y + h)^2], at the matching h of
-    ``location_drift_constants(J, S)``, over one shared set of draws at each
-    of 20 grid values v in [0.5, 20] (common random numbers across the
-    grid; the product X^2 Y^2 is heavy-tailed, and independent per-point
-    draws would need hundreds of times more samples for the same
-    coefficient accuracy) and least-squares fits a quadratic in v.  Returns
-    the fitted quadratic coefficient, an estimate of E[X^2]E[Y^2].
+
+def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
+    """Monte-Carlo oracle for the drift expansion of a LocationGibbsTau: an
+    estimate of E[X^2]E[Y^2].
+
+    The oracle is defined as the quadratic coefficient of the least-squares
+    fit in v of the sample means of (X Y v + Y + h)^2, at the matching h of
+    ``location_drift_constants(J, S)``, at 20 grid values v in [0.5, 20],
+    over one shared set of ``n_draws`` (X, Y) draws (common random numbers
+    across the grid; the product X^2 Y^2 is heavy-tailed, and independent
+    per-point draws would need hundreds of times more samples for the same
+    coefficient accuracy).  Over one shared draw set every grid mean is
+    exactly v^2 A + 2 v B + C with A = mean(X^2 Y^2), so that coefficient
+    is A; this returns A = sum((X Y)^2) / n_draws directly.
+
+    The draws are those of ``model.draw(stream.generator(), n_draws)``:
+    all n_draws X, then all n_draws Y.  They are taken in chunks of 2**17
+    from two generators opened at the start of ``stream`` (a NoiseStream;
+    a bare Generator has no start to reopen and is rejected).  The first
+    gives the X chunks; the second draws and discards the n_draws X, then
+    gives the Y chunks.  numpy's samplers fill an array sequentially, so
+    the chunks hold the same numbers as the one draw, and memory stays at
+    a few chunks whatever ``n_draws``.
     """
-    h = location_drift_constants(model.j, model.s).h
-    rng = stochastics._as_generator(stream)
-    grid = np.linspace(0.5, 20.0, 20)
-    x, y = model.draw(rng, n_draws)
-    means = np.array([np.mean((x * y * v + y + h) ** 2) for v in grid])
-    return float(np.polyfit(grid, means, 2)[0])
+    n_draws = integral("n_draws", n_draws)
+    if n_draws < 1:
+        raise ParameterError(f"n_draws must be >= 1, got {n_draws}")
+    location_drift_constants(model.j, model.s)  # E[Y^2] needs J >= 5
+    if not isinstance(stream, stochastics.NoiseStream):
+        raise ParameterError(f"mc_location_drift_fit needs a NoiseStream, got {type(stream)!r}")
+    x_law = Gamma(model.p / 2, model.c_stat / 2)
+    y_law = InverseGamma((model.k + model.p) / 2, model.c_stat / 2)
+    gx, gy = stream.generator(), stream.generator()
+    sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
+    for m in sizes:  # move gy past the X draws, to where the Y draws start
+        x_law.draw(gy, m)
+    total = 0.0
+    for m in sizes:
+        xy = x_law.draw(gx, m)
+        xy *= y_law.draw(gy, m)
+        xy *= xy
+        total += float(xy.sum())
+    return total / n_draws
 
 
 def independent_coordinates_certificate(amplitude: float, rate: float, d: int, gap: float) -> BoundCertificate:
@@ -422,8 +451,14 @@ def nonlinear_ar_two_step_ratio(x, y):
     return out if out.ndim else float(out)
 
 
-_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(80)
-_HERMITE_WEIGHTS = _HERMITE_WEIGHTS / _HERMITE_WEIGHTS.sum()
+@functools.lru_cache(maxsize=None)
+def _hermite_rule():
+    """80-node Gauss-Hermite nodes and normalized weights for E[f(Z)], Z ~ N(0, 1),
+    built on first use."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights = weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
 def nonlinear_ar_exact_two_step_ratio(x, y):
@@ -439,8 +474,9 @@ def nonlinear_ar_exact_two_step_ratio(x, y):
     def g(t):
         return 0.5 * (t - np.sin(t))
 
-    z = _HERMITE_NODES.reshape((-1,) + (1,) * max(x.ndim, y.ndim))
-    w = _HERMITE_WEIGHTS.reshape(z.shape)
+    nodes, weights = _hermite_rule()
+    z = nodes.reshape((-1,) + (1,) * max(x.ndim, y.ndim))
+    w = weights.reshape(z.shape)
     vals = np.abs(g(g(x) + z) - g(g(y) + z))
     expect = (w * vals).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -86,9 +86,11 @@ class Normal:
 
     def draw(self, rng: np.random.Generator, size=None):
         if self.mu == 0.0:
-            # bit-identical to rng.normal(0, sigma) and faster; scaled in place
+            # bit-identical to rng.normal(0, sigma) and faster; scaled in
+            # place, and not at all when sigma is 1
             z = rng.standard_normal(size)
-            z *= self.sigma
+            if self.sigma != 1.0:
+                z *= self.sigma
             return z
         return rng.normal(self.mu, self.sigma, size=size)
 
@@ -166,8 +168,11 @@ class Gamma:
         return a * math.log(b) + (a - 1) * np.log(x) - b * x - math.lgamma(a)
 
     def abs_moment(self, k: int) -> float:
+        """The rising product a(a+1)...(a+k-1) / b^k, taken as the product of
+        the ratios (a+i)/b so that no partial product overflows: a/b in one
+        rounding for k = 1, where an lgamma form rounds either way."""
         a, b = self.shape, self.rate
-        return math.exp(math.lgamma(a + k) - math.lgamma(a) - k * math.log(b))
+        return math.prod((a + i) / b for i in range(k))
 
     def log_scale_sup(self) -> float:
         """a^a e^-a / Gamma(a) for shape a: log Z peaks at log(a/rate), at a height free of the rate."""
@@ -203,7 +208,9 @@ class InverseGamma:
         a, b = self.shape, self.rate
         if a <= k:
             raise DomainError(f"InverseGamma moment of order {k} requires shape > {k}, got {a}")
-        return math.exp(k * math.log(b) + math.lgamma(a - k) - math.lgamma(a))
+        # b^k / ((a-1)(a-2)...(a-k)) as the product of the ratios b/(a-i):
+        # b/(a-1) in one rounding for k = 1
+        return math.prod(b / (a - i) for i in range(1, k + 1))
 
     log_scale_sup = Gamma.log_scale_sup  # log(1/G) = -log G reflects the density: same height
 

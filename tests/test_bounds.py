@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +278,50 @@ def test_mc_drift_fit_smoke(trees):
     quad = mc_location_drift_fit(LocationGibbsTau(j, s), NoiseStream(3), n_draws=100_000)
     assert isinstance(quad, float)
     assert quad == pytest.approx(drift.lam, rel=0.10)
+
+
+def _polyfit_drift_oracle(model, stream, n_draws):
+    """The grid estimator: sample means of (X Y v + Y + h)^2 over one shared
+    draw set at 20 values v in [0.5, 20], least-squares fitted by a quadratic."""
+    h = location_drift_constants(model.j, model.s).h
+    x, y = model.draw(stream.generator(), n_draws)
+    grid = np.linspace(0.5, 20.0, 20)
+    means = np.array([np.mean((x * y * v + y + h) ** 2) for v in grid])
+    return float(np.polyfit(grid, means, 2)[0])
+
+
+@pytest.mark.parametrize("seed", [1, 3, 11])
+def test_mc_drift_fit_equals_the_grid_polyfit(trees, seed):
+    j, _, s = trees
+    model, n = LocationGibbsTau(j, s), 300_001  # three chunks, the last one short
+    quad = mc_location_drift_fit(model, NoiseStream(seed, 771), n_draws=n)
+    assert quad == pytest.approx(_polyfit_drift_oracle(model, NoiseStream(seed, 771), n), rel=1e-12, abs=0)
+
+
+def test_mc_drift_fit_memory_stays_chunk_sized(trees):
+    j, _, s = trees
+    tracemalloc.start()
+    try:
+        mc_location_drift_fit(LocationGibbsTau(j, s), NoiseStream(1, 771), n_draws=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6  # 10**6 draws of X and Y alone take 16 MB
+
+
+@pytest.mark.parametrize("n_draws", [0, -3, 2.5, True, "100"])
+def test_mc_drift_fit_rejects_a_non_positive_or_non_integral_draw_count(trees, n_draws):
+    j, _, s = trees
+    with pytest.raises(ParameterError, match="n_draws"):
+        mc_location_drift_fit(LocationGibbsTau(j, s), NoiseStream(1), n_draws=n_draws)
+
+
+def test_mc_drift_fit_needs_a_noise_stream_and_j_at_least_5(trees):
+    j, _, s = trees
+    with pytest.raises(ParameterError, match="NoiseStream"):
+        mc_location_drift_fit(LocationGibbsTau(j, s), NoiseStream(1).generator(), n_draws=10)
+    with pytest.raises(ParameterError, match="J >= 5"):
+        mc_location_drift_fit(LocationGibbsTau(4, s), NoiseStream(1), n_draws=10)
 
 
 # ------------------------------------------------- independent coordinates, d

@@ -153,8 +153,6 @@ def test_certificate_json_golden_digest(capsys, family):
 # positive noise law of LARCH(1, 1/2) -> sha256 of its `certificate` JSON
 # text at gap 1: pins the log-scale density height of each law's shape
 LARCH_NOISE_DIGESTS = {
-    "gamma": ({"dist": "gamma", "shape": 2.0, "rate": 1.0},
-              "3a808317a44613585e635580ecf0e92f2a6a5aaa6c957aeeb7fb70d35789bbb0"),
     "inverse-gamma": ({"dist": "inverse-gamma", "shape": 3.0, "rate": 2.0},
                       "e33c69f459b972ce238b5d12cc316cf1600c5eea431628ee7ba40274eeb30c66"),
 }
@@ -166,6 +164,17 @@ def test_larch_certificate_json_golden_digest(capsys, law):
     params = {"beta0": 1.0, "beta1": 0.5, "z": z, "gap": 1.0}
     assert cli.main(["certificate", "--family", "larch", "--params", json.dumps(params)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("command", [["certificate"], ["iters", "--epsilon", "0.01"]], ids=["certificate", "iters"])
+def test_larch_with_gamma_noise_at_d_exactly_one_exits_2(capsys, command):
+    # beta1 E|Z| = 1/2 * 2/1 = 1 exactly: the chain does not contract.  This
+    # law had a golden digest while E|Z| rounded to 1.9999999999999996.
+    params = {"beta0": 1.0, "beta1": 0.5, "z": {"dist": "gamma", "shape": 2.0, "rate": 1.0}, "gap": 1.0}
+    assert cli.main([*command[:1], "--family", "larch", "--params", json.dumps(params), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chain does not contract" in captured.err
 
 
 def test_certificate_digests_cover_every_family_choice():

@@ -145,6 +145,22 @@ def test_abs_moment_nonexistent_raises():
         abs_moment(InverseGamma(1.0, 1.0), 1)
 
 
+def test_first_moments_are_the_exact_ratios():
+    # E[G] = a/b and E[1/G] = b/(a - 1) in one rounding: an lgamma form
+    # rounds either way, and a D rounded below 1 certifies a chain that
+    # does not contract
+    rates = (1e-3, 0.5, 1.0, 2.0, 3.7, 1e3)
+    for a in np.arange(0.25, 100.0, 0.5):
+        a = float(a)
+        for b in rates:
+            assert abs_moment(Gamma(a, b), 1) == a / b, (a, b)
+            if a > 1:
+                assert abs_moment(InverseGamma(a, b), 1) == b / (a - 1), (a, b)
+    # no partial product overflows: these moments underflow towards 0, as before
+    assert 0 <= abs_moment(Gamma(1.0, 1e200), 2) < 1e-300
+    assert 0 <= abs_moment(InverseGamma(3.0, 1e-200), 2) < 1e-300
+
+
 @pytest.mark.parametrize(
     "dist,k",
     [
