@@ -153,6 +153,9 @@ def test_certificate_json_golden_digest(capsys, family):
 # positive noise law of LARCH(1, 1/2) -> sha256 of its `certificate` JSON
 # text at gap 1: pins the log-scale density height of each law's shape
 LARCH_NOISE_DIGESTS = {
+    # D = 1/2 * 3/2 = 0.75; height 27 e^-3 / Gamma(3) = 0.672125423
+    "gamma": ({"dist": "gamma", "shape": 3.0, "rate": 2.0},
+              "e1512b3544bc6147cf26e73f85dad93d0724be6d829e73ce0b14d7067ba2aabd"),
     "inverse-gamma": ({"dist": "inverse-gamma", "shape": 3.0, "rate": 2.0},
                       "e33c69f459b972ce238b5d12cc316cf1600c5eea431628ee7ba40274eeb30c66"),
 }
@@ -169,7 +172,7 @@ def test_larch_certificate_json_golden_digest(capsys, law):
 @pytest.mark.parametrize("command", [["certificate"], ["iters", "--epsilon", "0.01"]], ids=["certificate", "iters"])
 def test_larch_with_gamma_noise_at_d_exactly_one_exits_2(capsys, command):
     # beta1 E|Z| = 1/2 * 2/1 = 1 exactly: the chain does not contract.  This
-    # law had a golden digest while E|Z| rounded to 1.9999999999999996.
+    # law had the gamma golden digest while E|Z| rounded to 1.9999999999999996.
     params = {"beta0": 1.0, "beta1": 0.5, "z": {"dist": "gamma", "shape": 2.0, "rate": 1.0}, "gap": 1.0}
     assert cli.main([*command[:1], "--family", "larch", "--params", json.dumps(params), *command[1:]]) == 2
     captured = capsys.readouterr()
