@@ -7,10 +7,13 @@ stochastics
     Innovation distributions (shape-rate gamma conventions) and
     reproducible random streams.
 models
-    The chain families and their shared-noise coupled step.
+    The chain families, each with its own certificate, and their
+    shared-noise coupled step.
 bounds
-    Certificate construction: (C, D, n0, gap) tuples evaluating to
-    C * D^(n-n0-1) * gap, with the matrix checks of the vector bound.
+    The certificate algebra: (C, D, n0, gap) tuples evaluating to
+    C * D^(n-n0-1) * gap, and the parts no family owns (the
+    independent-coordinates certificate, the inverse-gamma mode height,
+    the sine-map and drift searches, the matrix checks).
 tvlab
     Histogram TV estimation and simulated TV curves.
 data

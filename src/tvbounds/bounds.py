@@ -18,9 +18,12 @@ certificate rather than folded into C:
 Raw bound values may exceed 1; evaluation reports both the raw value
 and the value clamped into [0, 1].
 
-A chain family's constructor takes the validated ``models`` family as its
-first argument and reads its fields: the family checks its parameter
-domain once, and the constructor checks only what the certificate needs.
+Each chain family writes its own C and D, in the ``certificate`` method
+of its ``models`` class.  This module holds what no family owns: the
+certificate algebra, the inverse-gamma mode height and golden-section
+search, the independent-coordinates certificate (the one without a
+chain), and the numerical searches behind two families' constants,
+:func:`nonlinear_ar_D` and :func:`mc_location_drift_fit`.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import stochastics
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import Gamma, InverseGamma, abs_moment
+from .stochastics import InverseGamma
 
 __all__ = [
     "BoundCertificate",
@@ -43,24 +46,15 @@ __all__ = [
     "bound_eval",
     "iterations_to_epsilon",
     "inverse_gamma_mode_height",
-    "regression_gibbs_certificate",
-    "location_k_closed_form",
-    "location_gibbs_certificate",
     "drift_expected_distance",
     "location_drift_constants",
     "mc_location_drift_fit",
     "independent_coordinates_certificate",
-    "ar_normal_1d_certificate",
-    "ar_normal_d_certificate",
     "nonlinear_ar_two_step_ratio",
     "nonlinear_ar_exact_two_step_ratio",
     "nonlinear_ar_D",
-    "nonlinear_ar_certificate",
     "golden_section_max",
     "integral",
-    "larch_certificate",
-    "asym_arch_certificate",
-    "garch_certificate",
     "certificate_to_dict",
 ]
 
@@ -179,72 +173,6 @@ def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
     return stochastics.density(InverseGamma(alpha, beta), beta / (alpha + 1))
 
 
-def regression_gibbs_certificate(model, gap: float) -> BoundCertificate:
-    """Certificate for a RegressionGibbsSigma: D = p/(k+p-2), C the mode
-    height of InverseGamma((k+2p)/2, C_stat/2)."""
-    k, p, c_stat = model.k, model.p, model.c_stat
-    if k + p <= 2:
-        raise ParameterError(f"need k + p > 2, got k={k}, p={p}")
-    d = p / (k + p - 2)
-    if d >= 1.0:
-        raise NoContractionError(f"D = p/(k+p-2) = {d:.6g} >= 1: chain does not contract")
-    c = inverse_gamma_mode_height((k + 2 * p) / 2, c_stat / 2)
-    return BoundCertificate(
-        c=c,
-        d=d,
-        n0=0,
-        gap=gap,
-        family=model.family,
-        details={"k": k, "p": p, "c_stat": c_stat},
-    )
-
-
-def location_k_closed_form(j: int, s: float) -> float:
-    """Closed-form coalescing constant for the location Gibbs chain:
-
-        K = (S/2)^((J-1)/2) / Gamma((J-1)/2) * (S/(J+1))^(-(J-3)/2) * e^(-(J+1)/2)
-    """
-    if j < 3:
-        raise ParameterError(f"location model needs J >= 3, got {j}")
-    if not (s > 0):
-        raise ParameterError(f"need S > 0, got {s}")
-    ln = (
-        (j - 1) / 2 * math.log(s / 2)
-        - math.lgamma((j - 1) / 2)
-        - (j - 3) / 2 * math.log(s / (j + 1))
-        - (j + 1) / 2
-    )
-    return float(math.exp(ln))
-
-
-def location_gibbs_certificate(model, gap: float) -> BoundCertificate:
-    """Certificate for the location Gibbs chain, a LocationGibbsTau: D = 1/J.
-
-    Two coalescing constants are carried.  The certificate uses the
-    closed form of :func:`location_k_closed_form`; the mode height of
-    InverseGamma((J-1)/2, S/2) — what the same construction yields for
-    the regression chain — is recorded under ``details['c_mode_height']``.
-    The two differ by the factor ((J+1)/S)^2 because the closed form's
-    exponent -(J-3)/2 is not the mode-height exponent -(J+1)/2; both are
-    reported rather than silently reconciled.
-    """
-    j, s = model.j, model.s
-    k_closed = location_k_closed_form(j, s)
-    k_mode = inverse_gamma_mode_height((j - 1) / 2, s / 2)
-    return BoundCertificate(
-        c=k_closed,
-        d=1.0 / j,
-        n0=0,
-        gap=gap,
-        family=model.family,
-        notes=(
-            "coalescing constant uses the closed form; the inverse-gamma "
-            "mode height differs by ((J+1)/S)^2 and is kept in details",
-        ),
-        details={"j": j, "s": s, "c_mode_height": k_mode},
-    )
-
-
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift condition E[V(X_n) | X_{n-1}] <= lam*V(X_{n-1}) + b for V(x) = (x+h)^2."""
@@ -310,7 +238,8 @@ def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
     is A; this returns A = sum((X Y)^2) / n_draws directly.
 
     The draws are those of ``model.draw(stream.generator(), n_draws)``:
-    all n_draws X, then all n_draws Y.  They are taken in chunks of 2**17
+    all n_draws X from ``model.x_law``, then all n_draws Y from
+    ``model.y_law``.  They are taken in chunks of 2**17
     from two generators opened at the start of ``stream`` (a NoiseStream;
     a bare Generator has no start to reopen and is rejected).  The first
     gives the X chunks; the second draws and discards the n_draws X, then
@@ -324,8 +253,7 @@ def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
     location_drift_constants(model.j, model.s)  # E[Y^2] needs J >= 5
     if not isinstance(stream, stochastics.NoiseStream):
         raise ParameterError(f"mc_location_drift_fit needs a NoiseStream, got {type(stream)!r}")
-    x_law = Gamma(model.p / 2, model.c_stat / 2)
-    y_law = InverseGamma((model.k + model.p) / 2, model.c_stat / 2)
+    x_law, y_law = model.x_law, model.y_law
     gx, gy = stream.generator(), stream.generator()
     sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
     for m in sizes:  # move gy past the X draws, to where the Y draws start
@@ -359,68 +287,6 @@ def independent_coordinates_certificate(amplitude: float, rate: float, d: int, g
         exp_offset=1,
         notes=("bound convention D^n",),
         details={"d": d, "coordinate_amplitude": amplitude},
-    )
-
-
-def ar_normal_1d_certificate(model, gap: float) -> BoundCertificate:
-    """Certificate for an ARNormal1D: D = |a| and C the noise density
-    height 1/(sigma sqrt(2 pi)) (a single mode adds nothing)."""
-    d = abs(float(model.a))
-    if d >= 1.0:
-        raise NoContractionError(f"D = |a| = {d:.6g} >= 1: chain does not contract")
-    k = 1.0 / (model.sigma * math.sqrt(2 * math.pi))
-    return BoundCertificate(
-        c=k,
-        d=d,
-        n0=0,
-        gap=gap,
-        family=model.family,
-        details={"noise_density_sup": k},
-    )
-
-
-def ar_normal_d_certificate(model, x0, x0_prime) -> BoundCertificate:
-    """Certificate for an ARNormalD, X_n = A X_{n-1} + Sigma Z_n, with symmetric A.
-
-    C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2
-    and rate max_i |lambda_i|, evaluated against D^n (exp_offset=1).
-    """
-    a = model.a
-    if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
-        raise ParameterError("A is not symmetric; only symmetric input is supported")
-    evals, p = np.linalg.eigh(a)
-    rate = float(np.max(np.abs(evals)))
-    if rate >= 1.0:
-        raise NoContractionError(f"spectral radius {rate:.6g} >= 1: chain does not contract")
-    sigma_inv = _inverse("Sigma", model.sigma)
-    d = a.shape[0]
-    try:
-        x0, x0p = np.asarray(x0, dtype=float), np.asarray(x0_prime, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"starts must be lists of numbers, got {x0!r} and {x0_prime!r}") from None
-    for name, x in (("x0", x0), ("x0p", x0p)):
-        if x.shape != (d,):
-            raise ParameterError(f"start {name} must have shape ({d},) to match A, got shape {x.shape}")
-    gap_norm = float(np.linalg.norm(x0 - x0p))
-    # P from the symmetric eigendecomposition is orthogonal, so P^-1 = P^T
-    c = float(
-        math.sqrt(d / (2 * math.pi))
-        * np.linalg.norm(sigma_inv)
-        * np.linalg.norm(p)
-        * np.linalg.norm(p.T)
-        * gap_norm
-    )
-    return BoundCertificate(
-        c=c,
-        d=rate,
-        n0=0,
-        gap=1.0,
-        family=model.family,
-        exp_offset=1,
-        notes=(
-            "bound convention D^n; the initial-distance norm is folded into C",
-        ),
-        details={"dim": d, "initial_distance": gap_norm},
     )
 
 
@@ -532,30 +398,6 @@ def nonlinear_ar_D() -> float:
     return math.sqrt(best)
 
 
-def nonlinear_ar_certificate(gap: float, d_squared: Optional[float] = None) -> BoundCertificate:
-    """Two-iteration certificate for the sine-map chain:
-
-        TV(n) <= (1/sqrt(2 pi)) * (D^2)^floor(n/2) * gap
-    """
-    if d_squared is None:
-        d_squared = nonlinear_ar_D() ** 2
-    if not stochastics._is_real(d_squared):
-        raise ParameterError(f"two-step factor D^2 must be a finite real number, got {d_squared!r}")
-    if not (0 < d_squared < 1):
-        raise NoContractionError(f"two-step factor D^2 = {d_squared} is not in (0, 1)")
-    return BoundCertificate(
-        c=1.0 / math.sqrt(2 * math.pi),
-        d=d_squared,
-        n0=0,
-        gap=gap,
-        family="nonlinear-ar",
-        exp_offset=1,
-        exp_step=2,
-        notes=("two-iteration contraction: exponent floor(n/2) with rate D^2",),
-        details={"d": math.sqrt(d_squared)},
-    )
-
-
 def golden_section_max(f, lo: float, hi: float) -> float:
     """Golden-section maximization of a unimodal scalar ``f`` over
     [lo, hi]; returns the largest value seen at the two final probes."""
@@ -576,86 +418,6 @@ def golden_section_max(f, lo: float, hi: float) -> float:
         if b - a < 1e-14 * max(1.0, abs(a)):
             break
     return float(max(f1, f2))
-
-
-def larch_certificate(model, gap: float) -> BoundCertificate:
-    """Certificate for X_n = (beta0 + beta1 X_{n-1}) Z_n (a LARCH, Z > 0 a.s.):
-
-        C = beta1 / beta0 * sup_x e^x f_Z(e^x),   D = beta1 E|Z|.
-
-    The sup is ``z.log_scale_sup()``; log Z is log-concave, so unimodal: M = 1 and the mode factor (M + 1)/2 is 1.
-    """
-    beta0, beta1, z = model.beta0, model.beta1, model.z
-    d = beta1 * abs_moment(z, 1)
-    if d >= 1.0:
-        raise NoContractionError(f"D = beta1 E|Z| = {d:.6g} >= 1: chain does not contract")
-    sup = z.log_scale_sup()
-    return BoundCertificate(
-        c=beta1 / beta0 * sup,
-        d=d,
-        n0=0,
-        gap=gap,
-        family=model.family,
-        details={"log_noise_density_sup": sup},
-    )
-
-
-def asym_arch_certificate(model, gap: float, jensen: bool = True) -> BoundCertificate:
-    """Certificate for X_n = sqrt((a X_{n-1} + b)^2 + c^2) Z_n (an AsymARCH):
-
-        C = |a| / |c|,   D = |a| E|Z|  (or its Jensen relaxation
-        |a| sqrt(E[Z^2]) when ``jensen`` is set, the convention the
-        worked example uses; both values are recorded).
-    """
-    if not isinstance(jensen, bool):
-        raise ParameterError(f"jensen must be true or false, got {jensen!r}")
-    a, c, z = model.a, model.c, model.z
-    d_exact = abs(a) * abs_moment(z, 1)
-    d_jensen = abs(a) * math.sqrt(abs_moment(z, 2))
-    d = d_jensen if jensen else d_exact
-    if a != 0 and d >= 1.0:
-        raise NoContractionError(f"D = {d:.6g} >= 1: chain does not contract")
-    return BoundCertificate(
-        c=abs(a) / abs(c),
-        d=d,
-        n0=0,
-        gap=gap,
-        family=model.family,
-        notes=("D is the Jensen relaxation |a| sqrt(E[Z^2])",) if jensen else (),
-        details={"d_exact": d_exact, "d_jensen": d_jensen},
-    )
-
-
-def garch_certificate(model, x0: float, x0_prime: float, s20: float, s20_prime: float) -> BoundCertificate:
-    """Certificate for a GARCH(1,1) ``model`` with known initial values:
-
-        TV(n) <= D^(n-1)/alpha * sqrt(beta2 |x0^2 - x0'^2| + gamma2 |s20 - s20'|)
-
-    with D = sqrt(beta2 E[Z^2] + gamma2).  Packaged with n0 = 1:
-    C = D/(alpha E|Z|) and gap the initial-condition value
-    sqrt(beta2 |x0^2 - x0'^2| + gamma2 |s20 - s20'|) * E|Z|, so that
-    C * D^(n-2) * gap reproduces the display above.
-    """
-    alpha2, beta2, gamma2, z = model.alpha2, model.beta2, model.gamma2, model.z
-    if not (s20 >= 0 and s20_prime >= 0):
-        raise ParameterError("initial sigma^2 values must be >= 0")
-    d = math.sqrt(beta2 * abs_moment(z, 2) + gamma2)
-    if d >= 1.0:
-        raise NoContractionError(
-            f"D = sqrt(beta2 E[Z^2] + gamma2) = {d:.6g} >= 1: chain does not contract"
-        )
-    e_abs_z = abs_moment(z, 1)
-    alpha = math.sqrt(alpha2)
-    init = math.sqrt(beta2 * abs(x0**2 - x0_prime**2) + gamma2 * abs(s20 - s20_prime))
-    # identical initial conditions give gap 0: degenerate but legal
-    return BoundCertificate(
-        c=d / (alpha * e_abs_z),
-        d=d,
-        n0=1,
-        gap=init * e_abs_z,
-        family=model.family,
-        details={"coefficient": init / alpha},
-    )
 
 
 def certificate_to_dict(cert: BoundCertificate) -> dict:

@@ -107,7 +107,9 @@ def _split(family: str, params: dict):
     keyword parameters take their keys, the start keys are always accepted,
     every other key is a model field (so an unknown key raises
     ParameterError), and ``gap`` defaults to ||x0 - x0'||.  A start that
-    is not a finite number or a list of them raises ParameterError."""
+    is not a finite number or a list of them raises ParameterError; each
+    start given is then built by ``model.make_state``, so one outside the
+    family's state space fails here, whatever the command."""
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
     for key in START_KEYS:
@@ -124,6 +126,9 @@ def _split(family: str, params: dict):
         model, build, options = None, bounds.independent_coordinates_certificate, {**options, **fields}
     else:
         model = models.model_from_dict({"family": family, "params": fields})
+        for x, s2 in (("x0", "s20"), ("x0p", "s20p")):
+            if x in params:
+                model.make_state(params[x], params.get(s2))
         build = model.certificate
 
     def certify() -> bounds.BoundCertificate:
@@ -185,11 +190,8 @@ def cmd_curve(args) -> int:
         if k not in params:
             raise ParameterError(f"missing --{k}")
     model, certify = _split(args.family, params)
-    if model is None or model.state_ndim:  # before certifying: a vector certificate rejects scalar starts
+    if model is None or model.state_ndim:
         raise ParameterError(f"family '{args.family}' has no scalar chain to simulate; TV curves are scalar-only")
-    # both starts before the certificate, so a bad start fails with one error line
-    model.make_state(params["x0"], params.get("s20"))
-    model.make_state(params["x0p"], params.get("s20p"))
     cert = None
     if not args.no_bound:
         try:
@@ -313,9 +315,8 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     # location Gibbs (tree girth data)
     j, _, s = data.location_stats(data.builtin_dataset("trees-girth"))
     loc = models.LocationGibbsTau(j, s)
-    k_closed = bounds.location_k_closed_form(j, s)
-    row("location K (closed form, girth data)", 13.74027, k_closed, 0.05)
     cert_loc = loc.certificate(gap=18.12198)
+    row("location K (closed form, girth data)", 13.74027, cert_loc.c, 0.05)
     row(
         "location iterations to TV < 0.01",
         4,
@@ -325,7 +326,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     )
     row(
         "location K mode-height variant",
-        k_closed * ((j + 1) / s) ** 2,
+        cert_loc.c * ((j + 1) / s) ** 2,
         cert_loc.details["c_mode_height"],
         1e-9,
         note="closed form and mode height differ by ((J+1)/S)^2; both carried",
@@ -369,7 +370,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         0.005,
         note="full Cauchy-Schwarz envelope sup (no separation cutoff) is 0.8182",
     )
-    cert_nl = bounds.nonlinear_ar_certificate(gap=1.0, d_squared=0.661)
+    cert_nl = models.NonlinearAR().certificate(gap=1.0, d_squared=0.661)
     row(
         "nonlinear AR bound at n=20 (rate 0.661 pinned)",
         0.00635220727,

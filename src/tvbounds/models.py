@@ -2,9 +2,10 @@
 
 Each family is one frozen dataclass derived from :class:`Family` that
 describes it whole, each operation a method: JSON tag, parameters,
-innovation draw, transition, state, observable, certificate, (where
-known) exact TV, and for the Gibbs families the full sweep they
-de-initialize.  :data:`FAMILIES` (tag -> class) is the registry.
+innovation draw, transition, state, observable, certificate (the
+family's C and D, written out from its fields), (where known) exact TV,
+and for the Gibbs families the full sweep they de-initialize.
+:data:`FAMILIES` (tag -> class) is the registry.
 :func:`draw_innovations`, :func:`step` and :func:`observable` forward to
 the family only because they are the layer boundaries
 ``perfbench/layertrace.py`` hooks.  :func:`couple_step` advances two
@@ -29,7 +30,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import bounds, stochastics
-from .errors import ParameterError, StateError
+from .bounds import BoundCertificate
+from .errors import NoContractionError, ParameterError, StateError
 from .stochastics import Dist, Gamma, InverseGamma, NoiseStream, Normal, dist_from_dict, dist_to_dict
 
 __all__ = [
@@ -69,9 +71,11 @@ def _out(out, *operands):
 class Family:
     """A chain family.  Subclasses set ``family`` (the JSON tag), check
     their fields in ``__post_init__`` and define ``step`` and ``certificate``
-    (which passes the instance itself to its ``bounds`` constructor; its
-    keyword parameters are the certificate's only other inputs).  By default
-    a family draws its noise from ``z`` and runs on its scalar observable.
+    (which builds the family's :class:`bounds.BoundCertificate` from its
+    fields, checking only what the bound adds, such as D < 1; its keyword
+    parameters are the certificate's only other inputs).  By default a
+    family draws its noise from ``z``, takes any start as a state and runs
+    on its scalar observable.
 
     ``step(state, noise, out=None)`` is one transition.  It writes the next
     state into ``out`` (an array, or for GARCH a pair of arrays, of the
@@ -129,7 +133,25 @@ class NonlinearAR(Family):
         return out
 
     def certificate(self, gap, d_squared=None):
-        return bounds.nonlinear_ar_certificate(gap, d_squared)
+        """Two-iteration certificate, TV(n) <= (1/sqrt(2 pi)) * (D^2)^floor(n/2) * gap,
+        with D^2 from :func:`bounds.nonlinear_ar_D` unless ``d_squared`` pins it."""
+        if d_squared is None:
+            d_squared = bounds.nonlinear_ar_D() ** 2
+        if not stochastics._is_real(d_squared):
+            raise ParameterError(f"two-step factor D^2 must be a finite real number, got {d_squared!r}")
+        if not (0 < d_squared < 1):
+            raise NoContractionError(f"two-step factor D^2 = {d_squared} is not in (0, 1)")
+        return BoundCertificate(
+            c=1.0 / math.sqrt(2 * math.pi),
+            d=d_squared,
+            n0=0,
+            gap=gap,
+            family=self.family,
+            exp_offset=1,
+            exp_step=2,
+            notes=("two-iteration contraction: exponent floor(n/2) with rate D^2",),
+            details={"d": math.sqrt(d_squared)},
+        )
 
 
 @dataclass(frozen=True)
@@ -157,7 +179,12 @@ class ARNormal1D(Family):
         return out
 
     def certificate(self, gap):
-        return bounds.ar_normal_1d_certificate(self, gap)
+        """D = |a| and C the noise density height 1/(sigma sqrt(2 pi)) (a single mode adds nothing)."""
+        d = abs(float(self.a))
+        if d >= 1.0:
+            raise NoContractionError(f"D = |a| = {d:.6g} >= 1: chain does not contract")
+        k = 1.0 / (self.sigma * math.sqrt(2 * math.pi))
+        return BoundCertificate(c=k, d=d, n0=0, gap=gap, family=self.family, details={"noise_density_sup": k})
 
     def exact_tv(self, x0, x0p, n):
         """Both n-step laws are normal with variance
@@ -203,12 +230,50 @@ class ARNormalD(Family):
 
     def make_state(self, x, s2=None):
         v = np.asarray(x, dtype=float)
-        if v.shape[-1] != self.dim:
-            raise ParameterError(f"state dimension {v.shape[-1]} != model dimension {self.dim}")
+        if v.shape[-1:] != (self.dim,):
+            raise ParameterError(f"state shape {v.shape} must end in the model dimension {self.dim}")
         return v
 
     def certificate(self, x0, x0p):
-        return bounds.ar_normal_d_certificate(self, x0, x0p)
+        """For symmetric A: rate max_i |lambda_i| against D^n (exp_offset=1) and
+
+            C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2.
+        """
+        a = self.a
+        if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
+            raise ParameterError("A is not symmetric; only symmetric input is supported")
+        evals, p = np.linalg.eigh(a)
+        rate = float(np.max(np.abs(evals)))
+        if rate >= 1.0:
+            raise NoContractionError(f"spectral radius {rate:.6g} >= 1: chain does not contract")
+        sigma_inv = bounds._inverse("Sigma", self.sigma)
+        d = self.dim
+        try:
+            x0, x0p = np.asarray(x0, dtype=float), np.asarray(x0p, dtype=float)
+        except (TypeError, ValueError):
+            raise ParameterError(f"starts must be lists of numbers, got {x0!r} and {x0p!r}") from None
+        for name, x in (("x0", x0), ("x0p", x0p)):
+            if x.shape != (d,):
+                raise ParameterError(f"start {name} must have shape ({d},) to match A, got shape {x.shape}")
+        gap_norm = float(np.linalg.norm(x0 - x0p))
+        # P from the symmetric eigendecomposition is orthogonal, so P^-1 = P^T
+        c = float(
+            math.sqrt(d / (2 * math.pi))
+            * np.linalg.norm(sigma_inv)
+            * np.linalg.norm(p)
+            * np.linalg.norm(p.T)
+            * gap_norm
+        )
+        return BoundCertificate(
+            c=c,
+            d=rate,
+            n0=0,
+            gap=1.0,
+            family=self.family,
+            exp_offset=1,
+            notes=("bound convention D^n; the initial-distance norm is folded into C",),
+            details={"dim": d, "initial_distance": gap_norm},
+        )
 
 
 def _check_positive_state(x):
@@ -228,11 +293,14 @@ class _Gibbs(Family):
     full two-block sweep it de-initializes.  Subclasses supply ``k``,
     ``p``, ``c_stat`` (C), ``beta_tilde1`` and ``a_inv_11``; the location
     chain is the regression chain at p = 1, k = J + 1, C = S.
-    ``draw`` returns the independent pair (X, Y)."""
+    ``draw`` returns the independent pair (X, Y), from ``x_law`` and ``y_law``."""
+
+    x_law = property(lambda self: Gamma(self.p / 2, self.c_stat / 2))
+    y_law = property(lambda self: InverseGamma((self.k + self.p) / 2, self.c_stat / 2))
 
     def draw(self, rng: np.random.Generator, size=None):
-        x = stochastics.sample(Gamma(self.p / 2, self.c_stat / 2), rng, size=size)
-        y = stochastics.sample(InverseGamma((self.k + self.p) / 2, self.c_stat / 2), rng, size=size)
+        x = stochastics.sample(self.x_law, rng, size=size)
+        y = stochastics.sample(self.y_law, rng, size=size)
         return x, y
 
     def step(self, state, noise, out=None):
@@ -324,7 +392,36 @@ class LocationGibbsTau(_Gibbs):
     a_inv_11 = property(lambda self: 1 / self.j)
 
     def certificate(self, gap):
-        return bounds.location_gibbs_certificate(self, gap)
+        """D = 1/J and C the closed form
+
+            K = (S/2)^((J-1)/2) / Gamma((J-1)/2) * (S/(J+1))^(-(J-3)/2) * e^(-(J+1)/2).
+
+        The mode height of InverseGamma((J-1)/2, S/2), what the same
+        construction yields for the regression chain, is recorded under
+        ``details['c_mode_height']``.  The two differ by the factor
+        ((J+1)/S)^2 because the closed form's exponent -(J-3)/2 is not the
+        mode-height exponent -(J+1)/2; both are reported rather than
+        silently reconciled.
+        """
+        j, s = self.j, self.s
+        ln = (
+            (j - 1) / 2 * math.log(s / 2)
+            - math.lgamma((j - 1) / 2)
+            - (j - 3) / 2 * math.log(s / (j + 1))
+            - (j + 1) / 2
+        )
+        return BoundCertificate(
+            c=float(math.exp(ln)),
+            d=1.0 / j,
+            n0=0,
+            gap=gap,
+            family=self.family,
+            notes=(
+                "coalescing constant uses the closed form; the inverse-gamma "
+                "mode height differs by ((J+1)/S)^2 and is kept in details",
+            ),
+            details={"j": j, "s": s, "c_mode_height": bounds.inverse_gamma_mode_height((j - 1) / 2, s / 2)},
+        )
 
 
 @dataclass(frozen=True)
@@ -358,7 +455,21 @@ class RegressionGibbsSigma(_Gibbs):
             raise ParameterError(f"a_inv_11 must be > 0, got {self.a_inv_11}")
 
     def certificate(self, gap):
-        return bounds.regression_gibbs_certificate(self, gap)
+        """D = p/(k+p-2) and C the mode height of InverseGamma((k+2p)/2, C_stat/2)."""
+        k, p, c_stat = self.k, self.p, self.c_stat
+        if k + p <= 2:
+            raise ParameterError(f"need k + p > 2, got k={k}, p={p}")
+        d = p / (k + p - 2)
+        if d >= 1.0:
+            raise NoContractionError(f"D = p/(k+p-2) = {d:.6g} >= 1: chain does not contract")
+        return BoundCertificate(
+            c=bounds.inverse_gamma_mode_height((k + 2 * p) / 2, c_stat / 2),
+            d=d,
+            n0=0,
+            gap=gap,
+            family=self.family,
+            details={"k": k, "p": p, "c_stat": c_stat},
+        )
 
 
 @dataclass(frozen=True)
@@ -391,8 +502,29 @@ class LARCH(Family):
         out *= noise
         return out
 
+    def make_state(self, x, s2=None):
+        # the certificate's C is the Lipschitz constant of log(beta0 + beta1 x) on x >= 0 only
+        if np.any(np.asarray(x) < 0):
+            raise StateError("LARCH state must be >= 0")
+        return x
+
     def certificate(self, gap):
-        return bounds.larch_certificate(self, gap)
+        """C = beta1 / beta0 * sup_x e^x f_Z(e^x) and D = beta1 E|Z|.
+
+        The sup is ``z.log_scale_sup()``; log Z is log-concave, so unimodal:
+        M = 1 and the mode factor (M + 1)/2 is 1."""
+        d = self.beta1 * stochastics.abs_moment(self.z, 1)
+        if d >= 1.0:
+            raise NoContractionError(f"D = beta1 E|Z| = {d:.6g} >= 1: chain does not contract")
+        sup = self.z.log_scale_sup()
+        return BoundCertificate(
+            c=self.beta1 / self.beta0 * sup,
+            d=d,
+            n0=0,
+            gap=gap,
+            family=self.family,
+            details={"log_noise_density_sup": sup},
+        )
 
 
 @dataclass(frozen=True)
@@ -421,7 +553,26 @@ class AsymARCH(Family):
         return out
 
     def certificate(self, gap, jensen=True):
-        return bounds.asym_arch_certificate(self, gap, jensen=jensen)
+        """C = |a| / |c| and D = |a| E|Z|, or its Jensen relaxation
+        |a| sqrt(E[Z^2]) when ``jensen`` is set, the convention the worked
+        example uses; both values are recorded."""
+        if not isinstance(jensen, bool):
+            raise ParameterError(f"jensen must be true or false, got {jensen!r}")
+        a = self.a
+        d_exact = abs(a) * stochastics.abs_moment(self.z, 1)
+        d_jensen = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
+        d = d_jensen if jensen else d_exact
+        if a != 0 and d >= 1.0:
+            raise NoContractionError(f"D = {d:.6g} >= 1: chain does not contract")
+        return BoundCertificate(
+            c=abs(a) / abs(self.c),
+            d=d,
+            n0=0,
+            gap=gap,
+            family=self.family,
+            notes=("D is the Jensen relaxation |a| sqrt(E[Z^2])",) if jensen else (),
+            details={"d_exact": d_exact, "d_jensen": d_jensen},
+        )
 
 
 @dataclass(frozen=True)
@@ -474,7 +625,33 @@ class GARCH(Family):
         return state.x
 
     def certificate(self, x0, x0p, s20, s20p):
-        return bounds.garch_certificate(self, x0, x0p, s20, s20p)
+        """From known initial values,
+
+            TV(n) <= D^(n-1)/alpha * sqrt(beta2 |x0^2 - x0'^2| + gamma2 |s20 - s20'|)
+
+        with D = sqrt(beta2 E[Z^2] + gamma2).  Packaged with n0 = 1:
+        C = D/(alpha E|Z|) and gap the initial-condition value
+        sqrt(beta2 |x0^2 - x0'^2| + gamma2 |s20 - s20'|) * E|Z|, so that
+        C * D^(n-2) * gap reproduces the display above.
+        """
+        beta2, gamma2 = self.beta2, self.gamma2
+        if not (s20 >= 0 and s20p >= 0):
+            raise ParameterError("initial sigma^2 values must be >= 0")
+        d = math.sqrt(beta2 * stochastics.abs_moment(self.z, 2) + gamma2)
+        if d >= 1.0:
+            raise NoContractionError(f"D = sqrt(beta2 E[Z^2] + gamma2) = {d:.6g} >= 1: chain does not contract")
+        e_abs_z = stochastics.abs_moment(self.z, 1)
+        alpha = math.sqrt(self.alpha2)
+        init = math.sqrt(beta2 * abs(x0**2 - x0p**2) + gamma2 * abs(s20 - s20p))
+        # identical initial conditions give gap 0: degenerate but legal
+        return BoundCertificate(
+            c=d / (alpha * e_abs_z),
+            d=d,
+            n0=1,
+            gap=init * e_abs_z,
+            family=self.family,
+            details={"coefficient": init / alpha},
+        )
 
 
 FAMILIES = {

@@ -294,13 +294,17 @@ def abs_moment(dist: Dist, k: int) -> float:
     """E[|X|^k] in closed form.
 
     Raises DomainError when the moment does not exist (inverse-gamma
-    with shape <= k) or no closed form is implemented.
+    with shape <= k), no closed form is implemented, or it underflows to
+    0 in floating point (a certificate would read that as no noise at all).
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ParameterError(f"moment order must be a positive integer, got {k}")
     if DISTS.get(getattr(dist, "tag", None)) is not type(dist):
         raise ParameterError(f"unknown distribution {dist!r}")
-    return float(dist.abs_moment(k))
+    m = float(dist.abs_moment(k))
+    if m == 0.0:
+        raise DomainError(f"E|Z|^{k} of {dist!r} underflows to 0 in floating point")
+    return m
 
 
 def dist_to_dict(dist: Dist) -> dict:

@@ -98,7 +98,7 @@ def test_criterion_1_regression_gibbs():
 def test_criterion_2_location_gibbs(trees):
     t0 = time.time()
     j, _, s = trees
-    k_closed = bounds.location_k_closed_form(j, s)
+    k_closed = models.LocationGibbsTau(j, s).certificate(gap=1.0).c
     ok_k = abs(k_closed - 13.74027) < 0.05
     cert = bounds.BoundCertificate(c=13.74027, d=1 / 31, n0=0, gap=18.12198, family="location-gibbs")
     iters = bounds.iterations_to_epsilon(cert, 0.01)
@@ -123,7 +123,7 @@ def test_criterion_3_nonlinear_ar():
     t0 = time.time()
     d = bounds.nonlinear_ar_D()
     ok_d = 0.808 <= d <= 0.818
-    cert = bounds.nonlinear_ar_certificate(gap=1.0, d_squared=0.661)
+    cert = models.NonlinearAR().certificate(gap=1.0, d_squared=0.661)
     b20 = bounds.bound_eval(cert, 20).raw
     ok_b = b20 < 0.01
     elapsed = time.time() - t0

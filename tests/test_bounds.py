@@ -16,10 +16,8 @@ from tvbounds.bounds import (
     inverse_gamma_mode_height,
     iterations_to_epsilon,
     location_drift_constants,
-    location_k_closed_form,
     mc_location_drift_fit,
     nonlinear_ar_D,
-    nonlinear_ar_certificate,
     nonlinear_ar_exact_two_step_ratio,
     nonlinear_ar_two_step_ratio,
 )
@@ -111,7 +109,7 @@ def test_iterations_matches_naive_scan():
     for cert in [
         BoundCertificate(c=3.0, d=0.97, n0=0, gap=2.0),
         BoundCertificate(c=46.07, d=0.5, n0=0, gap=1.0, exp_offset=1),
-        nonlinear_ar_certificate(gap=1.0, d_squared=0.661),
+        NonlinearAR().certificate(gap=1.0, d_squared=0.661),
     ]:
         for eps in (0.5, 0.01, 1e-4):
             n = cert.n0 + 1
@@ -196,7 +194,7 @@ def test_mode_height_matches_scipy(alpha, beta):
 @pytest.mark.parametrize("j,s", [(3, 1.0), (5, 10.0), (31, S_TREES)])
 def test_location_k_closed_form_matches_scipy_gamma(j, s):
     oracle = (s / 2) ** ((j - 1) / 2) / special.gamma((j - 1) / 2) * (s / (j + 1)) ** (-(j - 3) / 2) * math.exp(-(j + 1) / 2)
-    assert location_k_closed_form(j, s) == pytest.approx(oracle, rel=1e-12)
+    assert LocationGibbsTau(j, s).certificate(gap=1.0).c == pytest.approx(oracle, rel=1e-12)
 
 
 def test_mode_height_is_global_max(rng):
@@ -222,8 +220,8 @@ def test_regression_certificate_boundary_no_contraction():
 
 def test_location_certificate_reference_constant(trees):
     j, _, s = trees
-    assert location_k_closed_form(j, s) == pytest.approx(13.74027, abs=0.01)
     cert = LocationGibbsTau(j, s).certificate(gap=18.12198)
+    assert cert.c == pytest.approx(13.74027, abs=0.01)
     assert cert.d == pytest.approx(1 / 31, rel=1e-15)
     # mode-height variant agrees with its own numeric maximization
     oracle = golden_max(lambda x: density(InverseGamma((j - 1) / 2, s / 2), x), 0.5, 60.0)
@@ -235,8 +233,6 @@ def test_location_certificate_reference_constant(trees):
 def test_location_certificate_rejects_small_j():
     with pytest.raises(ParameterError):
         LocationGibbsTau(2, 10.0)
-    with pytest.raises(ParameterError):
-        location_k_closed_form(2, 10.0)
 
 
 # ------------------------------------------------------------ drift condition
@@ -559,7 +555,7 @@ def test_nonlinear_ar_grid_refinement_stable():
 
 
 def test_nonlinear_ar_certificate_reference_rate():
-    cert = nonlinear_ar_certificate(gap=1.0, d_squared=0.661)
+    cert = NonlinearAR().certificate(gap=1.0, d_squared=0.661)
     assert bound_eval(cert, 20).raw < 0.01
     assert bound_eval(cert, 20).raw == pytest.approx(1 / math.sqrt(2 * math.pi) * 0.661**10, rel=1e-12)
     assert bound_eval(cert, 16).raw > 0.01
@@ -664,7 +660,7 @@ def test_garch_no_contraction():
 def test_certificate_json_roundtrip():
     certs = [
         GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01),
-        nonlinear_ar_certificate(gap=1.0, d_squared=0.661),
+        NonlinearAR().certificate(gap=1.0, d_squared=0.661),
         ARNormal1D(0.5, math.sqrt(0.75)).certificate(1.0),
     ]
     for cert in certs:

@@ -587,6 +587,34 @@ def test_non_finite_coefficient_exits_2(capsys, family, params, name):
     assert err.startswith("error:") and name in err and "finite" in err
 
 
+LARCH_CHI2 = json.dumps({"beta0": 1, "beta1": 0.5, "z": {"dist": "chi-square", "nu": 1}})
+
+
+@pytest.mark.parametrize("argv", [
+    # C = beta1/beta0 sup f_{log Z} bounds the Lipschitz constant of
+    # log(beta0 + beta1 x) only for x >= 0; this curve's simulated TV at
+    # n = 1 (0.62) sits far above its bound (0.23)
+    pytest.param(["curve", "--family", "larch", "--params", LARCH_CHI2, "--x0", "-1.9", "--x0p", "0",
+                  "--n-max", "3", "--paths", "1000", "--workers", "1"], id="curve-larch-negative-start"),
+    pytest.param(["certificate", "--family", "larch", "--params", LARCH_CHI2, "--x0", "-1.9", "--x0p", "0"],
+                 id="certificate-larch-negative-start"),
+    pytest.param(["iters", "--family", "larch", "--params", LARCH_CHI2, "--x0", "0", "--x0p", "-1.9",
+                  "--epsilon", "0.01"], id="iters-larch-negative-start"),
+    # E[Z^2] = 2e-400 underflows to 0, which gave D = 0: immediate coupling
+    pytest.param(["certificate", "--family", "asym-arch", "--params",
+                  '{"a":0.5,"b":3,"c":5,"z":{"dist":"gamma","shape":1,"rate":1e200},"gap":1}'],
+                 id="asym-arch-moment-underflows"),
+    # E|Z| underflows to 0, which divided C = D/(alpha E|Z|) by zero
+    pytest.param(["certificate", "--family", "garch", "--params",
+                  '{"alpha2":0.13,"beta2":0.1266,"gamma2":0.7922,"z":{"dist":"gamma","shape":1e-30,"rate":1e300}}',
+                  "--x0", "0.1", "--x0p", "-0.1", "--s20", "0.01", "--s20p", "0.02"], id="garch-moment-underflows"),
+])
+def test_start_outside_the_state_space_or_moment_underflow_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 @pytest.mark.parametrize("starts,match", [
     ({"x0": "abc", "x0p": 1}, "start x0 must be a number"),
     ({"x0": 0, "x0p": [1, "q"]}, "start x0p must be a number"),

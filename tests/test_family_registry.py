@@ -10,10 +10,9 @@ the law somewhere else, so no module may do it either."""
 
 import ast
 import inspect
-from dataclasses import fields
 from pathlib import Path
 
-from tvbounds import cli, models, stochastics
+from tvbounds import bounds, cli, models, stochastics
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tvbounds"
 TAGS = set(models.FAMILIES) | set(cli.CERTIFICATES)
@@ -96,27 +95,19 @@ def test_every_positive_law_gives_its_log_scale_height():
     assert [tag for tag, cls in stochastics.DISTS.items() if cls.positive and "log_scale_sup" not in vars(cls)] == []
 
 
-def _is_bounds_certificate_call(node) -> bool:
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and getattr(node.func.value, "id", None) == "bounds" and node.func.attr.endswith("_certificate"))
-
-
 def test_each_certificate_reads_its_validated_family():
-    # a family's domain is checked once, in its __post_init__: a certificate
-    # method passes the instance (when it has fields), never the fields loose,
-    # so no bounds constructor is handed values it would have to check again
+    # each family writes its own C and D from its fields, checked once in its
+    # __post_init__: models calls no bounds *_certificate constructor, and the
+    # only one bounds exports is the certificate without a chain
     tree = ast.parse((SRC / "models.py").read_text(encoding="utf-8"))
-    calls = {id(node) for node in ast.walk(tree) if _is_bounds_certificate_call(node)}
-    found = []
-    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-        for call in filter(_is_bounds_certificate_call, ast.walk(cls)):
-            calls.discard(id(call))
-            loose = [a for a in (*call.args, *(k.value for k in call.keywords))
-                     if isinstance(a, ast.Attribute) and getattr(a.value, "id", None) == "self"]
-            passes_self = bool(call.args) and getattr(call.args[0], "id", None) == "self"
-            found.append((cls.name, bool(loose), passes_self or not fields(getattr(models, cls.name))))
-    assert calls == set()  # every call sits in a family class
-    assert sorted(found) == sorted((cls.__name__, False, True) for cls in models.FAMILIES.values())
+    calls = [
+        f"models.py:{node.lineno} calls bounds.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "bounds" and node.func.attr.endswith("_certificate")
+    ]
+    assert calls == []
+    assert [name for name in bounds.__all__ if name.endswith("_certificate")] == ["independent_coordinates_certificate"]
 
 
 def test_bounds_imports_nothing_from_models():

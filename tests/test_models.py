@@ -55,6 +55,21 @@ def test_garch_start_needs_nonnegative_sigma2():
     assert m.make_state(0.1, 0.0) == GarchState(0.1, 0.0)
 
 
+@pytest.mark.parametrize("model,x,s2,error", [
+    pytest.param(LocationGibbsTau(31, S_TREES), 0.0, None, StateError, id="location-gibbs-0"),
+    pytest.param(RegressionGibbsSigma(333, 4, 26123.0), 0.0, None, StateError, id="regression-gibbs-0"),
+    pytest.param(GARCH(0.13, 0.1266, 0.7922), 0.1, -1.0, StateError, id="garch-s2-minus-1"),
+    pytest.param(LARCH(1.0, 0.5, ChiSquare(1)), -1.0, None, StateError, id="larch-minus-1"),
+    pytest.param(ARNormalD(0.5 * np.eye(2), np.eye(2)), 1.0, None, ParameterError, id="ar-d-scalar"),
+])
+def test_make_state_rejects_a_start_outside_the_state_space(model, x, s2, error):
+    with pytest.raises(error):
+        model.make_state(x, s2)
+    if not model.state_ndim:
+        with pytest.raises(error):  # one bad path among good ones
+            model.make_state(np.array([2.0, x]), None if s2 is None else np.array([0.01, s2]))
+
+
 # every scalar family, each at a valid parameter point; a start drawn from
 # (0.5, 3) is inside every family's state domain
 STEP_FAMILIES = {
@@ -137,7 +152,7 @@ def test_family_validation():
 
 
 def test_location_gibbs_domain_matches_certificate():
-    # location_k_closed_form needs S > 0; so does the model
+    # the certificate's closed form takes log(S/2): the model needs S > 0
     for s in (0.0, -1.0):
         with pytest.raises(ParameterError):
             LocationGibbsTau(31, s)
@@ -158,7 +173,7 @@ def test_gibbs_counts_must_be_integral():
 
 def test_vector_ar_matrices_match_certificate():
     # the model alone checks that A and Sigma are square, finite and of one shape;
-    # ar_normal_d_certificate reads them as the model holds them
+    # its certificate reads them as the model holds them
     for a, sigma in [
         ([[math.nan]], [[1.0]]),
         ([[0.5]], [[math.inf]]),
@@ -171,7 +186,7 @@ def test_vector_ar_matrices_match_certificate():
 
 
 def test_garch_domain_matches_certificate():
-    # the model alone checks alpha2 > 0 and beta2, gamma2 >= 0; garch_certificate reads them
+    # the model alone checks alpha2 > 0 and beta2, gamma2 >= 0; its certificate reads them
     for beta2, gamma2 in [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)]:
         m = GARCH(0.13, beta2, gamma2, Normal(0.0, 1.0))
         s = step(m, GarchState(np.array([0.1, -0.4]), np.array([0.0001, 0.5])), np.array([1.0, -1.0]))

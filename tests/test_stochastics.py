@@ -156,9 +156,14 @@ def test_first_moments_are_the_exact_ratios():
             assert abs_moment(Gamma(a, b), 1) == a / b, (a, b)
             if a > 1:
                 assert abs_moment(InverseGamma(a, b), 1) == b / (a - 1), (a, b)
-    # no partial product overflows: these moments underflow towards 0, as before
-    assert 0 <= abs_moment(Gamma(1.0, 1e200), 2) < 1e-300
-    assert 0 <= abs_moment(InverseGamma(3.0, 1e-200), 2) < 1e-300
+    # no partial product overflows: a(a+1) and b^2 are both past 1e308 here
+    assert abs_moment(Gamma(1e200, 1e200), 2) == 1.0
+    assert abs_moment(InverseGamma(1e200, 1e200), 2) == 1.0
+    # a moment that underflows to 0 is an error, not a law without noise
+    for dist in (Gamma(1.0, 1e200), InverseGamma(3.0, 1e-200), Normal(0.0, 1e-200)):
+        with pytest.raises(DomainError, match="underflows"):
+            abs_moment(dist, 2)
+    assert abs_moment(Gamma(1.0, 1e150), 2) == 2e-300
 
 
 @pytest.mark.parametrize(

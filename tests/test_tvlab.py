@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from tvbounds import bounds, models, tvlab
+from tvbounds import models, tvlab
 from tvbounds.errors import ParameterError, SimulationError
 from tvbounds.models import ARNormal1D
 from tvbounds.stochastics import Normal, NoiseStream
@@ -251,7 +251,7 @@ def test_curve_tracks_exact_ar1():
 
 
 def test_curve_sound_for_nonlinear_ar():
-    cert = bounds.nonlinear_ar_certificate(gap=1.0)
+    cert = models.NonlinearAR().certificate(gap=1.0)
     curve = simulate_tv_curve(models.NonlinearAR(), 1.0, 2.0, n_max=8, n_paths=200_000,
                               bin_width=0.01, stream=NoiseStream(41), certificate=cert)
     for r in curve.rows:
