@@ -97,7 +97,8 @@ class BoundValue(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """The computable bound C * D^exponent(n) * gap.
+    """The computable bound C * D^exponent(n) * gap.  Its check that D lies
+    in [0, 1) is the one contraction check; the family certificates leave it here.
 
     ``details`` carries auxiliary numbers (alternative constants,
     coefficient forms) keyed by short names; ``notes`` carries human-
@@ -122,7 +123,8 @@ class BoundCertificate:
         if self.c < 0:
             raise ParameterError(f"certificate C must be >= 0, got {self.c}")
         if not (0 <= self.d < 1):
-            raise NoContractionError(f"certificate D must lie in [0, 1), got {self.d}")
+            raise NoContractionError(
+                f"D = {self.d:.6g} is not in [0, 1): {self.family or 'the'} chain does not contract")
         if self.n0 < 0:
             raise ParameterError(f"n0 must be >= 0, got {self.n0}")
         if self.gap < 0:
@@ -273,11 +275,8 @@ def independent_coordinates_certificate(amplitude: float, rate: float, d: int, g
     d = integral("dimension d", d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    for name, v in (("amplitude", amplitude), ("rate", rate)):
-        if not stochastics._is_real(v):
-            raise ParameterError(f"coordinate {name} must be a finite real number, got {v!r}")
-    if not (0 <= rate < 1):
-        raise NoContractionError(f"coordinate rate {rate} is not < 1")
+    if not stochastics._is_real(amplitude):  # a bool amplitude makes C = d * amplitude a number
+        raise ParameterError(f"coordinate amplitude must be a finite real number, got {amplitude!r}")
     return BoundCertificate(
         c=d * amplitude,
         d=rate,

@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a ``repro`` row mismatched, 2 parameter,
 ingestion or output-path problems, 3 simulation failure.  ``curve`` and
-``repro`` take ``--seed``; ``ONESHOT_SEED`` is honored as its fallback.
+``repro`` take ``--seed``, the one way to set their seed.  Every chain
+takes the starts ``x0`` and ``x0p``, and ``s20`` and ``s20p`` only where
+its certificate does (garch); any other start key exits 2.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import sys
 import numpy as np
 
 from . import bounds, data, models, tvlab
-from .errors import DomainError, IngestionError, NoContractionError, ParameterError, SimulationError, StateError
+from .errors import DomainError, IngestionError, ParameterError, SimulationError, StateError
 from .stochastics import InverseGamma, NoiseStream, _is_real, density
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
-# the start points; every command accepts them
+# the start points: every chain takes x0 and x0p, and s20 and s20p where its certificate does
 START_KEYS = ("x0", "x0p", "s20", "s20p")
 
 def _fmt9(x: float) -> str:
@@ -49,14 +51,8 @@ def _round9(obj):
 
 
 def _seed_from(args) -> int:
-    """``--seed``, else ``ONESHOT_SEED``, else the default, checked by NoiseStream."""
-    seed, env = args.seed, os.environ.get("ONESHOT_SEED")
-    if seed is None and env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ParameterError(f"ONESHOT_SEED must be an integer, got {env!r}") from None
-    return NoiseStream(DEFAULT_SEED if seed is None else seed).seed
+    """``--seed``, else the default, checked by NoiseStream."""
+    return NoiseStream(DEFAULT_SEED if args.seed is None else args.seed).seed
 
 
 def _json_object(text: str, what: str, error) -> dict:
@@ -104,31 +100,34 @@ def _start_distance(params: dict) -> float:
 def _split(family: str, params: dict):
     """The chain model of ``family`` (None for independent-coordinates) and
     a function building its certificate from ``params``: the certificate's
-    keyword parameters take their keys, the start keys are always accepted,
-    every other key is a model field (so an unknown key raises
-    ParameterError), and ``gap`` defaults to ||x0 - x0'||.  A start that
-    is not a finite number or a list of them raises ParameterError; each
-    start given is then built by ``model.make_state``, so one outside the
-    family's state space fails here, whatever the command."""
+    keyword parameters take their keys, every other key but a start is a
+    model field (so an unknown key raises ParameterError), and ``gap``
+    defaults to ||x0 - x0'||.  Once the model is built, a start key the
+    family does not take, or a start that is not a finite number or a list
+    of them, raises ParameterError; each start is then built by
+    ``model.make_state``, so one outside the family's state space fails
+    here, whatever the command."""
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
-    for key in START_KEYS:
-        if key in params and not all(_is_real(v) for v in np.ravel(np.array(params[key], dtype=object))):
-            raise ParameterError(f"start {key} must be a number or a list of numbers, finite and not bool, "
-                                 f"got {params[key]!r}")
     cls = models.FAMILIES.get(family)
-    keys = inspect.signature(bounds.independent_coordinates_certificate if cls is None else cls.certificate).parameters
-    options = {k: v for k, v in params.items() if k in keys}
-    if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
-        options["gap"] = _start_distance(params)
-    fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
-    if cls is None:  # no model: the certificate call rejects any other key
-        model, build, options = None, bounds.independent_coordinates_certificate, {**options, **fields}
+    if cls is None:  # no chain, so no start: the certificate call rejects any key it does not take
+        model, build, options = None, bounds.independent_coordinates_certificate, params
     else:
+        keys = inspect.signature(cls.certificate).parameters
+        fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
         model = models.model_from_dict({"family": family, "params": fields})
+        for key in [k for k in START_KEYS if k in params]:
+            if key not in ("x0", "x0p", *keys):
+                raise ParameterError(f"family '{family}' takes no start {key}")
+            if not all(_is_real(v) for v in np.ravel(np.array(params[key], dtype=object))):
+                raise ParameterError(f"start {key} must be a number or a list of numbers, finite and not bool, "
+                                     f"got {params[key]!r}")
         for x, s2 in (("x0", "s20"), ("x0p", "s20p")):
             if x in params:
                 model.make_state(params[x], params.get(s2))
+        options = {k: v for k, v in params.items() if k in keys}
+        if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
+            options["gap"] = _start_distance(params)
         build = model.certificate
 
     def certify() -> bounds.BoundCertificate:
@@ -190,13 +189,13 @@ def cmd_curve(args) -> int:
         if k not in params:
             raise ParameterError(f"missing --{k}")
     model, certify = _split(args.family, params)
-    if model is None or model.state_ndim:
-        raise ParameterError(f"family '{args.family}' has no scalar chain to simulate; TV curves are scalar-only")
+    if model is None:
+        raise ParameterError(f"family '{args.family}' has no chain to simulate")
     cert = None
     if not args.no_bound:
         try:
             cert = certify()
-        except (ParameterError, NoContractionError) as exc:
+        except ParameterError as exc:
             print(f"note: no bound column ({exc})", file=sys.stderr)
     curve = tvlab.simulate_tv_curve(
         model, params["x0"], params["x0p"], n_max=args.n_max, n_paths=args.paths,
@@ -586,7 +585,7 @@ def main(argv=None) -> int:
             args.stream = NoiseStream(args.seed, args.stream_id)
         _check_outputs(args)
         return args.fn(args)
-    except (ParameterError, DomainError, IngestionError, NoContractionError, StateError) as exc:
+    except (ParameterError, DomainError, IngestionError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

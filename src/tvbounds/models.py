@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bounds, stochastics
 from .bounds import BoundCertificate
-from .errors import NoContractionError, ParameterError, StateError
+from .errors import DomainError, ParameterError, StateError
 from .stochastics import Dist, Gamma, InverseGamma, NoiseStream, Normal, dist_from_dict, dist_to_dict
 
 __all__ = [
@@ -72,10 +72,10 @@ class Family:
     """A chain family.  Subclasses set ``family`` (the JSON tag), check
     their fields in ``__post_init__`` and define ``step`` and ``certificate``
     (which builds the family's :class:`bounds.BoundCertificate` from its
-    fields, checking only what the bound adds, such as D < 1; its keyword
-    parameters are the certificate's only other inputs).  By default a
-    family draws its noise from ``z``, takes any start as a state and runs
-    on its scalar observable.
+    fields, checking only what its C adds and leaving D < 1 to the
+    certificate; its keyword parameters are the certificate's only other
+    inputs).  By default a family draws its noise from ``z``, takes any
+    start as a state and runs on its scalar observable.
 
     ``step(state, noise, out=None)`` is one transition.  It writes the next
     state into ``out`` (an array, or for GARCH a pair of arrays, of the
@@ -137,10 +137,8 @@ class NonlinearAR(Family):
         with D^2 from :func:`bounds.nonlinear_ar_D` unless ``d_squared`` pins it."""
         if d_squared is None:
             d_squared = bounds.nonlinear_ar_D() ** 2
-        if not stochastics._is_real(d_squared):
-            raise ParameterError(f"two-step factor D^2 must be a finite real number, got {d_squared!r}")
-        if not (0 < d_squared < 1):
-            raise NoContractionError(f"two-step factor D^2 = {d_squared} is not in (0, 1)")
+        elif not (stochastics._is_real(d_squared) and d_squared > 0):
+            raise ParameterError(f"two-step factor D^2 must be a finite real number > 0, got {d_squared!r}")
         return BoundCertificate(
             c=1.0 / math.sqrt(2 * math.pi),
             d=d_squared,
@@ -181,8 +179,6 @@ class ARNormal1D(Family):
     def certificate(self, gap):
         """D = |a| and C the noise density height 1/(sigma sqrt(2 pi)) (a single mode adds nothing)."""
         d = abs(float(self.a))
-        if d >= 1.0:
-            raise NoContractionError(f"D = |a| = {d:.6g} >= 1: chain does not contract")
         k = 1.0 / (self.sigma * math.sqrt(2 * math.pi))
         return BoundCertificate(c=k, d=d, n0=0, gap=gap, family=self.family, details={"noise_density_sup": k})
 
@@ -244,8 +240,6 @@ class ARNormalD(Family):
             raise ParameterError("A is not symmetric; only symmetric input is supported")
         evals, p = np.linalg.eigh(a)
         rate = float(np.max(np.abs(evals)))
-        if rate >= 1.0:
-            raise NoContractionError(f"spectral radius {rate:.6g} >= 1: chain does not contract")
         sigma_inv = bounds._inverse("Sigma", self.sigma)
         d = self.dim
         try:
@@ -459,12 +453,9 @@ class RegressionGibbsSigma(_Gibbs):
         k, p, c_stat = self.k, self.p, self.c_stat
         if k + p <= 2:
             raise ParameterError(f"need k + p > 2, got k={k}, p={p}")
-        d = p / (k + p - 2)
-        if d >= 1.0:
-            raise NoContractionError(f"D = p/(k+p-2) = {d:.6g} >= 1: chain does not contract")
         return BoundCertificate(
             c=bounds.inverse_gamma_mode_height((k + 2 * p) / 2, c_stat / 2),
-            d=d,
+            d=p / (k + p - 2),
             n0=0,
             gap=gap,
             family=self.family,
@@ -513,13 +504,10 @@ class LARCH(Family):
 
         The sup is ``z.log_scale_sup()``; log Z is log-concave, so unimodal:
         M = 1 and the mode factor (M + 1)/2 is 1."""
-        d = self.beta1 * stochastics.abs_moment(self.z, 1)
-        if d >= 1.0:
-            raise NoContractionError(f"D = beta1 E|Z| = {d:.6g} >= 1: chain does not contract")
         sup = self.z.log_scale_sup()
         return BoundCertificate(
             c=self.beta1 / self.beta0 * sup,
-            d=d,
+            d=self.beta1 * stochastics.abs_moment(self.z, 1),
             n0=0,
             gap=gap,
             family=self.family,
@@ -555,18 +543,23 @@ class AsymARCH(Family):
     def certificate(self, gap, jensen=True):
         """C = |a| / |c| and D = |a| E|Z|, or its Jensen relaxation
         |a| sqrt(E[Z^2]) when ``jensen`` is set, the convention the worked
-        example uses; both values are recorded."""
+        example uses; both values are recorded.
+
+        log|X_1| is (1/2) log((a x + b)^2 + c^2) + log|Z|, a shift of slope
+        at most |a| / (2 |c|) in x, so TV_1 <= sup f_{log|Z|} |a| / (2 |c|) dist:
+        C holds only for noise whose ``log_scale_sup()`` is at most 2."""
         if not isinstance(jensen, bool):
             raise ParameterError(f"jensen must be true or false, got {jensen!r}")
+        sup = self.z.log_scale_sup()
+        if sup > 2:
+            raise DomainError(f"{self.family} C = |a|/|c| needs a log|Z| density peaking at most at 2, "
+                              f"not {sup:.6g} ({self.z!r})")
         a = self.a
         d_exact = abs(a) * stochastics.abs_moment(self.z, 1)
         d_jensen = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
-        d = d_jensen if jensen else d_exact
-        if a != 0 and d >= 1.0:
-            raise NoContractionError(f"D = {d:.6g} >= 1: chain does not contract")
         return BoundCertificate(
             c=abs(a) / abs(self.c),
-            d=d,
+            d=d_jensen if jensen else d_exact,
             n0=0,
             gap=gap,
             family=self.family,
@@ -638,8 +631,6 @@ class GARCH(Family):
         if not (s20 >= 0 and s20p >= 0):
             raise ParameterError("initial sigma^2 values must be >= 0")
         d = math.sqrt(beta2 * stochastics.abs_moment(self.z, 2) + gamma2)
-        if d >= 1.0:
-            raise NoContractionError(f"D = sqrt(beta2 E[Z^2] + gamma2) = {d:.6g} >= 1: chain does not contract")
         e_abs_z = stochastics.abs_moment(self.z, 1)
         alpha = math.sqrt(self.alpha2)
         init = math.sqrt(beta2 * abs(x0**2 - x0p**2) + gamma2 * abs(s20 - s20p))

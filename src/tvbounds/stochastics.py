@@ -4,9 +4,9 @@ Only the four laws the chain definitions need are provided: normal,
 chi-square, gamma and inverse-gamma.  Each is one frozen dataclass that
 describes its law whole: JSON ``tag``, parameter fields, ``draw``,
 ``log_density`` on its support, ``abs_moment(k)``, the flag ``positive``
-for laws on (0, inf) and, on those, ``log_scale_sup()``, the closed-form
-height of the density of log Z.  :data:`DISTS` (tag -> class) is the
-registry.  The module functions :func:`log_density`, :func:`density` and
+for laws on (0, inf) and, on those and a centred normal,
+``log_scale_sup()``, the closed-form height of the density of log|Z|.
+:data:`DISTS` (tag -> class) is the registry.  The module functions :func:`log_density`, :func:`density` and
 :func:`abs_moment` add what every law shares: array coercion, -inf off
 the support of a positive law, scalar results for scalar input and the
 moment-order check.  Chi-square is Gamma(nu/2, 1/2) and takes its
@@ -110,6 +110,12 @@ class Normal:
             return (s * math.sqrt(2 / math.pi) * math.exp(-(m * m) / (2 * s * s))
                     + m * math.erf(m / (s * math.sqrt(2))))
         raise DomainError(f"no closed form for Normal(mu!=0) absolute moment of order {k}")
+
+    def log_scale_sup(self) -> float:
+        """2 phi(1) for mu = 0: log|Z| has density 2 e^x f(e^x), peaking at log sigma at a height free of sigma."""
+        if self.mu != 0.0:
+            raise DomainError(f"no closed form for the log|Z| density height of Normal(mu!=0), got mu = {self.mu}")
+        return math.sqrt(2 / math.pi) * math.exp(-0.5)
 
 
 @dataclass(frozen=True)

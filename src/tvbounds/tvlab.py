@@ -312,8 +312,6 @@ def simulate_tv_curve(
         raise ParameterError(f"need n_paths >= 1, got {n_paths}")
     if n_max < 1:
         raise ParameterError(f"need n_max >= 1, got {n_max}")
-    if not (0 < bin_width < math.inf):
-        raise ParameterError(f"bin width must be finite and > 0, got {bin_width}")
     if model.state_ndim:
         raise ParameterError(
             "TV curves are scalar-only; validate vector chains coordinate-wise "
@@ -339,7 +337,7 @@ def simulate_tv_curve(
 
     # fold each job into running per-iteration histograms as it arrives,
     # in job order, so only n_max merged pairs and the jobs in flight are
-    # held whatever n_paths is
+    # held whatever n_paths is; building them checks the bin width first
     merged = [(Histogram(bin_width), Histogram(bin_width)) for _ in range(n_max)]
     pool = ThreadPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
     with pool or nullcontext():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from tvbounds.bounds import (
     BoundCertificate,
@@ -623,6 +623,36 @@ def test_asym_arch_zero_slope_couples_immediately():
     assert cert.d == 0.0
     for n in (2, 3, 10):
         assert bound_eval(cert, n).raw == 0.0
+
+
+def _scaled_gamma_tv(shape: float, s1: float, s2: float) -> float:
+    """TV between s1 G and s2 G, G ~ Gamma(shape, 1) and s1 < s2, by quadrature
+    on either side of the one point where the two densities cross."""
+    cross = shape * math.log(s2 / s1) / (1 / s1 - 1 / s2)
+
+    def gap(y):
+        return abs(stats.gamma.pdf(y, shape, scale=s1) - stats.gamma.pdf(y, shape, scale=s2))
+
+    return 0.5 * sum(integrate.quad(gap, lo, hi, epsabs=1e-15, epsrel=1e-10, limit=200)[0]
+                     for lo, hi in ((0.0, cross), (cross, math.inf)))
+
+
+@pytest.mark.parametrize("shape", [1, 5, 20, 26, 100])
+def test_asym_arch_coefficient_holds_wherever_the_certificate_is_built(shape):
+    # X_1 = s(x) Z with s(x) = sqrt((a x + b)^2 + c^2), whose log has its
+    # steepest slope |a|/(2|c|) where a x + b = |c|: x = 400 here.  There
+    # TV_1/dist is sup f_{log Z} |a|/(2|c|), within C = |a|/|c| only while
+    # that height is at most 2, which Gamma noise passes up to shape ~25
+    model = AsymARCH(0.005, 3.0, 5.0, Gamma(shape, 1.0))
+    s1, s2 = (math.hypot(model.a * x + model.b, model.c) for x in (400.0, 400.01))
+    ratio = _scaled_gamma_tv(shape, s1, s2) / 0.01
+    assert ratio == pytest.approx(model.z.log_scale_sup() * abs(model.a) / (2 * abs(model.c)), rel=1e-4)
+    if shape <= 20:
+        assert ratio <= model.certificate(gap=1.0).c
+    else:
+        assert ratio > abs(model.a) / abs(model.c)
+        with pytest.raises(DomainError, match="log"):
+            model.certificate(gap=1.0)
 
 
 # -------------------------------------------------------------------- GARCH

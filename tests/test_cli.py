@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,16 +198,18 @@ def test_curve_diverging_chain_exits_3(capsys):
     assert "diverged at iteration" in err
 
 
-def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ONESHOT_SEED", "4242")
-    out1 = tmp_path / "env.csv"
-    out2 = tmp_path / "flag.csv"
+def test_seed_is_read_from_no_environment_variable(tmp_path, capsys, monkeypatch):
+    # --seed is the one way to set a seed: ONESHOT_SEED, once its fallback, changes nothing
+    out1 = tmp_path / "plain.csv"
+    out2 = tmp_path / "env.csv"
     base = [
         "curve", "--family", "ar1", "--params", json.dumps({"a": 0.5, "sigma": 1.0}),
-        "--x0", "0", "--x0p", "1", "--n-max", "2", "--paths", "5000",
+        "--x0", "0", "--x0p", "1", "--n-max", "2", "--paths", "5000", "--workers", "1",
     ]
+    monkeypatch.delenv("ONESHOT_SEED", raising=False)
     assert run(capsys, *base, "--out", str(out1))[0] == 0
-    assert run(capsys, *base, "--seed", "4242", "--out", str(out2))[0] == 0
+    monkeypatch.setenv("ONESHOT_SEED", "4242")
+    assert run(capsys, *base, "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -390,6 +393,7 @@ def test_every_family_choice_builds_a_certificate_and_a_curve(capsys):
 
 
 AR_D = {"a": [[0.5, 0.125], [0.125, 0.5]], "sigma": [[1.0, 0.0], [0.0, 1.0]], "x0": [1.0, 1.0], "x0p": [0.0, 0.0]}
+ASYM_GAMMA_100 = {"a": 0.005, "b": 3.0, "c": 5.0, "z": {"dist": "gamma", "shape": 100, "rate": 1}, "jensen": False}
 
 
 # `curve` takes every chain family, `certificate` and `iters` every --family
@@ -446,6 +450,13 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
     ("certificate", "ar-d", {**AR_D, "sigma": [[1.0, 0.0], [0.0, 1e-13]]}),
     ("certificate", "ar-d", {**AR_D, "x0": [1, 2, 3], "x0p": [0, 0, 0]}),
     ("certificate", "ar-d", {**AR_D, "x0": 1, "x0p": 0}),
+    # C = |a|/|c| needs a log|Z| density no higher than 2: Gamma(100, 1) peaks at 3.99, and from
+    # 400 vs 400.01 its exact TV_1/dist is 0.00199 against C = 0.001
+    ("certificate", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
+    ("iters", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
+    ("curve", "asym-arch", ASYM_GAMMA_100),
+    ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": 0.5, "sigma": 1.0},
+                                  "gap": 1}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],
@@ -506,44 +517,39 @@ def test_repro_rejects_paths_below_1_before_writing(tmp_path, monkeypatch, capsy
 X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})
 
 
-@pytest.mark.parametrize("argv,env_seed", [
-    pytest.param([*CURVE_AR1, "--x0", "nan"], None, id="x0-nan"),
-    pytest.param([*CURVE_AR1, "--x0", "inf"], None, id="x0-inf"),
-    pytest.param([*CURVE_GARCH, "--s20", "nan"], None, id="s20-nan"),
-    pytest.param([*CURVE_AR1, "--x0", "0", "--seed", "-5"], None, id="seed-negative"),
-    pytest.param([*CURVE_AR1, "--x0", "0", "--stream-id", "-1"], None, id="stream-id-negative"),
-    pytest.param([*CURVE_AR1, "--x0", "0"], "-3", id="env-seed-negative"),
-    pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "0"], None, id="curve-workers-0"),
-    pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "-3"], None, id="curve-workers-negative"),
-    pytest.param(["repro", "--skip-mc", "--workers", "0"], None, id="repro-workers-0"),
-    pytest.param(["repro", "--skip-mc", "--workers", "-3"], None, id="repro-workers-negative"),
-    pytest.param([*CURVE_AR1, "--x0", "0", "--bin-width", "inf"], None, id="bin-width-inf"),
+@pytest.mark.parametrize("argv", [
+    pytest.param([*CURVE_AR1, "--x0", "nan"], id="x0-nan"),
+    pytest.param([*CURVE_AR1, "--x0", "inf"], id="x0-inf"),
+    pytest.param([*CURVE_GARCH, "--s20", "nan"], id="s20-nan"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--seed", "-5"], id="seed-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--stream-id", "-1"], id="stream-id-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "0"], id="curve-workers-0"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "-3"], id="curve-workers-negative"),
+    pytest.param(["repro", "--skip-mc", "--workers", "0"], id="repro-workers-0"),
+    pytest.param(["repro", "--skip-mc", "--workers", "-3"], id="repro-workers-negative"),
+    pytest.param([*CURVE_AR1, "--x0", "0", "--bin-width", "inf"], id="bin-width-inf"),
     pytest.param(["curve", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--paths", "10", "--n-max", "1"],
-                 None, id="curve-x0-not-a-number"),
-    pytest.param(["certificate", "--family", "ar1", "--params", X0_NOT_A_NUMBER], None,
-                 id="certificate-x0-not-a-number"),
-    pytest.param(["iters", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--epsilon", "0.5"], None,
+                 id="curve-x0-not-a-number"),
+    pytest.param(["certificate", "--family", "ar1", "--params", X0_NOT_A_NUMBER], id="certificate-x0-not-a-number"),
+    pytest.param(["iters", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--epsilon", "0.5"],
                  id="iters-x0-not-a-number"),
     pytest.param(["curve", "--family", "asym-arch", "--params", json.dumps({"a": "0.5", "b": 3, "c": 5}),
                   "--x0", "0", "--x0p", "1", "--no-bound", "--paths", "100", "--n-max", "1"],
-                 None, id="curve-coefficient-not-a-number"),
+                 id="curve-coefficient-not-a-number"),
     pytest.param(["curve", "--family", "ar1", "--params", json.dumps({"a": 0.5, "sigma": 1, "x0": True, "x0p": 1}),
-                  "--paths", "10", "--n-max", "1"], None, id="curve-x0-true"),
+                  "--paths", "10", "--n-max", "1"], id="curve-x0-true"),
     pytest.param(["iters", "--family", "ar1", "--params",
                   json.dumps({"a": 0.5, "sigma": 1, "x0": False, "x0p": True}), "--epsilon", "0.01"],
-                 None, id="iters-starts-bool"),
+                 id="iters-starts-bool"),
     pytest.param(["certificate", "--family", "larch", "--params",
                   json.dumps({"beta0": 1.0, "beta1": 0.5, "z": {"dist": "chi-square", "nu": True}, "gap": 1})],
-                 None, id="certificate-noise-nu-true"),
+                 id="certificate-noise-nu-true"),
     pytest.param(["certificate", "--family", "asym-arch", "--params",
                   json.dumps({"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": False, "sigma": True},
-                              "gap": 1})], None, id="certificate-noise-mu-sigma-bool"),
+                              "gap": 1})], id="certificate-noise-mu-sigma-bool"),
 ])
-def test_bad_run_input_exits_2_before_simulating(capsys, monkeypatch, argv, env_seed):
+def test_bad_run_input_exits_2_before_simulating(capsys, argv):
     # a started chunk would fail on a non-finite state or a bad stream with exit 3
-    monkeypatch.delenv("ONESHOT_SEED", raising=False)
-    if env_seed is not None:
-        monkeypatch.setenv("ONESHOT_SEED", env_seed)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the value itself
@@ -684,6 +690,31 @@ def test_rejected_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsy
     assert out == ""
 
 
+AR1_SIGMA2_STARTS = ["--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0", "0", "--x0p", "1",
+                     "--s20", "-5", "--s20p", "3"]
+INDEPENDENT = json.dumps({"amplitude": 0.46, "rate": 0.5, "d": 100, "gap": 1})
+
+
+@pytest.mark.parametrize("argv,key", [
+    # only a certificate that takes the sigma^2 starts (garch) accepts them
+    pytest.param(["certificate", *AR1_SIGMA2_STARTS], "s20", id="certificate-ar1-s20"),
+    pytest.param(["iters", *AR1_SIGMA2_STARTS, "--epsilon", "0.01"], "s20", id="iters-ar1-s20"),
+    pytest.param(["curve", *AR1_SIGMA2_STARTS, "--n-max", "1", "--paths", "100", "--workers", "1", "--seed", "1"],
+                 "s20", id="curve-ar1-s20"),
+    pytest.param(["iters", "--family", "larch", "--params", LARCH_CHI2, "--x0", "0", "--x0p", "1", "--s20p", "1",
+                  "--epsilon", "0.01"], "s20p", id="iters-larch-s20p"),
+    # independent-coordinates has no chain, so no start to default its gap from
+    pytest.param(["certificate", "--family", "independent-coordinates", "--params", INDEPENDENT,
+                  "--x0", "1", "--x0p", "3"], "x0", id="certificate-independent-x0"),
+    pytest.param(["iters", "--family", "independent-coordinates", "--params", INDEPENDENT, "--s20", "1",
+                  "--epsilon", "0.01"], "s20", id="iters-independent-s20"),
+])
+def test_start_key_the_family_does_not_take_exits_2(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and re.search(rf"\b{key}\b", err), err
+
+
 @pytest.mark.parametrize("argv", [
     # a = 1.5 has no certificate: checked after it, the stream id came with a note line
     pytest.param(["curve", "--family", "ar1", "--a", "1.5", "--sigma", "1", "--x0", "0", "--x0p", "1",
@@ -703,16 +734,12 @@ def test_bad_stream_or_start_fails_before_the_certificate_and_the_jobs(tmp_path,
     assert out == ""
 
 
-@pytest.mark.parametrize("argv,env_seed", [
-    pytest.param(["--seed", "-3"], None, id="seed-negative"),
-    pytest.param(["--seed", str(2**128)], None, id="seed-2-128"),
-    pytest.param([], "-3", id="env-seed-negative"),
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--seed", "-3"], id="seed-negative"),
+    pytest.param(["--seed", str(2**128)], id="seed-2-128"),
 ])
-def test_bad_seed_fails_before_the_table_and_the_curves_directory(tmp_path, monkeypatch, capsys, argv, env_seed):
+def test_bad_seed_fails_before_the_table_and_the_curves_directory(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("ONESHOT_SEED", raising=False)
-    if env_seed is not None:
-        monkeypatch.setenv("ONESHOT_SEED", env_seed)
     code, out, err = _exit_code_and_streams(capsys, ["repro", "--skip-mc", "--curves", "D", *argv])
     assert code == 2, err
     assert sum("error:" in line for line in err.splitlines()) == 1, err

@@ -110,6 +110,24 @@ def test_each_certificate_reads_its_validated_family():
     assert [name for name in bounds.__all__ if name.endswith("_certificate")] == ["independent_coordinates_certificate"]
 
 
+def _contraction_raises(path: Path) -> list:
+    """Each ``raise NoContractionError`` in ``path``, as module:enclosing top-level definition."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc).split(".")[-1] == "NoContractionError":
+                    found.append(f"{path.stem}:{getattr(top, 'name', node.lineno)}")
+    return found
+
+
+def test_only_the_certificate_checks_contraction():
+    # BoundCertificate is the one gate for D < 1: a family computes D and leaves the check to it
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in _contraction_raises(path)]
+    assert hits == ["bounds:BoundCertificate"]
+
+
 def test_bounds_imports_nothing_from_models():
     tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
     names = []

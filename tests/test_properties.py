@@ -25,6 +25,7 @@ from tvbounds.stochastics import (
     ChiSquare,
     Gamma,
     InverseGamma,
+    Normal,
     abs_moment,
     density,
     dist_from_dict,
@@ -99,8 +100,8 @@ def test_chi_square_is_gamma_half_nu_one_half(nu, x, k):
 
 
 def _log_scale_density_sup(law, mode: float) -> float:
-    """Numeric sup_x e^x f(e^x) for a positive ``law`` whose log has its
-    mode at ``mode``: the best of 20,001 points on [mode - 8, mode + 8],
+    """Numeric sup_x e^x f(e^x) for a ``law`` for which x -> e^x f(e^x)
+    peaks at ``mode``: the best of 20,001 points on [mode - 8, mode + 8],
     refined by golden section between that point's grid neighbours."""
 
     def height(x):
@@ -114,13 +115,17 @@ def _log_scale_density_sup(law, mode: float) -> float:
 
 
 @PROPERTY
-@given(st.sampled_from((Gamma, InverseGamma, ChiSquare)),
+@given(st.sampled_from((Gamma, InverseGamma, ChiSquare, Normal)),
        st.floats(-3.0, 3.0).map(lambda e: 10.0**e), st.floats(-20.0, 20.0).map(lambda e: 10.0**e))
 def test_log_scale_height_is_the_numeric_maximum(cls, shape, rate):
     # log Z peaks at log(shape/rate) for a gamma, at its reflection for an
-    # inverse gamma; chi-square(2 shape) is the gamma of rate 1/2
+    # inverse gamma; chi-square(2 shape) is the gamma of rate 1/2.  log|Z| of
+    # a centred normal (sigma = rate) has density 2 e^x f(e^x), peaking at log sigma
+    folds = 1
     if cls is ChiSquare:
         law, mode = ChiSquare(2 * shape), math.log(2 * shape)
+    elif cls is Normal:
+        law, mode, folds = Normal(0.0, rate), math.log(rate), 2
     else:
         law, mode = cls(shape, rate), math.log(shape / rate) * (1 if cls is Gamma else -1)
-    assert law.log_scale_sup() == pytest.approx(_log_scale_density_sup(law, mode), rel=1e-9)
+    assert law.log_scale_sup() == pytest.approx(folds * _log_scale_density_sup(law, mode), rel=1e-9)

@@ -138,6 +138,14 @@ def test_abs_moment_product_identity():
     assert prod == pytest.approx(p / (k + p - 2), rel=1e-12)
 
 
+def test_log_scale_height_of_a_normal_needs_mu_zero():
+    # log|Z| has density 2 e^x f(e^x), peaking at 2 phi(1) for any centred normal
+    for sigma in (1e-3, 1.0, 7.0):
+        assert Normal(0.0, sigma).log_scale_sup() == pytest.approx(2 * stats.norm.pdf(1.0), rel=1e-14)
+    with pytest.raises(DomainError):
+        Normal(0.5, 1.0).log_scale_sup()
+
+
 def test_abs_moment_nonexistent_raises():
     with pytest.raises(DomainError):
         abs_moment(InverseGamma(2.0, 1.0), 2)
