@@ -28,8 +28,8 @@ import sys
 import numpy as np
 
 from . import bounds, data, models, tvlab
-from .errors import DomainError, IngestionError, ParameterError, SimulationError, StateError
-from .stochastics import InverseGamma, NoiseStream, _is_real, density
+from .errors import IngestionError, ParameterError, SimulationError
+from .stochastics import InverseGamma, NoiseStream, density
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
@@ -88,25 +88,15 @@ def _load_params(args) -> dict:
 CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
 
 
-def _start_distance(params: dict) -> float:
-    """||x0 - x0'|| of the starts in ``params``, the default gap."""
-    x0, x0p = (np.asarray(params[key], dtype=float) for key in ("x0", "x0p"))
-    try:
-        return float(np.linalg.norm(np.atleast_1d(x0 - x0p)))
-    except ValueError:
-        raise ParameterError(f"starts x0 and x0p have shapes {x0.shape} and {x0p.shape}") from None
-
-
 def _split(family: str, params: dict):
     """The chain model of ``family`` (None for independent-coordinates) and
     a function building its certificate from ``params``: the certificate's
     keyword parameters take their keys, every other key but a start is a
     model field (so an unknown key raises ParameterError), and ``gap``
-    defaults to ||x0 - x0'||.  Once the model is built, a start key the
-    family does not take, or a start that is not a finite number or a list
-    of them, raises ParameterError; each start is then built by
-    ``model.make_state``, so one outside the family's state space fails
-    here, whatever the command."""
+    defaults to |x0 - x0'|.  Once the model is built, a start key the
+    family does not take raises ParameterError, and each start is checked
+    and built by ``model.start_state``, so a bad one fails here, whatever
+    the command."""
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
     cls = models.FAMILIES.get(family)
@@ -116,18 +106,15 @@ def _split(family: str, params: dict):
         keys = inspect.signature(cls.certificate).parameters
         fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
         model = models.model_from_dict({"family": family, "params": fields})
-        for key in [k for k in START_KEYS if k in params]:
-            if key not in ("x0", "x0p", *keys):
-                raise ParameterError(f"family '{family}' takes no start {key}")
-            if not all(_is_real(v) for v in np.ravel(np.array(params[key], dtype=object))):
-                raise ParameterError(f"start {key} must be a number or a list of numbers, finite and not bool, "
-                                     f"got {params[key]!r}")
+        for key in [k for k in START_KEYS if k in params and k not in ("x0", "x0p", *keys)]:
+            raise ParameterError(f"family '{family}' takes no start {key}")
         for x, s2 in (("x0", "s20"), ("x0p", "s20p")):
             if x in params:
-                model.make_state(params[x], params.get(s2))
+                model.start_state(params[x], params.get(s2), (x, s2))
         options = {k: v for k, v in params.items() if k in keys}
         if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
-            options["gap"] = _start_distance(params)
+            # every family whose certificate takes gap has scalar starts
+            options["gap"] = abs(float(params["x0"]) - float(params["x0p"]))
         build = model.certificate
 
     def certify() -> bounds.BoundCertificate:
@@ -183,26 +170,34 @@ def cmd_iters(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
-    params = _load_params(args)
+def _curve(family, params, out, n_max, n_paths, bin_width, stream, workers, bound=True) -> None:
+    """Build the chain of ``family`` from ``params``, certify it, simulate
+    its TV curve from the starts x0 and x0p and write the CSV to ``out``:
+    the one curve path of ``curve`` and ``repro --curves``.  A certificate
+    that cannot be built leaves the bound columns empty, with one ``note:``
+    line on stderr."""
+    model, certify = _split(family, params)
+    if model is None:
+        raise ParameterError(f"family '{family}' has no chain to simulate")
     for k in ("x0", "x0p"):
         if k not in params:
             raise ParameterError(f"missing --{k}")
-    model, certify = _split(args.family, params)
-    if model is None:
-        raise ParameterError(f"family '{args.family}' has no chain to simulate")
     cert = None
-    if not args.no_bound:
+    if bound:
         try:
             cert = certify()
         except ParameterError as exc:
             print(f"note: no bound column ({exc})", file=sys.stderr)
     curve = tvlab.simulate_tv_curve(
-        model, params["x0"], params["x0p"], n_max=args.n_max, n_paths=args.paths,
-        bin_width=args.bin_width, stream=args.stream,
-        certificate=cert, workers=args.workers, s20=params.get("s20"), s20_prime=params.get("s20p"),
+        model, params["x0"], params["x0p"], n_max=n_max, n_paths=n_paths, bin_width=bin_width, stream=stream,
+        certificate=cert, workers=workers, s20=params.get("s20"), s20_prime=params.get("s20p"),
     )
-    _emit(curve.to_csv(), args.out)
+    _emit(curve.to_csv(), out)
+
+
+def cmd_curve(args) -> int:
+    _curve(args.family, _load_params(args), args.out, args.n_max, args.paths, args.bin_width, args.stream,
+           args.workers, bound=not args.no_bound)
     return 0
 
 
@@ -457,29 +452,29 @@ FIGURE_CURVES = {
 }
 
 
+def _figure_params(stem: str) -> dict:
+    """The ``curve`` parameters of the comparison curve ``stem``, starts included."""
+    cfg = FIGURE_CURVES[stem]
+    return {**cfg["params"], **{k: cfg[k] for k in START_KEYS if k in cfg}}
+
+
 def _figure_chain(stem: str):
     """The model and certificate of the comparison curve ``stem``, built
-    the way ``curve`` builds them from the same parameters and starts."""
-    cfg = FIGURE_CURVES[stem]
-    model, certify = _split(cfg["family"], {**cfg["params"], **{k: cfg[k] for k in START_KEYS if k in cfg}})
+    the way ``curve`` builds them."""
+    model, certify = _split(FIGURE_CURVES[stem]["family"], _figure_params(stem))
     return model, certify()
 
 
 def write_figure_curves(directory, seed, n_paths, workers=1):
     """Simulate the four built-in comparison curves (bound vs simulated
-    TV) and write one CSV per chain into ``directory``."""
+    TV) and write one CSV per chain into ``directory``, each as ``curve``
+    writes it on stream 9000 + its sorted index."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for idx, (stem, cfg) in enumerate(sorted(FIGURE_CURVES.items())):
-        model, cert = _figure_chain(stem)
-        curve = tvlab.simulate_tv_curve(
-            model, cfg["x0"], cfg["x0p"], n_max=cfg["n_max"], n_paths=n_paths,
-            bin_width=0.01, stream=NoiseStream(seed, 9000 + idx),
-            certificate=cert, workers=workers,
-            s20=cfg.get("s20"), s20_prime=cfg.get("s20p"),
-        )
         path = os.path.join(directory, stem + ".csv")
-        _emit(curve.to_csv(), path)
+        _curve(cfg["family"], _figure_params(stem), path, cfg["n_max"], n_paths, 0.01, NoiseStream(seed, 9000 + idx),
+               workers)
         written.append(path)
     return written
 
@@ -585,7 +580,7 @@ def main(argv=None) -> int:
             args.stream = NoiseStream(args.seed, args.stream_id)
         _check_outputs(args)
         return args.fn(args)
-    except (ParameterError, DomainError, IngestionError, StateError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

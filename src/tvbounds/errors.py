@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: parameter / domain / ingestion
-problems exit 2, simulation failures exit 3.
+Each CLI exit code is one class: every bad-input error is a
+ParameterError (exit 2), the others below deriving from it only to name
+the kind of problem; a SimulationError is exit 3.
 """
 
 
@@ -9,7 +10,7 @@ class ParameterError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class DomainError(ValueError):
+class DomainError(ParameterError):
     """A mathematically undefined request (nonexistent moment, n <= n0, ...)."""
 
 
@@ -17,11 +18,11 @@ class NoContractionError(ParameterError):
     """The contraction factor is >= 1, so no geometric certificate exists."""
 
 
-class StateError(ValueError):
+class StateError(ParameterError):
     """A chain state violates the family's state constraints."""
 
 
-class IngestionError(ValueError):
+class IngestionError(ParameterError):
     """A dataset could not be parsed; the message names the offending cell."""
 
 

@@ -95,6 +95,18 @@ class Family:
     def make_state(self, x, s2=None):
         return x
 
+    def start_state(self, x, s2=None, names=("x0", "s20")):
+        """``make_state`` of one path started at ``x`` (sigma^2 ``s2`` for GARCH),
+        the one start check: ParameterError names (``names``) a start that is
+        not made of finite real numbers, not bools, shaped as one path's state
+        (a number; for ar-d a vector of A's dimension)."""
+        for name, v, shape in ((names[0], x, (self.dim,) if self.state_ndim else ()), (names[1], s2, ())):
+            values = np.array(v, dtype=object)
+            if v is not None and (values.shape != shape or not all(map(stochastics._is_real, values.flat))):
+                what = f"a list of {shape[0]} numbers" if shape else "a number"
+                raise ParameterError(f"start {name} must be {what}, finite and not bool, got {v!r}")
+        return self.make_state(x, s2)
+
     def observable(self, state):
         return state
 
@@ -242,14 +254,7 @@ class ARNormalD(Family):
         rate = float(np.max(np.abs(evals)))
         sigma_inv = bounds._inverse("Sigma", self.sigma)
         d = self.dim
-        try:
-            x0, x0p = np.asarray(x0, dtype=float), np.asarray(x0p, dtype=float)
-        except (TypeError, ValueError):
-            raise ParameterError(f"starts must be lists of numbers, got {x0!r} and {x0p!r}") from None
-        for name, x in (("x0", x0), ("x0p", x0p)):
-            if x.shape != (d,):
-                raise ParameterError(f"start {name} must have shape ({d},) to match A, got shape {x.shape}")
-        gap_norm = float(np.linalg.norm(x0 - x0p))
+        gap_norm = float(np.linalg.norm(self.start_state(x0) - self.start_state(x0p, names=("x0p", "s20p"))))
         # P from the symmetric eigendecomposition is orthogonal, so P^-1 = P^T
         c = float(
             math.sqrt(d / (2 * math.pi))
@@ -547,14 +552,14 @@ class AsymARCH(Family):
 
         log|X_1| is (1/2) log((a x + b)^2 + c^2) + log|Z|, a shift of slope
         at most |a| / (2 |c|) in x, so TV_1 <= sup f_{log|Z|} |a| / (2 |c|) dist:
-        C holds only for noise whose ``log_scale_sup()`` is at most 2."""
+        C holds only for noise whose ``log_scale_sup()`` is at most 2, unless a = 0."""
         if not isinstance(jensen, bool):
             raise ParameterError(f"jensen must be true or false, got {jensen!r}")
-        sup = self.z.log_scale_sup()
-        if sup > 2:
+        a = self.a
+        # at a = 0 the chain forgets its start in one step: C = D = 0 for any noise
+        if a != 0 and (sup := self.z.log_scale_sup()) > 2:
             raise DomainError(f"{self.family} C = |a|/|c| needs a log|Z| density peaking at most at 2, "
                               f"not {sup:.6g} ({self.z!r})")
-        a = self.a
         d_exact = abs(a) * stochastics.abs_moment(self.z, 1)
         d_jensen = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
         return BoundCertificate(
@@ -628,8 +633,8 @@ class GARCH(Family):
         C * D^(n-2) * gap reproduces the display above.
         """
         beta2, gamma2 = self.beta2, self.gamma2
-        if not (s20 >= 0 and s20p >= 0):
-            raise ParameterError("initial sigma^2 values must be >= 0")
+        self.start_state(x0, s20)
+        self.start_state(x0p, s20p, ("x0p", "s20p"))
         d = math.sqrt(beta2 * stochastics.abs_moment(self.z, 2) + gamma2)
         e_abs_z = stochastics.abs_moment(self.z, 1)
         alpha = math.sqrt(self.alpha2)

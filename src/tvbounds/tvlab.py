@@ -52,7 +52,7 @@ from . import models as models_mod
 from .bounds import BoundCertificate, bound_eval
 from .errors import ParameterError, SimulationError
 from .models import Family
-from .stochastics import NoiseStream, _is_real
+from .stochastics import NoiseStream
 
 __all__ = [
     "Histogram",
@@ -318,11 +318,8 @@ def simulate_tv_curve(
             "or with the exact one-dimensional formula"
         )
     # reject invalid initial states before any chunk starts
-    for name, v in (("x0", x0), ("x0'", x0_prime), ("s20", s20), ("s20'", s20_prime)):
-        if v is not None and not _is_real(v):
-            raise ParameterError(f"start {name} must be a finite number, got {v!r}")
-    model.make_state(x0, s20)
-    model.make_state(x0_prime, s20_prime)
+    model.start_state(x0, s20)
+    model.start_state(x0_prime, s20_prime, ("x0'", "s20'"))
 
     starts = ((x0, s20), (x0_prime, s20_prime))
     jobs = [

@@ -464,10 +464,10 @@ def test_ar_normal_d_shapes_must_match_A():
         ARNormalD(a, np.eye(3))
     model = ARNormalD(a, np.eye(2))
     bad = [
-        ([1.0, 2.0, 3.0], np.zeros(3), r"x0 must have shape \(2,\).*\(3,\)"),
-        (1.0, 0.0, r"x0 must have shape \(2,\).*\(\)"),
-        (np.ones(2), np.zeros((1, 2)), r"x0p must have shape \(2,\).*\(1, 2\)"),
-        (["abc", 1.0], np.zeros(2), "starts must be lists of numbers"),
+        ([1.0, 2.0, 3.0], np.zeros(3), r"start x0 must be a list of 2 numbers.*got \[1.0, 2.0, 3.0\]"),
+        (1.0, 0.0, r"start x0 must be a list of 2 numbers.*got 1.0"),
+        (np.ones(2), np.zeros((1, 2)), r"start x0p must be a list of 2 numbers.*got array\(\[\[0., 0.\]\]\)"),
+        (["abc", 1.0], np.zeros(2), r"start x0 must be a list of 2 numbers.*got \['abc', 1.0\]"),
     ]
     for x0, x0p, message in bad:
         with pytest.raises(ParameterError, match=message):

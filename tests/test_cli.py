@@ -8,7 +8,7 @@ import pytest
 
 from tvbounds import cli, models, tvlab
 from tvbounds.cli import build_certificate, main, reproduction_rows
-from tvbounds.errors import ParameterError, SimulationError
+from tvbounds.errors import DomainError, IngestionError, NoContractionError, ParameterError, SimulationError, StateError
 
 GARCH_PARAMS = json.dumps(
     {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "z": {"dist": "normal", "mu": 0, "sigma": 1}}
@@ -454,7 +454,6 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
     # 400 vs 400.01 its exact TV_1/dist is 0.00199 against C = 0.001
     ("certificate", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
     ("iters", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
-    ("curve", "asym-arch", ASYM_GAMMA_100),
     ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": 0.5, "sigma": 1.0},
                                   "gap": 1}),
 ])
@@ -624,7 +623,7 @@ def test_start_outside_the_state_space_or_moment_underflow_exits_2(capsys, argv)
 @pytest.mark.parametrize("starts,match", [
     ({"x0": "abc", "x0p": 1}, "start x0 must be a number"),
     ({"x0": 0, "x0p": [1, "q"]}, "start x0p must be a number"),
-    ({"x0": [1, 2], "x0p": [1, 2, 3]}, r"shapes \(2,\) and \(3,\)"),
+    ({"x0": [1, 2], "x0p": [1, 2, 3]}, r"start x0 must be a number.*got \[1, 2\]"),
 ])
 def test_default_gap_names_the_bad_start(starts, match):
     with pytest.raises(ParameterError, match=match):
@@ -745,3 +744,77 @@ def test_bad_seed_fails_before_the_table_and_the_curves_directory(tmp_path, monk
     assert sum("error:" in line for line in err.splitlines()) == 1, err
     assert out == ""
     assert not (tmp_path / "D").exists()
+
+
+def test_every_exit_2_error_is_a_parameter_error():
+    # main maps ParameterError to exit 2 and SimulationError to exit 3, nothing else
+    assert all(issubclass(cls, ParameterError) for cls in (DomainError, IngestionError, NoContractionError, StateError))
+    assert not issubclass(SimulationError, ParameterError)
+
+
+ASYM_NORMAL_HALF = {"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": 0.5, "sigma": 1.0}}
+
+
+@pytest.mark.parametrize("family,params,starts", [
+    pytest.param("ar1", {"a": 1.5, "sigma": 1.0}, ["--x0", "0", "--x0p", "1"], id="ar1-no-contraction"),
+    pytest.param("asym-arch", ASYM_NORMAL_HALF, ["--x0", "0", "--x0p", "1"], id="asym-arch-normal-mu-half"),
+    pytest.param("asym-arch", ASYM_GAMMA_100, ["--x0", "400", "--x0p", "600"], id="asym-arch-gamma-100"),
+])
+def test_curve_without_a_certificate_writes_a_note_and_the_simulated_columns(tmp_path, capsys, family, params,
+                                                                              starts):
+    # NoContractionError and DomainError certificates follow one rule: a note, empty bound columns, exit 0
+    base = ["curve", "--family", family, "--params", json.dumps(params), *starts, "--n-max", "3", "--paths", "2000",
+            "--seed", "1", "--workers", "1", "--bin-width", "0.5"]
+    code, out, err = run(capsys, *base, "--out", str(tmp_path / "bound.csv"))
+    assert code == 0 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("note: no bound column ("), err
+    code, _, err = run(capsys, *base, "--no-bound", "--out", str(tmp_path / "plain.csv"))
+    assert code == 0 and err == ""
+    rows, plain = ([line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+                   for name in ("bound.csv", "plain.csv"))
+    assert len(rows) == 3
+    assert all(r[1] == r[2] == "" for r in rows)
+    assert [[r[0], *r[3:]] for r in rows] == [[r[0], *r[3:]] for r in plain]
+
+
+def test_curve_of_a_family_without_a_chain_says_so_before_asking_for_starts(capsys):
+    code, out, err = run(capsys, "curve", "--family", "independent-coordinates", "--params", INDEPENDENT)
+    assert code == 2 and out == ""
+    assert err == "error: family 'independent-coordinates' has no chain to simulate\n"
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("certificate", []),
+    ("iters", ["--epsilon", "0.01"]),
+    ("curve", ["--n-max", "1", "--paths", "100", "--seed", "1"]),
+])
+def test_list_start_of_a_scalar_family_exits_2_with_one_error_in_every_command(capsys, command, extra):
+    # the start check is one function, so every command reads the start alike
+    params = json.dumps({"a": 0.5, "sigma": 1, "x0": [1, 2], "x0p": [0, 0]})
+    code, out, err = run(capsys, command, "--family", "ar1", "--params", params, *extra)
+    assert code == 2 and out == ""
+    assert err == "error: start x0 must be a number, finite and not bool, got [1, 2]\n"
+
+
+@pytest.mark.parametrize("x0,gap", [("1e-200", 1e-200), ("1e200", 1e200)])
+def test_default_gap_is_the_start_distance_at_extreme_starts(capsys, x0, gap):
+    # |x0 - x0'| neither underflows to a zero bound nor overflows to inf through a square
+    base = ["certificate", "--family", "ar1", "--a", "0.5", "--sigma", "1"]
+    code, out, err = run(capsys, *base, "--x0", x0, "--x0p", "0")
+    assert code == 0 and err == ""
+    assert json.loads(out)["gap"] == gap
+    assert (code, out, err) == run(capsys, *base, "--gap", x0)
+
+
+@pytest.mark.parametrize("z", [{"dist": "gamma", "shape": 100, "rate": 1}, {"dist": "normal", "mu": 0.5, "sigma": 1}],
+                         ids=["gamma-100", "normal-mu-half"])
+def test_asym_arch_at_a_0_certifies_immediate_coupling_for_any_noise(capsys, z):
+    # at a = 0 the chain forgets its start in one step, so the log|Z| height rule does not apply
+    params = json.dumps({"a": 0, "b": 3, "c": 5, "z": z})
+    code, out, err = run(capsys, "certificate", "--family", "asym-arch", "--params", params, "--gap", "1")
+    assert code == 0, err
+    cert = json.loads(out)
+    assert cert["C"] == 0 and cert["D"] == 0
+    code, out, err = run(capsys, "iters", "--family", "asym-arch", "--params", params, "--gap", "1",
+                         "--epsilon", "0.01")
+    assert (code, out) == (0, "1\n"), err

@@ -392,6 +392,29 @@ def test_curve_csv_format():
     assert grow[1] == "" and grow[2] == ""
 
 
+AR1 = ARNormal1D(0.5, 1.0)
+AR1_STARTS = {"x0": 0.0, "x0_prime": 1.0}
+GARCH_N01 = models.GARCH(0.13, 0.1266, 0.7922)
+GARCH_STARTS = {"x0": 0.1, "x0_prime": -0.1, "s20": 0.0001, "s20_prime": 0.01}
+
+
+@pytest.mark.parametrize("model,starts,name", [
+    *[pytest.param(AR1, {**AR1_STARTS, "x0": bad}, "x0", id=f"x0-{label}")
+      for label, bad in (("nan", math.nan), ("inf", math.inf), ("true", True), ("str", "1"), ("list", [1, 2]))],
+    pytest.param(AR1, {**AR1_STARTS, "x0_prime": [1, 2]}, "x0'", id="x0-prime-list"),
+    pytest.param(GARCH_N01, {**GARCH_STARTS, "s20": math.nan}, "s20", id="garch-s20-nan"),
+    pytest.param(GARCH_N01, {**GARCH_STARTS, "s20": True}, "s20", id="garch-s20-true"),
+    pytest.param(GARCH_N01, {**GARCH_STARTS, "s20_prime": False}, "s20'", id="garch-s20-prime-false"),
+])
+def test_curve_start_check_names_the_start_before_any_job(monkeypatch, model, starts, name):
+    def no_job(*args, **kwargs):
+        raise AssertionError("a chunk job ran")
+
+    monkeypatch.setattr(tvlab, "_simulate_chunk", no_job)
+    with pytest.raises(ParameterError, match=f"^start {re.escape(name)} must be a number"):
+        simulate_tv_curve(model, n_max=2, n_paths=100, bin_width=0.01, stream=NoiseStream(1), **starts)
+
+
 # ---------------------------------------------------------------- shifted L1
 
 SHIFT_GRID = np.linspace(-50.0, 50.0, 1_000_001)
