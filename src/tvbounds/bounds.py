@@ -60,9 +60,9 @@ __all__ = [
 
 
 def integral(name: str, value) -> int:
-    """``value`` as an int; ints, numpy integers and integral floats pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    """``value`` as an int; integral real numbers finite as a float pass, bools do not."""
+    if not stochastics._is_real(value) or value % 1:
+        raise ParameterError(f"{name} must be an integer, finite as a float, got {value!r}")
     return int(value)
 
 

@@ -501,7 +501,7 @@ def cmd_repro(args) -> int:
 
 _WORKERS_HELP = (
     "threads in this process that simulate a curve, one job per 2**17-path chunk and copy; "
-    "each extra worker costs one copy's chunk in flight, not one interpreter, and the output "
+    "each extra worker costs one job's working set, not one interpreter, and the output "
     "is byte-identical for any worker count"
 )
 

@@ -63,8 +63,14 @@ __all__ = [
 
 
 def _is_real(v) -> bool:
-    """True for a finite real number; bools (JSON true/false) are not numbers."""
-    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+    """True for a finite real number; bools (JSON true/false) are not numbers,
+    and neither is an integer too large for a float (JSON allows any)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _finite_positive(*values) -> bool:

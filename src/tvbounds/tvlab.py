@@ -11,36 +11,42 @@ The floor is not subtracted from the reported estimate.
 
 A Histogram stores only its occupied cells, as two sorted int64 arrays
 (cells and counts), on bins anchored at 0.  One counting routine serves
-binning, merging (weighted by the parts' counts) and the TV estimate's
-alignment of two histograms on the union of their occupied cells: it
-counts offset cell indices with np.bincount, or sorts when the span is
-much wider than the input, so heavy tails and tiny widths never
-allocate span-sized arrays.
+binning, folding new samples into a histogram, merging histograms and the
+TV estimate's alignment of two histograms on the union of their occupied
+cells: it counts offset cell indices with np.bincount over the union span
+of its inputs and adds the counts already tallied into the same array,
+or sorts when that span is much wider than the input, so heavy tails and
+tiny widths never allocate span-sized arrays.
 
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling lives in the
 models module for contraction diagnostics.  Curve simulation is chunked
 into one job per chunk and copy, each on its own fixed substream, and
 the jobs run on threads in one process (numpy releases the GIL in the
-draw, step and binning kernels).  Jobs are folded into running
-per-iteration histograms in job order as they arrive, so memory is
-bounded by n_max merged histogram pairs plus the jobs in flight: each
-extra worker costs one copy's chunk in flight, not one interpreter.
-Counts are integers, so output is byte-identical for any worker count.
+draw, step and binning kernels).  Each job folds every iteration into
+the curve's running per-iteration histograms as soon as it is binned,
+under one per-curve lock, and keeps no histogram of its own.  Memory is
+therefore bounded by the n_max merged histogram pairs plus each job in
+flight's fixed working set (below), whatever n_paths is: each extra
+worker costs one working set, not one interpreter.  Fold order is free:
+a fold adds integer counts, which is exact and commutative, so the
+merged histograms, and the output, are byte-identical whichever job
+folds first and for any worker count.
 
 Each job owns a fixed working set, allocated once when it starts and
 never shared with another thread: its state, which ``models.step``
 advances in place (``out=state``), and one float64 and one int64 array
 of the chunk's size, into which binning divides, floors, casts and
 offsets every iteration's observable.  Per iteration a job allocates
-only its draws, its histograms and, in the steps that need one
-(nonlinear-ar, Gibbs), one temporary, so it hands few chunk-sized
+only its draws, the count array of its fold and, in the steps that need
+one (nonlinear-ar, Gibbs), one temporary, so it hands few chunk-sized
 arrays back to the allocator to be faulted in again.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -98,25 +104,38 @@ def _cells(x: np.ndarray, bin_width: float, work=None):
     return index, int(lo), int(hi)
 
 
-def _tally(cells: np.ndarray, lo: int, hi: int, weights: Optional[np.ndarray] = None):
-    """Sorted distinct cells and the summed weight of each (how often it
-    occurs when ``weights`` is None), as fresh int64 arrays.
+def _tally(cells: np.ndarray, lo: int, hi: int, *tallied):
+    """Sorted distinct cells of ``cells`` with how often each occurs, plus
+    the counts of every already-tallied (cells, counts) pair of sorted
+    distinct cells in ``tallied``, as fresh int64 arrays.
 
-    The one place that chooses how to count: np.bincount on the offset
-    index cells - lo, or, when the span hi - lo + 1 exceeds 8 values per
-    input and a span-sized count array would outweigh the input, a sort.
-    Every caller passes an int64 array of its own, which the bincount
-    branch offsets in place.
+    ``cells`` is an int64 array of the caller's own, whose lowest and
+    highest values are lo and hi when it is not empty.  The one place
+    that chooses how to count: np.bincount on the offset index over the
+    union span of all inputs, into which each pair's counts are
+    scatter-added, or, when that span exceeds 8 cells per value (input
+    cell or pair entry) and a span-sized count array would outweigh the
+    inputs, a sort.  The bincount branch offsets ``cells`` in place.
     """
-    if hi - lo + 1 > _SPAN_PER_VALUE * cells.size:
-        if weights is None:
-            return np.unique(cells, return_counts=True)
-        distinct, where = np.unique(cells, return_inverse=True)
-        return distinct, np.bincount(where, weights).astype(np.int64)
+    tallied = [pair for pair in tallied if pair[0].size]
+    ends = [(lo, hi)] if cells.size else []
+    ends += [(int(c[0]), int(c[-1])) for c, _ in tallied]
+    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+    if hi - lo + 1 > _SPAN_PER_VALUE * (cells.size + sum(c.size for c, _ in tallied)):
+        pair = np.unique(cells, return_counts=True)
+        if not tallied:
+            return pair
+        cells, counts = (np.concatenate(parts) for parts in zip(pair, *tallied))
+        order = np.argsort(cells, kind="stable")  # a merge of the sorted runs
+        cells = cells[order]
+        first = np.flatnonzero(np.diff(cells, prepend=cells[0] - 1))
+        return cells[first], np.add.reduceat(counts[order], first)
     cells -= lo
-    counts = np.bincount(cells, weights)
+    counts = np.bincount(cells, minlength=hi - lo + 1)
+    for c, k in tallied:
+        counts[c - lo] += k
     occupied = np.flatnonzero(counts != 0)  # nonzero scans a bool mask several times faster than int64
-    return occupied + lo, counts[occupied].astype(np.int64, copy=False)
+    return occupied + lo, counts[occupied]
 
 
 @dataclass(eq=False)
@@ -126,7 +145,7 @@ class Histogram:
     Bin i covers [i*w, (i+1)*w).  Only occupied bins are stored:
     ``cells`` holds their indices i in increasing order and ``counts``
     the matching counts, both int64 arrays, so unbounded supports cost
-    nothing.  Binning and merging both count through ``_tally``.
+    nothing.  Binning, folding and merging all count through ``_tally``.
     """
 
     bin_width: float
@@ -149,21 +168,24 @@ class Histogram:
         h = cls(bin_width)
         x = np.asarray(samples, dtype=float).ravel()
         if x.size:
-            h.cells, h.counts = _tally(*_cells(x, bin_width, work))
+            h.fold(*_cells(x, bin_width, work))
         return h
 
+    def fold(self, cells: np.ndarray, lo: int, hi: int) -> None:
+        """Add one count for each cell index in ``cells``, an int64 array
+        of the caller's own whose lowest and highest values are lo and hi
+        (as ``_cells`` returns them), which this offsets in place."""
+        self.cells, self.counts = _tally(cells, lo, hi, (self.cells, self.counts))
+
     def merge(self, *others: "Histogram") -> None:
-        """Add the counts of ``others``: their cells are concatenated and
-        counted once by ``_tally``, weighted by their counts."""
+        """Add the counts of ``others``, all counted at once by ``_tally``."""
         if any(o.bin_width != self.bin_width for o in others):
             raise ParameterError("cannot merge histograms with different grids")
         parts = [h for h in (self, *others) if h.cells.size]
         if len(parts) == 1:
             self.cells, self.counts = parts[0].cells, parts[0].counts
         elif parts:
-            cells = np.concatenate([h.cells for h in parts])
-            counts = np.concatenate([h.counts for h in parts])
-            self.cells, self.counts = _tally(cells, int(cells.min()), int(cells.max()), counts)
+            self.cells, self.counts = _tally(np.empty(0, dtype=np.int64), 0, 0, *((h.cells, h.counts) for h in parts))
 
     def density_sup(self) -> float:
         """Plug-in estimate of the density maximum, max_i p_i / w."""
@@ -257,29 +279,31 @@ class TVCurve:
         return "\n".join(lines) + "\n"
 
 
-def _simulate_chunk(model, x, s2, n_max, n_paths, bin_width, stream, chunk, copy):
-    """Advance one copy of one chunk of paths and histogram every iteration.
+def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock):
+    """Advance one copy of one chunk of paths and fold every iteration into
+    the copy's running histograms ``hists``, one per iteration.
 
-    Returns the copy's n_max per-iteration histograms.  Substream
-    2 * chunk + copy pins its draws, so the result does not depend on
-    which worker ran it.  The job owns its working set: the state steps
-    in place and binning reuses one float64 and one int64 array, all
-    allocated here once and shared with no other job.
+    Substream 2 * chunk + copy pins its draws, so what it adds does not
+    depend on which worker ran it.  The job owns its working set: the
+    state steps in place and binning reuses one float64 and one int64
+    array, all allocated here once and shared with no other job.  Only
+    the fold into ``hists``, which other jobs also fold into, holds
+    ``lock``.
     """
     rng = stream.substream(2 * chunk + copy).generator()
     state = model.make_state(np.full(n_paths, float(x)), None if s2 is None else np.full(n_paths, float(s2)))
     work = (np.empty(n_paths), np.empty(n_paths, dtype=np.int64))
-    out = []
-    for n in range(1, n_max + 1):
+    for n, h in enumerate(hists, start=1):
         models_mod.step(model, state, models_mod.draw_innovations(model, rng, size=n_paths), out=state)
         try:
-            out.append(Histogram.from_samples(models_mod.observable(model, state), bin_width, work))
+            cells = _cells(models_mod.observable(model, state), h.bin_width, work)
         except ParameterError as exc:
             start = ("x0", "x0'")[copy]
             raise SimulationError(
                 f"chain diverged at iteration {n} (chunk {chunk}, start {start}): {exc}"
             ) from None
-    return out
+        with lock:
+            h.fold(*cells)
 
 
 def simulate_tv_curve(
@@ -328,20 +352,20 @@ def simulate_tv_curve(
         for copy in (0, 1)
     ]
 
+    # every job folds each iteration into these running histograms, so
+    # only n_max merged pairs are held whatever n_paths is; building them
+    # checks the bin width first
+    merged = [(Histogram(bin_width), Histogram(bin_width)) for _ in range(n_max)]
+    lock = threading.Lock()
+
     def run(job):
         chunk, copy, size = job
-        return _simulate_chunk(model, *starts[copy], n_max, size, bin_width, stream, chunk, copy)
+        _simulate_chunk(model, *starts[copy], size, stream, chunk, copy, [pair[copy] for pair in merged], lock)
 
-    # fold each job into running per-iteration histograms as it arrives,
-    # in job order, so only n_max merged pairs and the jobs in flight are
-    # held whatever n_paths is; building them checks the bin width first
-    merged = [(Histogram(bin_width), Histogram(bin_width)) for _ in range(n_max)]
     pool = ThreadPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
     with pool or nullcontext():
-        for (_, copy, _), hists in zip(jobs, (pool.map if pool else map)(run, jobs)):
-            for pair, h in zip(merged, hists):
-                pair[copy].merge(h)
-            del hists  # drop it before the next job is simulated
+        # reading every result raises the first failing job in job order
+        list((pool.map if pool else map)(run, jobs))
 
     rows = []
     for n, (ha, hb) in enumerate(merged, start=1):

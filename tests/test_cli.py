@@ -818,3 +818,26 @@ def test_asym_arch_at_a_0_certifies_immediate_coupling_for_any_noise(capsys, z):
     code, out, err = run(capsys, "iters", "--family", "asym-arch", "--params", params, "--gap", "1",
                          "--epsilon", "0.01")
     assert (code, out) == (0, "1\n"), err
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("certificate", []),
+    ("iters", ["--epsilon", "0.01"]),
+    ("curve", ["--n-max", "1", "--paths", "100", "--seed", "1"]),
+])
+@pytest.mark.parametrize("family,params,name", [
+    pytest.param("ar1", {"a": 0.5, "sigma": 1, "x0": HUGE, "x0p": 0}, "x0", id="start"),
+    pytest.param("garch", {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "x0": 0.1, "x0p": -0.1,
+                           "s20": HUGE, "s20p": 0.01}, "s20", id="garch-sigma2-start"),
+    pytest.param("ar1", {"a": HUGE, "sigma": 1, "x0": 0, "x0p": 1}, "a", id="model-field"),
+    pytest.param("asym-arch", {"a": 0.5, "b": 3, "c": 5, "z": {"dist": "gamma", "shape": HUGE, "rate": 1},
+                               "x0": 0, "x0p": 1}, "shape", id="dist-parameter"),
+    pytest.param("location-gibbs", {"j": HUGE, "s": 3, "x0": 1, "x0p": 2}, "J", id="gibbs-j"),
+])
+def test_json_integer_too_large_for_a_float_exits_2_in_every_command(capsys, command, extra, family, params, name):
+    code, out, err = run(capsys, command, "--family", family, "--params", json.dumps(params), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and re.search(rf"\b{name}\b", err), err

@@ -1,6 +1,8 @@
 import functools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -121,15 +123,21 @@ def test_histogram_merge_matches_bulk(rng):
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])  # a dense span, and one sorted instead
 def test_histogram_merge_of_many_parts_matches_bulk(rng, scale):
-    # parts with tail cells the others lack, merged at once and folded in any order
+    # parts with tail cells the others lack, merged at once and folded in any
+    # order, as histograms or, as curve jobs fold them, as raw cells into an
+    # initially empty running histogram
     parts = [rng.standard_t(3, n) * scale for n in (3_000, 500, 7, 2_000)]
     bulk = Histogram.from_samples(np.concatenate(parts), 0.01)
     at_once = Histogram(0.01)
     at_once.merge(*(Histogram.from_samples(x, 0.01) for x in parts))
-    folded = Histogram(0.01)
+    merged = Histogram(0.01)
     for x in reversed(parts):
-        folded.merge(Histogram.from_samples(x, 0.01))
-    for h in (at_once, folded):
+        merged.merge(Histogram.from_samples(x, 0.01))
+    folded = [Histogram(0.01), Histogram(0.01)]
+    for h, order in zip(folded, (parts, parts[::-1])):
+        for x in order:
+            h.fold(*tvlab._cells(x, 0.01))
+    for h in (at_once, merged, *folded):
         assert np.array_equal(h.cells, bulk.cells) and np.array_equal(h.counts, bulk.counts)
         assert h.cells.dtype == h.counts.dtype == np.int64
 
@@ -300,12 +308,18 @@ def test_curve_mc_se_scales_with_paths():
 
 
 def test_curve_deterministic_across_workers_and_reruns():
-    model = models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
-    kw = dict(n_max=3, n_paths=140_000, bin_width=0.01, s20=0.0001, s20_prime=0.01)
-    a = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=1, **kw)
-    b = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=3, **kw)
-    c = simulate_tv_curve(model, 0.1, -0.1, stream=NoiseStream(77), workers=1, **kw)
-    assert a.to_csv() == b.to_csv() == c.to_csv()
+    cases = [
+        (models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)), (0.1, -0.1),
+         dict(bin_width=0.01, s20=0.0001, s20_prime=0.01)),
+        # at this width every fold adds cells the running histogram lacks
+        (models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), (0.0, 5.0), dict(bin_width=0.001)),
+    ]
+    for model, starts, kw in cases:
+        kw = dict(n_max=3, n_paths=140_000, **kw)
+        a = simulate_tv_curve(model, *starts, stream=NoiseStream(77), workers=1, **kw)
+        b = simulate_tv_curve(model, *starts, stream=NoiseStream(77), workers=3, **kw)
+        c = simulate_tv_curve(model, *starts, stream=NoiseStream(77), workers=1, **kw)
+        assert a.to_csv() == b.to_csv() == c.to_csv()
 
 
 def _curve_peak_bytes(n_chunks):
@@ -331,6 +345,35 @@ def test_curve_memory_does_not_grow_with_paths():
     assert _curve_peak_bytes(6) <= 1.6 * _curve_peak_bytes(2)
 
 
+def test_curve_working_set_beyond_the_merged_histograms(monkeypatch):
+    """Each job folds every iteration into the running histograms as it
+    is binned, so beyond the final merged histograms a curve holds only the
+    fixed working set of the job in flight.
+
+    Bound: traced peak minus the bytes of the final merged histograms is at
+    most 8 MiB.  Keeping each job's n_max histograms until the job ended
+    and re-tallying them on the main thread gave 20.8 MiB; folding inside
+    the job gives 5.3 MiB.
+    """
+    final = []
+
+    def capture(ha, hb):
+        final.extend((ha, hb))
+        return tv_from_histograms(ha, hb)
+
+    monkeypatch.setattr(tvlab, "tv_from_histograms", capture)
+    model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        simulate_tv_curve(model, 0.0, 5.0, 20, 1 << 18, 0.001, NoiseStream(110), workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(h.cells.nbytes + h.counts.nbytes for h in final)
+    assert len(final) == 40
+    assert peak - held <= 8 << 20, (peak - held) / 2**20
+
+
 @functools.cache
 def _diverging_message(workers):
     # 140_000 paths make two chunks, four jobs; workers=2 runs them on the pool
@@ -346,6 +389,35 @@ def test_curve_diverging_chain_raises(workers):
     assert re.search(r"iteration 3\d \(chunk 0, start x0\): .* out of histogram range", message)
     # the first failing job in job order raises, whatever the thread timing
     assert message == _diverging_message(1)
+
+
+def test_curve_folds_lose_no_count_under_fast_thread_switching(monkeypatch):
+    # more workers than cores fold into one curve's histograms while the
+    # interpreter switches threads every microsecond: a lost update loses counts
+    totals = []
+
+    def capture(ha, hb):
+        totals.append((ha.total, hb.total))
+        return tv_from_histograms(ha, hb)
+
+    monkeypatch.setattr(tvlab, "tv_from_histograms", capture)
+    model = ARNormal1D(0.5, 1.0)
+    kw = dict(n_max=4, n_paths=5 << 17, bin_width=0.01)
+    pooled = []
+    worker = threading.Thread(
+        target=lambda: pooled.append(simulate_tv_curve(model, 0.0, 1.0, stream=NoiseStream(13), workers=8, **kw)),
+        daemon=True,
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(pooled) == 1
+    assert totals == [(5 << 17, 5 << 17)] * 4
+    assert pooled[0].to_csv() == simulate_tv_curve(model, 0.0, 1.0, stream=NoiseStream(13), workers=1, **kw).to_csv()
 
 
 def test_curve_pool_capped_at_job_count(monkeypatch):
