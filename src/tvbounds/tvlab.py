@@ -9,14 +9,16 @@ expected value if the two laws were identical), so that soundness
 comparisons "estimate <= bound" can be read against estimate-floor.
 The floor is not subtracted from the reported estimate.
 
-A Histogram stores only its occupied cells, as two sorted int64 arrays
-(cells and counts), on bins anchored at 0.  One counting routine serves
-binning, folding new samples into a histogram, merging histograms and the
-TV estimate's alignment of two histograms on the union of their occupied
-cells: it counts offset cell indices with np.bincount over the union span
-of its inputs and adds the counts already tallied into the same array,
-or sorts when that span is much wider than the input, so heavy tails and
-tiny widths never allocate span-sized arrays.
+A Histogram holds two samples, copies a and b, on one sorted int64 list
+of the cells either occupies, anchored at 0, with one int64 count per
+cell that packs copy a's count in its low 32 bits and copy b's in its
+high 32 bits.  A stored cell may be empty in one copy, and each copy
+holds fewer than 2**31 values, so neither half carries into the other.
+One counting routine serves binning and folding: it counts offset cell
+indices with np.bincount over the union span of its inputs, shifts them
+into the copy's half and adds the counts already tallied, or sorts when
+that span is much wider than the input, so heavy tails and tiny widths
+never allocate span-sized arrays.
 
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling lives in the
@@ -24,14 +26,15 @@ models module for contraction diagnostics.  Curve simulation is chunked
 into one job per chunk and copy, each on its own fixed substream, and
 the jobs run on threads in one process (numpy releases the GIL in the
 draw, step and binning kernels).  Each job folds every iteration into
-the curve's running per-iteration histograms as soon as it is binned,
-under one per-curve lock, and keeps no histogram of its own.  Memory is
-therefore bounded by the n_max merged histogram pairs plus each job in
-flight's fixed working set (below), whatever n_paths is: each extra
-worker costs one working set, not one interpreter.  Fold order is free:
-a fold adds integer counts, which is exact and commutative, so the
-merged histograms, and the output, are byte-identical whichever job
-folds first and for any worker count.
+its copy's half of the curve's running histogram of that iteration as
+soon as it is binned, under one per-curve lock, and keeps no histogram
+of its own.  Memory is therefore bounded by the n_max running histograms
+plus each job in flight's fixed working set (below), whatever n_paths
+is: each extra worker costs one working set, not one interpreter.  Fold
+order is free: a fold adds integer counts, which is exact and
+commutative, so the histograms, and the output, are byte-identical
+whichever job folds first and for any worker count.  Once a job diverges,
+jobs later in job order stop at their next iteration.
 
 Each job owns a fixed working set, allocated once when it starts and
 never shared with another thread: its state, which ``models.step``
@@ -75,6 +78,8 @@ _CHUNK_PATHS = 1 << 17
 _MAX_CELL = 2.0**62
 # above this many cells of span per value, binning sorts instead of counting
 _SPAN_PER_VALUE = 8
+# a copy's count sits in 32 bits of a packed count and stays below this
+_MAX_COUNT = 2**31
 
 
 def _cells(x: np.ndarray, bin_width: float, work=None):
@@ -104,48 +109,48 @@ def _cells(x: np.ndarray, bin_width: float, work=None):
     return index, int(lo), int(hi)
 
 
-def _tally(cells: np.ndarray, lo: int, hi: int, *tallied):
-    """Sorted distinct cells of ``cells`` with how often each occurs, plus
-    the counts of every already-tallied (cells, counts) pair of sorted
-    distinct cells in ``tallied``, as fresh int64 arrays.
+def _tally(cells: np.ndarray, lo: int, hi: int, tallied_cells: np.ndarray, tallied_counts: np.ndarray, shift: int):
+    """Sorted distinct cells of ``cells`` and of the sorted distinct
+    ``tallied_cells``, each with how often it occurs in ``cells`` shifted
+    left by ``shift`` bits plus its ``tallied_counts``, as fresh int64 arrays.
 
-    ``cells`` is an int64 array of the caller's own, whose lowest and
-    highest values are lo and hi when it is not empty.  The one place
-    that chooses how to count: np.bincount on the offset index over the
-    union span of all inputs, into which each pair's counts are
-    scatter-added, or, when that span exceeds 8 cells per value (input
-    cell or pair entry) and a span-sized count array would outweigh the
-    inputs, a sort.  The bincount branch offsets ``cells`` in place.
+    ``cells`` is a non-empty int64 array of the caller's own, whose lowest
+    and highest values are lo and hi.  The one place that chooses how to
+    count: np.bincount on the offset index over the union span of both
+    inputs, into which the tallied counts are scatter-added, or, when that
+    span exceeds 8 cells per value (input or tallied cell), a sort.  The
+    bincount branch offsets ``cells`` in place.
     """
-    tallied = [pair for pair in tallied if pair[0].size]
-    ends = [(lo, hi)] if cells.size else []
-    ends += [(int(c[0]), int(c[-1])) for c, _ in tallied]
-    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
-    if hi - lo + 1 > _SPAN_PER_VALUE * (cells.size + sum(c.size for c, _ in tallied)):
-        pair = np.unique(cells, return_counts=True)
-        if not tallied:
-            return pair
-        cells, counts = (np.concatenate(parts) for parts in zip(pair, *tallied))
+    if tallied_cells.size:
+        lo, hi = min(lo, int(tallied_cells[0])), max(hi, int(tallied_cells[-1]))
+    if hi - lo + 1 > _SPAN_PER_VALUE * (cells.size + tallied_cells.size):
+        cells, counts = np.unique(cells, return_counts=True)
+        counts <<= shift
+        if not tallied_cells.size:
+            return cells, counts
+        cells, counts = np.concatenate([cells, tallied_cells]), np.concatenate([counts, tallied_counts])
         order = np.argsort(cells, kind="stable")  # a merge of the sorted runs
         cells = cells[order]
         first = np.flatnonzero(np.diff(cells, prepend=cells[0] - 1))
         return cells[first], np.add.reduceat(counts[order], first)
     cells -= lo
     counts = np.bincount(cells, minlength=hi - lo + 1)
-    for c, k in tallied:
-        counts[c - lo] += k
+    counts <<= shift
+    counts[tallied_cells - lo] += tallied_counts
     occupied = np.flatnonzero(counts != 0)  # nonzero scans a bool mask several times faster than int64
     return occupied + lo, counts[occupied]
 
 
 @dataclass(eq=False)
 class Histogram:
-    """Fixed-width counting histogram anchored at 0.
+    """Fixed-width counting histogram anchored at 0 of two samples,
+    copies a (0) and b (1), on one cell list.
 
-    Bin i covers [i*w, (i+1)*w).  Only occupied bins are stored:
-    ``cells`` holds their indices i in increasing order and ``counts``
-    the matching counts, both int64 arrays, so unbounded supports cost
-    nothing.  Binning, folding and merging all count through ``_tally``.
+    Bin i covers [i*w, (i+1)*w).  ``cells`` holds, in increasing order,
+    the indices i of the bins occupied in either copy, and ``counts``
+    their packed counts: copy a's count plus 2**32 times copy b's, each
+    below 2**31, so a stored cell may be empty in one copy.  Both are
+    int64 arrays.  A histogram of one sample holds it as copy a.
     """
 
     bin_width: float
@@ -156,42 +161,33 @@ class Histogram:
         if not (0 < self.bin_width < math.inf):
             raise ParameterError(f"bin width must be finite and > 0, got {self.bin_width}")
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def copy_counts(self, copy: int) -> np.ndarray:
+        """Copy ``copy``'s count in each stored cell, as int64."""
+        return self.counts >> 32 if copy else self.counts & 0xFFFFFFFF
+
+    def total(self, copy: int = 0) -> int:
+        return int(self.copy_counts(copy).sum())
 
     @classmethod
-    def from_samples(cls, samples, bin_width: float, work=None) -> "Histogram":
-        """Histogram of ``samples``; ``work`` is the caller's own
-        (float64, int64) pair of arrays of the samples' size that binning
-        writes in place (see ``_cells``), fresh when None."""
+    def from_samples(cls, samples, bin_width: float) -> "Histogram":
+        """Histogram of ``samples``, held as copy a."""
         h = cls(bin_width)
         x = np.asarray(samples, dtype=float).ravel()
         if x.size:
-            h.fold(*_cells(x, bin_width, work))
+            h.fold(*_cells(x, bin_width))
         return h
 
-    def fold(self, cells: np.ndarray, lo: int, hi: int) -> None:
-        """Add one count for each cell index in ``cells``, an int64 array
-        of the caller's own whose lowest and highest values are lo and hi
-        (as ``_cells`` returns them), which this offsets in place."""
-        self.cells, self.counts = _tally(cells, lo, hi, (self.cells, self.counts))
+    def fold(self, cells: np.ndarray, lo: int, hi: int, copy: int = 0) -> None:
+        """Add one count to copy ``copy`` for each cell index in ``cells``,
+        a non-empty int64 array of the caller's own whose lowest and
+        highest values are lo and hi (as ``_cells`` returns them), which
+        this offsets in place."""
+        self.cells, self.counts = _tally(cells, lo, hi, self.cells, self.counts, 32 * copy)
 
-    def merge(self, *others: "Histogram") -> None:
-        """Add the counts of ``others``, all counted at once by ``_tally``."""
-        if any(o.bin_width != self.bin_width for o in others):
-            raise ParameterError("cannot merge histograms with different grids")
-        parts = [h for h in (self, *others) if h.cells.size]
-        if len(parts) == 1:
-            self.cells, self.counts = parts[0].cells, parts[0].counts
-        elif parts:
-            self.cells, self.counts = _tally(np.empty(0, dtype=np.int64), 0, 0, *((h.cells, h.counts) for h in parts))
-
-    def density_sup(self) -> float:
-        """Plug-in estimate of the density maximum, max_i p_i / w."""
-        if self.cells.size == 0:
-            return 0.0
-        return int(self.counts.max()) / (self.total * self.bin_width)
+    def density_sup(self, copy: int = 0) -> float:
+        """Plug-in estimate of copy ``copy``'s density maximum, max_i p_i / w."""
+        total = self.total(copy)
+        return int(self.copy_counts(copy).max()) / (total * self.bin_width) if total else 0.0
 
 
 class TVEstimate(NamedTuple):
@@ -200,26 +196,18 @@ class TVEstimate(NamedTuple):
     noise_floor: float
 
 
-def tv_from_histograms(ha: Histogram, hb: Histogram) -> TVEstimate:
-    """Plug-in TV between two histograms on the same grid.
+def tv_from_histograms(h: Histogram) -> TVEstimate:
+    """Plug-in TV between the two copies of one histogram.
 
     mc_se propagates per-bin binomial variance (with add-half smoothing
     so that degenerate tiny samples report a large, not zero, error);
     noise_floor is the expected value of the statistic under identical
     laws (normal approximation with pooled per-bin probabilities).
     """
-    if ha.bin_width != hb.bin_width:
-        raise ParameterError("histograms must share one bin grid")
-    na, nb = ha.total, hb.total
+    ca, cb = h.copy_counts(0), h.copy_counts(1)
+    na, nb = int(ca.sum()), int(cb.sum())
     if na == 0 or nb == 0:
-        raise ParameterError("cannot estimate TV from an empty histogram")
-    # align on the sorted union of occupied cells: no cell empty in both
-    both = np.concatenate([ha.cells, hb.cells])
-    cells, _ = _tally(both, int(both.min()), int(both.max()))
-    ca = np.zeros(cells.size)
-    cb = np.zeros(cells.size)
-    ca[np.searchsorted(cells, ha.cells)] = ha.counts
-    cb[np.searchsorted(cells, hb.cells)] = hb.counts
+        raise ParameterError("cannot estimate TV from an empty copy")
     pa, pb = ca / na, cb / nb
     est = 0.5 * float(np.abs(pa - pb).sum())
     sa, sb = (ca + 0.5) / (na + 1), (cb + 0.5) / (nb + 1)
@@ -232,17 +220,20 @@ def tv_from_histograms(ha: Histogram, hb: Histogram) -> TVEstimate:
 
 
 def tv_histogram(samples_a, samples_b, bin_width: float) -> TVEstimate:
-    """Histogram TV between two equal-size sample sets."""
+    """Histogram TV between two equal-size sample sets of fewer than
+    2**31 values each, binned as the two copies of one histogram."""
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ParameterError("sample sets must be non-empty")
     if a.size != b.size:
         raise ParameterError(f"sample sets must have equal size, got {a.size} and {b.size}")
-    return tv_from_histograms(
-        Histogram.from_samples(a, bin_width),
-        Histogram.from_samples(b, bin_width),
-    )
+    if a.size >= _MAX_COUNT:
+        raise ParameterError(f"need fewer than 2**31 samples per set, got {a.size}")
+    h = Histogram(bin_width)
+    for copy, x in enumerate((a, b)):
+        h.fold(*_cells(x.ravel(), bin_width), copy=copy)
+    return tv_from_histograms(h)
 
 
 @dataclass
@@ -279,9 +270,10 @@ class TVCurve:
         return "\n".join(lines) + "\n"
 
 
-def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock):
+def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock, stopped):
     """Advance one copy of one chunk of paths and fold every iteration into
-    the copy's running histograms ``hists``, one per iteration.
+    that copy's half of the running histograms ``hists``, one per
+    iteration; stop at the first iteration that starts with ``stopped()``.
 
     Substream 2 * chunk + copy pins its draws, so what it adds does not
     depend on which worker ran it.  The job owns its working set: the
@@ -294,6 +286,8 @@ def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock):
     state = model.make_state(np.full(n_paths, float(x)), None if s2 is None else np.full(n_paths, float(s2)))
     work = (np.empty(n_paths), np.empty(n_paths, dtype=np.int64))
     for n, h in enumerate(hists, start=1):
+        if stopped():
+            return
         models_mod.step(model, state, models_mod.draw_innovations(model, rng, size=n_paths), out=state)
         try:
             cells = _cells(models_mod.observable(model, state), h.bin_width, work)
@@ -303,7 +297,7 @@ def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock):
                 f"chain diverged at iteration {n} (chunk {chunk}, start {start}): {exc}"
             ) from None
         with lock:
-            h.fold(*cells)
+            h.fold(*cells, copy=copy)
 
 
 def simulate_tv_curve(
@@ -330,10 +324,11 @@ def simulate_tv_curve(
     ``workers`` > 1 the jobs run on a thread pool of min(workers, jobs)
     threads in this process; the result is byte-identical for any
     ``workers``.  A diverging copy raises SimulationError naming the
-    iteration, chunk and start of the first failing job in job order.
+    iteration, chunk and start of the first failing job in job order;
+    jobs later in job order stop at their next iteration.
     """
-    if n_paths < 1:
-        raise ParameterError(f"need n_paths >= 1, got {n_paths}")
+    if not 1 <= n_paths < _MAX_COUNT:
+        raise ParameterError(f"need 1 <= n_paths < 2**31, got {n_paths}")
     if n_max < 1:
         raise ParameterError(f"need n_max >= 1, got {n_max}")
     if model.state_ndim:
@@ -352,15 +347,23 @@ def simulate_tv_curve(
         for copy in (0, 1)
     ]
 
-    # every job folds each iteration into these running histograms, so
-    # only n_max merged pairs are held whatever n_paths is; building them
+    # every job folds each iteration into its copy's half of these running
+    # histograms, so only n_max are held whatever n_paths is; building them
     # checks the bin width first
-    merged = [(Histogram(bin_width), Histogram(bin_width)) for _ in range(n_max)]
+    hists = [Histogram(bin_width) for _ in range(n_max)]
     lock = threading.Lock()
+    first_failed = [len(jobs)]  # place in job order of the first failed job
 
     def run(job):
         chunk, copy, size = job
-        _simulate_chunk(model, *starts[copy], size, stream, chunk, copy, [pair[copy] for pair in merged], lock)
+        place = 2 * chunk + copy
+        try:
+            _simulate_chunk(model, *starts[copy], size, stream, chunk, copy, hists, lock,
+                            lambda: first_failed[0] < place)
+        except SimulationError:
+            with lock:
+                first_failed[0] = min(first_failed[0], place)
+            raise
 
     pool = ThreadPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
     with pool or nullcontext():
@@ -368,24 +371,17 @@ def simulate_tv_curve(
         list((pool.map if pool else map)(run, jobs))
 
     rows = []
-    for n, (ha, hb) in enumerate(merged, start=1):
-        est = tv_from_histograms(ha, hb)
+    for n in range(1, n_max + 1):
+        h, hists[n - 1] = hists[n - 1], None  # dropped once its row is built
+        est = tv_from_histograms(h)
         bound = clamped = None
         if certificate is not None and n > certificate.n0:
             bv = bound_eval(certificate, n)
             bound, clamped = bv.raw, bv.clamped
         exact = model.exact_tv(float(x0), float(x0_prime), n)
-        rows.append(
-            TVCurveRow(
-                n=n,
-                bound=bound,
-                bound_clamped=clamped,
-                tv_sim=est.estimate,
-                tv_exact=exact,
-                mc_se=est.mc_se,
-                noise_floor=est.noise_floor,
-                density_sup=max(ha.density_sup(), hb.density_sup()),
-            )
-        )
+        rows.append(TVCurveRow(
+            n=n, bound=bound, bound_clamped=clamped, tv_sim=est.estimate, tv_exact=exact, mc_se=est.mc_se,
+            noise_floor=est.noise_floor, density_sup=max(h.density_sup(0), h.density_sup(1)),
+        ))
     return TVCurve(rows)
 

@@ -504,6 +504,17 @@ def test_curve_reports_only_simulation_errors_as_failures(monkeypatch):
         main([*CURVE_AR1, "--x0", "0"])
 
 
+def test_curve_paths_of_2_31_exit_2_before_any_job(monkeypatch, capsys):
+    # each copy's count in a histogram cell must stay below 2**31
+    def no_job(*args, **kwargs):
+        raise AssertionError("a chunk job ran")
+
+    monkeypatch.setattr(tvlab, "_simulate_chunk", no_job)
+    code, out, err = run(capsys, *CURVE_AR1[:-1], "2147483648", "--x0", "0")
+    assert code == 2 and out == ""
+    assert "n_paths < 2**31" in err
+
+
 def test_repro_rejects_paths_below_1_before_writing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:  # argparse rejects the value itself

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from test_cli import FAMILY_CASES
-from tvbounds import cli, models
+from tvbounds import cli, models, tvlab
 from tvbounds.stochastics import ChiSquare, NoiseStream, Normal
 from tvbounds.tvlab import simulate_tv_curve
 
@@ -93,9 +93,10 @@ def test_multi_chunk_curve_golden_digest(workers):
     assert _digest(curve) == MULTI_CHUNK_DIGEST
 
 
-# the heavy LARCH tail spans more than 8 cells per value, so binning takes
-# the unweighted sort branch of _tally and the cross-chunk merge its
-# weighted sort branch; the other digests run through bincount
+# the heavy LARCH tail: with one histogram per copy, two of its folds into
+# an empty histogram took the sort branch of _tally; with both copies on
+# one cell list every fold of this curve, the cross-chunk ones included,
+# takes the bincount branch, so SORT_FOLD_DIGEST below pins the sort branch
 SORT_BRANCH_DIGEST = "e14c8cb7c7dd88fd81a408c9669b7cb02135cf02a221af1762502e7bf8719302"
 
 
@@ -104,6 +105,29 @@ def test_sort_branch_curve_golden_digest(workers):
     model = models.LARCH(1.0, 0.5, ChiSquare(1))
     curve = simulate_tv_curve(model, 0.01, 1.21, 6, 140_000, 0.01, NoiseStream(110), workers=workers)
     assert _digest(curve) == SORT_BRANCH_DIGEST
+
+
+# at width 1e-4 the three chunks (the last one partial) of this LARCH curve
+# also fold into non-empty running histograms through the sort branch
+SORT_FOLD_DIGEST = "bca79f340ea9951090ce281659e24fd0187ca80e1800d264bc40a3d095f435cd"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sort_branch_fold_golden_digest(monkeypatch, workers):
+    sort_folds = []
+    tally = tvlab._tally
+
+    def counting(cells, lo, hi, tallied_cells, *rest, **kwargs):
+        if tallied_cells.size:
+            span = max(hi, int(tallied_cells[-1])) - min(lo, int(tallied_cells[0])) + 1
+            sort_folds.append(span > tvlab._SPAN_PER_VALUE * (cells.size + tallied_cells.size))
+        return tally(cells, lo, hi, tallied_cells, *rest, **kwargs)
+
+    monkeypatch.setattr(tvlab, "_tally", counting)
+    model = models.LARCH(1.0, 0.5, ChiSquare(1))
+    curve = simulate_tv_curve(model, 0.01, 1.21, 4, 300_000, 1e-4, NoiseStream(111), workers=workers)
+    assert _digest(curve) == SORT_FOLD_DIGEST
+    assert any(sort_folds)
 
 
 # family: (model, sha256 of full_step's reduced value then first coordinate,

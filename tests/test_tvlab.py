@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from tvbounds import models, tvlab
@@ -111,35 +113,55 @@ def test_monotone_map_invariance(rng):
     assert abs(exp_est.estimate - base.estimate) <= 2 * w * dens_sup + 3 * (exp_est.mc_se + base.mc_se)
 
 
-def test_histogram_merge_matches_bulk(rng):
-    x = rng.standard_normal(10_000)
-    h1 = Histogram.from_samples(x[:4_000], 0.1)
-    h2 = Histogram.from_samples(x[4_000:], 0.1)
-    h1.merge(h2)
-    bulk = Histogram.from_samples(x, 0.1)
-    assert np.array_equal(h1.cells, bulk.cells) and np.array_equal(h1.counts, bulk.counts)
-    assert h1.total == bulk.total
-
-
 @pytest.mark.parametrize("scale", [1.0, 1e6])  # a dense span, and one sorted instead
-def test_histogram_merge_of_many_parts_matches_bulk(rng, scale):
-    # parts with tail cells the others lack, merged at once and folded in any
-    # order, as histograms or, as curve jobs fold them, as raw cells into an
-    # initially empty running histogram
+def test_histogram_folds_in_any_order_match_bulk(rng, scale):
+    # parts with tail cells the others lack, folded in any order as raw
+    # cells into an initially empty histogram, as curve jobs fold them
     parts = [rng.standard_t(3, n) * scale for n in (3_000, 500, 7, 2_000)]
     bulk = Histogram.from_samples(np.concatenate(parts), 0.01)
-    at_once = Histogram(0.01)
-    at_once.merge(*(Histogram.from_samples(x, 0.01) for x in parts))
-    merged = Histogram(0.01)
-    for x in reversed(parts):
-        merged.merge(Histogram.from_samples(x, 0.01))
-    folded = [Histogram(0.01), Histogram(0.01)]
-    for h, order in zip(folded, (parts, parts[::-1])):
+    for order in (parts, parts[::-1], [parts[i] for i in (2, 0, 3, 1)]):
+        h = Histogram(0.01)
         for x in order:
             h.fold(*tvlab._cells(x, 0.01))
-    for h in (at_once, merged, *folded):
         assert np.array_equal(h.cells, bulk.cells) and np.array_equal(h.counts, bulk.counts)
         assert h.cells.dtype == h.counts.dtype == np.int64
+
+
+def _sorts(h, x, w):
+    """Whether folding the values x into h takes the sort branch of _tally."""
+    lo, hi = np.floor(x.min() / w), np.floor(x.max() / w)
+    if h.cells.size:
+        lo, hi = min(lo, h.cells[0]), max(hi, h.cells[-1])
+    return hi - lo + 1 > tvlab._SPAN_PER_VALUE * (x.size + h.cells.size)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    chunks=st.lists(st.tuples(st.sampled_from((0, 1)), st.integers(1, 2_000)), min_size=1, max_size=8),
+    heavy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_copies_folded_in_any_order_match_each_bulk(chunks, heavy, seed):
+    # chunks of copies a and b folded onto one cell list in any interleaving:
+    # each half equals that copy's bulk histogram, and every stored cell is
+    # occupied in at least one copy; the heavy tail spans more than 8 cells
+    # per value, so each of its folds into a non-empty histogram sorts
+    rng = np.random.default_rng(seed)
+    parts = [(copy, rng.standard_cauchy(n) * 1e6 if heavy else rng.standard_normal(n)) for copy, n in chunks]
+    h = Histogram(0.01)
+    sorted_folds = 0
+    for copy, x in parts:
+        sorted_folds += bool(h.cells.size) and _sorts(h, x, 0.01)
+        h.fold(*tvlab._cells(x, 0.01), copy=copy)
+    assert np.all(np.diff(h.cells) > 0) and np.all(h.counts > 0)
+    for copy in (0, 1):
+        xs = [x for c, x in parts if c == copy]
+        bulk = Histogram.from_samples(np.concatenate(xs) if xs else [], 0.01)
+        counts = h.copy_counts(copy)
+        assert np.array_equal(h.cells[counts != 0], bulk.cells) and np.array_equal(counts[counts != 0], bulk.counts)
+        assert h.total(copy) == sum(x.size for x in xs)
+    if heavy:
+        assert sorted_folds == len(parts) - 1
 
 
 def test_histogram_matches_np_unique(rng):
@@ -150,7 +172,7 @@ def test_histogram_matches_np_unique(rng):
         cells, counts = np.unique(np.floor(x / w).astype(np.int64), return_counts=True)
         assert np.array_equal(h.cells, cells) and np.array_equal(h.counts, counts)
         assert h.cells.dtype == h.counts.dtype == np.int64
-        assert h.total == n
+        assert h.total() == n and h.total(1) == 0
 
 
 def _dict_tv(a, b, w):
@@ -188,7 +210,7 @@ def test_histogram_wide_span_stays_small():
     tracemalloc.start()
     try:
         h = Histogram.from_samples([0.0, 1e15], 1.0)
-        h.merge(Histogram.from_samples([-1e15, 1e15], 1.0))
+        h.fold(*tvlab._cells(np.array([-1e15, 1e15]), 1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -347,19 +369,21 @@ def test_curve_memory_does_not_grow_with_paths():
 
 def test_curve_working_set_beyond_the_merged_histograms(monkeypatch):
     """Each job folds every iteration into the running histograms as it
-    is binned, so beyond the final merged histograms a curve holds only the
-    fixed working set of the job in flight.
+    is binned, so beyond the final histograms a curve holds only the fixed
+    working set of the job in flight; both copies of an iteration share one
+    histogram, 16 bytes per cell occupied in either copy.
 
-    Bound: traced peak minus the bytes of the final merged histograms is at
-    most 8 MiB.  Keeping each job's n_max histograms until the job ended
-    and re-tallying them on the main thread gave 20.8 MiB; folding inside
-    the job gives 5.3 MiB.
+    Bound: traced peak minus the bytes of the final histograms is at most
+    8 MiB.  Keeping each job's n_max histograms until the job ended and
+    re-tallying them on the main thread gave 20.8 MiB; folding inside the
+    job gives 5.3 MiB with one histogram per copy (traced peak 26.7 MiB)
+    and 5.6 MiB with both copies packed on one cell list (17.8 MiB).
     """
     final = []
 
-    def capture(ha, hb):
-        final.extend((ha, hb))
-        return tv_from_histograms(ha, hb)
+    def capture(h):
+        final.append(h)
+        return tv_from_histograms(h)
 
     monkeypatch.setattr(tvlab, "tv_from_histograms", capture)
     model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
@@ -370,7 +394,10 @@ def test_curve_working_set_beyond_the_merged_histograms(monkeypatch):
     finally:
         tracemalloc.stop()
     held = sum(h.cells.nbytes + h.counts.nbytes for h in final)
-    assert len(final) == 40
+    assert len(final) == 20
+    # one packed count per distinct cell of an iteration, occupied in either copy
+    assert all(np.all(np.diff(h.cells) > 0) for h in final)
+    assert held == 16 * sum(np.count_nonzero(h.counts) for h in final)
     assert peak - held <= 8 << 20, (peak - held) / 2**20
 
 
@@ -391,14 +418,47 @@ def test_curve_diverging_chain_raises(workers):
     assert message == _diverging_message(1)
 
 
+def test_curve_stops_later_jobs_after_a_failure(monkeypatch):
+    # 16 jobs on 2 threads, and chunk 0's copy x0 diverges at iteration 35:
+    # once a job fails, the jobs after it stop at their next iteration and
+    # no new one starts, so only chunk 0's two jobs draw (running the others
+    # on to their own failures made 105-140 draws)
+    draws = []
+    draw = models.draw_innovations
+
+    def counted(*args, **kwargs):
+        draws.append(None)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(models, "draw_innovations", counted)
+    with pytest.raises(SimulationError, match=r"iteration 35 \(chunk 0, start x0\)"):
+        simulate_tv_curve(ARNormal1D(3, 1), 0, 1, 40, 10**6, 0.01, NoiseStream(3), workers=2)
+    assert len(draws) <= 70
+
+
+def test_packed_counts_refuse_2_31_values_per_copy(monkeypatch):
+    # a copy's count must stay below 2**31, or it would carry into the other
+    # copy's half of the packed count; both checks run before any allocation
+    def no_work(*args, **kwargs):
+        raise AssertionError("samples were binned")
+
+    monkeypatch.setattr(tvlab, "_simulate_chunk", no_work)
+    monkeypatch.setattr(tvlab, "_cells", no_work)
+    with pytest.raises(ParameterError, match=r"n_paths < 2\*\*31, got 2147483648"):
+        simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 1.0, 2, 2**31, 0.01, NoiseStream(1))
+    big = np.broadcast_to(0.0, 2**31)  # one value viewed 2**31 times, nothing allocated
+    with pytest.raises(ParameterError, match=r"fewer than 2\*\*31 samples per set, got 2147483648"):
+        tv_histogram(big, big, 0.01)
+
+
 def test_curve_folds_lose_no_count_under_fast_thread_switching(monkeypatch):
     # more workers than cores fold into one curve's histograms while the
     # interpreter switches threads every microsecond: a lost update loses counts
     totals = []
 
-    def capture(ha, hb):
-        totals.append((ha.total, hb.total))
-        return tv_from_histograms(ha, hb)
+    def capture(h):
+        totals.append((h.total(0), h.total(1)))
+        return tv_from_histograms(h)
 
     monkeypatch.setattr(tvlab, "tv_from_histograms", capture)
     model = ARNormal1D(0.5, 1.0)
@@ -557,10 +617,7 @@ def test_joint_tv_d_scaling(rng):
     assert joint <= 2 * coord.estimate + 3 * coord.mc_se + 0.02
 
 
-def test_tv_from_histograms_grid_mismatch(rng):
-    a = Histogram.from_samples(rng.standard_normal(100), 0.1)
-    b = Histogram.from_samples(rng.standard_normal(100), 0.2)
-    with pytest.raises(ParameterError):
-        tv_from_histograms(a, b)
-    with pytest.raises(ParameterError, match="different grids"):
-        a.merge(b)
+def test_tv_from_histograms_rejects_an_empty_copy(rng):
+    h = Histogram.from_samples(rng.standard_normal(100), 0.1)
+    with pytest.raises(ParameterError, match="empty copy"):
+        tv_from_histograms(h)
