@@ -113,8 +113,18 @@ def test_monotone_map_invariance(rng):
     assert abs(exp_est.estimate - base.estimate) <= 2 * w * dens_sup + 3 * (exp_est.mc_se + base.mc_se)
 
 
+def test_histogram_merge_matches_bulk(rng):
+    # the second part merged into the first by folding its raw cells
+    x = rng.standard_normal(10_000)
+    h = Histogram.from_samples(x[:4_000], 0.1)
+    h.fold(*tvlab._cells(x[4_000:], 0.1))
+    bulk = Histogram.from_samples(x, 0.1)
+    assert np.array_equal(h.cells, bulk.cells) and np.array_equal(h.counts, bulk.counts)
+    assert h.total() == bulk.total() == x.size
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e6])  # a dense span, and one sorted instead
-def test_histogram_folds_in_any_order_match_bulk(rng, scale):
+def test_histogram_merge_of_many_parts_matches_bulk(rng, scale):
     # parts with tail cells the others lack, folded in any order as raw
     # cells into an initially empty histogram, as curve jobs fold them
     parts = [rng.standard_t(3, n) * scale for n in (3_000, 500, 7, 2_000)]
