@@ -77,6 +77,13 @@ class Family:
     inputs).  By default a family draws its noise from ``z``, takes any
     start as a state and runs on its scalar observable.
 
+    ``draw(rng, size=None, out=None)`` is one iteration's innovations.
+    With ``out``, an earlier draw of the same shape (for the Gibbs
+    families a pair of arrays), it fills that in place and returns it,
+    bit-identical to a fresh draw from the same generator state, so a
+    simulation loop can hand each iteration's spent noise back as the
+    next iteration's ``out``.
+
     ``step(state, noise, out=None)`` is one transition.  It writes the next
     state into ``out`` (an array, or for GARCH a pair of arrays, of the
     broadcast shape of state and noise) and returns it; ``out`` may be
@@ -89,8 +96,8 @@ class Family:
     # dimensions of one path's observable
     state_ndim: ClassVar[int] = 0
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return stochastics.sample(self.z, rng, size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        return stochastics.sample(self.z, rng, size=size, out=out)
 
     def make_state(self, x, s2=None):
         return x
@@ -133,8 +140,8 @@ class NonlinearAR(Family):
 
     family: ClassVar[str] = "nonlinear-ar"
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return rng.standard_normal(size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        return rng.standard_normal(size=size, out=out)
 
     def step(self, state, noise, out=None):
         out = _out(out, state, noise)
@@ -179,8 +186,8 @@ class ARNormal1D(Family):
         if not (self.sigma > 0):
             raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return Normal(0.0, self.sigma).draw(rng, size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        return Normal(0.0, self.sigma).draw(rng, size, out)
 
     def step(self, state, noise, out=None):
         out = _out(out, state, noise)
@@ -228,8 +235,8 @@ class ARNormalD(Family):
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return rng.standard_normal(size=(self.dim,) if size is None else (size, self.dim))
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        return rng.standard_normal(size=(self.dim,) if size is None else (size, self.dim), out=out)
 
     def step(self, state, noise, out=None):
         drift = np.asarray(state, dtype=float) @ self.a.T
@@ -292,14 +299,16 @@ class _Gibbs(Family):
     full two-block sweep it de-initializes.  Subclasses supply ``k``,
     ``p``, ``c_stat`` (C), ``beta_tilde1`` and ``a_inv_11``; the location
     chain is the regression chain at p = 1, k = J + 1, C = S.
-    ``draw`` returns the independent pair (X, Y), from ``x_law`` and ``y_law``."""
+    ``draw`` returns the independent pair (X, Y), from ``x_law`` and ``y_law``;
+    its ``out`` is such a pair of arrays, filled X first."""
 
     x_law = property(lambda self: Gamma(self.p / 2, self.c_stat / 2))
     y_law = property(lambda self: InverseGamma((self.k + self.p) / 2, self.c_stat / 2))
 
-    def draw(self, rng: np.random.Generator, size=None):
-        x = stochastics.sample(self.x_law, rng, size=size)
-        y = stochastics.sample(self.y_law, rng, size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        x_out, y_out = (None, None) if out is None else out
+        x = stochastics.sample(self.x_law, rng, size=size, out=x_out)
+        y = stochastics.sample(self.y_law, rng, size=size, out=y_out)
         return x, y
 
     def step(self, state, noise, out=None):
@@ -671,14 +680,15 @@ def observable(model: Family, state):
     return model.observable(state)
 
 
-def draw_innovations(model: Family, rng: np.random.Generator, size=None):
+def draw_innovations(model: Family, rng: np.random.Generator, size=None, out=None):
     """One iteration's innovations for ``model``.
 
     ``size`` is None for a single path or an int for that many paths.
-    For the vector family the draw has shape (d,) or (size, d).  Forwards
-    to ``model.draw``; a layer boundary perfbench hooks.
+    For the vector family the draw has shape (d,) or (size, d).  With
+    ``out`` the innovations fill it in place; see :class:`Family`.
+    Forwards to ``model.draw``; a layer boundary perfbench hooks.
     """
-    return model.draw(rng, size)
+    return model.draw(rng, size, out)
 
 
 def step(model: Family, state, noise, out=None):

@@ -16,7 +16,10 @@ number; a bool is not one.
 Gamma of shape 1/2 (chi-square(1), and the Gibbs X-draws) is drawn as
 Z^2/(2 rate) from one standard normal, which is exact in law and about a
 third of the cost of numpy's gamma sampler at that shape; other shapes
-use ``rng.gamma``.
+scale ``rng.standard_gamma``.  ``draw(rng, size=None, out=None)`` fills
+``out``, a float64 array, when given: numpy's standard normal or gamma
+sampler writes into it and the law's scale, shift or reciprocal follows
+in place, so the values are bit-identical to a fresh draw.
 
 :class:`NoiseStream` keys each stream by (seed, stream_id, *path), passed
 to NumPy's ``SeedSequence`` as entropy and spawn key, so no two streams
@@ -90,15 +93,15 @@ class Normal:
                 f"Normal mu must be finite and sigma finite and > 0, got ({self.mu}, {self.sigma})"
             )
 
-    def draw(self, rng: np.random.Generator, size=None):
-        if self.mu == 0.0:
-            # bit-identical to rng.normal(0, sigma) and faster; scaled in
-            # place, and not at all when sigma is 1
-            z = rng.standard_normal(size)
-            if self.sigma != 1.0:
-                z *= self.sigma
-            return z
-        return rng.normal(self.mu, self.sigma, size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        # bit-identical to rng.normal(mu, sigma), which is mu + sigma * Z, and
+        # faster: scaled and shifted in place, and not at all when they are 1 and 0
+        z = rng.standard_normal(size, out=out)
+        if self.sigma != 1.0:
+            z *= self.sigma
+        if self.mu != 0.0:
+            z += self.mu
+        return z
 
     def log_density(self, x):
         z = (x - self.mu) / self.sigma
@@ -137,8 +140,8 @@ class ChiSquare:
         if not _finite_positive(self.nu):
             raise ParameterError(f"ChiSquare nu must be finite and > 0, got {self.nu}")
 
-    def draw(self, rng: np.random.Generator, size=None):
-        return Gamma(self.nu / 2, 0.5).draw(rng, size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        return Gamma(self.nu / 2, 0.5).draw(rng, size, out)
 
     def log_density(self, x):
         return Gamma(self.nu / 2, 0.5).log_density(x)
@@ -165,15 +168,18 @@ class Gamma:
                 f"Gamma shape and rate must be finite and > 0, got ({self.shape}, {self.rate})"
             )
 
-    def draw(self, rng: np.random.Generator, size=None):
+    def draw(self, rng: np.random.Generator, size=None, out=None):
         if self.shape == 0.5:
             # Gamma(1/2, rate) is the law of Z^2/(2 rate): exact, and a third
             # of the cost of rng.gamma at this shape
-            z = rng.standard_normal(size)
+            z = rng.standard_normal(size, out=out)
             z *= z
             z /= 2 * self.rate
             return z
-        return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+        # bit-identical to rng.gamma(shape, 1/rate), which scales a standard gamma
+        g = rng.standard_gamma(self.shape, size, out=out)
+        g *= 1.0 / self.rate
+        return g
 
     def log_density(self, x):
         a, b = self.shape, self.rate
@@ -207,10 +213,12 @@ class InverseGamma:
                 f"InverseGamma shape and rate must be finite and > 0, got ({self.shape}, {self.rate})"
             )
 
-    def draw(self, rng: np.random.Generator, size=None):
-        g = rng.gamma(self.shape, 1.0 / self.rate, size=size)
+    def draw(self, rng: np.random.Generator, size=None, out=None):
+        # bit-identical to 1 / rng.gamma(shape, 1/rate) at every shape
+        g = rng.standard_gamma(self.shape, size, out=out)
+        g *= 1.0 / self.rate
         # an array draw takes the reciprocal in place: the same IEEE division
-        return 1.0 / g if size is None else np.divide(1.0, g, out=g)
+        return 1.0 / g if size is None and out is None else np.divide(1.0, g, out=g)
 
     def log_density(self, x):
         a, b = self.shape, self.rate
@@ -281,9 +289,13 @@ def _as_generator(stream) -> np.random.Generator:
     raise ParameterError(f"expected NoiseStream or numpy Generator, got {type(stream)!r}")
 
 
-def sample(dist: Dist, stream, size=None):
-    """Draw from ``dist`` using ``stream`` (a NoiseStream or Generator)."""
-    return dist.draw(_as_generator(stream), size)
+def sample(dist: Dist, stream, size=None, out=None):
+    """Draw from ``dist`` using ``stream`` (a NoiseStream or Generator).
+
+    With ``out``, a float64 array, the draws fill it (``size`` may then be
+    None or its shape) and it is returned; the values are bit-identical to
+    a fresh draw from the same generator state."""
+    return dist.draw(_as_generator(stream), size, out)
 
 
 def log_density(dist: Dist, x):

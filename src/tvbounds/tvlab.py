@@ -38,12 +38,15 @@ jobs later in job order stop at their next iteration.
 
 Each job owns a fixed working set, allocated once when it starts and
 never shared with another thread: its state, which ``models.step``
-advances in place (``out=state``), and one float64 and one int64 array
-of the chunk's size, into which binning divides, floors, casts and
-offsets every iteration's observable.  Per iteration a job allocates
-only its draws, the count array of its fold and, in the steps that need
-one (nonlinear-ar, Gibbs), one temporary, so it hands few chunk-sized
-arrays back to the allocator to be faulted in again.
+advances in place (``out=state``); its draws, one float64 array of the
+chunk's size (two for the Gibbs families), which every iteration's
+innovations fill in place (``out=``); and one int64 array of the chunk's
+size.  Once ``step`` has consumed the draws, binning divides and floors
+every iteration's observable in the spent draw array and casts and
+offsets it in the int64 one.  Per iteration a job allocates only the
+count array of its fold and, in the steps that need one (nonlinear-ar,
+Gibbs), one temporary, so it hands few chunk-sized arrays back to the
+allocator to be faulted in again.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def _tally(cells: np.ndarray, lo: int, hi: int, tallied_cells: np.ndarray, talli
         lo, hi = min(lo, int(tallied_cells[0])), max(hi, int(tallied_cells[-1]))
     if hi - lo + 1 > _SPAN_PER_VALUE * (cells.size + tallied_cells.size):
         cells, counts = np.unique(cells, return_counts=True)
-        counts <<= shift
+        if shift:
+            counts <<= shift
         if not tallied_cells.size:
             return cells, counts
         cells, counts = np.concatenate([cells, tallied_cells]), np.concatenate([counts, tallied_counts])
@@ -135,7 +139,8 @@ def _tally(cells: np.ndarray, lo: int, hi: int, tallied_cells: np.ndarray, talli
         return cells[first], np.add.reduceat(counts[order], first)
     cells -= lo
     counts = np.bincount(cells, minlength=hi - lo + 1)
-    counts <<= shift
+    if shift:
+        counts <<= shift
     counts[tallied_cells - lo] += tallied_counts
     occupied = np.flatnonzero(counts != 0)  # nonzero scans a bool mask several times faster than int64
     return occupied + lo, counts[occupied]
@@ -277,20 +282,23 @@ def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock, sto
 
     Substream 2 * chunk + copy pins its draws, so what it adds does not
     depend on which worker ran it.  The job owns its working set: the
-    state steps in place and binning reuses one float64 and one int64
-    array, all allocated here once and shared with no other job.  Only
-    the fold into ``hists``, which other jobs also fold into, holds
-    ``lock``.
+    state steps in place, each iteration's draws fill the previous
+    iteration's draw arrays, and binning divides into the spent draws
+    and casts into one int64 array, all allocated here once and shared
+    with no other job.  Only the fold into ``hists``, which other jobs
+    also fold into, holds ``lock``.
     """
     rng = stream.substream(2 * chunk + copy).generator()
     state = model.make_state(np.full(n_paths, float(x)), None if s2 is None else np.full(n_paths, float(s2)))
-    work = (np.empty(n_paths), np.empty(n_paths, dtype=np.int64))
+    noise, index = None, np.empty(n_paths, dtype=np.int64)
     for n, h in enumerate(hists, start=1):
         if stopped():
             return
-        models_mod.step(model, state, models_mod.draw_innovations(model, rng, size=n_paths), out=state)
+        noise = models_mod.draw_innovations(model, rng, size=n_paths, out=noise)
+        models_mod.step(model, state, noise, out=state)
+        spent = noise[0] if isinstance(noise, tuple) else noise  # step has consumed it
         try:
-            cells = _cells(models_mod.observable(model, state), h.bin_width, work)
+            cells = _cells(models_mod.observable(model, state), h.bin_width, (spent, index))
         except ParameterError as exc:
             start = ("x0", "x0'")[copy]
             raise SimulationError(

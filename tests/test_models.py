@@ -132,6 +132,20 @@ def test_step_into_out_is_bit_identical_and_writes_only_out(family, paths):
         assert _same(state, fresh) and _same(noise, noise0)
 
 
+@pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
+def test_draw_into_out_returns_out_bit_identical_to_a_fresh_draw(family):
+    # a curve job hands each iteration's spent draw back as the next one's out
+    model = STEP_FAMILIES[family]
+    rng = NoiseStream(41).generator()
+    fresh = [draw_innovations(model, rng, size=1000) for _ in range(2)]
+    rng = NoiseStream(41).generator()
+    buf = draw_innovations(model, rng, size=1000)
+    members = buf if isinstance(buf, tuple) else (buf,)
+    got = draw_innovations(model, rng, size=1000, out=buf)
+    assert all(g is b for g, b in zip(got if isinstance(got, tuple) else (got,), members, strict=True))
+    assert _same(got, fresh[1])
+
+
 def test_step_gibbs_positive_state_required():
     m = LocationGibbsTau(31, S_TREES)
     with pytest.raises(StateError):

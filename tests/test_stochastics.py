@@ -334,6 +334,21 @@ def test_centred_normal_draws_are_bit_identical_to_numpy_normal(sigma):
     assert sample(Normal(0.0, sigma), NoiseStream(33)) == NoiseStream(33).generator().normal(0.0, sigma)
 
 
+@pytest.mark.parametrize("dist", [
+    Normal(0.0, 1.0), Normal(0.0, 2.5), Normal(1.5, 0.3), ChiSquare(1), ChiSquare(3), Gamma(0.5, 2.0),
+    Gamma(3.0, 2.0), InverseGamma(16.5, 147.7), InverseGamma(0.5, 2.0),
+], ids=str)
+def test_draw_into_out_returns_out_bit_identical_to_a_fresh_draw(dist):
+    rng = NoiseStream(40).generator()
+    fresh = [dist.draw(rng, 1000) for _ in range(2)]
+    rng, buf = NoiseStream(40).generator(), np.full(1000, np.nan)
+    for want in fresh:  # the second draw fills the first one's array
+        assert dist.draw(rng, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+    assert sample(dist, NoiseStream(40), size=1000, out=buf) is buf
+    assert buf.tobytes() == fresh[0].tobytes()
+
+
 def test_dist_dict_roundtrip():
     for d in [Normal(0.0, 1.0), ChiSquare(1), Gamma(0.5, 2.0), InverseGamma(16.5, 147.5)]:
         assert dist_from_dict(dist_to_dict(d)) == d

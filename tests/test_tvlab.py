@@ -446,6 +446,31 @@ def test_curve_stops_later_jobs_after_a_failure(monkeypatch):
     assert len(draws) <= 70
 
 
+@pytest.mark.parametrize("model", [ARNormal1D(0.5, 1.0), models.LocationGibbsTau(31, 295.43741935483877)],
+                         ids=["ar1", "location-gibbs"])
+def test_curve_job_draws_into_the_previous_iterations_arrays(monkeypatch, model):
+    calls = []
+    draw = models.draw_innovations
+
+    def recording(model, rng, size=None, out=None):
+        noise = draw(model, rng, size, out)
+        calls.append((out, noise))
+        return noise
+
+    monkeypatch.setattr(models, "draw_innovations", recording)
+    # one chunk: the jobs of copies x0 and x0' run in turn, 4 iterations each
+    simulate_tv_curve(model, 1.0, 2.0, 4, 1000, 0.05, NoiseStream(5), workers=1)
+    def arrays(noise):  # a Gibbs draw is a pair of arrays
+        return noise if isinstance(noise, tuple) else (noise,)
+
+    assert len(calls) == 8
+    for job in (calls[:4], calls[4:]):
+        assert job[0][0] is None
+        for (out, noise), (_, spent) in zip(job[1:], job):
+            assert out is spent
+            assert all(a is b for a, b in zip(arrays(noise), arrays(spent), strict=True))
+
+
 def test_packed_counts_refuse_2_31_values_per_copy(monkeypatch):
     # a copy's count must stay below 2**31, or it would carry into the other
     # copy's half of the packed count; both checks run before any allocation
