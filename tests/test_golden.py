@@ -1,5 +1,5 @@
 """Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds, of
-the Gibbs families' ``full_step`` output, of the ``certificate`` JSON of
+each noise law's draws, of the Gibbs families' ``full_step`` output, of the ``certificate`` JSON of
 every ``--family`` choice, of the ``dataset-stats`` JSON and of the
 ``repro`` table and its JSON.
 
@@ -19,7 +19,7 @@ import pytest
 
 from test_cli import FAMILY_CASES
 from tvbounds import cli, models, tvlab
-from tvbounds.stochastics import ChiSquare, NoiseStream, Normal
+from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, NoiseStream, Normal, sample
 from tvbounds.tvlab import simulate_tv_curve
 
 PATHS = 20_000
@@ -28,36 +28,36 @@ PATHS = 20_000
 CASES = {
     "ar1": (
         models.ARNormal1D(0.5, math.sqrt(0.75)), 0.0, 1.0, 8, 0.01, 101, None, None,
-        "bc030ea1c320e754b31b9582717498c03608cbfc2a5e829d2599b851a185e10d",
+        "a880be9f547ddffb690afe8a53bdbba0566420622b2eef3e25b388e7ecead8cd",
     ),
     "nonlinear-ar": (
         models.NonlinearAR(), 1.0, 2.0, 8, 0.01, 102, None, None,
-        "4d81ec3f371b86ebfae23626d58fe5f945de01aee3a67703e6d980256a1335b1",
+        "946fe50377f487c6e1dbfd9a508da01b1b53eb1992689f809e3619a248039839",
     ),
     "larch": (
         models.LARCH(1.0, 0.5, ChiSquare(1)), 0.01, 1.21, 10, 0.01, 103, None, None,
-        "aec6ff8a4d1392292c2d3ae1b623a32ec1c6340577fc028425dc4960e9f96040",
+        "6016648a10704d43085e28fc8322ca3691048be862badb64017cef9ae9318ba1",
     ),
     "asym-arch": (
         models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), 0.0, 5.0, 10, 0.001, 104, None, None,
-        "8396de22e63ddf0f525ac79a8efb6aaa2c97adbb6e84ea0b145efefbc8b9ce7e",
+        "b92601ecfa022e7e45c869402f62ec7f11f3590267b44bc5b007c85467e91df9",
     ),
     "garch": (
         models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)), 0.1, -0.1, 10, 0.01, 105, 0.0001, 0.01,
-        "56570414ad84fa41b18c84289969b4b81c9f0f2bdb31efe449867e35aec81e1a",
+        "adbfcfe705a837587677a79d723a3d489fa752b2b19457629b8929d10ad6c164",
     ),
     "location-gibbs": (
         models.LocationGibbsTau(31, 295.43741935483877), 1.0, 20.0, 5, 0.05, 106, None, None,
-        "34201126d6845a7ee5dcd5e5c77919057140fb7069b2a8f37ced16ad2b40b3cd",
+        "dcc0defbb2c5018054c88e8b46a1743556500035408db885a4dc4d14d7c6f50b",
     ),
     "regression-gibbs": (
         models.RegressionGibbsSigma(333, 4, 26123.0), 1.0, 1001.0, 4, 0.05, 107, None, None,
-        "62c7fa48b8337b6067444c29bbe5af5cdd581b0a61251146fe2e25fa34b67b3a",
+        "c36dc0035c5e2b3bf483c8bd831014744dacef3237dbdb8418c3e492b06ea73d",
     ),
 }
 
 # 140_000 paths make two chunks, so the cross-chunk merge is pinned too
-TWO_CHUNK_DIGEST = "4ce85a9dc828c19e9b8bac93d0f3d1cf6e52a4616272654edb07ee05a9ff7c63"
+TWO_CHUNK_DIGEST = "8e39040cb28c90727021f78ec5674b96bb143763273f45fead55a394ec1a9406"
 
 
 def _digest(curve) -> str:
@@ -83,7 +83,7 @@ def test_two_chunk_curve_golden_digest(workers):
 # 300_000 paths make three chunks, the last one partial; at width 0.001
 # each chunk occupies tail cells the others lack, so the merge of cells
 # present in only some parts is pinned too
-MULTI_CHUNK_DIGEST = "8e337b9cb72ff85a25340a0b3df06dc93af56a61a478ba04204cbf2ab01c6135"
+MULTI_CHUNK_DIGEST = "017392dcc1d0d6ce8f4c45fda45095d77a5e5d26eeae88f7c9c48f34ff3085c7"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -93,41 +93,50 @@ def test_multi_chunk_curve_golden_digest(workers):
     assert _digest(curve) == MULTI_CHUNK_DIGEST
 
 
-# the heavy LARCH tail: with one histogram per copy, two of its folds into
-# an empty histogram took the sort branch of _tally; with both copies on
-# one cell list every fold of this curve, the cross-chunk ones included,
-# takes the bincount branch, so SORT_FOLD_DIGEST below pins the sort branch
-SORT_BRANCH_DIGEST = "e14c8cb7c7dd88fd81a408c9669b7cb02135cf02a221af1762502e7bf8719302"
+def _record_folds(monkeypatch):
+    """Wrap ``tvlab._tally`` to record, for every fold, whether the histogram
+    it folds into holds cells yet and whether it takes the sort branch."""
+    folds = []
+    tally = tvlab._tally
+
+    def recording(cells, lo, hi, tallied_cells, *rest, **kwargs):
+        span = hi - lo + 1
+        if tallied_cells.size:
+            span = max(hi, int(tallied_cells[-1])) - min(lo, int(tallied_cells[0])) + 1
+        folds.append((tallied_cells.size > 0, span > tvlab._SPAN_PER_VALUE * (cells.size + tallied_cells.size)))
+        return tally(cells, lo, hi, tallied_cells, *rest, **kwargs)
+
+    monkeypatch.setattr(tvlab, "_tally", recording)
+    return folds
+
+
+# the heavy LARCH tail at width 1e-4: from iteration 3 each copy of the full
+# first chunk spans more than 8 cells per value, so whichever folds first
+# into an iteration's empty histogram sorts, and so do the folds after it
+SORT_BRANCH_DIGEST = "18026d7e6df77568e4d7f13ca1484395c3a89d3f44ba1ff641aefe5f53d3f87c"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sort_branch_curve_golden_digest(workers):
+def test_sort_branch_curve_golden_digest(monkeypatch, workers):
+    folds = _record_folds(monkeypatch)
     model = models.LARCH(1.0, 0.5, ChiSquare(1))
-    curve = simulate_tv_curve(model, 0.01, 1.21, 6, 140_000, 0.01, NoiseStream(110), workers=workers)
+    curve = simulate_tv_curve(model, 0.01, 1.21, 6, 140_000, 1e-4, NoiseStream(110), workers=workers)
     assert _digest(curve) == SORT_BRANCH_DIGEST
+    assert (False, True) in folds and (True, True) in folds  # sorts into an empty and a running histogram
 
 
 # at width 1e-4 the three chunks (the last one partial) of this LARCH curve
 # also fold into non-empty running histograms through the sort branch
-SORT_FOLD_DIGEST = "bca79f340ea9951090ce281659e24fd0187ca80e1800d264bc40a3d095f435cd"
+SORT_FOLD_DIGEST = "566a2e2c1c1fe2294a63e7f0af68999f4ba168af3b249d7feefe8e480edb5941"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sort_branch_fold_golden_digest(monkeypatch, workers):
-    sort_folds = []
-    tally = tvlab._tally
-
-    def counting(cells, lo, hi, tallied_cells, *rest, **kwargs):
-        if tallied_cells.size:
-            span = max(hi, int(tallied_cells[-1])) - min(lo, int(tallied_cells[0])) + 1
-            sort_folds.append(span > tvlab._SPAN_PER_VALUE * (cells.size + tallied_cells.size))
-        return tally(cells, lo, hi, tallied_cells, *rest, **kwargs)
-
-    monkeypatch.setattr(tvlab, "_tally", counting)
+    folds = _record_folds(monkeypatch)
     model = models.LARCH(1.0, 0.5, ChiSquare(1))
     curve = simulate_tv_curve(model, 0.01, 1.21, 4, 300_000, 1e-4, NoiseStream(111), workers=workers)
     assert _digest(curve) == SORT_FOLD_DIGEST
-    assert any(sort_folds)
+    assert (True, True) in folds
 
 
 # family: (model, sha256 of full_step's reduced value then first coordinate,
@@ -135,11 +144,11 @@ def test_sort_branch_fold_golden_digest(monkeypatch, workers):
 FULL_STEP_CASES = {
     "location-gibbs": (
         models.LocationGibbsTau(31, 295.43741935483877, 13.2484),
-        "6a48191e96f93a9241b423e2163bab513166de9d99484d5c674a30034407c2b8",
+        "b42db564db1bf29de7abb4ae7f5807b8d3a51b4d9f0060884462432ef12cc58e",
     ),
     "regression-gibbs": (
         models.RegressionGibbsSigma(333, 4, 26123.0, 0.5, 0.25),
-        "81ee7a141dab436097ff987d6c5e6ce52b1637bb3496910f9e8354416d38e1b1",
+        "4cd0a6d6d7f1a4dd4474a5ba9d313df61a7bed386bcbaddd34a2aebcb2f06256",
     ),
 }
 STATE_GRID = np.geomspace(0.5, 2000.0, 1000)
@@ -150,6 +159,23 @@ def test_full_step_golden_digest(family):
     model, expected = FULL_STEP_CASES[family]
     reduced, (first, _) = model.full_step(STATE_GRID, NoiseStream(110))
     assert hashlib.sha256(np.concatenate([reduced, first]).astype("<f8").tobytes()).hexdigest() == expected
+
+
+# law -> sha256 of 1,000 draws from NoiseStream(112), as little-endian
+# float64: pins the generator and each law's sampler at their own layer
+SAMPLER_DIGESTS = {
+    "normal": (Normal(0.0, 1.0), "e7cd3bd71197499039af67a8e928fac4c242a74b23ab83865cb0e591e43c459c"),
+    "chi-square": (ChiSquare(1), "9e77867c59492302730ac94eeedaf0993f3415af8639887c2fb5f29a7d6cdb62"),
+    "gamma": (Gamma(3.0, 2.0), "efc216eb5779045c92ff1a0353bce56adf526c4dcd6bb3f694515e1ebc00b1eb"),
+    "inverse-gamma": (InverseGamma(16.5, 147.7), "e371b46ee6bc607dfb4e92a64540362d6e58f4b0128f72006e513ee2a380e9a0"),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SAMPLER_DIGESTS))
+def test_sampler_golden_digest(law):
+    dist, expected = SAMPLER_DIGESTS[law]
+    draws = sample(dist, NoiseStream(112), size=1000)
+    assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == expected
 
 
 # --family choice -> sha256 of the `certificate` JSON text for its
@@ -231,8 +257,8 @@ def test_dataset_stats_json_golden_digest(tmp_path, capsys, dataset):
 # sha256 of the `repro --seed 11` table on stdout and of its `--out` JSON,
 # Monte-Carlo row included, with the delay dataset absent
 REPRO_DIGESTS = {
-    "stdout": "c3d8a3ca01c8b2a280d43c9713ae24df28f4562d02535da16a6a27e3def07d2b",
-    "json": "cade6f5ee21bafba85a1f34117aa4ebe0104faeb970a160a32015a7a444c641d",
+    "stdout": "12c67caafe5aef55a5c4749cc9987af63e9e09b89ea7edd49df5e8aa8bfaaff7",
+    "json": "25f4772c29cc4ad8096bc1d673dfb99e16a8522bc2b9cd5a4d57eadfc180bb52",
 }
 
 
