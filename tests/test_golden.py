@@ -1,7 +1,7 @@
 """Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds, of
-each noise law's draws, of the Gibbs families' ``full_step`` output, of the ``certificate`` JSON of
-every ``--family`` choice, of the ``dataset-stats`` JSON and of the
-``repro`` table and its JSON.
+each noise law's draws, of the Gibbs families' ``full_step`` output, of
+the ``certificate`` JSON of every ``--family`` choice, of the
+``dataset-stats`` JSON and of the ``repro`` table and its JSON.
 
 The other curve tests check self-consistency (reruns, worker counts), so
 a silent change to the random bit stream, the binning or the estimator
