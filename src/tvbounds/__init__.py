@@ -21,9 +21,16 @@ data
     girth sample included).
 cli
     Batch front door: ``tvbounds certificate|iters|curve|dataset-stats|repro``.
+
+``tvlab`` and ``data`` load on first use (``tvbounds.tvlab`` or an
+explicit import), so a command that only builds certificates never
+imports the curve simulator, the dataset reader or their thread pool
+and CSV modules.
 """
 
-from . import bounds, data, models, stochastics, tvlab
+import importlib
+
+from . import bounds, models, stochastics
 from .bounds import (
     BoundCertificate,
     BoundValue,
@@ -62,3 +69,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_LAZY_SUBMODULES = ("data", "tvlab")
+
+
+def __getattr__(name):
+    # PEP 562: import a lazy submodule on first attribute access; the import
+    # binds it as a package attribute, so this runs once per submodule
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,9 @@ import sys
 
 import numpy as np
 
-from . import bounds, data, models, tvlab
+# tvlab and data are imported by the commands that use them, so certificate
+# and iters start without the curve simulator and the dataset reader
+from . import bounds, models
 from .errors import IngestionError, ParameterError, SimulationError
 from .stochastics import InverseGamma, NoiseStream, density
 
@@ -176,6 +178,8 @@ def _curve(family, params, out, n_max, n_paths, bin_width, stream, workers, boun
     the one curve path of ``curve`` and ``repro --curves``.  A certificate
     that cannot be built leaves the bound columns empty, with one ``note:``
     line on stderr."""
+    from . import tvlab
+
     model, certify = _split(family, params)
     if model is None:
         raise ParameterError(f"family '{family}' has no chain to simulate")
@@ -202,6 +206,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_dataset_stats(args) -> int:
+    from . import data
+
     if args.builtin:
         for flag in ("csv", "y_column", "x_columns", "prior_lambda"):
             if getattr(args, flag) is not None:
@@ -252,6 +258,8 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     computation carry verdict FLAG (the disagreement is the documented
     finding, not an error).
     """
+    from . import data
+
     rows = []
 
     def row(name, reference, computed, tol, note="", flag=False):

@@ -38,15 +38,15 @@ jobs later in job order stop at their next iteration.
 
 Each job owns a fixed working set, allocated once when it starts and
 never shared with another thread: its state, which ``models.step``
-advances in place (``out=state``); its draws, one float64 array of the
-chunk's size (two for the Gibbs families), which every iteration's
-innovations fill in place (``out=``); and one int64 array of the chunk's
-size.  Once ``step`` has consumed the draws, binning divides and floors
-every iteration's observable in the spent draw array and casts and
-offsets it in the int64 one.  Per iteration a job allocates only the
-count array of its fold and, in the steps that need one (nonlinear-ar,
-Gibbs), one temporary, so it hands few chunk-sized arrays back to the
-allocator to be faulted in again.
+advances in place (``out=state``), and its draws, one float64 array of
+the chunk's size (two for the Gibbs families), which every iteration's
+innovations fill in place (``out=``).  Once ``step`` has consumed the
+draws, binning divides and floors every iteration's observable in the
+spent draw array, then casts and offsets it in place through an int64
+view of the same memory.  Per iteration a job allocates only the count
+array of its fold and, in the steps that need one (nonlinear-ar, Gibbs),
+one temporary, so it hands few chunk-sized arrays back to the allocator
+to be faulted in again.
 """
 
 from __future__ import annotations
@@ -85,18 +85,18 @@ _SPAN_PER_VALUE = 8
 _MAX_COUNT = 2**31
 
 
-def _cells(x: np.ndarray, bin_width: float, work=None):
+def _cells(x: np.ndarray, bin_width: float, out=None):
     """Cell index floor(x / w) of every value, as int64, with the lowest
     and highest cell.
 
-    ``work`` is a (float64, int64) pair of arrays of x's size: the
-    division and floor run in place in the first, the cast writes the
-    second, which is returned.  By default both are fresh.
+    ``out`` is a float64 array of x's size (fresh by default): the
+    division and floor run in it, then each element is cast in place
+    through an int64 view of the same memory, which is returned.
 
     Raises ParameterError when a value is non-finite or its cell lies
     beyond +-2**62, where the int64 cast would wrap.
     """
-    cells, index = work if work is not None else (np.empty(x.size), np.empty(x.size, dtype=np.int64))
+    cells = np.empty(x.size) if out is None else out
     np.divide(x, bin_width, out=cells)
     np.floor(cells, out=cells)
     lo, hi = cells.min(), cells.max()
@@ -108,6 +108,7 @@ def _cells(x: np.ndarray, bin_width: float, work=None):
             f"{non_finite} of {x.size} values non-finite, {too_large} out of histogram "
             "range (|x| / bin_width >= 2**62)"
         )
+    index = cells.view(np.int64)
     index[...] = cells
     return index, int(lo), int(hi)
 
@@ -283,14 +284,14 @@ def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock, sto
     Substream 2 * chunk + copy pins its draws, so what it adds does not
     depend on which worker ran it.  The job owns its working set: the
     state steps in place, each iteration's draws fill the previous
-    iteration's draw arrays, and binning divides into the spent draws
-    and casts into one int64 array, all allocated here once and shared
-    with no other job.  Only the fold into ``hists``, which other jobs
-    also fold into, holds ``lock``.
+    iteration's draw arrays, and binning divides, floors and casts in
+    the spent draws, all allocated here once and shared with no other
+    job.  Only the fold into ``hists``, which other jobs also fold into,
+    holds ``lock``.
     """
     rng = stream.substream(2 * chunk + copy).generator()
     state = model.make_state(np.full(n_paths, float(x)), None if s2 is None else np.full(n_paths, float(s2)))
-    noise, index = None, np.empty(n_paths, dtype=np.int64)
+    noise = None
     for n, h in enumerate(hists, start=1):
         if stopped():
             return
@@ -298,7 +299,7 @@ def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock, sto
         models_mod.step(model, state, noise, out=state)
         spent = noise[0] if isinstance(noise, tuple) else noise  # step has consumed it
         try:
-            cells = _cells(models_mod.observable(model, state), h.bin_width, (spent, index))
+            cells = _cells(models_mod.observable(model, state), h.bin_width, spent)
         except ParameterError as exc:
             start = ("x0", "x0'")[copy]
             raise SimulationError(

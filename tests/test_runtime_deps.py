@@ -91,6 +91,17 @@ def test_no_module_catches_every_exception():
     assert opens == ["_emit", "_load_params"]
 
 
+def _run_python(script: str, cwd) -> str:
+    """Stdout of ``script`` in a fresh interpreter that imports tvbounds from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_commands_load_no_scipy(tmp_path):
     script = (
         "import json, sys\n"
@@ -100,15 +111,52 @@ def test_cli_commands_load_no_scipy(tmp_path):
         "print(json.dumps({'codes': codes,\n"
         "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(_run_python(script, tmp_path).splitlines()[-1])
     assert result == {"codes": [0, 0], "scipy": []}
 
+
+# the curve simulator, the dataset reader and the modules only they import
+CURVE_AND_DATA = ("tvbounds.tvlab", "tvbounds.data", "concurrent.futures", "csv")
+GARCH = '{"alpha2":0.13,"beta2":0.1266,"gamma2":0.7922,"z":{"dist":"normal","mu":0,"sigma":1}}'
+
+
+@pytest.mark.parametrize("argv,absent", [
+    ([], CURVE_AND_DATA),
+    (["certificate", "--family", "garch", "--params", GARCH, "--x0", "0.1", "--x0p", "-0.1",
+      "--s20", "0.0001", "--s20p", "0.01"], CURVE_AND_DATA),
+    (["iters", "--family", "location-gibbs", "--params", '{"j":31,"s":295.4374194}', "--gap", "18.12198",
+      "--epsilon", "0.01"], CURVE_AND_DATA),
+    (["repro", "--seed", "1"], ("tvbounds.tvlab", "concurrent.futures")),  # repro reads the girth data
+], ids=["import", "certificate", "iters", "repro"])
+def test_cold_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
+    # certificate and iters are closed-form arithmetic: their latency is start-up
+    script = (
+        "import json, sys\n"
+        "from tvbounds import cli\n"
+        f"code = cli.main({argv!r}) if {argv!r} else 0\n"
+        f"print(json.dumps({{'code': code, 'loaded': [m for m in {absent!r} if m in sys.modules]}}))\n"
+    )
+    assert json.loads(_run_python(script, tmp_path).splitlines()[-1]) == {"code": 0, "loaded": []}
+
+
+def test_lazy_submodules_load_on_first_use(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import tvbounds\n"
+        "before = [m for m in ('tvbounds.tvlab', 'tvbounds.data') if m in sys.modules]\n"
+        "names = [tvbounds.tvlab.simulate_tv_curve.__name__, tvbounds.data.builtin_dataset.__name__]\n"
+        "try:\n"
+        "    tvbounds.nonexistent\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({'before': before, 'names': names, 'missing': missing}))\n"
+    )
+    assert json.loads(_run_python(script, tmp_path).splitlines()[-1]) == {
+        "before": [],
+        "names": ["simulate_tv_curve", "builtin_dataset"],
+        "missing": "module 'tvbounds' has no attribute 'nonexistent'",
+    }
 
 
 def test_curve_workers_run_on_threads_not_processes(tmp_path):
@@ -123,19 +171,14 @@ def test_curve_workers_run_on_threads_not_processes(tmp_path):
         "                  'process': sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
         "                                    or m == 'concurrent.futures.process')}))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "process": []}
+    assert json.loads(_run_python(script, tmp_path).splitlines()[-1]) == {"code": 0, "process": []}
     assert (tmp_path / "curve.csv").read_text(encoding="utf-8").count("\n") == 3
 
 
 def test_docs_list_only_the_modules_that_exist():
     # README's module list names files; the package docstring's Submodules
-    # list names what tvbounds/__init__.py imports, plus the cli entry point
+    # list names what tvbounds/__init__.py imports or loads on first use,
+    # plus the cli entry point
     named = set(re.findall(r"src/tvbounds/(\w+)\.py", (ROOT / "README.md").read_text(encoding="utf-8")))
     assert named
     assert sorted(n for n in named if not (SRC / "tvbounds" / f"{n}.py").is_file()) == []
@@ -147,6 +190,13 @@ def test_docs_list_only_the_modules_that_exist():
         for alias in node.names
     }
     assert imported
+    # and the submodules it loads on first use
+    imported |= {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_LAZY_SUBMODULES"
+        for name in ast.literal_eval(node.value)
+    }
     submodules = ast.get_docstring(tree).split("Submodules\n----------\n", 1)[1]
     assert set(re.findall(r"^(\w+)$", submodules, re.M)) == imported | {"cli"}
 

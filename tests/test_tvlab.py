@@ -249,6 +249,19 @@ def test_histogram_rejects_out_of_range_cells():
         tv_histogram([np.nan, 1.0], [2.0, 5.0], 1e-3)
 
 
+def test_cells_cast_in_place_in_the_given_buffer(rng):
+    # a curve job bins into its spent draws, cast through an int64 view
+    x = rng.standard_normal(1000) * 50
+    spent = np.empty(x.size)
+    index, lo, hi = tvlab._cells(x, 0.01, spent)
+    assert np.shares_memory(index, spent)
+    expected = np.floor(x / 0.01).astype(np.int64)
+    assert (index.tobytes(), lo, hi) == (expected.tobytes(), expected.min(), expected.max())
+    with pytest.raises(ParameterError) as exc:
+        tvlab._cells(np.array([1.0, np.nan, 1e300]), 1e-3, spent[:3])
+    assert str(exc.value) == "1 of 3 values non-finite, 1 out of histogram range (|x| / bin_width >= 2**62)"
+
+
 # -------------------------------------------------------------- exact TV
 
 # X_n = X_{n-1}/2 + sqrt(3/4) Z_n, the chain of the paper's AR(1) example
