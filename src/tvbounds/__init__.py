@@ -7,8 +7,7 @@ stochastics
     Innovation distributions (shape-rate gamma conventions) and
     reproducible random streams.
 models
-    The chain families, each with its own certificate, and their
-    shared-noise coupled step.
+    The chain families, each with its own certificate.
 bounds
     The certificate algebra: (C, D, n0, gap) tuples evaluating to
     C * D^(n-n0-1) * gap, and the parts no family owns (the
@@ -25,7 +24,9 @@ cli
 ``tvlab`` and ``data`` load on first use (``tvbounds.tvlab`` or an
 explicit import), so a command that only builds certificates never
 imports the curve simulator, the dataset reader or their thread pool
-and CSV modules.
+and CSV modules.  numpy, too, is imported when a module first reads an
+attribute of it, so importing the package and building a closed-form
+certificate never load numpy.
 """
 
 import importlib

@@ -28,16 +28,16 @@ chain), and the numerical searches behind two families' constants,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from . import stochastics
+from ._lazy import lazy_import
 from .errors import DomainError, NoContractionError, ParameterError
 from .stochastics import InverseGamma
+
+np = lazy_import("numpy")
 
 __all__ = [
     "BoundCertificate",
@@ -51,7 +51,6 @@ __all__ = [
     "mc_location_drift_fit",
     "independent_coordinates_certificate",
     "nonlinear_ar_two_step_ratio",
-    "nonlinear_ar_exact_two_step_ratio",
     "nonlinear_ar_D",
     "golden_section_max",
     "integral",
@@ -168,11 +167,15 @@ def iterations_to_epsilon(cert: BoundCertificate, eps: float) -> int:
 
 
 def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
-    """Density of InverseGamma(alpha, beta) at its mode beta/(alpha+1).
+    """Density of InverseGamma(alpha, beta) at its mode m = beta/(alpha+1),
 
-    Evaluated in log space; safe for shapes in the hundreds.
+        beta^alpha / Gamma(alpha) * m^-(alpha+1) * e^(-beta/m),
+
+    evaluated in log space with ``math`` alone; safe for shapes in the hundreds.
     """
-    return stochastics.density(InverseGamma(alpha, beta), beta / (alpha + 1))
+    InverseGamma(alpha, beta)  # checks the shape and rate
+    mode = beta / (alpha + 1)
+    return math.exp(alpha * math.log(beta) - (alpha + 1) * math.log(mode) - beta / mode - math.lgamma(alpha))
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,7 @@ def nonlinear_ar_two_step_ratio(x, y):
              + 2 sin^2(h) (1 + e^{-2}(cos^2 k - sin^2 k))) / (2|x - y|)
 
     This upper-bounds (Cauchy-Schwarz) the exact two-step expected-gap
-    ratio of :func:`nonlinear_ar_exact_two_step_ratio`.
+    ratio, which the test suite's quadrature oracle computes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -313,39 +316,6 @@ def nonlinear_ar_two_step_ratio(x, y):
     num = np.sqrt(np.maximum(inner, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / (2 * np.abs(x - y))
-    return out if out.ndim else float(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _hermite_rule():
-    """80-node Gauss-Hermite nodes and normalized weights for E[f(Z)], Z ~ N(0, 1),
-    built on first use."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
-    weights = weights / weights.sum()
-    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
-    return nodes, weights
-
-
-def nonlinear_ar_exact_two_step_ratio(x, y):
-    """Exact two-step expected-gap ratio E|X_2 - X_2'| / |x - y| for the
-    sine-map chain under shared noise (Gauss-Hermite quadrature).
-
-    The additive final-step noise cancels, so only the first shared draw
-    matters; 80-node quadrature is exact to machine precision here.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def g(t):
-        return 0.5 * (t - np.sin(t))
-
-    nodes, weights = _hermite_rule()
-    z = nodes.reshape((-1,) + (1,) * max(x.ndim, y.ndim))
-    w = weights.reshape(z.shape)
-    vals = np.abs(g(g(x) + z) - g(g(y) + z))
-    expect = (w * vals).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = expect / np.abs(x - y)
     return out if out.ndim else float(out)
 
 

@@ -25,13 +25,15 @@ import math
 import os
 import sys
 
-import numpy as np
-
-# tvlab and data are imported by the commands that use them, so certificate
-# and iters start without the curve simulator and the dataset reader
+# tvlab and data are imported by the commands that use them, and numpy on
+# first use, so certificate and iters start without the curve simulator, the
+# dataset reader and numpy
 from . import bounds, models
+from ._lazy import lazy_import
 from .errors import IngestionError, ParameterError, SimulationError
 from .stochastics import InverseGamma, NoiseStream, density
+
+np = lazy_import("numpy")
 
 DEFAULT_SEED = 20260809
 PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"

@@ -8,9 +8,7 @@ and for the Gibbs families the full sweep they de-initialize.
 :data:`FAMILIES` (tag -> class) is the registry.
 :func:`draw_innovations`, :func:`step` and :func:`observable` forward to
 the family only because they are the layer boundaries
-``perfbench/layertrace.py`` hooks.  :func:`couple_step` advances two
-copies on shared noise (the common-random-number coupling that realizes
-the contraction phase).
+``perfbench/layertrace.py`` hooks.
 
 States are numpy-friendly: scalars and arrays flow through the same
 code, so a million coupled paths advance in one vectorized call.  The
@@ -18,7 +16,9 @@ GARCH state carries the pair (x, sigma^2) because its bound consumes
 both initial components.  ``step(state, noise, out=None)`` writes the
 next state into ``out``, which may be ``state`` itself, so a simulation
 loop advances its paths in place without a fresh array per iteration;
-without ``out`` it allocates one and leaves its inputs untouched.
+without ``out`` it allocates one and leaves its inputs untouched.  A
+scalar start or state is checked without numpy, which is imported on
+first use, so a closed-form certificate never loads it.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
-import numpy as np
-
 from . import bounds, stochastics
+from ._lazy import lazy_import
 from .bounds import BoundCertificate
 from .errors import DomainError, ParameterError, StateError
-from .stochastics import Dist, Gamma, InverseGamma, NoiseStream, Normal, dist_from_dict, dist_to_dict
+from .stochastics import Dist, Gamma, InverseGamma, Normal, dist_from_dict, dist_to_dict
+
+np = lazy_import("numpy")
 
 __all__ = [
     "Family",
@@ -46,10 +47,8 @@ __all__ = [
     "AsymARCH",
     "GARCH",
     "GarchState",
-    "CoupledState",
     "draw_innovations",
     "step",
-    "couple_step",
     "observable",
     "model_to_dict",
     "model_from_dict",
@@ -108,8 +107,10 @@ class Family:
         not made of finite real numbers, not bools, shaped as one path's state
         (a number; for ar-d a vector of A's dimension)."""
         for name, v, shape in ((names[0], x, (self.dim,) if self.state_ndim else ()), (names[1], s2, ())):
+            if v is None or (not shape and stochastics._is_real(v)):
+                continue
             values = np.array(v, dtype=object)
-            if v is not None and (values.shape != shape or not all(map(stochastics._is_real, values.flat))):
+            if values.shape != shape or not all(map(stochastics._is_real, values.flat)):
                 what = f"a list of {shape[0]} numbers" if shape else "a number"
                 raise ParameterError(f"start {name} must be {what}, finite and not bool, got {v!r}")
         return self.make_state(x, s2)
@@ -282,13 +283,14 @@ class ARNormalD(Family):
         )
 
 
+# the state checks test a finite real number without numpy, anything else as an array
 def _check_positive_state(x):
-    if np.any(np.asarray(x) <= 0):
+    if (x <= 0) if stochastics._is_real(x) else np.any(np.asarray(x) <= 0):
         raise StateError("Gibbs chain state must be strictly positive")
 
 
 def _check_garch_s2(s2):
-    if np.any(np.asarray(s2) < 0):
+    if (s2 < 0) if stochastics._is_real(s2) else np.any(np.asarray(s2) < 0):
         raise StateError("GARCH sigma^2 state must be >= 0")
 
 
@@ -509,7 +511,7 @@ class LARCH(Family):
 
     def make_state(self, x, s2=None):
         # the certificate's C is the Lipschitz constant of log(beta0 + beta1 x) on x >= 0 only
-        if np.any(np.asarray(x) < 0):
+        if (x < 0) if stochastics._is_real(x) else np.any(np.asarray(x) < 0):
             raise StateError("LARCH state must be >= 0")
         return x
 
@@ -665,15 +667,6 @@ FAMILIES = {
 }
 
 
-@dataclass
-class CoupledState:
-    """Two chain copies advanced in lockstep."""
-
-    x: object
-    x_prime: object
-    iteration: int = 0
-
-
 def observable(model: Family, state):
     """The scalar the TV curves histogram (X_n itself; GARCH tracks x).
     Forwards to ``model.observable``; a layer boundary perfbench hooks."""
@@ -697,23 +690,6 @@ def step(model: Family, state, noise, out=None):
     it; see :class:`Family`.  Forwards to ``model.step``; a layer boundary
     perfbench hooks."""
     return model.step(state, noise, out=out)
-
-
-def couple_step(model: Family, cs: CoupledState, stream: NoiseStream) -> CoupledState:
-    """Advance both copies one iteration on one shared innovation draw
-    (the common-random-number coupling).
-
-    Iteration ``it`` draws from ``stream.substream(2 * it)``, so
-    trajectories are a pure function of the stream's key and the initial
-    states.
-    """
-    rng = stream.substream(2 * cs.iteration).generator()
-    noise = draw_innovations(model, rng, size=model.paths(cs.x))
-    return CoupledState(
-        x=step(model, cs.x, noise),
-        x_prime=step(model, cs.x_prime, noise),
-        iteration=cs.iteration + 1,
-    )
 
 
 def model_to_dict(model: Family) -> dict:

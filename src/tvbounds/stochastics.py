@@ -46,9 +46,10 @@ import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DomainError, ParameterError
+
+np = lazy_import("numpy")  # imported on first use: closed-form certificates need only math
 
 __all__ = [
     "Normal",
@@ -323,7 +324,7 @@ def abs_moment(dist: Dist, k: int) -> float:
     with shape <= k), no closed form is implemented, or it underflows to
     0 in floating point (a certificate would read that as no noise at all).
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not isinstance(k, numbers.Integral) or k < 1:  # numpy registers np.integer
         raise ParameterError(f"moment order must be a positive integer, got {k}")
     if DISTS.get(getattr(dist, "tag", None)) is not type(dist):
         raise ParameterError(f"unknown distribution {dist!r}")

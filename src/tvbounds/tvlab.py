@@ -21,8 +21,8 @@ that span is much wider than the input, so heavy tails and tiny widths
 never allocate span-sized arrays.
 
 TV curves are simulated with independent innovations for the two copies
-(marginal laws are all TV needs); the shared-noise coupling lives in the
-models module for contraction diagnostics.  Curve simulation is chunked
+(marginal laws are all TV needs); the shared-noise coupling is a test
+oracle of the contraction factors.  Curve simulation is chunked
 into one job per chunk and copy, each on its own fixed substream, and
 the jobs run on threads in one process (numpy releases the GIL in the
 draw, step and binning kernels).  Each job folds every iteration into
@@ -58,6 +58,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+# a plain import, not _lazy's first-use stub: the stub's load takes no lock, and
+# an import statement finds the stub and loads it on the importing thread, so
+# no curve worker thread loads numpy
 import numpy as np
 
 from . import models as models_mod

@@ -18,7 +18,6 @@ from tvbounds.bounds import (
     location_drift_constants,
     mc_location_drift_fit,
     nonlinear_ar_D,
-    nonlinear_ar_exact_two_step_ratio,
     nonlinear_ar_two_step_ratio,
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
@@ -35,6 +34,7 @@ from tvbounds.models import (
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, abs_moment, density
 
 from conftest import _certificate_from_dict
+from oracles import nonlinear_ar_exact_two_step_ratio
 
 S_TREES = 295.43741935483877
 
@@ -189,6 +189,18 @@ def test_mode_height_matches_golden_section(alpha, beta):
 def test_mode_height_matches_scipy(alpha, beta):
     oracle = stats.invgamma(alpha, scale=beta).pdf(beta / (alpha + 1))
     assert inverse_gamma_mode_height(alpha, beta) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 16.5, 170.5, 500.0])
+@pytest.mark.parametrize("beta", [0.5, S_TREES / 2, 26123.0 / 2])
+def test_mode_height_matches_the_density_at_the_mode(alpha, beta):
+    # the math form against the numpy density, at shapes up to 500
+    mode = beta / (alpha + 1)
+    assert inverse_gamma_mode_height(alpha, beta) == pytest.approx(
+        density(InverseGamma(alpha, beta), mode), rel=1e-14, abs=0)
+    for bad in [(0.0, beta), (alpha, -1.0), (math.nan, beta), (alpha, True)]:
+        with pytest.raises(ParameterError):
+            inverse_gamma_mode_height(*bad)
 
 
 @pytest.mark.parametrize("j,s", [(3, 1.0), (5, 10.0), (31, S_TREES)])

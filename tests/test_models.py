@@ -10,7 +10,6 @@ from tvbounds.models import (
     ARNormal1D,
     ARNormalD,
     AsymARCH,
-    CoupledState,
     FAMILIES,
     GARCH,
     GarchState,
@@ -18,7 +17,6 @@ from tvbounds.models import (
     LocationGibbsTau,
     NonlinearAR,
     RegressionGibbsSigma,
-    couple_step,
     draw_innovations,
     model_from_dict,
     model_to_dict,
@@ -26,6 +24,8 @@ from tvbounds.models import (
     step,
 )
 from tvbounds.stochastics import DISTS, ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, sample
+
+from oracles import CoupledState, couple_step
 
 S_TREES = 295.43741935483877
 
@@ -68,6 +68,36 @@ def test_make_state_rejects_a_start_outside_the_state_space(model, x, s2, error)
     if not model.state_ndim:
         with pytest.raises(error):  # one bad path among good ones
             model.make_state(np.array([2.0, x]), None if s2 is None else np.array([0.01, s2]))
+
+
+def _as_numpy(v):
+    return None if v is None else np.bool_(v) if isinstance(v, bool) else np.float64(v)
+
+
+@pytest.mark.parametrize("model,x,s2,error", [
+    pytest.param(ARNormal1D(0.5, 1.0), math.nan, None, ParameterError, id="ar1-nan"),
+    pytest.param(ARNormal1D(0.5, 1.0), True, None, ParameterError, id="ar1-bool"),
+    pytest.param(GARCH(0.13, 0.1266, 0.7922), 0.1, math.nan, ParameterError, id="garch-s2-nan"),
+    pytest.param(GARCH(0.13, 0.1266, 0.7922), 0.1, False, ParameterError, id="garch-s2-bool"),
+    pytest.param(GARCH(0.13, 0.1266, 0.7922), 0.1, -1e-300, StateError, id="garch-s2-negative"),
+    pytest.param(LocationGibbsTau(31, S_TREES), 0.0, None, StateError, id="location-gibbs-0"),
+    pytest.param(RegressionGibbsSigma(333, 4, 26123.0), -1.0, None, StateError, id="regression-gibbs-negative"),
+    pytest.param(LARCH(1.0, 0.5, ChiSquare(1)), -1e-300, None, StateError, id="larch-negative"),
+])
+def test_start_checks_reject_the_same_scalars_with_or_without_numpy(model, x, s2, error):
+    # a real number, Python's or numpy's, takes the checks' scalar path, without
+    # numpy; a numpy bool and a 0-d array take the array path; an array of one
+    # path is a state but not a start
+    for wrap in (lambda v: v, _as_numpy, lambda v: None if v is None else np.array(_as_numpy(v))):
+        with pytest.raises(error):
+            model.start_state(wrap(x), wrap(s2))
+    with pytest.raises(ParameterError):  # one path's start is a number, not an array
+        model.start_state([x], s2)
+    if error is StateError:
+        for wrap in (lambda v: v, _as_numpy, lambda v: None if v is None else np.array([v])):
+            with pytest.raises(StateError):
+                model.make_state(wrap(x), wrap(s2))
+    assert model.start_state(1.5, None if s2 is None else 0.5) is not None
 
 
 # every scalar family, each at a valid parameter point; a start drawn from

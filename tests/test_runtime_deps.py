@@ -139,6 +139,58 @@ def test_cold_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     assert json.loads(_run_python(script, tmp_path).splitlines()[-1]) == {"code": 0, "loaded": []}
 
 
+# a valid certificate of each family whose constants are closed forms
+CLOSED_FORM = {
+    "ar1": ["--a", "0.5", "--sigma", "1", "--x0", "0", "--x0p", "1"],
+    "larch": ["--params", '{"beta0":1,"beta1":0.5,"z":{"dist":"chi-square","nu":1}}', "--x0", "0.01",
+              "--x0p", "1.21"],
+    "asym-arch": ["--params", '{"a":0.5,"b":3,"c":5}', "--x0", "0", "--x0p", "5"],
+    "garch": ["--params", GARCH, "--x0", "0.1", "--x0p", "-0.1", "--s20", "0.0001", "--s20p", "0.01"],
+    "location-gibbs": ["--params", '{"j":31,"s":295.4374194}', "--gap", "18.12198"],
+    "regression-gibbs": ["--params", '{"k":333,"p":4,"c_stat":26123}', "--gap", "1000"],
+    "independent-coordinates": ["--params", '{"amplitude":0.46,"rate":0.5,"d":100,"gap":1}'],
+}
+
+
+def test_closed_form_commands_never_import_numpy(tmp_path):
+    # numpy sits in sys.modules as a first-use stub from the import on, so
+    # 'numpy' in sys.modules proves nothing; numpy._core is what importing it
+    # loads first, as the script's last lines check
+    argvs = [[cmd, "--family", family, *flags, *extra] for family, flags in CLOSED_FORM.items()
+             for cmd, extra in (("certificate", []), ("iters", ["--epsilon", "0.01"]))]
+    script = (
+        "import json, sys\n"
+        "from tvbounds import cli\n"
+        "loaded = ['numpy._core'] if 'numpy._core' in sys.modules else []\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        f"loaded += [m for m in ('numpy._core', *{CURVE_AND_DATA!r}) if m in sys.modules]\n"
+        "import numpy\n"
+        "numpy.ndarray\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded, 'marker': 'numpy._core' in sys.modules}))\n"
+    )
+    result = json.loads(_run_python(script, tmp_path).splitlines()[-1])
+    assert result == {"codes": [0] * len(argvs), "loaded": [], "marker": True}
+
+
+def test_tvlab_loads_numpy_before_its_threads_do(tmp_path):
+    # the first-use stub's load takes no lock, so importing tvlab loads numpy
+    # on the importing thread; a 2-worker curve, the first to use numpy
+    # after that, then writes the 1-worker CSV
+    curve = ["curve", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0", "0", "--x0p", "1",
+             "--n-max", "3", "--paths", "140000", "--seed", "1"]
+    script = (
+        "import json, sys, types\n"
+        "import tvbounds.tvlab\n"
+        "loaded = 'numpy._core' in sys.modules and type(sys.modules['numpy']) is types.ModuleType\n"
+        "from tvbounds import cli\n"
+        f"codes = [cli.main({curve!r} + ['--workers', str(w), '--out', f'w{{w}}.csv']) for w in (2, 1)]\n"
+        "print(json.dumps({'loaded': loaded, 'codes': codes}))\n"
+    )
+    assert json.loads(_run_python(script, tmp_path).splitlines()[-1]) == {"loaded": True, "codes": [0, 0]}
+    two = (tmp_path / "w2.csv").read_text(encoding="utf-8")
+    assert two == (tmp_path / "w1.csv").read_text(encoding="utf-8") and two.count("\n") == 4
+
+
 def test_lazy_submodules_load_on_first_use(tmp_path):
     script = (
         "import json, sys\n"

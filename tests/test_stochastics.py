@@ -146,6 +146,15 @@ def test_log_scale_height_of_a_normal_needs_mu_zero():
         Normal(0.5, 1.0).log_scale_sup()
 
 
+def test_abs_moment_order_is_a_positive_integer():
+    # numpy registers its integer types as numbers.Integral
+    z = Normal(0.0, 2.0)
+    assert abs_moment(z, np.int64(2)) == abs_moment(z, 2) == 4.0
+    for k in (0, -1, 1.5, np.int64(0), np.float64(2.0)):
+        with pytest.raises(ParameterError):
+            abs_moment(z, k)
+
+
 def test_abs_moment_nonexistent_raises():
     with pytest.raises(DomainError):
         abs_moment(InverseGamma(2.0, 1.0), 2)
