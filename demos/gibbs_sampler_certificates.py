@@ -14,7 +14,7 @@ from tvbounds.stochastics import NoiseStream
 j, y_bar, s = data.location_stats(data.builtin_dataset("trees-girth"))
 print(f"girth sample: J = {j}, mean = {y_bar:.4f}, S = {s:.4f}")
 
-loc = models.LocationGibbsTau(j, s, y_bar)
+loc = models.LocationGibbsTau(j, s)
 cert = loc.certificate(gap=18.12198)
 print(f"contraction D = 1/J = {cert.d:.6f}")
 print(f"coalescing constant (closed form)  K = {cert.c:.5f}")
@@ -37,6 +37,10 @@ print(f"regression chain (k={k}, p={p}): D = p/(k+p-2) = {reg.d:.7f}")
 print(f"bound at n = 3 with the recorded coefficient 68.16454: "
       f"{68.16454 * reg.d ** 2:.6f}  (< 0.01 from three sweeps on)")
 
-# the full Gibbs pair is de-initialized by the scalar chain; one sweep:
-reduced, (beta1, _) = m.full_step(1.0, NoiseStream(3))
-print(f"one full sweep from sigma^2 = 1: next sigma^2 = {reduced:.4f}, beta_1 draw = {beta1:.4f}")
+# the full Gibbs pair is de-initialized by the scalar chain; one sweep from
+# sigma^2 = 1, posterior mean 0 and inverse Gram matrix I, so beta = w:
+rng = NoiseStream(3).generator()
+w = rng.standard_normal(p)
+g = rng.standard_gamma((k + p) / 2)
+reduced = (sum(w**2) + 26123.0) / (2 * g)  # beta1 = w[0]
+print(f"one full sweep from sigma^2 = 1: next sigma^2 = {reduced:.4f}, beta_1 draw = {w[0]:.4f}")

@@ -118,6 +118,8 @@ class BoundCertificate:
         for key, v in (("C", self.c), ("D", self.d), ("gap", self.gap)):
             if not stochastics._is_real(v):
                 raise ParameterError(f"certificate {key} must be a finite real number, got {v!r}")
+        for key in ("n0", "exp_offset", "exp_step"):
+            object.__setattr__(self, key, integral(key, getattr(self, key)))
         # C = 0 / D = 0 are degenerate but legal (immediate coupling)
         if self.c < 0:
             raise ParameterError(f"certificate C must be >= 0, got {self.c}")

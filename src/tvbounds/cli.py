@@ -224,7 +224,7 @@ def cmd_dataset_stats(args) -> int:
         raise ParameterError("need --builtin or --csv")
     if isinstance(ds, data.LocationData):
         j, y_bar, s = data.location_stats(ds)
-        cert = models.LocationGibbsTau(j, s, y_bar).certificate(gap=1.0)
+        cert = models.LocationGibbsTau(j, s).certificate(gap=1.0)
         out = {
             "kind": "location",
             "J": j,

@@ -3,8 +3,8 @@
 Each family is one frozen dataclass derived from :class:`Family` that
 describes it whole, each operation a method: JSON tag, parameters,
 innovation draw, transition, state, observable, certificate (the
-family's C and D, written out from its fields), (where known) exact TV,
-and for the Gibbs families the full sweep they de-initialize.
+family's C and D, written out from its fields) and (where known) exact
+TV; a Gibbs family is its reduced scalar chain alone.
 :data:`FAMILIES` (tag -> class) is the registry.
 :func:`draw_innovations`, :func:`step` and :func:`observable` forward to
 the family only because they are the layer boundaries
@@ -117,11 +117,6 @@ class Family:
 
     def observable(self, state):
         return state
-
-    def paths(self, state):
-        """Paths held by ``state``; None for a single path."""
-        arr = np.asarray(self.observable(state))
-        return None if arr.ndim == self.state_ndim else arr.shape[0]
 
     def exact_tv(self, x0, x0p, n):
         """Exact TV at iteration n from the starts x0, x0p; None if unknown."""
@@ -297,10 +292,10 @@ def _check_garch_s2(s2):
 @dataclass(frozen=True)
 class _Gibbs(Family):
     """Reduced Gibbs chain r_n = X_n Y_n r_{n-1} + Y_n on a positive state,
-    with X ~ Gamma(p/2, C/2) and Y ~ InverseGamma((k+p)/2, C/2), and the
-    full two-block sweep it de-initializes.  Subclasses supply ``k``,
-    ``p``, ``c_stat`` (C), ``beta_tilde1`` and ``a_inv_11``; the location
-    chain is the regression chain at p = 1, k = J + 1, C = S.
+    with X ~ Gamma(p/2, C/2) and Y ~ InverseGamma((k+p)/2, C/2), which
+    de-initializes the full two-block sweep (a test oracle), so carries its
+    certificate.  Subclasses supply ``k``, ``p`` and ``c_stat`` (C); the
+    location chain is the regression chain at p = 1, k = J + 1, C = S.
     ``draw`` returns the independent pair (X, Y), from ``x_law`` and ``y_law``;
     its ``out`` is such a pair of arrays, filled X first."""
 
@@ -326,50 +321,6 @@ class _Gibbs(Family):
         _check_positive_state(x)
         return x
 
-    def innovations_from_full(self, w, g):
-        """The reduced chain's (X, Y) from the full sweep's draws w and g."""
-        q = np.sum(np.asarray(w) ** 2, axis=-1)
-        return q / self.c_stat, self.c_stat / (2 * g)
-
-    def full_sweep(self, state, w, g):
-        """One full Gibbs sweep from the variance ``state``:
-
-            beta_1  = beta_tilde1 + sigma sqrt((A^-1)_11) w_1
-            reduced = (sigma^2 ||w||^2 + C) / (2 g)
-
-        with w a standard normal p-vector (trailing axis of length p) and
-        g ~ Gamma((k+p)/2, 1).  Returns (reduced, (beta_1, reduced)); for
-        the location chain beta_1 is mu and w = 0 collapses it onto y_bar.
-        """
-        _check_positive_state(state)
-        w = np.asarray(w, dtype=float)
-        if w.shape[-1:] != (self.p,):
-            raise ParameterError(f"w must have a trailing axis of length p = {self.p}, got shape {w.shape}")
-        sigma = np.sqrt(state)
-        beta1 = self.beta_tilde1 + sigma * math.sqrt(self.a_inv_11) * w[..., 0]
-        quad = state * np.sum(w**2, axis=-1)
-        reduced = (quad + self.c_stat) / (2 * g)
-        return reduced, (beta1, reduced)
-
-    def full_step(self, state, stream):
-        """Advance the chain through its full two-block sweep, drawing from
-        ``stream`` (a NoiseStream or numpy Generator).
-
-        Returns ``(reduced, full)``: the reduced chain value (tau^{-1} or
-        sigma^2) and the full Gibbs draw it de-initializes — (mu, tau^{-1})
-        for the location model, (beta_1, sigma^2) for the regression model
-        (the first regression coordinate; the remaining coordinates are
-        exchangeable copies of the same construction).
-
-        The reduced value coincides exactly with :meth:`step` fed the
-        innovations from :meth:`innovations_from_full`.
-        """
-        rng = stochastics._as_generator(stream)
-        size = self.paths(state)
-        w = rng.standard_normal(size=(self.p,) if size is None else (size, self.p))
-        g = stochastics.sample(Gamma((self.k + self.p) / 2, 1.0), rng, size=size)
-        return self.full_sweep(state, w, g)
-
 
 @dataclass(frozen=True)
 class LocationGibbsTau(_Gibbs):
@@ -377,20 +328,18 @@ class LocationGibbsTau(_Gibbs):
 
     tau^{-1}_n = X_n Y_n tau^{-1}_{n-1} + Y_n with X ~ Gamma(1/2, S/2)
     and Y ~ InverseGamma((J+2)/2, S/2): the regression chain at p = 1,
-    k = J + 1, C = S, with beta_tilde1 = y_bar and (A^-1)_11 = 1/J.
-    ``y_bar`` is only needed to reconstruct the full draw (the location
-    coordinate) in :meth:`full_step`; the reduced chain never uses it.
+    k = J + 1, C = S.  The sample mean enters only the full draw of the
+    location coordinate, so the chain does not take it.
     """
 
     family: ClassVar[str] = "location-gibbs"
     p: ClassVar[int] = 1
     j: int
     s: float
-    y_bar: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "j", bounds.integral("J", self.j))
-        self._require_real("s", "y_bar")
+        self._require_real("s")
         if self.j < 3:
             raise ParameterError(f"location model needs J >= 3, got {self.j}")
         if not (self.s > 0):
@@ -398,8 +347,6 @@ class LocationGibbsTau(_Gibbs):
 
     k = property(lambda self: self.j + 1)
     c_stat = property(lambda self: self.s)
-    beta_tilde1 = property(lambda self: self.y_bar)
-    a_inv_11 = property(lambda self: 1 / self.j)
 
     def certificate(self, gap):
         """D = 1/J and C the closed form
@@ -439,30 +386,24 @@ class RegressionGibbsSigma(_Gibbs):
     """Reduced regression Gibbs chain on the noise variance.
 
     sigma^2_n = X_n Y_n sigma^2_{n-1} + Y_n with X ~ Gamma(p/2, C/2) and
-    Y ~ InverseGamma((k+p)/2, C/2).  ``beta_tilde1`` and ``a_inv_11``
-    (the first posterior-mean coordinate and the (1,1) entry of the
-    inverse Gram matrix) let :meth:`full_step` reconstruct the
-    first regression coordinate of the full draw; they default to the
-    standardized values (0, 1) when no dataset is attached.
+    Y ~ InverseGamma((k+p)/2, C/2).  The posterior mean and the inverse
+    Gram matrix enter only the full draw of the coefficients, so the
+    chain does not take them.
     """
 
     family: ClassVar[str] = "regression-gibbs"
     k: int
     p: int
     c_stat: float
-    beta_tilde1: float = 0.0
-    a_inv_11: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "k", bounds.integral("k", self.k))
         object.__setattr__(self, "p", bounds.integral("p", self.p))
-        self._require_real("c_stat", "beta_tilde1", "a_inv_11")
+        self._require_real("c_stat")
         if self.k < 1 or self.p < 1:
             raise ParameterError(f"need k, p >= 1, got ({self.k}, {self.p})")
         if not (self.c_stat > 0):
             raise ParameterError(f"C statistic must be > 0, got {self.c_stat}")
-        if not (self.a_inv_11 > 0):
-            raise ParameterError(f"a_inv_11 must be > 0, got {self.a_inv_11}")
 
     def certificate(self, gap):
         """D = p/(k+p-2) and C the mode height of InverseGamma((k+2p)/2, C_stat/2)."""

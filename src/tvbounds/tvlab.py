@@ -64,7 +64,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import models as models_mod
-from .bounds import BoundCertificate, bound_eval
+from . import stochastics
+from .bounds import BoundCertificate, bound_eval, integral
 from .errors import ParameterError, SimulationError
 from .models import Family
 from .stochastics import NoiseStream
@@ -167,7 +168,7 @@ class Histogram:
     counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        if not (0 < self.bin_width < math.inf):
+        if not (stochastics._is_real(self.bin_width) and self.bin_width > 0):
             raise ParameterError(f"bin width must be finite and > 0, got {self.bin_width}")
 
     def copy_counts(self, copy: int) -> np.ndarray:
@@ -176,15 +177,6 @@ class Histogram:
 
     def total(self, copy: int = 0) -> int:
         return int(self.copy_counts(copy).sum())
-
-    @classmethod
-    def from_samples(cls, samples, bin_width: float) -> "Histogram":
-        """Histogram of ``samples``, held as copy a."""
-        h = cls(bin_width)
-        x = np.asarray(samples, dtype=float).ravel()
-        if x.size:
-            h.fold(*_cells(x, bin_width))
-        return h
 
     def fold(self, cells: np.ndarray, lo: int, hi: int, copy: int = 0) -> None:
         """Add one count to copy ``copy`` for each cell index in ``cells``,
@@ -339,6 +331,7 @@ def simulate_tv_curve(
     iteration, chunk and start of the first failing job in job order;
     jobs later in job order stop at their next iteration.
     """
+    n_max, n_paths = integral("n_max", n_max), integral("n_paths", n_paths)
     if not 1 <= n_paths < _MAX_COUNT:
         raise ParameterError(f"need 1 <= n_paths < 2**31, got {n_paths}")
     if n_max < 1:

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import full_step
 from test_tvlab import shifted_l1
 from tvbounds import bounds, data, models, tvlab
 from tvbounds.cli import PHD_DELAY_ENV, reproduction_rows
@@ -318,14 +319,14 @@ def test_criterion_10_property_suites(trees):
 
     # de-initialization ordering (location model)
     j, _, s = trees
-    m = models.LocationGibbsTau(j, s, y_bar=13.2484)
+    m = models.LocationGibbsTau(j, s)
     stream = NoiseStream(SEED, 10)
     state_a, state_b = np.full(150_000, 1.0), np.full(150_000, 20.0)
     ok_deinit = True
     prev_red = None
     for it in range(3):
-        red_a, (mu_a, _) = m.full_step(state_a, stream.substream(2 * it))
-        red_b, (mu_b, _) = m.full_step(state_b, stream.substream(2 * it + 1))
+        red_a, (mu_a, _) = full_step(m, state_a, stream.substream(2 * it), 13.2484, 1 / j)
+        red_b, (mu_b, _) = full_step(m, state_b, stream.substream(2 * it + 1), 13.2484, 1 / j)
         tv_red = tvlab.tv_histogram(red_a, red_b, 0.05)
         tv_mu = tvlab.tv_histogram(mu_a, mu_b, 0.05)
         if prev_red is not None:

@@ -73,6 +73,16 @@ def test_bound_eval_rejects_n_at_or_below_n0():
         bound_eval(cert, 1)
 
 
+@pytest.mark.parametrize("key", ["n0", "exp_offset", "exp_step"])
+@pytest.mark.parametrize("value", [0.5, True])
+def test_certificate_exponent_parameters_are_integers(key, value):
+    # n0 = 0.5 would make exponent(3) 1.5, so bound_eval would take D^1.5
+    with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+        BoundCertificate(**{"c": 1.0, "d": 0.5, "n0": 0, "gap": 1.0, key: value})
+    cert = BoundCertificate(**{"c": 1.0, "d": 0.5, "n0": 0, "gap": 1.0, key: 2.0})
+    assert type(getattr(cert, key)) is int and type(cert.exponent(5)) is int
+
+
 def test_bound_monotone_and_exact_ratio():
     certs = [
         BoundCertificate(c=13.74027, d=1 / 31, n0=0, gap=18.12198),

@@ -397,16 +397,22 @@ ASYM_GAMMA_100 = {"a": 0.005, "b": 3.0, "c": 5.0, "z": {"dist": "gamma", "shape"
 
 
 # `curve` takes every chain family, `certificate` and `iters` every --family
-# choice; the curve cases keep their bare family ids
-UNKNOWN_KEY_CASES = [pytest.param("curve", family, id=family) for family in sorted(models.FAMILIES)] + [
-    pytest.param(command, family, id=f"{command}-{family}")
+# choice; the curve cases keep their bare family ids.  The Gibbs families do
+# not take the full sweep's coordinates, which no output reads
+UNKNOWN_KEY_CASES = [pytest.param("curve", family, "bogus", id=family) for family in sorted(models.FAMILIES)] + [
+    pytest.param(command, family, "bogus", id=f"{command}-{family}")
     for command in ("certificate", "iters")
     for family in sorted(cli.CERTIFICATES)
+] + [
+    pytest.param(command, family, key, id=f"{command}-{family}-{key}")
+    for command in ("curve", "certificate", "iters")
+    for family, key in (("location-gibbs", "y_bar"), ("regression-gibbs", "beta_tilde1"),
+                        ("regression-gibbs", "a_inv_11"))
 ]
 
 
-@pytest.mark.parametrize("command,family", UNKNOWN_KEY_CASES)
-def test_curve_rejects_unknown_model_key(capsys, command, family):
+@pytest.mark.parametrize("command,family,key", UNKNOWN_KEY_CASES)
+def test_curve_rejects_unknown_model_key(capsys, command, family, key):
     params, starts = FAMILY_CASES[family]
     x0, x0p = starts or (0.0, 1.0)
     extra = {
@@ -415,11 +421,11 @@ def test_curve_rejects_unknown_model_key(capsys, command, family):
         "iters": ["--epsilon", "0.01"],
     }[command]
     code, out, err = run(
-        capsys, command, "--family", family, "--params", json.dumps({**params, "bogus": 3}), *extra
+        capsys, command, "--family", family, "--params", json.dumps({**params, key: 3}), *extra
     )
     assert code == 2
     assert out == ""
-    assert "bogus" in err
+    assert key in err
 
 
 @pytest.mark.parametrize("command,family,params", [

@@ -1,5 +1,5 @@
 """Golden digests: the SHA-256 of small TV-curve CSVs at fixed seeds, of
-each noise law's draws, of the Gibbs families' ``full_step`` output, of
+each noise law's draws, of the Gibbs full-sweep oracle's output, of
 the ``certificate`` JSON of every ``--family`` choice, of the
 ``dataset-stats`` JSON and of the ``repro`` table and its JSON.
 
@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import full_step
 from test_cli import FAMILY_CASES
 from tvbounds import cli, models, tvlab
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, NoiseStream, Normal, sample
@@ -139,15 +140,16 @@ def test_sort_branch_fold_golden_digest(monkeypatch, workers):
     assert (True, True) in folds
 
 
-# family: (model, sha256 of full_step's reduced value then first coordinate,
-# as little-endian float64, from the state grid STATE_GRID and NoiseStream(110))
+# family: (model, (beta_tilde1, a_inv_11), sha256 of full_step's reduced value
+# then first coordinate, as little-endian float64, from the state grid
+# STATE_GRID and NoiseStream(110))
 FULL_STEP_CASES = {
     "location-gibbs": (
-        models.LocationGibbsTau(31, 295.43741935483877, 13.2484),
+        models.LocationGibbsTau(31, 295.43741935483877), (13.2484, 1 / 31),
         "b42db564db1bf29de7abb4ae7f5807b8d3a51b4d9f0060884462432ef12cc58e",
     ),
     "regression-gibbs": (
-        models.RegressionGibbsSigma(333, 4, 26123.0, 0.5, 0.25),
+        models.RegressionGibbsSigma(333, 4, 26123.0), (0.5, 0.25),
         "4cd0a6d6d7f1a4dd4474a5ba9d313df61a7bed386bcbaddd34a2aebcb2f06256",
     ),
 }
@@ -156,8 +158,8 @@ STATE_GRID = np.geomspace(0.5, 2000.0, 1000)
 
 @pytest.mark.parametrize("family", sorted(FULL_STEP_CASES))
 def test_full_step_golden_digest(family):
-    model, expected = FULL_STEP_CASES[family]
-    reduced, (first, _) = model.full_step(STATE_GRID, NoiseStream(110))
+    model, coordinate, expected = FULL_STEP_CASES[family]
+    reduced, (first, _) = full_step(model, STATE_GRID, NoiseStream(110), *coordinate)
     assert hashlib.sha256(np.concatenate([reduced, first]).astype("<f8").tobytes()).hexdigest() == expected
 
 

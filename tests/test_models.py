@@ -25,7 +25,7 @@ from tvbounds.models import (
 )
 from tvbounds.stochastics import DISTS, ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, sample
 
-from oracles import CoupledState, couple_step
+from oracles import CoupledState, couple_step, full_step, full_sweep, innovations_from_full
 
 S_TREES = 295.43741935483877
 
@@ -349,20 +349,20 @@ def test_shared_mode_contraction_vector_ar():
 
 
 def test_location_full_sweep_zero_noise_collapses_to_mean():
-    m = LocationGibbsTau(31, S_TREES, y_bar=13.2484)
-    reduced, (mu, _) = m.full_sweep(1.0, w=[0.0], g=1.0)
-    assert mu == m.y_bar
+    m, y_bar = LocationGibbsTau(31, S_TREES), 13.2484
+    reduced, (mu, _) = full_sweep(m, 1.0, w=[0.0], g=1.0, beta_tilde1=y_bar, a_inv_11=1 / 31)
+    assert mu == y_bar
     assert np.shape(reduced) == np.shape(mu) == ()
 
 
 def test_reduced_equals_full_under_same_draws(rng):
-    m = LocationGibbsTau(31, S_TREES, y_bar=13.2484)
+    m = LocationGibbsTau(31, S_TREES)
     state = rng.uniform(0.5, 4.0, size=1000)
     z = rng.standard_normal(1000)
     g = sample(Gamma((31 + 2) / 2, 1.0), rng, size=1000)
-    reduced_full, (mu, _) = m.full_sweep(state, z[:, None], g)
+    reduced_full, (mu, _) = full_sweep(m, state, z[:, None], g, 13.2484, 1 / 31)
     assert reduced_full.shape == mu.shape == state.shape
-    x, y = m.innovations_from_full(z[:, None], g)
+    x, y = innovations_from_full(m, z[:, None], g)
     reduced_direct = step(m, state, (x, y))
     assert np.allclose(reduced_full, reduced_direct, rtol=1e-12)
 
@@ -370,8 +370,8 @@ def test_reduced_equals_full_under_same_draws(rng):
     state = rng.uniform(0.5, 4.0, size=1000)
     w = rng.standard_normal((1000, 4))
     g = sample(Gamma((333 + 4) / 2, 1.0), rng, size=1000)
-    reduced_full, _ = mr.full_sweep(state, w, g)
-    x, y = mr.innovations_from_full(w, g)
+    reduced_full, _ = full_sweep(mr, state, w, g)
+    x, y = innovations_from_full(mr, w, g)
     assert np.allclose(reduced_full, step(mr, state, (x, y)), rtol=1e-12)
 
 
@@ -379,12 +379,12 @@ def test_reduced_equals_full_under_same_draws(rng):
 def test_location_chain_is_regression_chain_at_p_1(j):
     # p = 1, k = J + 1, C = S, beta_tilde1 = y_bar, (A^-1)_11 = 1/J
     s, y_bar = 295.43741935483877, 13.2484
-    loc, reg = LocationGibbsTau(j, s, y_bar), RegressionGibbsSigma(j + 1, 1, s, y_bar, 1 / j)
+    loc, reg = LocationGibbsTau(j, s), RegressionGibbsSigma(j + 1, 1, s)
     for a, b in zip(loc.draw(np.random.default_rng(j), 5000), reg.draw(np.random.default_rng(j), 5000)):
         assert np.array_equal(a, b)
     state = np.geomspace(0.5, 2000.0, 5000)
-    red_l, (mu, _) = loc.full_step(state, NoiseStream(j))
-    red_r, (beta1, _) = reg.full_step(state, NoiseStream(j))
+    red_l, (mu, _) = full_step(loc, state, NoiseStream(j), y_bar, 1 / j)
+    red_r, (beta1, _) = full_step(reg, state, NoiseStream(j), y_bar, 1 / j)
     assert np.array_equal(red_l, red_r) and np.array_equal(mu, beta1)
 
 
@@ -392,15 +392,15 @@ def test_full_sweep_rejects_w_without_a_trailing_p_axis():
     # a bare (paths,) normal draw would otherwise be summed across paths
     state, g = np.ones(1000), np.ones(1000)
     with pytest.raises(ParameterError, match=r"p = 1, got shape \(1000,\)"):
-        LocationGibbsTau(31, S_TREES).full_sweep(state, np.zeros(1000), g)
+        full_sweep(LocationGibbsTau(31, S_TREES), state, np.zeros(1000), g)
     with pytest.raises(ParameterError, match=r"p = 4, got shape \(1000, 3\)"):
-        RegressionGibbsSigma(333, 4, 26123.0).full_sweep(state, np.zeros((1000, 3)), g)
+        full_sweep(RegressionGibbsSigma(333, 4, 26123.0), state, np.zeros((1000, 3)), g)
 
 
 def test_location_first_iterate_mean():
     # E[tau^{-1}_1 | tau^{-1}_0 = 1] = E[XY] + E[Y] = 1/J + S/J
     m = LocationGibbsTau(31, S_TREES)
-    reduced, _ = m.full_step(np.ones(1_000_000), NoiseStream(21))
+    reduced, _ = full_step(m, np.ones(1_000_000), NoiseStream(21))
     expected = 1 / 31 + S_TREES / 31
     assert abs(reduced.mean() - expected) < 0.01 * expected
 
@@ -409,15 +409,15 @@ def test_deinit_tv_ordering():
     """The full sweep-(n+1) pair is a random function of the reduced
     value at sweep n, so its TV (and a fortiori the TV of its location
     marginal) cannot exceed the reduced chain's TV one sweep earlier."""
-    m = LocationGibbsTau(31, S_TREES, y_bar=13.2484)
+    m = LocationGibbsTau(31, S_TREES)
     n_paths = 200_000
     state_a = np.full(n_paths, 1.0)
     state_b = np.full(n_paths, 20.0)
     stream = NoiseStream(88)
     prev_tv_red = None
     for it in range(3):
-        red_a, (mu_a, _) = m.full_step(state_a, stream.substream(2 * it))
-        red_b, (mu_b, _) = m.full_step(state_b, stream.substream(2 * it + 1))
+        red_a, (mu_a, _) = full_step(m, state_a, stream.substream(2 * it), 13.2484, 1 / 31)
+        red_b, (mu_b, _) = full_step(m, state_b, stream.substream(2 * it + 1), 13.2484, 1 / 31)
         tv_red = tvlab.tv_histogram(red_a, red_b, 0.05)
         tv_mu = tvlab.tv_histogram(mu_a, mu_b, 0.05)
         if prev_tv_red is not None:
@@ -446,8 +446,8 @@ def test_model_dict_roundtrip():
         "nonlinear-ar": [NonlinearAR()],
         "ar1": [ARNormal1D(0.5, math.sqrt(0.75))],
         "ar-d": [ARNormalD(np.eye(2) * 0.5, np.eye(2))],
-        "location-gibbs": [LocationGibbsTau(31, S_TREES, y_bar=1.5)],
-        "regression-gibbs": [RegressionGibbsSigma(333, 4, 26123.0), RegressionGibbsSigma(5, 2, 3.0, 0.25, 0.5)],
+        "location-gibbs": [LocationGibbsTau(31, S_TREES)],
+        "regression-gibbs": [RegressionGibbsSigma(333, 4, 26123.0), RegressionGibbsSigma(5, 2, 3.0)],
         "larch": [LARCH(1.0, 0.5, ChiSquare(1)), LARCH(1.0, 0.5, Gamma(0.5, 2.0)), LARCH(1.0, 0.5, InverseGamma(3.0, 2.0))],
         "asym-arch": [AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), AsymARCH(-0.2, 1.0, 2.0, Normal(0.5, 2.0))],
         "garch": [GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))],

@@ -23,6 +23,8 @@ from tvbounds.tvlab import (
     tv_histogram,
 )
 
+from oracles import histogram_from_samples
+
 
 # ----------------------------------------------------------------- histogram
 
@@ -106,8 +108,8 @@ def test_monotone_map_invariance(rng):
     assert affine.estimate == pytest.approx(base.estimate, abs=1e-15)
     # exp map onto a fresh uniform grid: within the binning allowance
     dens_sup = max(
-        Histogram.from_samples(np.exp(a), w).density_sup(),
-        Histogram.from_samples(np.exp(b), w).density_sup(),
+        histogram_from_samples(np.exp(a), w).density_sup(),
+        histogram_from_samples(np.exp(b), w).density_sup(),
     )
     exp_est = tv_histogram(np.exp(a), np.exp(b), w)
     assert abs(exp_est.estimate - base.estimate) <= 2 * w * dens_sup + 3 * (exp_est.mc_se + base.mc_se)
@@ -116,9 +118,9 @@ def test_monotone_map_invariance(rng):
 def test_histogram_merge_matches_bulk(rng):
     # the second part merged into the first by folding its raw cells
     x = rng.standard_normal(10_000)
-    h = Histogram.from_samples(x[:4_000], 0.1)
+    h = histogram_from_samples(x[:4_000], 0.1)
     h.fold(*tvlab._cells(x[4_000:], 0.1))
-    bulk = Histogram.from_samples(x, 0.1)
+    bulk = histogram_from_samples(x, 0.1)
     assert np.array_equal(h.cells, bulk.cells) and np.array_equal(h.counts, bulk.counts)
     assert h.total() == bulk.total() == x.size
 
@@ -128,7 +130,7 @@ def test_histogram_merge_of_many_parts_matches_bulk(rng, scale):
     # parts with tail cells the others lack, folded in any order as raw
     # cells into an initially empty histogram, as curve jobs fold them
     parts = [rng.standard_t(3, n) * scale for n in (3_000, 500, 7, 2_000)]
-    bulk = Histogram.from_samples(np.concatenate(parts), 0.01)
+    bulk = histogram_from_samples(np.concatenate(parts), 0.01)
     for order in (parts, parts[::-1], [parts[i] for i in (2, 0, 3, 1)]):
         h = Histogram(0.01)
         for x in order:
@@ -166,7 +168,7 @@ def test_packed_copies_folded_in_any_order_match_each_bulk(chunks, heavy, seed):
     assert np.all(np.diff(h.cells) > 0) and np.all(h.counts > 0)
     for copy in (0, 1):
         xs = [x for c, x in parts if c == copy]
-        bulk = Histogram.from_samples(np.concatenate(xs) if xs else [], 0.01)
+        bulk = histogram_from_samples(np.concatenate(xs) if xs else [], 0.01)
         counts = h.copy_counts(copy)
         assert np.array_equal(h.cells[counts != 0], bulk.cells) and np.array_equal(counts[counts != 0], bulk.counts)
         assert h.total(copy) == sum(x.size for x in xs)
@@ -178,7 +180,7 @@ def test_histogram_matches_np_unique(rng):
     # cells on both sides of zero, some bins empty
     for n, w in [(1, 0.1), (5_000, 0.1), (50_000, 0.003), (2_000, 2.0)]:
         x = rng.standard_normal(n) * rng.uniform(0.5, 40.0)
-        h = Histogram.from_samples(x, w)
+        h = histogram_from_samples(x, w)
         cells, counts = np.unique(np.floor(x / w).astype(np.int64), return_counts=True)
         assert np.array_equal(h.cells, cells) and np.array_equal(h.counts, counts)
         assert h.cells.dtype == h.counts.dtype == np.int64
@@ -219,7 +221,7 @@ def test_histogram_wide_span_stays_small():
     # a span of 1e15 cells must not allocate span-sized arrays
     tracemalloc.start()
     try:
-        h = Histogram.from_samples([0.0, 1e15], 1.0)
+        h = histogram_from_samples([0.0, 1e15], 1.0)
         h.fold(*tvlab._cells(np.array([-1e15, 1e15]), 1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -228,7 +230,7 @@ def test_histogram_wide_span_stays_small():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -1.0, True])
 def test_histogram_rejects_width_not_finite_positive(width):
     # an infinite width puts every sample in one cell and reports TV = 0
     with pytest.raises(ParameterError, match="bin width must be finite and > 0"):
@@ -242,7 +244,7 @@ def test_histogram_rejects_width_not_finite_positive(width):
 def test_histogram_rejects_out_of_range_cells():
     # both huge values would wrap to cell -2**63 in an unchecked int64 cast
     with pytest.raises(ParameterError, match="2 out of histogram range"):
-        Histogram.from_samples([1e300, -1e300], 1e-3)
+        histogram_from_samples([1e300, -1e300], 1e-3)
     with pytest.raises(ParameterError, match="out of histogram range"):
         tv_histogram([1e300, 1.0], [2e300, 5.0], 1e-3)
     with pytest.raises(ParameterError, match="1 of 2 values non-finite"):
@@ -499,6 +501,13 @@ def test_packed_counts_refuse_2_31_values_per_copy(monkeypatch):
         tv_histogram(big, big, 0.01)
 
 
+@pytest.mark.parametrize("n_max, n_paths, name", [(True, True, "n_max"), (2, 1000.5, "n_paths"), (2.5, 10, "n_max")])
+def test_curve_sizes_must_be_integers(n_max, n_paths, name):
+    # a bool ran as 1 and a fraction failed in range() with a bare TypeError
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 1.0, n_max, n_paths, 0.01, NoiseStream(1))
+
+
 def test_curve_folds_lose_no_count_under_fast_thread_switching(monkeypatch):
     # more workers than cores fold into one curve's histograms while the
     # interpreter switches threads every microsecond: a lost update loses counts
@@ -666,6 +675,6 @@ def test_joint_tv_d_scaling(rng):
 
 
 def test_tv_from_histograms_rejects_an_empty_copy(rng):
-    h = Histogram.from_samples(rng.standard_normal(100), 0.1)
+    h = histogram_from_samples(rng.standard_normal(100), 0.1)
     with pytest.raises(ParameterError, match="empty copy"):
         tv_from_histograms(h)
