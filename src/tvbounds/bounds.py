@@ -140,6 +140,7 @@ class BoundCertificate:
 
 def bound_eval(cert: BoundCertificate, n: int) -> BoundValue:
     """Evaluate the certificate at iteration n > n0."""
+    n = integral("n", n)
     if n <= cert.n0:
         raise DomainError(f"bound is defined for n > n0 = {cert.n0}, got n = {n}")
     raw = cert.c * cert.d ** cert.exponent(n) * cert.gap

@@ -135,9 +135,7 @@ class NonlinearAR(Family):
     """X_n = (X_{n-1} - sin X_{n-1})/2 + Z_n with Z standard normal."""
 
     family: ClassVar[str] = "nonlinear-ar"
-
-    def draw(self, rng: np.random.Generator, size=None, out=None):
-        return rng.standard_normal(size=size, out=out)
+    z: ClassVar[Dist] = Normal(0.0, 1.0)
 
     def step(self, state, noise, out=None):
         out = _out(out, state, noise)
@@ -170,8 +168,8 @@ class NonlinearAR(Family):
 @dataclass(frozen=True)
 class ARNormal1D(Family):
     """X_n = a X_{n-1} + sigma Z_n.  The innovation ``draw`` returns is
-    sigma Z_n itself, scaled in place, so ``step`` adds it with no
-    temporary."""
+    sigma Z_n itself, drawn from ``z`` = Normal(0, sigma) and scaled in
+    place, so ``step`` adds it with no temporary."""
 
     family: ClassVar[str] = "ar1"
     a: float
@@ -182,8 +180,7 @@ class ARNormal1D(Family):
         if not (self.sigma > 0):
             raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
 
-    def draw(self, rng: np.random.Generator, size=None, out=None):
-        return Normal(0.0, self.sigma).draw(rng, size, out)
+    z = property(lambda self: Normal(0.0, self.sigma))
 
     def step(self, state, noise, out=None):
         out = _out(out, state, noise)
@@ -246,26 +243,20 @@ class ARNormalD(Family):
         return v
 
     def certificate(self, x0, x0p):
-        """For symmetric A: rate max_i |lambda_i| against D^n (exp_offset=1) and
+        """For symmetric A: rate max_i |lambda_i| = ||A||_2 against D^n (exp_offset=1) and
 
-            C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2.
+            C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2,
+
+        where P, the orthonormal eigenvectors of A, has ||P||_F = ||P^-1||_F = sqrt(d).
         """
         a = self.a
         if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
             raise ParameterError("A is not symmetric; only symmetric input is supported")
-        evals, p = np.linalg.eigh(a)
-        rate = float(np.max(np.abs(evals)))
+        rate = float(np.linalg.norm(a, 2))
         sigma_inv = bounds._inverse("Sigma", self.sigma)
         d = self.dim
         gap_norm = float(np.linalg.norm(self.start_state(x0) - self.start_state(x0p, names=("x0p", "s20p"))))
-        # P from the symmetric eigendecomposition is orthogonal, so P^-1 = P^T
-        c = float(
-            math.sqrt(d / (2 * math.pi))
-            * np.linalg.norm(sigma_inv)
-            * np.linalg.norm(p)
-            * np.linalg.norm(p.T)
-            * gap_norm
-        )
+        c = float(math.sqrt(d / (2 * math.pi)) * np.linalg.norm(sigma_inv) * d * gap_norm)
         return BoundCertificate(
             c=c,
             d=rate,

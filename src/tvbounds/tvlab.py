@@ -22,19 +22,19 @@ never allocate span-sized arrays.
 
 TV curves are simulated with independent innovations for the two copies
 (marginal laws are all TV needs); the shared-noise coupling is a test
-oracle of the contraction factors.  Curve simulation is chunked
-into one job per chunk and copy, each on its own fixed substream, and
-the jobs run on threads in one process (numpy releases the GIL in the
-draw, step and binning kernels).  Each job folds every iteration into
-its copy's half of the curve's running histogram of that iteration as
-soon as it is binned, under one per-curve lock, and keeps no histogram
-of its own.  Memory is therefore bounded by the n_max running histograms
-plus each job in flight's fixed working set (below), whatever n_paths
-is: each extra worker costs one working set, not one interpreter.  Fold
-order is free: a fold adds integer counts, which is exact and
-commutative, so the histograms, and the output, are byte-identical
-whichever job folds first and for any worker count.  Once a job diverges,
-jobs later in job order stop at their next iteration.
+oracle of the contraction factors.  Curve simulation is chunked into one
+job per chunk and copy: job k runs copy k % 2 of chunk k // 2 on its own
+fixed substream k, and the jobs run on threads in one process (numpy
+releases the GIL in the draw, step and binning kernels).  Each job folds
+every iteration into its copy's half of the curve's running histogram of
+that iteration as soon as it is binned, under one per-curve lock, and
+keeps no histogram of its own.  Memory is therefore bounded by the n_max
+running histograms plus each job in flight's fixed working set (below),
+whatever n_paths is: each extra worker costs one working set, not one
+interpreter.  Fold order is free: a fold adds integer counts, which is
+exact and commutative, so the histograms, and the output, are
+byte-identical whichever job folds first and for any worker count.  Once
+a job diverges, jobs later in job order stop at their next iteration.
 
 Each job owns a fixed working set, allocated once when it starts and
 never shared with another thread: its state, which ``models.step``
@@ -271,39 +271,6 @@ class TVCurve:
         return "\n".join(lines) + "\n"
 
 
-def _simulate_chunk(model, x, s2, n_paths, stream, chunk, copy, hists, lock, stopped):
-    """Advance one copy of one chunk of paths and fold every iteration into
-    that copy's half of the running histograms ``hists``, one per
-    iteration; stop at the first iteration that starts with ``stopped()``.
-
-    Substream 2 * chunk + copy pins its draws, so what it adds does not
-    depend on which worker ran it.  The job owns its working set: the
-    state steps in place, each iteration's draws fill the previous
-    iteration's draw arrays, and binning divides, floors and casts in
-    the spent draws, all allocated here once and shared with no other
-    job.  Only the fold into ``hists``, which other jobs also fold into,
-    holds ``lock``.
-    """
-    rng = stream.substream(2 * chunk + copy).generator()
-    state = model.make_state(np.full(n_paths, float(x)), None if s2 is None else np.full(n_paths, float(s2)))
-    noise = None
-    for n, h in enumerate(hists, start=1):
-        if stopped():
-            return
-        noise = models_mod.draw_innovations(model, rng, size=n_paths, out=noise)
-        models_mod.step(model, state, noise, out=state)
-        spent = noise[0] if isinstance(noise, tuple) else noise  # step has consumed it
-        try:
-            cells = _cells(models_mod.observable(model, state), h.bin_width, spent)
-        except ParameterError as exc:
-            start = ("x0", "x0'")[copy]
-            raise SimulationError(
-                f"chain diverged at iteration {n} (chunk {chunk}, start {start}): {exc}"
-            ) from None
-        with lock:
-            h.fold(*cells, copy=copy)
-
-
 def simulate_tv_curve(
     model: Family,
     x0,
@@ -324,12 +291,13 @@ def simulate_tv_curve(
     every n > n0.  The exact TV column is filled wherever the family
     declares a closed form (``model.exact_tv``).
 
-    Each 2**17-path chunk runs as two jobs, one per copy.  With
-    ``workers`` > 1 the jobs run on a thread pool of min(workers, jobs)
-    threads in this process; the result is byte-identical for any
-    ``workers``.  A diverging copy raises SimulationError naming the
-    iteration, chunk and start of the first failing job in job order;
-    jobs later in job order stop at their next iteration.
+    Job k runs copy k % 2 of the 2**17-path chunk k // 2 on
+    ``stream.substream(k)``.  With ``workers`` > 1 the jobs run on a
+    thread pool of min(workers, jobs) threads in this process; the result
+    is byte-identical for any ``workers``.  A diverging copy raises
+    SimulationError naming the iteration, chunk and start of the first
+    failing job in job order; jobs later in job order stop at their next
+    iteration.
     """
     n_max, n_paths = integral("n_max", n_max), integral("n_paths", n_paths)
     if not 1 <= n_paths < _MAX_COUNT:
@@ -346,34 +314,45 @@ def simulate_tv_curve(
     model.start_state(x0_prime, s20_prime, ("x0'", "s20'"))
 
     starts = ((x0, s20), (x0_prime, s20_prime))
-    jobs = [
-        (chunk, copy, min(_CHUNK_PATHS, n_paths - first))
-        for chunk, first in enumerate(range(0, n_paths, _CHUNK_PATHS))
-        for copy in (0, 1)
-    ]
-
+    n_jobs = 2 * -(-n_paths // _CHUNK_PATHS)
     # every job folds each iteration into its copy's half of these running
     # histograms, so only n_max are held whatever n_paths is; building them
     # checks the bin width first
     hists = [Histogram(bin_width) for _ in range(n_max)]
     lock = threading.Lock()
-    first_failed = [len(jobs)]  # place in job order of the first failed job
+    first_failed = n_jobs  # the first failed job in job order
 
-    def run(job):
-        chunk, copy, size = job
-        place = 2 * chunk + copy
-        try:
-            _simulate_chunk(model, *starts[copy], size, stream, chunk, copy, hists, lock,
-                            lambda: first_failed[0] < place)
-        except SimulationError:
+    def job(k):
+        nonlocal first_failed
+        chunk, copy = divmod(k, 2)
+        size = min(_CHUNK_PATHS, n_paths - chunk * _CHUNK_PATHS)
+        x, s2 = starts[copy]
+        rng = stream.substream(k).generator()
+        state = model.make_state(np.full(size, float(x)), None if s2 is None else np.full(size, float(s2)))
+        noise = None
+        for n, h in enumerate(hists, start=1):
+            if first_failed < k:
+                return
+            noise = models_mod.draw_innovations(model, rng, size=size, out=noise)
+            models_mod.step(model, state, noise, out=state)
+            spent = noise[0] if isinstance(noise, tuple) else noise  # step has consumed it
+            try:
+                cells = _cells(models_mod.observable(model, state), h.bin_width, spent)
+            except ParameterError as exc:
+                with lock:
+                    first_failed = min(first_failed, k)
+                start = ("x0", "x0'")[copy]
+                raise SimulationError(
+                    f"chain diverged at iteration {n} (chunk {chunk}, start {start}): {exc}"
+                ) from None
             with lock:
-                first_failed[0] = min(first_failed[0], place)
-            raise
+                h.fold(*cells, copy=copy)
 
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
+    # workers == 1 runs on this thread: a pool thread's own malloc arena raises peak RSS
+    pool = ThreadPoolExecutor(max_workers=min(workers, n_jobs)) if workers > 1 else None
     with pool or nullcontext():
         # reading every result raises the first failing job in job order
-        list((pool.map if pool else map)(run, jobs))
+        list((pool.map if pool else map)(job, range(n_jobs)))
 
     rows = []
     for n in range(1, n_max + 1):

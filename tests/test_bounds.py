@@ -73,6 +73,13 @@ def test_bound_eval_rejects_n_at_or_below_n0():
         bound_eval(cert, 1)
 
 
+@pytest.mark.parametrize("n", [2.5, True])
+def test_bound_eval_takes_only_an_integer_n(n):
+    # n = 2.5 gave D^1.5 and n = True the bound at n = 1
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        bound_eval(BoundCertificate(c=1.0, d=0.5, n0=0, gap=1.0), n)
+
+
 @pytest.mark.parametrize("key", ["n0", "exp_offset", "exp_step"])
 @pytest.mark.parametrize("value", [0.5, True])
 def test_certificate_exponent_parameters_are_integers(key, value):

@@ -9,6 +9,7 @@ import pytest
 from tvbounds import cli, models, tvlab
 from tvbounds.cli import build_certificate, main, reproduction_rows
 from tvbounds.errors import DomainError, IngestionError, NoContractionError, ParameterError, SimulationError, StateError
+from tvbounds.stochastics import NoiseStream
 
 GARCH_PARAMS = json.dumps(
     {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "z": {"dist": "normal", "mu": 0, "sigma": 1}}
@@ -515,7 +516,7 @@ def test_curve_paths_of_2_31_exit_2_before_any_job(monkeypatch, capsys):
     def no_job(*args, **kwargs):
         raise AssertionError("a chunk job ran")
 
-    monkeypatch.setattr(tvlab, "_simulate_chunk", no_job)
+    monkeypatch.setattr(NoiseStream, "substream", no_job)
     code, out, err = run(capsys, *CURVE_AR1[:-1], "2147483648", "--x0", "0")
     assert code == 2 and out == ""
     assert "n_paths < 2**31" in err

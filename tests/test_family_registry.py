@@ -55,6 +55,13 @@ def test_every_tagged_family_class_is_registered():
     assert tagged == models.FAMILIES
 
 
+def test_scalar_families_draw_through_their_noise_law():
+    # Family.draw samples ``z`` through the hooked stochastics.sample, and so
+    # does the Gibbs pair's draw on _Gibbs; only the vector family draws
+    # its own standard normal vectors
+    assert [tag for tag, cls in models.FAMILIES.items() if "draw" in vars(cls)] == ["ar-d"]
+
+
 def test_every_family_steps_into_out():
     assert [tag for tag, cls in models.FAMILIES.items() if "out" not in inspect.signature(cls.step).parameters] == []
     assert "out" in inspect.signature(models.step).parameters

@@ -490,9 +490,9 @@ def test_packed_counts_refuse_2_31_values_per_copy(monkeypatch):
     # a copy's count must stay below 2**31, or it would carry into the other
     # copy's half of the packed count; both checks run before any allocation
     def no_work(*args, **kwargs):
-        raise AssertionError("samples were binned")
+        raise AssertionError("samples were drawn or binned")
 
-    monkeypatch.setattr(tvlab, "_simulate_chunk", no_work)
+    monkeypatch.setattr(models, "draw_innovations", no_work)
     monkeypatch.setattr(tvlab, "_cells", no_work)
     with pytest.raises(ParameterError, match=r"n_paths < 2\*\*31, got 2147483648"):
         simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 1.0, 2, 2**31, 0.01, NoiseStream(1))
@@ -599,7 +599,7 @@ def test_curve_start_check_names_the_start_before_any_job(monkeypatch, model, st
     def no_job(*args, **kwargs):
         raise AssertionError("a chunk job ran")
 
-    monkeypatch.setattr(tvlab, "_simulate_chunk", no_job)
+    monkeypatch.setattr(NoiseStream, "substream", no_job)
     with pytest.raises(ParameterError, match=f"^start {re.escape(name)} must be a number"):
         simulate_tv_curve(model, n_max=2, n_paths=100, bin_width=0.01, stream=NoiseStream(1), **starts)
 
