@@ -148,25 +148,18 @@ def bound_eval(cert: BoundCertificate, n: int) -> BoundValue:
 
 
 def iterations_to_epsilon(cert: BoundCertificate, eps: float) -> int:
-    """Smallest n > n0 with bound_eval(n).raw < eps (finite since D < 1)."""
+    """Smallest n > n0 with bound_eval(n).raw < eps (finite since D < 1), found by
+    doubling a step from n0 + 1, then bisecting: the bound does not rise with n."""
     if not (0 < eps < 1):
         raise ParameterError(f"epsilon must lie in (0, 1), got {eps}")
-    n = cert.n0 + 1
-    if cert.gap == 0.0 or cert.c * cert.gap < eps:
-        return n
-    if cert.d == 0.0:
-        # bound is C*gap while the exponent is 0, then drops to 0
-        while cert.exponent(n) == 0:
-            n += 1
-        return n
-    # jump close with logs, then scan
-    e_needed = (math.log(eps) - math.log(cert.c) - math.log(cert.gap)) / math.log(cert.d)
-    n = max(cert.n0 + 1, cert.n0 + 1 - cert.exp_offset + int(math.floor(e_needed)) * cert.exp_step - 2)
-    while bound_eval(cert, n).raw >= eps:
-        n += 1
-    while n - 1 > cert.n0 and bound_eval(cert, n - 1).raw < eps:
-        n -= 1
-    return n
+    lo, step = cert.n0, 1  # no n in (n0, lo] has a bound below eps
+    while bound_eval(cert, lo + step).raw >= eps:
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound_eval(cert, mid).raw < eps else (mid, hi)
+    return hi
 
 
 def inverse_gamma_mode_height(alpha: float, beta: float) -> float:

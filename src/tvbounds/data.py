@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds
+from . import bounds, stochastics
 from .errors import IngestionError, ParameterError
 
 __all__ = [
@@ -84,8 +84,8 @@ class RegressionData:
             )
         if self.y.size <= self.x.shape[1]:
             raise ParameterError(f"need k > p, got k={self.y.size}, p={self.x.shape[1]}")
-        if not (self.prior_lambda > 0):
-            raise ParameterError(f"prior precision must be > 0, got {self.prior_lambda}")
+        if not (stochastics._is_real(self.prior_lambda) and self.prior_lambda > 0):
+            raise ParameterError(f"prior precision must be finite and > 0, got {self.prior_lambda!r}")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.x))):
             raise ParameterError("regression data must be finite")
 
@@ -126,6 +126,8 @@ def load_csv(path, y_column: str, x_columns=None, prior_lambda=None):
     if not ys:
         raise IngestionError(f"{path}: no data rows")
     if not x_columns:
+        if prior_lambda is not None:
+            raise ParameterError("location data (no x_columns) takes no prior precision (prior_lambda)")
         return LocationData(np.array(ys))
     if prior_lambda is None:
         raise ParameterError("regression data requires the prior precision (prior_lambda)")

@@ -491,7 +491,7 @@ class AsymARCH(Family):
     def certificate(self, gap, jensen=True):
         """C = |a| / |c| and D = |a| E|Z|, or its Jensen relaxation
         |a| sqrt(E[Z^2]) when ``jensen`` is set, the convention the worked
-        example uses; both values are recorded.
+        example uses; both values are recorded, d_jensen only where E[Z^2] exists.
 
         log|X_1| is (1/2) log((a x + b)^2 + c^2) + log|Z|, a shift of slope
         at most |a| / (2 |c|) in x, so TV_1 <= sup f_{log|Z|} |a| / (2 |c|) dist:
@@ -503,16 +503,20 @@ class AsymARCH(Family):
         if a != 0 and (sup := self.z.log_scale_sup()) > 2:
             raise DomainError(f"{self.family} C = |a|/|c| needs a log|Z| density peaking at most at 2, "
                               f"not {sup:.6g} ({self.z!r})")
-        d_exact = abs(a) * stochastics.abs_moment(self.z, 1)
-        d_jensen = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
+        details = {"d_exact": abs(a) * stochastics.abs_moment(self.z, 1)}
+        try:
+            details["d_jensen"] = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
+        except DomainError:  # E[Z^2] is not needed for D = |a| E|Z|
+            if jensen:
+                raise
         return BoundCertificate(
             c=abs(a) / abs(self.c),
-            d=d_jensen if jensen else d_exact,
+            d=details["d_jensen" if jensen else "d_exact"],
             n0=0,
             gap=gap,
             family=self.family,
             notes=("D is the Jensen relaxation |a| sqrt(E[Z^2])",) if jensen else (),
-            details={"d_exact": d_exact, "d_jensen": d_jensen},
+            details=details,
         )
 
 

@@ -7,7 +7,10 @@ below the counting noise.  Every estimate therefore reports, next to
 its binomial standard error, the analytic null floor (the estimator's
 expected value if the two laws were identical), so that soundness
 comparisons "estimate <= bound" can be read against estimate-floor.
-The floor is not subtracted from the reported estimate.
+The floor is not subtracted from the reported estimate.  Each estimate
+also reports ``density_sup``, the larger of the two copies' plug-in
+density maxima max_i p_i / w; soundness checks add a binning allowance
+of 2 w density_sup to the bound.
 
 A Histogram holds two samples, copies a and b, on one sorted int64 list
 of the cells either occupies, anchored at 0, with one int64 count per
@@ -171,13 +174,6 @@ class Histogram:
         if not (stochastics._is_real(self.bin_width) and self.bin_width > 0):
             raise ParameterError(f"bin width must be finite and > 0, got {self.bin_width}")
 
-    def copy_counts(self, copy: int) -> np.ndarray:
-        """Copy ``copy``'s count in each stored cell, as int64."""
-        return self.counts >> 32 if copy else self.counts & 0xFFFFFFFF
-
-    def total(self, copy: int = 0) -> int:
-        return int(self.copy_counts(copy).sum())
-
     def fold(self, cells: np.ndarray, lo: int, hi: int, copy: int = 0) -> None:
         """Add one count to copy ``copy`` for each cell index in ``cells``,
         a non-empty int64 array of the caller's own whose lowest and
@@ -185,16 +181,12 @@ class Histogram:
         this offsets in place."""
         self.cells, self.counts = _tally(cells, lo, hi, self.cells, self.counts, 32 * copy)
 
-    def density_sup(self, copy: int = 0) -> float:
-        """Plug-in estimate of copy ``copy``'s density maximum, max_i p_i / w."""
-        total = self.total(copy)
-        return int(self.copy_counts(copy).max()) / (total * self.bin_width) if total else 0.0
-
 
 class TVEstimate(NamedTuple):
     estimate: float
     mc_se: float
     noise_floor: float
+    density_sup: float
 
 
 def tv_from_histograms(h: Histogram) -> TVEstimate:
@@ -203,9 +195,11 @@ def tv_from_histograms(h: Histogram) -> TVEstimate:
     mc_se propagates per-bin binomial variance (with add-half smoothing
     so that degenerate tiny samples report a large, not zero, error);
     noise_floor is the expected value of the statistic under identical
-    laws (normal approximation with pooled per-bin probabilities).
+    laws (normal approximation with pooled per-bin probabilities);
+    density_sup is the larger of the two copies' plug-in density maxima,
+    max_i p_i / w.
     """
-    ca, cb = h.copy_counts(0), h.copy_counts(1)
+    ca, cb = h.counts & 0xFFFFFFFF, h.counts >> 32
     na, nb = int(ca.sum()), int(cb.sum())
     if na == 0 or nb == 0:
         raise ParameterError("cannot estimate TV from an empty copy")
@@ -217,7 +211,8 @@ def tv_from_histograms(h: Histogram) -> TVEstimate:
     pooled = (ca + cb) / (na + nb)
     null_var = pooled * (1 - pooled) * (1.0 / na + 1.0 / nb)
     floor = 0.5 * math.sqrt(2 / math.pi) * float(np.sqrt(null_var).sum())
-    return TVEstimate(est, se, floor)
+    sup = max(int(ca.max()) / (na * h.bin_width), int(cb.max()) / (nb * h.bin_width))
+    return TVEstimate(est, se, floor, sup)
 
 
 def tv_histogram(samples_a, samples_b, bin_width: float) -> TVEstimate:
@@ -256,18 +251,14 @@ class TVCurve:
     CSV_HEADER = "n,bound,bound_clamped,tv_sim,tv_exact,mc_se"
 
     def to_csv(self) -> str:
-        """CSV form: absent values empty, floats at 9 significant digits."""
+        """CSV of the CSV_HEADER columns: n as is, absent values empty, others at 9 significant digits."""
 
-        def fmt(v):
-            return "" if v is None else f"{v:.9g}"
+        def fmt(r, name):
+            v = getattr(r, name)
+            return str(v) if name == "n" else "" if v is None else f"{v:.9g}"
 
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [str(r.n), fmt(r.bound), fmt(r.bound_clamped), fmt(r.tv_sim), fmt(r.tv_exact), fmt(r.mc_se)]
-                )
-            )
+        names = self.CSV_HEADER.split(",")
+        lines = [self.CSV_HEADER] + [",".join(fmt(r, k) for k in names) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -299,11 +290,17 @@ def simulate_tv_curve(
     failing job in job order; jobs later in job order stop at their next
     iteration.
     """
-    n_max, n_paths = integral("n_max", n_max), integral("n_paths", n_paths)
+    n_max, n_paths, workers = integral("n_max", n_max), integral("n_paths", n_paths), integral("workers", workers)
     if not 1 <= n_paths < _MAX_COUNT:
         raise ParameterError(f"need 1 <= n_paths < 2**31, got {n_paths}")
     if n_max < 1:
         raise ParameterError(f"need n_max >= 1, got {n_max}")
+    if workers < 1:
+        raise ParameterError(f"need workers >= 1, got {workers}")
+    if not isinstance(stream, NoiseStream):
+        raise ParameterError(f"stream must be a NoiseStream, got {type(stream).__name__}")
+    if not (certificate is None or isinstance(certificate, BoundCertificate)):
+        raise ParameterError(f"certificate must be a BoundCertificate or None, got {type(certificate).__name__}")
     if model.state_ndim:
         raise ParameterError(
             "TV curves are scalar-only; validate vector chains coordinate-wise "
@@ -356,16 +353,14 @@ def simulate_tv_curve(
 
     rows = []
     for n in range(1, n_max + 1):
-        h, hists[n - 1] = hists[n - 1], None  # dropped once its row is built
-        est = tv_from_histograms(h)
+        est, hists[n - 1] = tv_from_histograms(hists[n - 1]), None  # each histogram is dropped once read
         bound = clamped = None
         if certificate is not None and n > certificate.n0:
-            bv = bound_eval(certificate, n)
-            bound, clamped = bv.raw, bv.clamped
+            bound, clamped = bound_eval(certificate, n)
         exact = model.exact_tv(float(x0), float(x0_prime), n)
         rows.append(TVCurveRow(
             n=n, bound=bound, bound_clamped=clamped, tv_sim=est.estimate, tv_exact=exact, mc_se=est.mc_se,
-            noise_floor=est.noise_floor, density_sup=max(h.density_sup(0), h.density_sup(1)),
+            noise_floor=est.noise_floor, density_sup=est.density_sup,
         ))
     return TVCurve(rows)
 

@@ -13,7 +13,8 @@
   :func:`innovations_from_full`, the reduced chain's innovations from
   those draws: the de-initialization that makes the reduced chain govern
   the full sampler.
-* :func:`histogram_from_samples`, a one-copy ``tvlab.Histogram``.
+* :func:`histogram_from_samples`, a one-copy ``tvlab.Histogram``, and
+  :func:`copy_counts`, one copy's counts unpacked from a histogram.
 """
 
 import math
@@ -140,3 +141,8 @@ def histogram_from_samples(samples, bin_width: float) -> Histogram:
     if x.size:
         h.fold(*_cells(x, bin_width))
     return h
+
+
+def copy_counts(h: Histogram, copy: int) -> np.ndarray:
+    """Copy ``copy``'s count in each stored cell of ``h``, as int64."""
+    return h.counts >> 32 if copy else h.counts & 0xFFFFFFFF

@@ -135,6 +135,19 @@ def test_iterations_matches_naive_scan():
             assert iterations_to_epsilon(cert, eps) == n
 
 
+@pytest.mark.parametrize("d, c, gap, n0, exp_offset, exp_step, eps, expected", [
+    (1 - 2**-53, 1.0, 1.0, 0, 0, 1, 0.01, 41479685467187373),
+    (1 - 2**-53, 3.0, 2.0, 5, 0, 2, 1e-4, 198196210980561590),
+    (1 - 2**-52, 46.07, 1.0, 0, 1, 1, 0.5, 20371173445240747),
+    (1 - 2**-52, 1e-3, 0.5, 0, 1, 3, 1e-6, 83964320148923538),
+])
+def test_iterations_next_to_d_one(d, c, gap, n0, exp_offset, exp_step, eps, expected):
+    # the largest D below 1 needs about 2**53 * log(C gap / eps) iterations, past any scan;
+    # expected: the answers of a search that jumps by logs, then scans
+    cert = BoundCertificate(c=c, d=d, n0=n0, gap=gap, exp_offset=exp_offset, exp_step=exp_step)
+    assert iterations_to_epsilon(cert, eps) == expected
+
+
 # ------------------------------------------------- contraction and coalescing
 
 def test_sideways_single_mode():

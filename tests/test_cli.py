@@ -261,6 +261,25 @@ def test_dataset_stats_builtin_rejects_the_csv_flags(capsys, flag, value):
     assert err == f"error: --builtin takes no {flag}\n"
 
 
+def test_dataset_stats_location_csv_rejects_prior_lambda(tmp_path, capsys):
+    # a location dataset has no prior: the flag was dropped with exit 0
+    p = tmp_path / "loc.csv"
+    p.write_text("y\n1.0\n2.0\n4.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "dataset-stats", "--csv", str(p), "--y-column", "y", "--prior-lambda", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: location data (no x_columns) takes no prior precision (prior_lambda)\n"
+
+
+def test_dataset_stats_rejects_an_infinite_prior_lambda(tmp_path, capsys):
+    # an infinite prior precision was reported as a rank-deficient design matrix
+    p = tmp_path / "toy.csv"
+    p.write_text("y,one\n1.0,1\n2.0,1\n3.0,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "dataset-stats", "--csv", str(p), "--y-column", "y", "--x-columns", "one",
+                         "--prior-lambda", "inf")
+    assert code == 2 and out == ""
+    assert err == "error: prior precision must be finite and > 0, got inf\n"
+
+
 def test_dataset_stats_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "dataset-stats", "--csv", "/no/such/file.csv", "--y-column", "y")
     assert code == 2
@@ -395,6 +414,18 @@ def test_every_family_choice_builds_a_certificate_and_a_curve(capsys):
 
 AR_D = {"a": [[0.5, 0.125], [0.125, 0.5]], "sigma": [[1.0, 0.0], [0.0, 1.0]], "x0": [1.0, 1.0], "x0p": [0.0, 0.0]}
 ASYM_GAMMA_100 = {"a": 0.005, "b": 3.0, "c": 5.0, "z": {"dist": "gamma", "shape": 100, "rate": 1}, "jensen": False}
+# E|Z| = 0.4 exists and E Z^2 does not
+ASYM_INV_GAMMA_15 = {"a": 0.5, "b": 3, "c": 5, "z": {"dist": "inverse-gamma", "shape": 1.5, "rate": 0.2}, "gap": 5}
+
+
+def test_asym_arch_exact_rate_needs_no_second_moment(capsys):
+    # D = |a| E|Z| = 0.2 and C = |a|/|c| = 0.1 (log_scale_sup 0.46 <= 2); the
+    # certificate exited 2 on the Jensen relaxation's missing E Z^2
+    params = json.dumps({**ASYM_INV_GAMMA_15, "jensen": False})
+    code, out, err = run(capsys, "certificate", "--family", "asym-arch", "--params", params)
+    assert code == 0, err
+    cert = json.loads(out)
+    assert (cert["C"], cert["D"], cert["details"]) == (0.1, 0.2, {"d_exact": 0.2})
 
 
 # `curve` takes every chain family, `certificate` and `iters` every --family
@@ -463,6 +494,7 @@ def test_curve_rejects_unknown_model_key(capsys, command, family, key):
     ("iters", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
     ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": 0.5, "sigma": 1.0},
                                   "gap": 1}),
+    ("certificate", "asym-arch", {**ASYM_INV_GAMMA_15, "jensen": True}),  # the Jensen D needs E Z^2
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],

@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvbounds.bounds import (
@@ -74,6 +74,42 @@ def test_iterations_to_epsilon_is_the_first_crossing(cert, eps):
     assert n > cert.n0
     assert bound_eval(cert, n).raw < eps
     assert n - 1 == cert.n0 or bound_eval(cert, n - 1).raw >= eps
+
+
+# C, D and gap each take 0; answers stay below 10**4 (C * gap <= 10**6,
+# D <= 0.99, eps >= 1e-6 or within 2 ulps of a bound value at n0 + 1 + k)
+small_answer_certificates = st.builds(
+    BoundCertificate,
+    c=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    d=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    n0=st.integers(0, 50),
+    gap=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    exp_offset=st.sampled_from((0, 1)),
+    exp_step=st.sampled_from((1, 2, 3)),
+)
+
+
+def _first_below_by_scan(cert, eps):
+    n = cert.n0 + 1
+    while bound_eval(cert, n).raw >= eps:
+        n += 1
+    return n
+
+
+@PROPERTY
+@given(small_answer_certificates, st.floats(1e-6, 1.0, exclude_max=True))
+def test_iterations_to_epsilon_matches_a_linear_scan(cert, eps):
+    assert iterations_to_epsilon(cert, eps) == _first_below_by_scan(cert, eps)
+
+
+@PROPERTY
+@given(small_answer_certificates, st.integers(0, 9_000), st.integers(-2, 2))
+def test_iterations_to_epsilon_matches_a_linear_scan_near_a_bound_value(cert, k, ulps):
+    eps = bound_eval(cert, cert.n0 + 1 + k).raw
+    for _ in range(abs(ulps)):
+        eps = math.nextafter(eps, math.copysign(math.inf, ulps))
+    assume(0 < eps < 1)
+    assert iterations_to_epsilon(cert, eps) == _first_below_by_scan(cert, eps)
 
 
 @PROPERTY

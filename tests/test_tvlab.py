@@ -23,7 +23,7 @@ from tvbounds.tvlab import (
     tv_histogram,
 )
 
-from oracles import histogram_from_samples
+from oracles import copy_counts, histogram_from_samples
 
 
 # ----------------------------------------------------------------- histogram
@@ -107,12 +107,8 @@ def test_monotone_map_invariance(rng):
     affine = tv_histogram(2 * a, 2 * b, 2 * w)
     assert affine.estimate == pytest.approx(base.estimate, abs=1e-15)
     # exp map onto a fresh uniform grid: within the binning allowance
-    dens_sup = max(
-        histogram_from_samples(np.exp(a), w).density_sup(),
-        histogram_from_samples(np.exp(b), w).density_sup(),
-    )
     exp_est = tv_histogram(np.exp(a), np.exp(b), w)
-    assert abs(exp_est.estimate - base.estimate) <= 2 * w * dens_sup + 3 * (exp_est.mc_se + base.mc_se)
+    assert abs(exp_est.estimate - base.estimate) <= 2 * w * exp_est.density_sup + 3 * (exp_est.mc_se + base.mc_se)
 
 
 def test_histogram_merge_matches_bulk(rng):
@@ -122,7 +118,7 @@ def test_histogram_merge_matches_bulk(rng):
     h.fold(*tvlab._cells(x[4_000:], 0.1))
     bulk = histogram_from_samples(x, 0.1)
     assert np.array_equal(h.cells, bulk.cells) and np.array_equal(h.counts, bulk.counts)
-    assert h.total() == bulk.total() == x.size
+    assert copy_counts(h, 0).sum() == copy_counts(bulk, 0).sum() == x.size
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])  # a dense span, and one sorted instead
@@ -169,9 +165,9 @@ def test_packed_copies_folded_in_any_order_match_each_bulk(chunks, heavy, seed):
     for copy in (0, 1):
         xs = [x for c, x in parts if c == copy]
         bulk = histogram_from_samples(np.concatenate(xs) if xs else [], 0.01)
-        counts = h.copy_counts(copy)
+        counts = copy_counts(h, copy)
         assert np.array_equal(h.cells[counts != 0], bulk.cells) and np.array_equal(counts[counts != 0], bulk.counts)
-        assert h.total(copy) == sum(x.size for x in xs)
+        assert counts.sum() == sum(x.size for x in xs)
     if heavy:
         assert sorted_folds == len(parts) - 1
 
@@ -184,7 +180,7 @@ def test_histogram_matches_np_unique(rng):
         cells, counts = np.unique(np.floor(x / w).astype(np.int64), return_counts=True)
         assert np.array_equal(h.cells, cells) and np.array_equal(h.counts, counts)
         assert h.cells.dtype == h.counts.dtype == np.int64
-        assert h.total() == n and h.total(1) == 0
+        assert copy_counts(h, 0).sum() == n and copy_counts(h, 1).sum() == 0
 
 
 def _dict_tv(a, b, w):
@@ -204,6 +200,7 @@ def _dict_tv(a, b, w):
         0.5 * float(np.abs(ca / na - cb / nb).sum()),
         0.5 * math.sqrt(float((sa * (1 - sa) / na + sb * (1 - sb) / nb).sum())),
         0.5 * math.sqrt(2 / math.pi) * float(np.sqrt(pooled * (1 - pooled) * (1.0 / na + 1.0 / nb)).sum()),
+        max(max(da.values()) / (na * w), max(db.values()) / (nb * w)),
     )
 
 
@@ -508,13 +505,34 @@ def test_curve_sizes_must_be_integers(n_max, n_paths, name):
         simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 1.0, n_max, n_paths, 0.01, NoiseStream(1))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param({"workers": 0}, "need workers >= 1, got 0", id="workers-0"),
+    pytest.param({"workers": -3}, "need workers >= 1, got -3", id="workers-negative"),
+    pytest.param({"workers": True}, "workers must be an integer", id="workers-bool"),
+    pytest.param({"workers": 2.5}, "workers must be an integer", id="workers-fraction"),
+    pytest.param({"workers": "2"}, "workers must be an integer", id="workers-string"),
+    pytest.param({"stream": np.random.default_rng(1)}, "stream must be a NoiseStream", id="stream-generator"),
+    pytest.param({"certificate": {"C": 1.0, "D": 0.5}}, "certificate must be a BoundCertificate", id="cert-dict"),
+])
+def test_curve_checks_every_argument_before_any_job(monkeypatch, kwargs, message):
+    # these ran serially, sized a pool by a float, or failed inside a job or
+    # after every path was simulated
+    def no_job(*args, **kw):
+        raise AssertionError("a chunk job ran")
+
+    monkeypatch.setattr(NoiseStream, "substream", no_job)
+    kw = {"n_max": 2, "n_paths": 100, "bin_width": 0.01, "stream": NoiseStream(1), **kwargs}
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 1.0, **kw)
+
+
 def test_curve_folds_lose_no_count_under_fast_thread_switching(monkeypatch):
     # more workers than cores fold into one curve's histograms while the
     # interpreter switches threads every microsecond: a lost update loses counts
     totals = []
 
     def capture(h):
-        totals.append((h.total(0), h.total(1)))
+        totals.append((int(copy_counts(h, 0).sum()), int(copy_counts(h, 1).sum())))
         return tv_from_histograms(h)
 
     monkeypatch.setattr(tvlab, "tv_from_histograms", capture)
