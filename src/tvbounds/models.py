@@ -147,7 +147,8 @@ class NonlinearAR(Family):
 
     def certificate(self, gap, d_squared=None):
         """Two-iteration certificate, TV(n) <= (1/sqrt(2 pi)) * (D^2)^floor(n/2) * gap,
-        with D^2 from :func:`bounds.nonlinear_ar_D` unless ``d_squared`` pins it."""
+        with D^2 from the pinned constant :func:`bounds.nonlinear_ar_D` unless
+        ``d_squared`` is given."""
         if d_squared is None:
             d_squared = bounds.nonlinear_ar_D() ** 2
         elif not (stochastics._is_real(d_squared) and d_squared > 0):

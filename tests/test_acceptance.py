@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import full_step
+from oracles import full_step, nonlinear_ar_D_search
 from test_tvlab import shifted_l1
 from tvbounds import bounds, data, models, tvlab
 from tvbounds.cli import PHD_DELAY_ENV, reproduction_rows
@@ -123,7 +123,8 @@ def test_criterion_2_location_gibbs(trees):
 def test_criterion_3_nonlinear_ar():
     t0 = time.time()
     d = bounds.nonlinear_ar_D()
-    ok_d = 0.808 <= d <= 0.818
+    d_search = nonlinear_ar_D_search()
+    ok_d = 0.808 <= d <= 0.818 and abs(d_search - d) <= 4 * math.ulp(d)
     cert = models.NonlinearAR().certificate(gap=1.0, d_squared=0.661)
     b20 = bounds.bound_eval(cert, 20).raw
     ok_b = b20 < 0.01
@@ -131,7 +132,8 @@ def test_criterion_3_nonlinear_ar():
     report(
         "criterion 3 (nonlinear AR)",
         ok_d and ok_b and elapsed < 60.0,
-        f"grid D = {d:.6f} in [0.808, 0.818]; bound(20) = {b20:.6f} < 0.01; {elapsed:.1f}s",
+        f"pinned D = {d!r} in [0.808, 0.818], grid search D = {d_search!r} within 4 ulps; "
+        f"bound(20) = {b20:.6f} < 0.01; {elapsed:.1f}s",
     )
 
 

@@ -18,7 +18,6 @@ from tvbounds.bounds import (
     location_drift_constants,
     mc_location_drift_fit,
     nonlinear_ar_D,
-    nonlinear_ar_two_step_ratio,
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
 from tvbounds.models import (
@@ -34,7 +33,7 @@ from tvbounds.models import (
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, abs_moment, density
 
 from conftest import _certificate_from_dict
-from oracles import nonlinear_ar_exact_two_step_ratio
+from oracles import nonlinear_ar_D_search, nonlinear_ar_exact_two_step_ratio, nonlinear_ar_two_step_ratio
 
 S_TREES = 295.43741935483877
 
@@ -88,6 +87,13 @@ def test_certificate_exponent_parameters_are_integers(key, value):
         BoundCertificate(**{"c": 1.0, "d": 0.5, "n0": 0, "gap": 1.0, key: value})
     cert = BoundCertificate(**{"c": 1.0, "d": 0.5, "n0": 0, "gap": 1.0, key: 2.0})
     assert type(getattr(cert, key)) is int and type(cert.exponent(5)) is int
+
+
+@pytest.mark.parametrize("key, value", [("n0", -1), ("exp_offset", -1), ("exp_step", 0)])
+def test_certificate_exponent_parameters_in_range(key, value):
+    # exp_offset = -1 at D = 0 made bound_eval(cert, 1) raise ZeroDivisionError (0.0 ** -1)
+    with pytest.raises(ParameterError, match=f"{key} must be >= "):
+        BoundCertificate(**{"c": 1.0, "d": 0.0, "n0": 0, "gap": 1.0, key: value})
 
 
 def test_bound_monotone_and_exact_ratio():
@@ -547,7 +553,7 @@ def test_ar_normal_d_errors():
 
 def _nonlinear_ar_lattice_D(points: int) -> float:
     """sqrt of the sup of the closed-form ratio on a points x points lattice
-    of [-4 pi, 4 pi]^2, pairs closer than 0.5 excluded: nonlinear_ar_D's
+    of [-4 pi, 4 pi]^2, pairs closer than 0.5 excluded: nonlinear_ar_D_search's
     coarse search at a finer lattice and without its zoom."""
     ax = np.linspace(-4 * math.pi, 4 * math.pi, points)
     best = -math.inf
@@ -566,6 +572,11 @@ def test_nonlinear_ar_D_in_band():
     # 0.8139256, the Nelder-Mead refinement of that lattice's best point
     assert d >= _nonlinear_ar_lattice_D(2001)
     assert d >= 0.8139256
+
+
+def test_nonlinear_ar_D_search_reproduces_the_pinned_value():
+    # numpy's sin and cos may round differently on another platform
+    assert abs(nonlinear_ar_D_search() - nonlinear_ar_D()) <= 4 * math.ulp(nonlinear_ar_D())
 
 
 def test_nonlinear_ar_ratio_continuous_near_diagonal():

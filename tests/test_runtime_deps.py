@@ -126,8 +126,9 @@ GARCH = '{"alpha2":0.13,"beta2":0.1266,"gamma2":0.7922,"z":{"dist":"normal","mu"
       "--s20", "0.0001", "--s20p", "0.01"], CURVE_AND_DATA),
     (["iters", "--family", "location-gibbs", "--params", '{"j":31,"s":295.4374194}', "--gap", "18.12198",
       "--epsilon", "0.01"], CURVE_AND_DATA),
+    (["certificate", "--family", "nonlinear-ar", "--gap", "1"], (*CURVE_AND_DATA, "numpy._core")),
     (["repro", "--seed", "1"], ("tvbounds.tvlab", "concurrent.futures")),  # repro reads the girth data
-], ids=["import", "certificate", "iters", "repro"])
+], ids=["import", "certificate", "iters", "certificate-nonlinear-ar", "repro"])
 def test_cold_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     # certificate and iters are closed-form arithmetic: their latency is start-up
     script = (
@@ -139,8 +140,9 @@ def test_cold_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     assert json.loads(_run_python(script, tmp_path).splitlines()[-1]) == {"code": 0, "loaded": []}
 
 
-# a valid certificate of each family whose constants are closed forms
+# a valid certificate of each family whose constants are closed forms or pinned
 CLOSED_FORM = {
+    "nonlinear-ar": ["--gap", "1"],
     "ar1": ["--a", "0.5", "--sigma", "1", "--x0", "0", "--x0p", "1"],
     "larch": ["--params", '{"beta0":1,"beta1":0.5,"z":{"dist":"chi-square","nu":1}}', "--x0", "0.01",
               "--x0p", "1.21"],
