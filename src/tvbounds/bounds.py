@@ -29,13 +29,12 @@ and the Monte-Carlo drift fit :func:`mc_location_drift_fit`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import stochastics
 from ._lazy import lazy_import
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import InverseGamma
+from .stochastics import InverseGamma, Record
 
 np = lazy_import("numpy")
 
@@ -77,14 +76,24 @@ def _square_matrix(name: str, m) -> np.ndarray:
     return a
 
 
-def _inverse(name: str, a: np.ndarray) -> np.ndarray:
-    """Inverse of the square float matrix ``a``, whose condition number must be at most 1e12."""
+def _singular_values(name: str, a: np.ndarray) -> np.ndarray:
+    """Singular values of the square float matrix ``a``, largest first, whose
+    condition number s[0] / s[-1] must be at most 1e12 (inf when s[-1] is 0
+    or NaN, as ``np.linalg.cond`` reports it)."""
     try:
-        cond = np.linalg.cond(a)
+        s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(f"{name} inversion failed: {exc}") from None
-    if not np.isfinite(cond) or cond > 1e12:
+    with np.errstate(over="ignore"):  # a tiny s[-1] overflows the ratio to inf, which fails below
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    if not cond <= 1e12:
         raise ParameterError(f"{name} is singular or ill-conditioned (condition {cond:.3e})")
+    return s
+
+
+def _inverse(name: str, a: np.ndarray) -> np.ndarray:
+    """Inverse of the square float matrix ``a``, whose condition number must be at most 1e12."""
+    _singular_values(name, a)
     return np.linalg.inv(a)
 
 
@@ -93,8 +102,7 @@ class BoundValue(NamedTuple):
     clamped: float
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     """The computable bound C * D^exponent(n) * gap.  Its check that D lies
     in [0, 1) is the one contraction check; the family certificates leave it here.
 
@@ -111,7 +119,7 @@ class BoundCertificate:
     notes: tuple = ()
     exp_offset: int = 0
     exp_step: int = 1
-    details: dict = field(default_factory=dict)
+    details: dict = {}
 
     def __post_init__(self):
         for key, v in (("C", self.c), ("D", self.d), ("gap", self.gap)):
@@ -119,6 +127,7 @@ class BoundCertificate:
                 raise ParameterError(f"certificate {key} must be a finite real number, got {v!r}")
         for key in ("n0", "exp_offset", "exp_step"):
             object.__setattr__(self, key, integral(key, getattr(self, key)))
+        object.__setattr__(self, "details", dict(self.details))  # no two certificates share the default {}
         # C = 0 / D = 0 are degenerate but legal (immediate coupling)
         if self.c < 0:
             raise ParameterError(f"certificate C must be >= 0, got {self.c}")
@@ -175,8 +184,7 @@ def inverse_gamma_mode_height(alpha: float, beta: float) -> float:
     return math.exp(alpha * math.log(beta) - (alpha + 1) * math.log(mode) - beta / mode - math.lgamma(alpha))
 
 
-@dataclass(frozen=True)
-class DriftSpec:
+class DriftSpec(Record):
     """Drift condition E[V(X_n) | X_{n-1}] <= lam*V(X_{n-1}) + b for V(x) = (x+h)^2."""
 
     lam: float

@@ -19,7 +19,6 @@ its certificate does (garch); any other start key exits 2.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -107,7 +106,8 @@ def _split(family: str, params: dict):
     if cls is None:  # no chain, so no start: the certificate call rejects any key it does not take
         model, build, options = None, bounds.independent_coordinates_certificate, params
     else:
-        keys = inspect.signature(cls.certificate).parameters
+        code = cls.certificate.__code__  # its parameter names, self first, then its locals
+        keys = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
         fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
         model = models.model_from_dict({"family": family, "params": fields})
         for key in [k for k in START_KEYS if k in params and k not in ("x0", "x0p", *keys)]:

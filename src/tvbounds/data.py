@@ -15,12 +15,12 @@ certificate constant.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds, stochastics
 from .errors import IngestionError, ParameterError
+from .stochastics import Record
 
 __all__ = [
     "RegressionData",
@@ -53,31 +53,31 @@ def builtin_dataset(name: str) -> "LocationData":
     return LocationData(np.array(values, dtype=float))
 
 
-@dataclass
-class LocationData:
+class LocationData(Record):
     """A single numeric sample y_1..y_J."""
 
     y: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.y.ndim != 1 or self.y.size < 3:
             raise ParameterError(f"location data needs a 1-d sample with J >= 3, got shape {self.y.shape}")
         if not np.all(np.isfinite(self.y)):
             raise ParameterError("location data must be finite")
 
 
-@dataclass
-class RegressionData:
+class RegressionData(Record):
     """Response Y (length k), design X (k x p), and the known prior precision."""
 
     y: np.ndarray
     x: np.ndarray
     prior_lambda: float
+    __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.y.ndim != 1 or self.x.ndim != 2 or self.x.shape[0] != self.y.size:
             raise ParameterError(
                 f"need Y of length k and X of shape (k, p); got {self.y.shape} and {self.x.shape}"

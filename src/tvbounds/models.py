@@ -1,10 +1,10 @@
 """Chain families as iterated random functions X_n = g(theta_n, X_{n-1}).
 
-Each family is one frozen dataclass derived from :class:`Family` that
-describes it whole, each operation a method: JSON tag, parameters,
-innovation draw, transition, state, observable, certificate (the
-family's C and D, written out from its fields) and (where known) exact
-TV; a Gibbs family is its reduced scalar chain alone.
+Each family is one frozen :class:`stochastics.Record` derived from
+:class:`Family` that describes it whole, each operation a method: JSON
+tag, parameters, innovation draw, transition, state, observable,
+certificate (the family's C and D, written out from its fields) and
+(where known) exact TV; a Gibbs family is its reduced scalar chain alone.
 :data:`FAMILIES` (tag -> class) is the registry.
 :func:`draw_innovations`, :func:`step` and :func:`observable` forward to
 the family only because they are the layer boundaries
@@ -24,14 +24,13 @@ first use, so a closed-form certificate never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple
 
 from . import bounds, stochastics
 from ._lazy import lazy_import
 from .bounds import BoundCertificate
 from .errors import DomainError, ParameterError, StateError
-from .stochastics import Dist, Gamma, InverseGamma, Normal, dist_from_dict, dist_to_dict
+from .stochastics import Dist, Gamma, InverseGamma, Normal, Record, dist_from_dict, dist_to_dict
 
 np = lazy_import("numpy")
 
@@ -66,8 +65,7 @@ def _out(out, *operands):
     return np.empty(np.broadcast(*operands).shape) if out is None else out
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A chain family.  Subclasses set ``family`` (the JSON tag), check
     their fields in ``__post_init__`` and define ``step`` and ``certificate``
     (which builds the family's :class:`bounds.BoundCertificate` from its
@@ -130,7 +128,6 @@ class Family:
                 raise ParameterError(f"{type(self).__name__} {name} must be a finite real number, got {v!r}")
 
 
-@dataclass(frozen=True)
 class NonlinearAR(Family):
     """X_n = (X_{n-1} - sin X_{n-1})/2 + Z_n with Z standard normal."""
 
@@ -166,7 +163,6 @@ class NonlinearAR(Family):
         )
 
 
-@dataclass(frozen=True)
 class ARNormal1D(Family):
     """X_n = a X_{n-1} + sigma Z_n.  The innovation ``draw`` returns is
     sigma Z_n itself, drawn from ``z`` = Normal(0, sigma) and scaled in
@@ -208,7 +204,6 @@ class ARNormal1D(Family):
         return 1.0 - math.erfc(abs(self.a**n * (x0 - x0p)) / (2 * math.sqrt(2 * v)))
 
 
-@dataclass(frozen=True, eq=False)
 class ARNormalD(Family):
     """X_n = A X_{n-1} + Sigma Z_n with Z a standard normal vector."""
 
@@ -216,6 +211,7 @@ class ARNormalD(Family):
     state_ndim: ClassVar[int] = 1
     a: np.ndarray
     sigma: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
 
     def __post_init__(self):
         a = bounds._square_matrix("A", self.a)
@@ -254,10 +250,11 @@ class ARNormalD(Family):
         if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
             raise ParameterError("A is not symmetric; only symmetric input is supported")
         rate = float(np.linalg.norm(a, 2))
-        sigma_inv = bounds._inverse("Sigma", self.sigma)
+        # ||Sigma^-1||_F from the singular values s of Sigma: sqrt(sum 1/s_i^2)
+        sigma_inv_f = np.linalg.norm(1 / bounds._singular_values("Sigma", self.sigma))
         d = self.dim
         gap_norm = float(np.linalg.norm(self.start_state(x0) - self.start_state(x0p, names=("x0p", "s20p"))))
-        c = float(math.sqrt(d / (2 * math.pi)) * np.linalg.norm(sigma_inv) * d * gap_norm)
+        c = float(math.sqrt(d / (2 * math.pi)) * sigma_inv_f * d * gap_norm)
         return BoundCertificate(
             c=c,
             d=rate,
@@ -281,7 +278,6 @@ def _check_garch_s2(s2):
         raise StateError("GARCH sigma^2 state must be >= 0")
 
 
-@dataclass(frozen=True)
 class _Gibbs(Family):
     """Reduced Gibbs chain r_n = X_n Y_n r_{n-1} + Y_n on a positive state,
     with X ~ Gamma(p/2, C/2) and Y ~ InverseGamma((k+p)/2, C/2), which
@@ -314,7 +310,6 @@ class _Gibbs(Family):
         return x
 
 
-@dataclass(frozen=True)
 class LocationGibbsTau(_Gibbs):
     """Reduced location-model Gibbs chain on the inverse precision.
 
@@ -373,7 +368,6 @@ class LocationGibbsTau(_Gibbs):
         )
 
 
-@dataclass(frozen=True)
 class RegressionGibbsSigma(_Gibbs):
     """Reduced regression Gibbs chain on the noise variance.
 
@@ -412,7 +406,6 @@ class RegressionGibbsSigma(_Gibbs):
         )
 
 
-@dataclass(frozen=True)
 class LARCH(Family):
     """X_n = (beta0 + beta1 X_{n-1}) Z_n with Z > 0 a.s.
 
@@ -464,7 +457,6 @@ class LARCH(Family):
         )
 
 
-@dataclass(frozen=True)
 class AsymARCH(Family):
     """X_n = sqrt((a X_{n-1} + b)^2 + c^2) Z_n, Z ~ N(0, 1) by default."""
 
@@ -521,7 +513,6 @@ class AsymARCH(Family):
         )
 
 
-@dataclass(frozen=True)
 class GARCH(Family):
     """GARCH(1,1): X_n = sigma_n Z_n, sigma^2_n = alpha2 + beta2 X^2_{n-1} + gamma2 sigma^2_{n-1}.
 
@@ -635,13 +626,13 @@ def model_to_dict(model: Family) -> dict:
     if FAMILIES.get(getattr(model, "family", None)) is not type(model):
         raise ParameterError(f"unknown model {model!r}")
     params = {}
-    for f in fields(model):
-        value = getattr(model, f.name)
-        if f.name == "z":
+    for name in model._fields:
+        value = getattr(model, name)
+        if name == "z":
             value = dist_to_dict(value)
         elif isinstance(value, np.ndarray):
             value = value.tolist()
-        params[f.name] = value
+        params[name] = value
     return {"family": model.family, "params": params}
 
 

@@ -1,8 +1,8 @@
 """Innovation distributions and reproducible random streams.
 
 Only the four laws the chain definitions need are provided: normal,
-chi-square, gamma and inverse-gamma.  Each is one frozen dataclass that
-describes its law whole: JSON ``tag``, parameter fields, ``draw``,
+chi-square, gamma and inverse-gamma.  Each is one frozen :class:`Record`
+that describes its law whole: JSON ``tag``, parameter fields, ``draw``,
 ``log_density`` on its support, ``abs_moment(k)``, the flag ``positive``
 for laws on (0, inf) and, on those and a centred normal,
 ``log_scale_sup()``, the closed-form height of the density of log|Z|.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 from ._lazy import lazy_import
@@ -83,8 +82,64 @@ def _finite_positive(*values) -> bool:
     return all(_is_real(v) and v > 0 for v in values)
 
 
-@dataclass(frozen=True)
-class Normal:
+class Record:
+    """A frozen record, the base of the package's parameter and result classes.
+
+    Its fields, ``_fields``, are the names annotated along its MRO, base
+    first, except ``ClassVar`` ones; a class attribute is a default.  The
+    constructor binds arguments to fields as a call binds parameters
+    (TypeError for an unknown, repeated or missing one), then runs
+    ``__post_init__``, which may set a field with ``object.__setattr__``.
+    Records compare and hash by type and fields, and print as
+    ``Name(field=value, ...)``, as a frozen dataclass does."""
+
+    _fields: ClassVar[tuple] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {}  # insertion-ordered: a field keeps the place of its first annotation
+        for klass in reversed(cls.__mro__):
+            for name, kind in getattr(klass, "__annotations__", {}).items():  # its own, on Python >= 3.10
+                if not str(kind).startswith(("ClassVar", "typing.ClassVar")):
+                    names[name] = None
+        cls._fields = tuple(names)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values and not hasattr(cls, name)]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments {missing}")
+        self.__dict__.update({name: values[name] if name in values else getattr(cls, name) for name in names})
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, n) for n in self._fields] == [getattr(other, n) for n in self._fields]
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self._fields))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class Normal(Record):
     tag: ClassVar[str] = "normal"
     positive: ClassVar[bool] = False
     mu: float
@@ -130,8 +185,7 @@ class Normal:
         return math.sqrt(2 / math.pi) * math.exp(-0.5)
 
 
-@dataclass(frozen=True)
-class ChiSquare:
+class ChiSquare(Record):
     """Chi-square with nu degrees of freedom: the law of Gamma(nu/2, 1/2),
     whose density and moments it uses."""
 
@@ -156,8 +210,7 @@ class ChiSquare:
         return Gamma(self.nu / 2, 0.5).log_scale_sup()
 
 
-@dataclass(frozen=True)
-class Gamma:
+class Gamma(Record):
     """Gamma with SHAPE-RATE convention: mean = shape/rate."""
 
     tag: ClassVar[str] = "gamma"
@@ -200,8 +253,7 @@ class Gamma:
         return math.exp(self.shape * math.log(self.shape) - self.shape - math.lgamma(self.shape))
 
 
-@dataclass(frozen=True)
-class InverseGamma:
+class InverseGamma(Record):
     """Inverse gamma with SHAPE-RATE convention: mean = rate/(shape-1);
     drawn as the reciprocal of a Gamma(shape, rate) draw."""
 
@@ -242,8 +294,7 @@ Dist = Union[Normal, ChiSquare, Gamma, InverseGamma]
 DISTS = {cls.tag: cls for cls in (Normal, ChiSquare, Gamma, InverseGamma)}
 
 
-@dataclass(frozen=True)
-class NoiseStream:
+class NoiseStream(Record):
     """Reproducible, splittable source of innovations.
 
     A stream is the key ``(seed, stream_id, *path)``; ``path`` is the
@@ -338,7 +389,7 @@ def dist_to_dict(dist: Dist) -> dict:
     """JSON-ready {"dist": tag, <field>: value, ...} form."""
     if DISTS.get(getattr(dist, "tag", None)) is not type(dist):
         raise ParameterError(f"unknown distribution {dist!r}")
-    return {"dist": dist.tag, **{f.name: getattr(dist, f.name) for f in fields(dist)}}
+    return {"dist": dist.tag, **{name: getattr(dist, name) for name in dist._fields}}
 
 
 def dist_from_dict(d: dict) -> Dist:

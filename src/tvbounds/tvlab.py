@@ -58,7 +58,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 # a plain import, not _lazy's first-use stub: the stub's load takes no lock, and
@@ -71,7 +70,7 @@ from . import stochastics
 from .bounds import BoundCertificate, bound_eval, integral
 from .errors import ParameterError, SimulationError
 from .models import Family
-from .stochastics import NoiseStream
+from .stochastics import NoiseStream, Record
 
 __all__ = [
     "Histogram",
@@ -154,7 +153,6 @@ def _tally(cells: np.ndarray, lo: int, hi: int, tallied_cells: np.ndarray, talli
     return occupied + lo, counts[occupied]
 
 
-@dataclass(eq=False)
 class Histogram:
     """Fixed-width counting histogram anchored at 0 of two samples,
     copies a (0) and b (1), on one cell list.
@@ -166,13 +164,12 @@ class Histogram:
     int64 arrays.  A histogram of one sample holds it as copy a.
     """
 
-    bin_width: float
-    cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    counts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __post_init__(self):
-        if not (stochastics._is_real(self.bin_width) and self.bin_width > 0):
-            raise ParameterError(f"bin width must be finite and > 0, got {self.bin_width}")
+    def __init__(self, bin_width: float):
+        if not (stochastics._is_real(bin_width) and bin_width > 0):
+            raise ParameterError(f"bin width must be finite and > 0, got {bin_width}")
+        self.bin_width = bin_width
+        self.cells = np.empty(0, dtype=np.int64)
+        self.counts = np.empty(0, dtype=np.int64)
 
     def fold(self, cells: np.ndarray, lo: int, hi: int, copy: int = 0) -> None:
         """Add one count to copy ``copy`` for each cell index in ``cells``,
@@ -232,8 +229,7 @@ def tv_histogram(samples_a, samples_b, bin_width: float) -> TVEstimate:
     return tv_from_histograms(h)
 
 
-@dataclass
-class TVCurveRow:
+class TVCurveRow(Record):
     n: int
     bound: Optional[float]
     bound_clamped: Optional[float]
@@ -244,8 +240,7 @@ class TVCurveRow:
     density_sup: Optional[float] = None
 
 
-@dataclass
-class TVCurve:
+class TVCurve(Record):
     rows: list
 
     CSV_HEADER = "n,bound,bound_clamped,tv_sim,tv_exact,mc_se"

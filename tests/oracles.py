@@ -17,6 +17,9 @@
   the full sampler.
 * :func:`histogram_from_samples`, a one-copy ``tvlab.Histogram``, and
   :func:`copy_counts`, one copy's counts unpacked from a histogram.
+* :func:`regression_gibbs_tv1_rate`, an upper bound on the one-step TV
+  per unit of start distance of the reduced regression Gibbs chain, by
+  quadrature: what the certificate's C must dominate.
 """
 
 import math
@@ -222,3 +225,32 @@ def histogram_from_samples(samples, bin_width: float) -> Histogram:
 def copy_counts(h: Histogram, copy: int) -> np.ndarray:
     """Copy ``copy``'s count in each stored cell of ``h``, as int64."""
     return h.counts >> 32 if copy else h.counts & 0xFFFFFFFF
+
+
+def regression_gibbs_tv1_rate(k: int, p: int, c_stat: float, r: float, delta: float) -> float:
+    """E_X[TV((r' | X, r), (r' | X, r + delta))] / delta for the reduced
+    regression Gibbs chain r' = X Y r + Y with X ~ Gamma(p/2, C/2) and
+    Y ~ InverseGamma((k+p)/2, C/2), written out here rather than read from
+    the model.  TV is convex, so the TV of the two one-step laws (mixtures
+    over X) is at most this mean, and this bounds TV_1(r, r + delta)/delta
+    from above; a sound certificate has C at least its sup over r and delta.
+
+    Given X, 1/r' = (1/Y)/(X r + 1) is Gamma(a, (C/2)(X r + 1)) with
+    a = (k+p)/2, so the two laws are gamma laws of one shape whose rates
+    are in the ratio rho = 1 + e, e = X delta/(X r + 1).  Their densities
+    cross once, where the smaller rate times the crossing point is
+    t = a log(rho)/(rho - 1), so TV = P(a, rho t) - P(a, t) with P the
+    regularized lower incomplete gamma.  The mean over X is a quadrature
+    over its quantiles q in (0, 1).
+    """
+    from scipy import integrate, special
+
+    a = (k + p) / 2
+
+    def tv_given(q):
+        x = special.gammaincinv(p / 2, q) * 2 / c_stat
+        e = x * delta / (x * r + 1)
+        t = a * math.log1p(e) / e
+        return special.gammainc(a, (1 + e) * t) - special.gammainc(a, t)
+
+    return integrate.quad(tv_given, 0, 1)[0] / delta

@@ -33,7 +33,12 @@ from tvbounds.models import (
 from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, abs_moment, density
 
 from conftest import _certificate_from_dict
-from oracles import nonlinear_ar_D_search, nonlinear_ar_exact_two_step_ratio, nonlinear_ar_two_step_ratio
+from oracles import (
+    nonlinear_ar_D_search,
+    nonlinear_ar_exact_two_step_ratio,
+    nonlinear_ar_two_step_ratio,
+    regression_gibbs_tv1_rate,
+)
 
 S_TREES = 295.43741935483877
 
@@ -259,6 +264,21 @@ def test_regression_certificate_rate_exact():
     assert Fraction(4, 335) == Fraction(4, 333 + 4 - 2)
     assert cert.d == pytest.approx(4 / 335, rel=0, abs=0)
     assert cert.n0 == 0
+
+
+@pytest.mark.parametrize("k,p,c_stat", [(333, 4, 26123.0), (32, 1, 295.4374194), (10, 2, 5.0)])
+def test_regression_certificate_c_dominates_the_one_step_tv_rate(k, p, c_stat):
+    # near r = 0, where the one-step TV per unit distance peaks; the second
+    # point is the trees-girth location chain (k = J + 1, C = S)
+    rate = regression_gibbs_tv1_rate(k, p, c_stat, r=1e-9, delta=1e-3)
+    c = RegressionGibbsSigma(k, p, c_stat).certificate(gap=1.0).c
+    assert rate <= c
+    if (k, p) == (333, 4):
+        # the doctoral-delay example: the rate agrees with the lattice sup of
+        # TV_1/dist, 7.9256e-4, and lies above C/100 (C = 0.068), so a C cut
+        # 100-fold fails here
+        assert rate == pytest.approx(7.9256e-4, rel=1e-4)
+        assert rate > c * 1e-2
 
 
 def test_regression_certificate_boundary_no_contraction():

@@ -10,7 +10,11 @@ the law somewhere else, so no module may do it either."""
 
 import ast
 import inspect
+import json
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from tvbounds import bounds, cli, models, stochastics
 
@@ -83,6 +87,37 @@ def _law_type_tests(path: Path) -> list:
         names = {c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in classes}
         found += [f"{path.name}:{node.lineno} tests for {name}" for name in sorted(names & LAWS)]
     return found
+
+
+def test_families_and_laws_are_frozen_value_records(capsys):
+    law = stochastics.Gamma(2.0, 3.0)
+    with pytest.raises(AttributeError):
+        law.shape = 1.0
+    with pytest.raises(AttributeError):
+        del law.rate
+    assert repr(law) == "Gamma(shape=2.0, rate=3.0)" and law._fields == ("shape", "rate")
+    # equal fields, however bound and with defaults filled: equal records, equal hashes
+    same = stochastics.Gamma(rate=3.0, shape=2.0)
+    assert law == same and hash(law) == hash(same)
+    garch = models.GARCH(0.13, 0.1266, 0.7922)
+    assert garch == models.GARCH(0.13, 0.1266, 0.7922, stochastics.Normal(0.0, 1.0))
+    assert hash(garch) == hash(models.GARCH(alpha2=0.13, beta2=0.1266, gamma2=0.7922))
+    # records of different types differ, whatever their fields
+    assert law != stochastics.InverseGamma(2.0, 3.0) and models.NonlinearAR() != bounds.DriftSpec(0.5, 1, 0)
+    # ar-d holds arrays, so it compares by identity
+    ard = models.ARNormalD(np.eye(2), np.eye(2))
+    assert ard == ard and ard != models.ARNormalD(np.eye(2), np.eye(2)) and hash(ard) == object.__hash__(ard)
+    # too many arguments, or one given twice, raise TypeError as a call would
+    for bad in (lambda: stochastics.Normal(0.0, 1.0, 2.0), lambda: stochastics.Normal(0.0, mu=1.0)):
+        with pytest.raises(TypeError):
+            bad()
+    # a missing or an unknown key of a noise law in --params exits 2 naming it
+    # (test_cli covers a family's own keys)
+    for z, key in (({"dist": "gamma", "shape": 2}, "rate"), ({"dist": "chi-square", "nu": 1, "mu": 0}, "mu")):
+        params = json.dumps({"beta0": 1, "beta1": 0.5, "z": z, "gap": 1})
+        code = cli.main(["certificate", "--family", "larch", "--params", params])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "") and key in captured.err, captured.err
 
 
 def test_no_module_tests_the_type_of_a_noise_law():

@@ -6,7 +6,6 @@ Runs are derandomized and small, so the suite stays reproducible and fast.
 """
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -53,7 +52,7 @@ epsilons = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 # every registered law, each field drawn from (0.01, 100)
 laws = st.one_of(
-    [st.builds(cls, **{f.name: st.floats(0.01, 100.0) for f in fields(cls)}) for cls in DISTS.values()]
+    [st.builds(cls, **{name: st.floats(0.01, 100.0) for name in cls._fields}) for cls in DISTS.values()]
 )
 
 

@@ -2,12 +2,15 @@
 
 C = sqrt(d/(2 pi)) * ||Sigma^-1||_F * ||P||_F * ||P^-1||_F * ||x0 - x0'||_2 and
 D = max_i |lambda_i|, with A = P diag(lambda) P^T from the symmetric
-eigendecomposition and Sigma^-1 from the condition-checked inverse in bounds.
+eigendecomposition and ||Sigma^-1||_F from the condition-checked singular
+values of Sigma in bounds.
 An orthogonal P has ||P||_F = ||P^-1||_F = sqrt(d), so C / (sqrt(d/(2 pi)) * d * gap)
 is ||Sigma^-1||_F.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,10 +112,45 @@ def test_inverse_random_50(rng):
     assert sigma_inv_frobenius(cert, d, math.sqrt(d)) == pytest.approx(sigma_inv_f, rel=1e-10)
 
 
+def _c_through_inverse(sigma, gap):
+    """The reference C: ||Sigma^-1||_F taken from an explicit inverse."""
+    d = sigma.shape[0]
+    return math.sqrt(d / (2 * math.pi)) * np.linalg.norm(np.linalg.inv(sigma)) * d * gap
+
+
+# C takes ||Sigma^-1||_F from Sigma's singular values, the reference from an
+# explicit inverse.  Both are backward stable, so each lies within a small
+# multiple of d * eps * condition of the true norm: at d <= 100 and condition
+# <= 4, about 9e-14 (eps = 2.2e-16).  1e-13 allows that and still fails on
+# any wrong formula.
+@pytest.mark.parametrize("d", [2, 10, 100])
+def test_inverse_norm_from_singular_values_matches_explicit_inverse(rng, d):
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sigma = q @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ q.T
+        sigma = (sigma + sigma.T) / 2
+        cert = ARNormalD(0.5 * np.eye(d), sigma).certificate(np.ones(d), np.zeros(d))
+        assert cert.c == pytest.approx(_c_through_inverse(sigma, math.sqrt(d)), rel=1e-13, abs=0)
+
+
+def test_inverse_norm_of_the_repro_sigma_matches_explicit_inverse():
+    # repro's vector-AR-100 rows: Sigma = A, tridiagonal (1/2, 1/8), condition 3.0
+    d = 100
+    sigma = tridiagonal(d, 0.5, 0.125)
+    cert = ARNormalD(sigma, sigma).certificate(np.ones(d), np.zeros(d))
+    assert cert.c == pytest.approx(_c_through_inverse(sigma, math.sqrt(d)), rel=1e-13, abs=0)
+
+
 def test_inverse_rejects_singular():
+    # the message carries the condition number as np.linalg.cond reports it,
+    # and no RuntimeWarning escapes: a zero s[-1] and an overflowing ratio are inf
     a = 0.5 * np.eye(2)
     ARNormalD(a, np.diag([1.0, 1e-11])).certificate(np.ones(2), np.zeros(2))  # condition 1e11
-    for sigma in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2)), np.diag([1.0, 1e-13])):
+    for sigma in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2)), np.diag([1.0, 1e-13]),
+                  np.diag([1.0, 0.0]), np.diag([1e300, 1e-300])):
         model = ARNormalD(a, sigma)
-        with pytest.raises(ParameterError, match="singular or ill-conditioned"):
-            model.certificate(np.ones(2), np.zeros(2))
+        text = f"Sigma is singular or ill-conditioned (condition {np.linalg.cond(sigma):.3e})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                model.certificate(np.ones(2), np.zeros(2))
