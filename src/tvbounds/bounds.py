@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import stochastics
 from ._lazy import lazy_import
 from .errors import DomainError, NoContractionError, ParameterError
-from .stochastics import InverseGamma, Record
+from .stochastics import InverseGamma, Record, finite, finite_nonnegative, integral
 
 np = lazy_import("numpy")
 
@@ -54,13 +54,6 @@ __all__ = [
     "integral",
     "certificate_to_dict",
 ]
-
-
-def integral(name: str, value) -> int:
-    """``value`` as an int; integral real numbers finite as a float pass, bools do not."""
-    if not stochastics._is_real(value) or value % 1:
-        raise ParameterError(f"{name} must be an integer, finite as a float, got {value!r}")
-    return int(value)
 
 
 def _square_matrix(name: str, m) -> np.ndarray:
@@ -120,24 +113,17 @@ class BoundCertificate(Record):
     exp_offset: int = 0
     exp_step: int = 1
     details: dict = {}
+    # C = 0 / D = 0 are degenerate but legal (immediate coupling)
+    domains = {"c": finite_nonnegative, "d": finite, "n0": integral, "gap": finite_nonnegative,
+               "exp_offset": integral, "exp_step": integral}
 
     def __post_init__(self):
-        for key, v in (("C", self.c), ("D", self.d), ("gap", self.gap)):
-            if not stochastics._is_real(v):
-                raise ParameterError(f"certificate {key} must be a finite real number, got {v!r}")
-        for key in ("n0", "exp_offset", "exp_step"):
-            object.__setattr__(self, key, integral(key, getattr(self, key)))
         object.__setattr__(self, "details", dict(self.details))  # no two certificates share the default {}
-        # C = 0 / D = 0 are degenerate but legal (immediate coupling)
-        if self.c < 0:
-            raise ParameterError(f"certificate C must be >= 0, got {self.c}")
         if not (0 <= self.d < 1):
             raise NoContractionError(
                 f"D = {self.d:.6g} is not in [0, 1): {self.family or 'the'} chain does not contract")
         if self.n0 < 0:
             raise ParameterError(f"n0 must be >= 0, got {self.n0}")
-        if self.gap < 0:
-            raise ParameterError(f"gap must be >= 0, got {self.gap}")
         if self.exp_step < 1:
             raise ParameterError(f"exp_step must be >= 1, got {self.exp_step}")
         if self.exp_offset < 0:
@@ -190,12 +176,11 @@ class DriftSpec(Record):
     lam: float
     b: float
     h: float
+    domains = {"b": finite_nonnegative}
 
     def __post_init__(self):
         if not (0 < self.lam < 1):
             raise ParameterError(f"drift lambda must lie in (0, 1), got {self.lam}")
-        if not (self.b >= 0):
-            raise ParameterError(f"drift slack b must be >= 0, got {self.b}")
 
 
 def drift_expected_distance(drift: DriftSpec, e_abs_x0_plus_h: float) -> float:
@@ -247,19 +232,23 @@ def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
     exactly v^2 A + 2 v B + C with A = mean(X^2 Y^2), so that coefficient
     is A; this returns A = sum((X Y)^2) / n_draws directly.
 
-    The draws are those of ``model.draw(stream.generator(), n_draws)``:
-    all n_draws X from ``model.x_law``, then all n_draws Y from
-    ``model.y_law``.  They are taken in chunks of 2**17
-    from two generators opened at the start of ``stream`` (a NoiseStream;
-    a bare Generator has no start to reopen and is rejected).  The first
-    gives the X chunks; the second draws and discards the n_draws X, then
-    gives the Y chunks.  numpy's samplers fill an array sequentially, so
-    the chunks hold the same numbers as the one draw, and memory stays at
-    a few chunks whatever ``n_draws``.
+    ``model`` must carry the location statistics ``j`` and ``s`` and the
+    laws ``x_law`` and ``y_law`` (ParameterError otherwise).  The draws,
+    each through :func:`stochastics.sample`, are those of
+    ``model.draw(stream.generator(), n_draws)``: all n_draws X from
+    ``model.x_law``, then all n_draws Y from ``model.y_law``.  They are
+    taken in chunks of 2**17 from two generators opened at the start of
+    ``stream`` (a NoiseStream; a bare Generator has no start to reopen and
+    is rejected).  The first gives the X chunks; the second draws and
+    discards the n_draws X, then gives the Y chunks.  numpy's samplers
+    fill an array sequentially, so the chunks hold the same numbers as the
+    one draw, and memory stays at a few chunks whatever ``n_draws``.
     """
     n_draws = integral("n_draws", n_draws)
     if n_draws < 1:
         raise ParameterError(f"n_draws must be >= 1, got {n_draws}")
+    if not all(hasattr(model, name) for name in ("j", "s", "x_law", "y_law")):
+        raise ParameterError(f"mc_location_drift_fit needs a location model (j, s, x_law, y_law), got {model!r}")
     location_drift_constants(model.j, model.s)  # E[Y^2] needs J >= 5
     if not isinstance(stream, stochastics.NoiseStream):
         raise ParameterError(f"mc_location_drift_fit needs a NoiseStream, got {type(stream)!r}")
@@ -267,11 +256,11 @@ def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
     gx, gy = stream.generator(), stream.generator()
     sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
     for m in sizes:  # move gy past the X draws, to where the Y draws start
-        x_law.draw(gy, m)
+        stochastics.sample(x_law, gy, m)
     total = 0.0
     for m in sizes:
-        xy = x_law.draw(gx, m)
-        xy *= y_law.draw(gy, m)
+        xy = stochastics.sample(x_law, gx, m)
+        xy *= stochastics.sample(y_law, gy, m)
         xy *= xy
         total += float(xy.sum())
     return total / n_draws
@@ -283,8 +272,7 @@ def independent_coordinates_certificate(amplitude: float, rate: float, d: int, g
     d = integral("dimension d", d)
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
-    if not stochastics._is_real(amplitude):  # a bool amplitude makes C = d * amplitude a number
-        raise ParameterError(f"coordinate amplitude must be a finite real number, got {amplitude!r}")
+    finite("coordinate amplitude", amplitude)  # a bool amplitude makes C = d * amplitude a number
     return BoundCertificate(
         c=d * amplitude,
         d=rate,

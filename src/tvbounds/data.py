@@ -18,9 +18,9 @@ import csv
 
 import numpy as np
 
-from . import bounds, stochastics
+from . import bounds
 from .errors import IngestionError, ParameterError
-from .stochastics import Record
+from .stochastics import Record, finite_positive
 
 __all__ = [
     "RegressionData",
@@ -73,6 +73,7 @@ class RegressionData(Record):
     y: np.ndarray
     x: np.ndarray
     prior_lambda: float
+    domains = {"prior_lambda": finite_positive}
     __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class RegressionData(Record):
             )
         if self.y.size <= self.x.shape[1]:
             raise ParameterError(f"need k > p, got k={self.y.size}, p={self.x.shape[1]}")
-        if not (stochastics._is_real(self.prior_lambda) and self.prior_lambda > 0):
-            raise ParameterError(f"prior precision must be finite and > 0, got {self.prior_lambda!r}")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.x))):
             raise ParameterError("regression data must be finite")
 

@@ -5,6 +5,10 @@ Each family is one frozen :class:`stochastics.Record` derived from
 tag, parameters, innovation draw, transition, state, observable,
 certificate (the family's C and D, written out from its fields) and
 (where known) exact TV; a Gibbs family is its reduced scalar chain alone.
+Each family declares its parameter domains once, in its ``domains`` map
+of field to :mod:`stochastics` validator, which :class:`Record` enforces
+on every construction; ``__post_init__`` keeps only the rules across
+fields or beyond a numeric domain (J >= 3, c != 0, positive LARCH noise).
 :data:`FAMILIES` (tag -> class) is the registry.
 :func:`draw_innovations`, :func:`step` and :func:`observable` forward to
 the family only because they are the layer boundaries
@@ -30,7 +34,8 @@ from . import bounds, stochastics
 from ._lazy import lazy_import
 from .bounds import BoundCertificate
 from .errors import DomainError, ParameterError, StateError
-from .stochastics import Dist, Gamma, InverseGamma, Normal, Record, dist_from_dict, dist_to_dict
+from .stochastics import (Dist, Gamma, InverseGamma, Normal, Record, dist_from_dict, dist_to_dict, finite,
+                          finite_nonnegative, finite_positive, integral)
 
 np = lazy_import("numpy")
 
@@ -66,13 +71,15 @@ def _out(out, *operands):
 
 
 class Family(Record):
-    """A chain family.  Subclasses set ``family`` (the JSON tag), check
-    their fields in ``__post_init__`` and define ``step`` and ``certificate``
-    (which builds the family's :class:`bounds.BoundCertificate` from its
-    fields, checking only what its C adds and leaving D < 1 to the
-    certificate; its keyword parameters are the certificate's only other
-    inputs).  By default a family draws its noise from ``z``, takes any
-    start as a state and runs on its scalar observable.
+    """A chain family.  Subclasses set ``family`` (the JSON tag), declare
+    their fields' numeric domains in ``domains`` (see
+    :class:`stochastics.Record`), keep any other rule in ``__post_init__``
+    and define ``step`` and ``certificate`` (which builds the family's
+    :class:`bounds.BoundCertificate` from its fields, checking only what
+    its C adds and leaving D < 1 to the certificate; its keyword
+    parameters are the certificate's only other inputs).  By default a
+    family draws its noise from ``z``, takes any start as a state and runs
+    on its scalar observable.
 
     ``draw(rng, size=None, out=None)`` is one iteration's innovations.
     With ``out``, an earlier draw of the same shape (for the Gibbs
@@ -120,13 +127,6 @@ class Family(Record):
         """Exact TV at iteration n from the starts x0, x0p; None if unknown."""
         return None
 
-    def _require_real(self, *names):
-        """Raise ParameterError unless every named field is a finite real number, not a bool."""
-        for name in names:
-            v = getattr(self, name)
-            if not stochastics._is_real(v):
-                raise ParameterError(f"{type(self).__name__} {name} must be a finite real number, got {v!r}")
-
 
 class NonlinearAR(Family):
     """X_n = (X_{n-1} - sin X_{n-1})/2 + Z_n with Z standard normal."""
@@ -148,8 +148,8 @@ class NonlinearAR(Family):
         ``d_squared`` is given."""
         if d_squared is None:
             d_squared = bounds.nonlinear_ar_D() ** 2
-        elif not (stochastics._is_real(d_squared) and d_squared > 0):
-            raise ParameterError(f"two-step factor D^2 must be a finite real number > 0, got {d_squared!r}")
+        else:
+            finite_positive("two-step factor D^2", d_squared)
         return BoundCertificate(
             c=1.0 / math.sqrt(2 * math.pi),
             d=d_squared,
@@ -171,11 +171,7 @@ class ARNormal1D(Family):
     family: ClassVar[str] = "ar1"
     a: float
     sigma: float
-
-    def __post_init__(self):
-        self._require_real("a", "sigma")
-        if not (self.sigma > 0):
-            raise ParameterError(f"ARNormal1D sigma must be > 0, got {self.sigma}")
+    domains = {"a": finite, "sigma": finite_positive}
 
     z = property(lambda self: Normal(0.0, self.sigma))
 
@@ -209,6 +205,7 @@ class ARNormalD(Family):
 
     family: ClassVar[str] = "ar-d"
     state_ndim: ClassVar[int] = 1
+    z: ClassVar[Dist] = Normal(0.0, 1.0)  # each coordinate's noise
     a: np.ndarray
     sigma: np.ndarray
     __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
@@ -226,7 +223,7 @@ class ARNormalD(Family):
         return self.a.shape[0]
 
     def draw(self, rng: np.random.Generator, size=None, out=None):
-        return rng.standard_normal(size=(self.dim,) if size is None else (size, self.dim), out=out)
+        return stochastics.sample(self.z, rng, (self.dim,) if size is None else (size, self.dim), out)
 
     def step(self, state, noise, out=None):
         drift = np.asarray(state, dtype=float) @ self.a.T
@@ -323,14 +320,11 @@ class LocationGibbsTau(_Gibbs):
     p: ClassVar[int] = 1
     j: int
     s: float
+    domains = {"j": integral, "s": finite_positive}
 
     def __post_init__(self):
-        object.__setattr__(self, "j", bounds.integral("J", self.j))
-        self._require_real("s")
         if self.j < 3:
             raise ParameterError(f"location model needs J >= 3, got {self.j}")
-        if not (self.s > 0):
-            raise ParameterError(f"S must be > 0, got {self.s}")
 
     k = property(lambda self: self.j + 1)
     c_stat = property(lambda self: self.s)
@@ -381,15 +375,11 @@ class RegressionGibbsSigma(_Gibbs):
     k: int
     p: int
     c_stat: float
+    domains = {"k": integral, "p": integral, "c_stat": finite_positive}
 
     def __post_init__(self):
-        object.__setattr__(self, "k", bounds.integral("k", self.k))
-        object.__setattr__(self, "p", bounds.integral("p", self.p))
-        self._require_real("c_stat")
         if self.k < 1 or self.p < 1:
             raise ParameterError(f"need k, p >= 1, got ({self.k}, {self.p})")
-        if not (self.c_stat > 0):
-            raise ParameterError(f"C statistic must be > 0, got {self.c_stat}")
 
     def certificate(self, gap):
         """D = p/(k+p-2) and C the mode height of InverseGamma((k+2p)/2, C_stat/2)."""
@@ -418,13 +408,9 @@ class LARCH(Family):
     beta0: float
     beta1: float
     z: Dist
+    domains = {"beta0": finite_positive, "beta1": finite_positive}
 
     def __post_init__(self):
-        self._require_real("beta0", "beta1")
-        if not (self.beta0 > 0 and self.beta1 > 0):
-            raise ParameterError(
-                f"LARCH requires beta0, beta1 > 0, got ({self.beta0}, {self.beta1})"
-            )
         if not self.z.positive:
             raise ParameterError("LARCH noise must be positive almost surely")
 
@@ -465,9 +451,9 @@ class AsymARCH(Family):
     b: float
     c: float
     z: Dist = Normal(0.0, 1.0)
+    domains = {"a": finite, "b": finite, "c": finite}
 
     def __post_init__(self):
-        self._require_real("a", "b", "c")
         if self.c == 0:
             raise ParameterError("asymmetric ARCH requires c != 0")
 
@@ -526,14 +512,7 @@ class GARCH(Family):
     beta2: float
     gamma2: float
     z: Dist = Normal(0.0, 1.0)
-
-    def __post_init__(self):
-        self._require_real("alpha2", "beta2", "gamma2")
-        if not (self.alpha2 > 0 and self.beta2 >= 0 and self.gamma2 >= 0):
-            raise ParameterError(
-                "GARCH requires alpha2 > 0 and beta2, gamma2 >= 0, got "
-                f"({self.alpha2}, {self.beta2}, {self.gamma2})"
-            )
+    domains = {"alpha2": finite_positive, "beta2": finite_nonnegative, "gamma2": finite_nonnegative}
 
     def step(self, state, noise, out=None):
         _check_garch_s2(state.s2)

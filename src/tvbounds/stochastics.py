@@ -10,8 +10,10 @@ for laws on (0, inf) and, on those and a centred normal,
 :func:`abs_moment` add what every law shares: array coercion, -inf off
 the support of a positive law, scalar results for scalar input and the
 moment-order check.  Chi-square is Gamma(nu/2, 1/2) and takes its
-formulas and its draws from it.  Every parameter must be a finite real
-number; a bool is not one.
+formulas and its draws from it.  Every record class declares its fields'
+numeric domains once, in its ``domains`` map, which :class:`Record`
+enforces with the validators defined here (see there); a finite real
+number is never a bool, nor a JSON integer too large for a float.
 
 Gamma of shape 1/2 (chi-square(1), and the Gibbs X-draws) is drawn as
 Z^2/(2 rate) from one standard normal, which is exact in law and about a
@@ -57,6 +59,10 @@ __all__ = [
     "InverseGamma",
     "Dist",
     "DISTS",
+    "finite",
+    "finite_positive",
+    "finite_nonnegative",
+    "integral",
     "NoiseStream",
     "sample",
     "density",
@@ -78,8 +84,30 @@ def _is_real(v) -> bool:
         return False
 
 
-def _finite_positive(*values) -> bool:
-    return all(_is_real(v) and v > 0 for v in values)
+# the domain validators: check(label, value) returns the value or raises ParameterError naming label
+def finite(label: str, value):
+    if not _is_real(value):
+        raise ParameterError(f"{label} must be a finite real number, got {value!r}")
+    return value
+
+
+def finite_positive(label: str, value):
+    if not (_is_real(value) and value > 0):
+        raise ParameterError(f"{label} must be finite and > 0, got {value!r}")
+    return value
+
+
+def finite_nonnegative(label: str, value):
+    if not (_is_real(value) and value >= 0):
+        raise ParameterError(f"{label} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def integral(label: str, value) -> int:
+    """``value`` as an int; integral real numbers finite as a float pass, bools do not."""
+    if not _is_real(value) or value % 1:
+        raise ParameterError(f"{label} must be an integer, finite as a float, got {value!r}")
+    return int(value)
 
 
 class Record:
@@ -88,12 +116,19 @@ class Record:
     Its fields, ``_fields``, are the names annotated along its MRO, base
     first, except ``ClassVar`` ones; a class attribute is a default.  The
     constructor binds arguments to fields as a call binds parameters
-    (TypeError for an unknown, repeated or missing one), then runs
-    ``__post_init__``, which may set a field with ``object.__setattr__``.
-    Records compare and hash by type and fields, and print as
-    ``Name(field=value, ...)``, as a frozen dataclass does."""
+    (TypeError for an unknown, repeated or missing one), defaults filled.
+    ``domains`` maps fields to validators (``finite``, ``finite_positive``,
+    ``finite_nonnegative``, ``integral``); in its order, each is called
+    with the label ``"<Class> <field>"`` and the bound value, raises
+    ParameterError naming that label, and its return is stored
+    (``integral`` turns 3.0 into 3).  Then ``__post_init__`` runs the
+    rules across fields or beyond a numeric domain, and may set a field
+    with ``object.__setattr__``.  Records compare and hash by type and
+    fields, and print as ``Name(field=value, ...)``, as a frozen
+    dataclass does."""
 
     _fields: ClassVar[tuple] = ()
+    domains: ClassVar[dict] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -116,7 +151,10 @@ class Record:
         missing = [name for name in names if name not in values and not hasattr(cls, name)]
         if missing:
             raise TypeError(f"{cls.__name__}() missing required arguments {missing}")
-        self.__dict__.update({name: values[name] if name in values else getattr(cls, name) for name in names})
+        values = {name: values[name] if name in values else getattr(cls, name) for name in names}
+        for name, check in cls.domains.items():
+            values[name] = check(f"{cls.__name__} {name}", values[name])
+        self.__dict__.update(values)
         self.__post_init__()
 
     def __post_init__(self):
@@ -144,12 +182,7 @@ class Normal(Record):
     positive: ClassVar[bool] = False
     mu: float
     sigma: float
-
-    def __post_init__(self):
-        if not (_is_real(self.mu) and _finite_positive(self.sigma)):
-            raise ParameterError(
-                f"Normal mu must be finite and sigma finite and > 0, got ({self.mu}, {self.sigma})"
-            )
+    domains = {"mu": finite, "sigma": finite_positive}
 
     def draw(self, rng: np.random.Generator, size=None, out=None):
         # bit-identical to rng.normal(mu, sigma), which is mu + sigma * Z, and
@@ -192,10 +225,7 @@ class ChiSquare(Record):
     tag: ClassVar[str] = "chi-square"
     positive: ClassVar[bool] = True
     nu: float
-
-    def __post_init__(self):
-        if not _finite_positive(self.nu):
-            raise ParameterError(f"ChiSquare nu must be finite and > 0, got {self.nu}")
+    domains = {"nu": finite_positive}
 
     def draw(self, rng: np.random.Generator, size=None, out=None):
         return Gamma(self.nu / 2, 0.5).draw(rng, size, out)
@@ -217,12 +247,7 @@ class Gamma(Record):
     positive: ClassVar[bool] = True
     shape: float
     rate: float
-
-    def __post_init__(self):
-        if not _finite_positive(self.shape, self.rate):
-            raise ParameterError(
-                f"Gamma shape and rate must be finite and > 0, got ({self.shape}, {self.rate})"
-            )
+    domains = {"shape": finite_positive, "rate": finite_positive}
 
     def draw(self, rng: np.random.Generator, size=None, out=None):
         if self.shape == 0.5:
@@ -261,12 +286,7 @@ class InverseGamma(Record):
     positive: ClassVar[bool] = True
     shape: float
     rate: float
-
-    def __post_init__(self):
-        if not _finite_positive(self.shape, self.rate):
-            raise ParameterError(
-                f"InverseGamma shape and rate must be finite and > 0, got ({self.shape}, {self.rate})"
-            )
+    domains = {"shape": finite_positive, "rate": finite_positive}
 
     def draw(self, rng: np.random.Generator, size=None, out=None):
         # bit-identical to 1 / rng.gamma(shape, 1/rate) at every shape

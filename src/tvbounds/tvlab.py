@@ -66,11 +66,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import models as models_mod
-from . import stochastics
-from .bounds import BoundCertificate, bound_eval, integral
+from .bounds import BoundCertificate, bound_eval
 from .errors import ParameterError, SimulationError
 from .models import Family
-from .stochastics import NoiseStream, Record
+from .stochastics import NoiseStream, Record, finite_positive, integral
 
 __all__ = [
     "Histogram",
@@ -165,9 +164,7 @@ class Histogram:
     """
 
     def __init__(self, bin_width: float):
-        if not (stochastics._is_real(bin_width) and bin_width > 0):
-            raise ParameterError(f"bin width must be finite and > 0, got {bin_width}")
-        self.bin_width = bin_width
+        self.bin_width = finite_positive("bin width", bin_width)
         self.cells = np.empty(0, dtype=np.int64)
         self.counts = np.empty(0, dtype=np.int64)
 

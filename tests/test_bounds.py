@@ -388,6 +388,14 @@ def test_mc_drift_fit_needs_a_noise_stream_and_j_at_least_5(trees):
         mc_location_drift_fit(LocationGibbsTau(4, s), NoiseStream(1), n_draws=10)
 
 
+@pytest.mark.parametrize("model", [RegressionGibbsSigma(333, 4, 26123.0), ARNormal1D(0.5, 1.0)],
+                         ids=["regression-gibbs", "ar1"])
+def test_mc_drift_fit_rejects_a_model_without_location_statistics(model):
+    # it read model.j and failed with a bare AttributeError
+    with pytest.raises(ParameterError, match="mc_location_drift_fit needs a location model"):
+        mc_location_drift_fit(model, NoiseStream(1), n_draws=10)
+
+
 # ------------------------------------------------- independent coordinates, d
 
 def test_independent_coordinates_example():

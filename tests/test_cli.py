@@ -277,7 +277,7 @@ def test_dataset_stats_rejects_an_infinite_prior_lambda(tmp_path, capsys):
     code, out, err = run(capsys, "dataset-stats", "--csv", str(p), "--y-column", "y", "--x-columns", "one",
                          "--prior-lambda", "inf")
     assert code == 2 and out == ""
-    assert err == "error: prior precision must be finite and > 0, got inf\n"
+    assert err == "error: RegressionData prior_lambda must be finite and > 0, got inf\n"
 
 
 def test_dataset_stats_missing_file_exits_2(capsys):
@@ -885,7 +885,7 @@ HUGE = 10**400  # a JSON integer too large for a float
     pytest.param("ar1", {"a": HUGE, "sigma": 1, "x0": 0, "x0p": 1}, "a", id="model-field"),
     pytest.param("asym-arch", {"a": 0.5, "b": 3, "c": 5, "z": {"dist": "gamma", "shape": HUGE, "rate": 1},
                                "x0": 0, "x0p": 1}, "shape", id="dist-parameter"),
-    pytest.param("location-gibbs", {"j": HUGE, "s": 3, "x0": 1, "x0p": 2}, "J", id="gibbs-j"),
+    pytest.param("location-gibbs", {"j": HUGE, "s": 3, "x0": 1, "x0p": 2}, "j", id="gibbs-j"),
 ])
 def test_json_integer_too_large_for_a_float_exits_2_in_every_command(capsys, command, extra, family, params, name):
     code, out, err = run(capsys, command, "--family", family, "--params", json.dumps(params), *extra)

@@ -61,9 +61,26 @@ def test_every_tagged_family_class_is_registered():
 
 def test_scalar_families_draw_through_their_noise_law():
     # Family.draw samples ``z`` through the hooked stochastics.sample, and so
-    # does the Gibbs pair's draw on _Gibbs; only the vector family draws
-    # its own standard normal vectors
+    # does the Gibbs pair's draw on _Gibbs; only the vector family shapes
+    # its own draw, of standard normal vectors
     assert [tag for tag, cls in models.FAMILIES.items() if "draw" in vars(cls)] == ["ar-d"]
+
+
+def test_vector_draws_and_the_drift_fit_go_through_the_sampler(monkeypatch, trees):
+    # the benchmark counts and times draws at stochastics.sample; the bits are
+    # those of the laws' own draws, as before the hook saw them
+    j, _, s = trees
+    gibbs, vector = models.LocationGibbsTau(j, s), models.ARNormalD(np.eye(3) / 2, np.eye(3))
+    expected_noise = np.random.default_rng(5).standard_normal((4, 3))
+    gx, gy = stochastics.NoiseStream(1).generator(), stochastics.NoiseStream(1).generator()
+    gibbs.x_law.draw(gy, 10)
+    expected_fit = float(((gibbs.x_law.draw(gx, 10) * gibbs.y_law.draw(gy, 10)) ** 2).sum()) / 10
+    tags, sample = [], stochastics.sample
+    monkeypatch.setattr(stochastics, "sample", lambda dist, *args: tags.append(dist.tag) or sample(dist, *args))
+    assert np.array_equal(models.draw_innovations(vector, np.random.default_rng(5), 4), expected_noise)
+    assert tags == ["normal"]
+    assert bounds.mc_location_drift_fit(gibbs, stochastics.NoiseStream(1), 10) == expected_fit
+    assert tags == ["normal", "gamma", "gamma", "inverse-gamma"]
 
 
 def test_every_family_steps_into_out():

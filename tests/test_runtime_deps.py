@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -30,6 +28,7 @@ def _imported_top_levels(path: Path) -> set:
 
 
 def test_runtime_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11; the other tests here run on 3.10 too
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {
         re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
