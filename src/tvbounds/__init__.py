@@ -12,7 +12,8 @@ bounds
     The certificate algebra: (C, D, n0, gap) tuples evaluating to
     C * D^(n-n0-1) * gap, and the parts no family owns (the
     independent-coordinates certificate, the inverse-gamma mode height,
-    the sine-map and drift searches, the matrix checks).
+    the pinned sine-map rate, the location drift constants and their
+    Monte-Carlo oracle, the matrix checks).
 tvlab
     Histogram TV estimation and simulated TV curves.
 data

@@ -99,7 +99,8 @@ def _split(family: str, params: dict):
     defaults to |x0 - x0'|.  Once the model is built, a start key the
     family does not take raises ParameterError, and each start is checked
     and built by ``model.start_state``, so a bad one fails here, whatever
-    the command."""
+    the command.  A float overflow in the certificate's formula is a
+    ParameterError naming the family."""
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
     cls = models.FAMILIES.get(family)
@@ -126,6 +127,8 @@ def _split(family: str, params: dict):
             return build(**options)
         except TypeError as exc:
             raise ParameterError(f"bad certificate parameters for family '{family}': {exc}") from None
+        except OverflowError:  # a float power past 1e308 in the family's formula
+            raise ParameterError(f"the certificate of family '{family}' overflows a float here") from None
 
     return model, certify
 

@@ -14,13 +14,14 @@ fields or beyond a numeric domain (J >= 3, c != 0, positive LARCH noise).
 the family only because they are the layer boundaries
 ``perfbench/layertrace.py`` hooks.
 
-States are numpy-friendly: scalars and arrays flow through the same
-code, so a million coupled paths advance in one vectorized call.  The
-GARCH state carries the pair (x, sigma^2) because its bound consumes
-both initial components.  ``step(state, noise, out=None)`` writes the
-next state into ``out``, which may be ``state`` itself, so a simulation
-loop advances its paths in place without a fresh array per iteration;
-without ``out`` it allocates one and leaves its inputs untouched.  A
+A simulated state is an array of paths, so a million coupled paths
+advance in one vectorized call.  The GARCH state carries the pair
+(x, sigma^2) because its bound consumes both initial components.
+``draw(rng, size, out=None)`` draws ``size`` paths' innovations from a
+numpy Generator and ``step(state, noise, out)`` writes the next state
+into ``out``, which may be ``state`` itself, so a simulation loop
+advances its paths in place without a fresh array per iteration.  The
+vector family ar-d is certified in closed form only and has neither.  A
 scalar start or state is checked without numpy, which is imported on
 first use, so a closed-form certificate never loads it.
 """
@@ -64,12 +65,6 @@ class GarchState(NamedTuple):
     s2: "np.ndarray | float"
 
 
-def _out(out, *operands):
-    """Where a step writes: ``out`` itself, else a fresh float array of the
-    operands' broadcast shape (0-d for scalars)."""
-    return np.empty(np.broadcast(*operands).shape) if out is None else out
-
-
 class Family(Record):
     """A chain family.  Subclasses set ``family`` (the JSON tag), declare
     their fields' numeric domains in ``domains`` (see
@@ -81,27 +76,25 @@ class Family(Record):
     family draws its noise from ``z``, takes any start as a state and runs
     on its scalar observable.
 
-    ``draw(rng, size=None, out=None)`` is one iteration's innovations.
-    With ``out``, an earlier draw of the same shape (for the Gibbs
-    families a pair of arrays), it fills that in place and returns it,
-    bit-identical to a fresh draw from the same generator state, so a
-    simulation loop can hand each iteration's spent noise back as the
-    next iteration's ``out``.
+    ``draw(rng, size, out=None)`` is one iteration's innovations for
+    ``size`` paths from the numpy Generator ``rng``.  With ``out``, an
+    earlier draw of the same size (for the Gibbs families a pair of
+    arrays), it fills that in place and returns it, bit-identical to a
+    fresh draw from the same generator state, so a simulation loop can
+    hand each iteration's spent noise back as the next iteration's ``out``.
 
-    ``step(state, noise, out=None)`` is one transition.  It writes the next
+    ``step(state, noise, out)`` is one transition.  It writes the next
     state into ``out`` (an array, or for GARCH a pair of arrays, of the
-    broadcast shape of state and noise) and returns it; ``out`` may be
-    ``state`` itself.  With ``out`` None it first allocates a fresh float
-    array and runs the same arithmetic, so the result is bit-identical
-    either way.  It never writes ``noise``, and writes ``state`` only when
-    the caller passes it as ``out``."""
+    shape of state and noise) and returns it; ``out`` may be ``state``
+    itself.  It never writes ``noise``, and writes ``state`` only when the
+    caller passes it as ``out``."""
 
     family: ClassVar[str]
     # dimensions of one path's observable
     state_ndim: ClassVar[int] = 0
 
-    def draw(self, rng: np.random.Generator, size=None, out=None):
-        return stochastics.sample(self.z, rng, size=size, out=out)
+    def draw(self, rng: np.random.Generator, size, out=None):
+        return stochastics.sample(self.z, rng, size, out)
 
     def make_state(self, x, s2=None):
         return x
@@ -134,8 +127,7 @@ class NonlinearAR(Family):
     family: ClassVar[str] = "nonlinear-ar"
     z: ClassVar[Dist] = Normal(0.0, 1.0)
 
-    def step(self, state, noise, out=None):
-        out = _out(out, state, noise)
+    def step(self, state, noise, out):
         sin = np.sin(state)
         np.subtract(state, sin, out=out)
         out *= 0.5
@@ -175,8 +167,7 @@ class ARNormal1D(Family):
 
     z = property(lambda self: Normal(0.0, self.sigma))
 
-    def step(self, state, noise, out=None):
-        out = _out(out, state, noise)
+    def step(self, state, noise, out):
         np.multiply(state, self.a, out=out)
         out += noise
         return out
@@ -201,11 +192,11 @@ class ARNormal1D(Family):
 
 
 class ARNormalD(Family):
-    """X_n = A X_{n-1} + Sigma Z_n with Z a standard normal vector."""
+    """X_n = A X_{n-1} + Sigma Z_n with Z a standard normal vector,
+    certified in closed form only: it has no ``draw`` or ``step``."""
 
     family: ClassVar[str] = "ar-d"
     state_ndim: ClassVar[int] = 1
-    z: ClassVar[Dist] = Normal(0.0, 1.0)  # each coordinate's noise
     a: np.ndarray
     sigma: np.ndarray
     __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
@@ -221,14 +212,6 @@ class ARNormalD(Family):
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    def draw(self, rng: np.random.Generator, size=None, out=None):
-        return stochastics.sample(self.z, rng, (self.dim,) if size is None else (size, self.dim), out)
-
-    def step(self, state, noise, out=None):
-        drift = np.asarray(state, dtype=float) @ self.a.T
-        shock = np.asarray(noise) @ self.sigma.T
-        return np.add(drift, shock, out=_out(out, drift, shock))
 
     def make_state(self, x, s2=None):
         v = np.asarray(x, dtype=float)
@@ -287,16 +270,15 @@ class _Gibbs(Family):
     x_law = property(lambda self: Gamma(self.p / 2, self.c_stat / 2))
     y_law = property(lambda self: InverseGamma((self.k + self.p) / 2, self.c_stat / 2))
 
-    def draw(self, rng: np.random.Generator, size=None, out=None):
+    def draw(self, rng: np.random.Generator, size, out=None):
         x_out, y_out = (None, None) if out is None else out
-        x = stochastics.sample(self.x_law, rng, size=size, out=x_out)
-        y = stochastics.sample(self.y_law, rng, size=size, out=y_out)
+        x = stochastics.sample(self.x_law, rng, size, x_out)
+        y = stochastics.sample(self.y_law, rng, size, y_out)
         return x, y
 
-    def step(self, state, noise, out=None):
+    def step(self, state, noise, out):
         _check_positive_state(state)
         x, y = noise
-        out = _out(out, state, x, y)
         xy = np.multiply(x, y)
         np.multiply(xy, state, out=out)
         out += y
@@ -414,8 +396,7 @@ class LARCH(Family):
         if not self.z.positive:
             raise ParameterError("LARCH noise must be positive almost surely")
 
-    def step(self, state, noise, out=None):
-        out = _out(out, state, noise)
+    def step(self, state, noise, out):
         np.multiply(state, self.beta1, out=out)
         out += self.beta0
         out *= noise
@@ -457,8 +438,7 @@ class AsymARCH(Family):
         if self.c == 0:
             raise ParameterError("asymmetric ARCH requires c != 0")
 
-    def step(self, state, noise, out=None):
-        out = _out(out, state, noise)
+    def step(self, state, noise, out):
         np.multiply(state, self.a, out=out)
         out += self.b
         np.square(out, out=out)
@@ -474,20 +454,23 @@ class AsymARCH(Family):
 
         log|X_1| is (1/2) log((a x + b)^2 + c^2) + log|Z|, a shift of slope
         at most |a| / (2 |c|) in x, so TV_1 <= sup f_{log|Z|} |a| / (2 |c|) dist:
-        C holds only for noise whose ``log_scale_sup()`` is at most 2, unless a = 0."""
+        C holds only for noise whose ``log_scale_sup()`` is at most 2, unless a = 0,
+        where C = D = 0 whatever the noise and its moments."""
         if not isinstance(jensen, bool):
             raise ParameterError(f"jensen must be true or false, got {jensen!r}")
         a = self.a
-        # at a = 0 the chain forgets its start in one step: C = D = 0 for any noise
-        if a != 0 and (sup := self.z.log_scale_sup()) > 2:
+        if a == 0:  # the chain forgets its start in one step: C = D = 0 for any noise, with or without moments
+            details = {"d_exact": 0.0, "d_jensen": 0.0}
+        elif (sup := self.z.log_scale_sup()) > 2:
             raise DomainError(f"{self.family} C = |a|/|c| needs a log|Z| density peaking at most at 2, "
                               f"not {sup:.6g} ({self.z!r})")
-        details = {"d_exact": abs(a) * stochastics.abs_moment(self.z, 1)}
-        try:
-            details["d_jensen"] = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
-        except DomainError:  # E[Z^2] is not needed for D = |a| E|Z|
-            if jensen:
-                raise
+        else:
+            details = {"d_exact": abs(a) * stochastics.abs_moment(self.z, 1)}
+            try:
+                details["d_jensen"] = abs(a) * math.sqrt(stochastics.abs_moment(self.z, 2))
+            except DomainError:  # E[Z^2] is not needed for D = |a| E|Z|
+                if jensen:
+                    raise
         return BoundCertificate(
             c=abs(a) / abs(self.c),
             d=details["d_jensen" if jensen else "d_exact"],
@@ -514,11 +497,8 @@ class GARCH(Family):
     z: Dist = Normal(0.0, 1.0)
     domains = {"alpha2": finite_positive, "beta2": finite_nonnegative, "gamma2": finite_nonnegative}
 
-    def step(self, state, noise, out=None):
+    def step(self, state, noise, out):
         _check_garch_s2(state.s2)
-        if out is None:
-            shape = np.broadcast(*state, noise).shape
-            out = GarchState(np.empty(shape), np.empty(shape))
         x, s2 = out
         # sigma^2_n = (alpha2 + beta2 x^2) + gamma2 sigma^2_{n-1}, built in x
         # first: state.x is read before x is written, state.s2 before s2
@@ -580,23 +560,19 @@ def observable(model: Family, state):
     return model.observable(state)
 
 
-def draw_innovations(model: Family, rng: np.random.Generator, size=None, out=None):
-    """One iteration's innovations for ``model``.
-
-    ``size`` is None for a single path or an int for that many paths.
-    For the vector family the draw has shape (d,) or (size, d).  With
-    ``out`` the innovations fill it in place; see :class:`Family`.
-    Forwards to ``model.draw``; a layer boundary perfbench hooks.
-    """
+def draw_innovations(model: Family, rng: np.random.Generator, size, out=None):
+    """One iteration's innovations for ``size`` paths of ``model``, filling
+    ``out`` when given; see :class:`Family`.  Forwards to ``model.draw``;
+    a layer boundary perfbench hooks."""
     return model.draw(rng, size, out)
 
 
-def step(model: Family, state, noise, out=None):
+def step(model: Family, state, noise, out):
     """One transition; deterministic given (state, noise).  Writes into
-    ``out`` when given (``state`` itself advances in place) and returns
-    it; see :class:`Family`.  Forwards to ``model.step``; a layer boundary
+    ``out`` (``state`` itself advances in place) and returns it; see
+    :class:`Family`.  Forwards to ``model.step``; a layer boundary
     perfbench hooks."""
-    return model.step(state, noise, out=out)
+    return model.step(state, noise, out)
 
 
 def model_to_dict(model: Family) -> dict:

@@ -7,9 +7,12 @@
   for the envelope's sup, whose result ``bounds.nonlinear_ar_D`` pins.
 * :func:`couple_step`, two copies of a chain advanced on one shared draw
   per iteration (the common-random-number coupling behind every
-  contraction factor D).  Its iteration ``it`` draws from
-  ``stream.substream(2 * it)``, the key a curve job of ``tvlab`` uses for
-  chunk ``it``, copy a, so it must not run beside a curve on one stream.
+  contraction factor D), and :func:`vector_ar_couple_step`, the same for
+  the vector AR chain, which the package certifies but does not simulate.
+  Iteration ``it`` draws from ``stream.substream(2 * it)``, the key a
+  curve job of ``tvlab`` uses for chunk ``it``, copy a, so neither may
+  run beside a curve on one stream.  :func:`fresh_like` is an array (or
+  GARCH pair) to step into.
 * :func:`full_step`, one full two-block sweep of a Gibbs family, and
   :func:`full_sweep`, the same sweep from given draws, with
   :func:`innovations_from_full`, the reduced chain's innovations from
@@ -29,7 +32,7 @@ import numpy as np
 
 from tvbounds.errors import ParameterError
 from tvbounds.models import Family, draw_innovations, step
-from tvbounds.stochastics import Gamma, NoiseStream, _as_generator, sample
+from tvbounds.stochastics import Gamma, NoiseStream, sample
 from tvbounds.tvlab import Histogram, _cells
 
 
@@ -130,10 +133,9 @@ def nonlinear_ar_exact_two_step_ratio(x, y):
     return out if out.ndim else float(out)
 
 
-def paths(model: Family, state):
-    """Paths held by ``state``; None for a single path."""
-    arr = np.asarray(model.observable(state))
-    return None if arr.ndim == model.state_ndim else arr.shape[0]
+def fresh_like(state):
+    """An unwritten state of the shape of ``state``, for ``step`` to write into."""
+    return type(state)(*map(np.empty_like, state)) if isinstance(state, tuple) else np.empty_like(state)
 
 
 @dataclass
@@ -154,12 +156,20 @@ def couple_step(model: Family, cs: CoupledState, stream: NoiseStream) -> Coupled
     states.
     """
     rng = stream.substream(2 * cs.iteration).generator()
-    noise = draw_innovations(model, rng, size=paths(model, cs.x))
+    noise = draw_innovations(model, rng, np.size(model.observable(cs.x)))
     return CoupledState(
-        x=step(model, cs.x, noise),
-        x_prime=step(model, cs.x_prime, noise),
+        x=step(model, cs.x, noise, fresh_like(cs.x)),
+        x_prime=step(model, cs.x_prime, noise, fresh_like(cs.x_prime)),
         iteration=cs.iteration + 1,
     )
+
+
+def vector_ar_couple_step(model, cs: CoupledState, stream: NoiseStream) -> CoupledState:
+    """:func:`couple_step` for an ``ARNormalD``: both copies take
+    X_n = A X_{n-1} + Sigma Z_n on one shared standard normal vector Z_n."""
+    z = stream.substream(2 * cs.iteration).generator().standard_normal(model.dim)
+    shock = model.sigma @ z
+    return CoupledState(model.a @ cs.x + shock, model.a @ cs.x_prime + shock, cs.iteration + 1)
 
 
 def innovations_from_full(model, w, g):
@@ -194,8 +204,8 @@ def full_sweep(model, state, w, g, beta_tilde1=0.0, a_inv_11=1.0):
 
 def full_step(model, state, stream, beta_tilde1=0.0, a_inv_11=1.0):
     """Advance the Gibbs family ``model`` through its full two-block
-    sweep, drawing w and then g from ``stream`` (a NoiseStream or numpy
-    Generator).
+    sweep from the array of variances ``state``, drawing w and then g from
+    the start of ``stream``.
 
     Returns ``(reduced, full)``: the reduced chain value (tau^{-1} or
     sigma^2) and the full Gibbs draw it de-initializes, (mu, tau^{-1})
@@ -206,10 +216,9 @@ def full_step(model, state, stream, beta_tilde1=0.0, a_inv_11=1.0):
     The reduced value coincides exactly with ``model.step`` fed the
     innovations from :func:`innovations_from_full`.
     """
-    rng = _as_generator(stream)
-    size = paths(model, state)
-    w = rng.standard_normal(size=(model.p,) if size is None else (size, model.p))
-    g = sample(Gamma((model.k + model.p) / 2, 1.0), rng, size=size)
+    rng = stream.generator()
+    w = rng.standard_normal(size=(len(state), model.p))
+    g = sample(Gamma((model.k + model.p) / 2, 1.0), rng, len(state))
     return full_sweep(model, state, w, g, beta_tilde1, a_inv_11)
 
 

@@ -492,9 +492,17 @@ def test_curve_rejects_unknown_model_key(capsys, command, family, key):
     # 400 vs 400.01 its exact TV_1/dist is 0.00199 against C = 0.001
     ("certificate", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
     ("iters", "asym-arch", {**ASYM_GAMMA_100, "gap": 1}),
+    # Gamma(1e20, 1e20) peaks at sqrt(1e20 / (2 pi)) = 3.99e9, which a^a e^-a / Gamma(a) cancelled to 1
+    ("certificate", "asym-arch", {"a": 0.5, "b": 3, "c": 5, "z": {"dist": "gamma", "shape": 1e20, "rate": 1e20},
+                                  "gap": 1}),
     ("certificate", "asym-arch", {"a": 0.5, "b": 3.0, "c": 5.0, "z": {"dist": "normal", "mu": 0.5, "sigma": 1.0},
                                   "gap": 1}),
     ("certificate", "asym-arch", {**ASYM_INV_GAMMA_15, "jensen": True}),  # the Jensen D needs E Z^2
+    # a float overflow in a certificate formula: x0^2, and E Z^2 = sigma^2
+    ("certificate", "garch", {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922, "x0": 1e200, "x0p": 0,
+                              "s20": 1, "s20p": 1}),
+    ("certificate", "asym-arch", {"a": 0.5, "b": 3, "c": 5, "z": {"dist": "normal", "mu": 0, "sigma": 1e200},
+                                  "gap": 1}),
 ])
 def test_parameter_outside_the_family_domain_exits_2(capsys, command, family, params):
     extra = {"certificate": [], "iters": ["--epsilon", "0.01"],
@@ -856,15 +864,21 @@ def test_default_gap_is_the_start_distance_at_extreme_starts(capsys, x0, gap):
     assert (code, out, err) == run(capsys, *base, "--gap", x0)
 
 
-@pytest.mark.parametrize("z", [{"dist": "gamma", "shape": 100, "rate": 1}, {"dist": "normal", "mu": 0.5, "sigma": 1}],
-                         ids=["gamma-100", "normal-mu-half"])
+@pytest.mark.parametrize("z", [
+    {"dist": "gamma", "shape": 100, "rate": 1},
+    {"dist": "normal", "mu": 0.5, "sigma": 1},
+    {"dist": "inverse-gamma", "shape": 0.5, "rate": 1},
+    {"dist": "inverse-gamma", "shape": 1.5, "rate": 1},
+], ids=["gamma-100", "normal-mu-half", "inverse-gamma-without-mean", "inverse-gamma-without-variance"])
 def test_asym_arch_at_a_0_certifies_immediate_coupling_for_any_noise(capsys, z):
-    # at a = 0 the chain forgets its start in one step, so the log|Z| height rule does not apply
+    # at a = 0 the chain forgets its start in one step, so neither the log|Z|
+    # height rule nor a moment of Z applies
     params = json.dumps({"a": 0, "b": 3, "c": 5, "z": z})
     code, out, err = run(capsys, "certificate", "--family", "asym-arch", "--params", params, "--gap", "1")
     assert code == 0, err
     cert = json.loads(out)
     assert cert["C"] == 0 and cert["D"] == 0
+    assert cert["details"] == {"d_exact": 0.0, "d_jensen": 0.0}
     code, out, err = run(capsys, "iters", "--family", "asym-arch", "--params", params, "--gap", "1",
                          "--epsilon", "0.01")
     assert (code, out) == (0, "1\n"), err

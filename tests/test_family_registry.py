@@ -61,31 +61,30 @@ def test_every_tagged_family_class_is_registered():
 
 def test_scalar_families_draw_through_their_noise_law():
     # Family.draw samples ``z`` through the hooked stochastics.sample, and so
-    # does the Gibbs pair's draw on _Gibbs; only the vector family shapes
-    # its own draw, of standard normal vectors
-    assert [tag for tag, cls in models.FAMILIES.items() if "draw" in vars(cls)] == ["ar-d"]
+    # does the Gibbs pair's draw on _Gibbs; the vector family does not draw
+    assert [tag for tag, cls in models.FAMILIES.items() if "draw" in vars(cls)] == []
 
 
-def test_vector_draws_and_the_drift_fit_go_through_the_sampler(monkeypatch, trees):
+def test_the_drift_fit_goes_through_the_sampler(monkeypatch, trees):
     # the benchmark counts and times draws at stochastics.sample; the bits are
     # those of the laws' own draws, as before the hook saw them
     j, _, s = trees
-    gibbs, vector = models.LocationGibbsTau(j, s), models.ARNormalD(np.eye(3) / 2, np.eye(3))
-    expected_noise = np.random.default_rng(5).standard_normal((4, 3))
+    gibbs = models.LocationGibbsTau(j, s)
     gx, gy = stochastics.NoiseStream(1).generator(), stochastics.NoiseStream(1).generator()
     gibbs.x_law.draw(gy, 10)
     expected_fit = float(((gibbs.x_law.draw(gx, 10) * gibbs.y_law.draw(gy, 10)) ** 2).sum()) / 10
     tags, sample = [], stochastics.sample
     monkeypatch.setattr(stochastics, "sample", lambda dist, *args: tags.append(dist.tag) or sample(dist, *args))
-    assert np.array_equal(models.draw_innovations(vector, np.random.default_rng(5), 4), expected_noise)
-    assert tags == ["normal"]
     assert bounds.mc_location_drift_fit(gibbs, stochastics.NoiseStream(1), 10) == expected_fit
-    assert tags == ["normal", "gamma", "gamma", "inverse-gamma"]
+    assert tags == ["gamma", "gamma", "inverse-gamma"]
 
 
-def test_every_family_steps_into_out():
-    assert [tag for tag, cls in models.FAMILIES.items() if "out" not in inspect.signature(cls.step).parameters] == []
-    assert "out" in inspect.signature(models.step).parameters
+def test_every_scalar_family_steps_into_a_required_out():
+    # the vector family is certified in closed form only: it has no step
+    assert not hasattr(models.ARNormalD, "step")
+    steps = [cls.step for cls in models.FAMILIES.values() if cls is not models.ARNormalD]
+    for fn in (*steps, models.step):
+        assert inspect.signature(fn).parameters["out"].default is inspect.Parameter.empty, fn
 
 
 def test_every_family_builds_its_own_certificate():

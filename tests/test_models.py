@@ -25,23 +25,24 @@ from tvbounds.models import (
 )
 from tvbounds.stochastics import DISTS, ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, sample
 
-from oracles import CoupledState, couple_step, full_step, full_sweep, innovations_from_full
+from oracles import (CoupledState, couple_step, fresh_like, full_step, full_sweep, innovations_from_full,
+                     vector_ar_couple_step)
 
 S_TREES = 295.43741935483877
 
 
 def test_step_ar1_fixed_point():
     m = ARNormal1D(0.5, math.sqrt(0.75))
-    assert step(m, 0.0, 0.0) == 0.0
+    assert step(m, 0.0, 0.0, np.empty(())) == 0.0
 
 
 def test_step_nonlinear_ar_at_pi():
-    assert step(NonlinearAR(), math.pi, 0.0) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert step(NonlinearAR(), math.pi, 0.0, np.empty(())) == pytest.approx(math.pi / 2, rel=1e-15)
 
 
 def test_step_garch_volatility_recursion():
     m = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
-    out = step(m, GarchState(0.1, 0.0001), 0.0)
+    out = step(m, GarchState(0.1, 0.0001), 0.0, GarchState(np.empty(()), np.empty(())))
     assert out.s2 == pytest.approx(0.13 + 0.1266 * 0.01 + 0.7922 * 0.0001, rel=1e-12)
     assert out.s2 == pytest.approx(0.13134, abs=1e-5)
 
@@ -144,22 +145,20 @@ def _same(a, b):
     return np.shape(a) == np.shape(b) and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("paths", [None, 1000], ids=["0-d", "array"])
 @pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
-def test_step_into_out_is_bit_identical_and_writes_only_out(family, paths):
+def test_step_into_out_is_bit_identical_and_writes_only_out(family):
     model = STEP_FAMILIES[family]
     rng = np.random.default_rng(2026)
-    shape = () if paths is None else (paths,)
-    state = model.make_state(rng.uniform(0.5, 3.0, size=shape), rng.uniform(0.5, 3.0, size=shape))
+    state = model.make_state(rng.uniform(0.5, 3.0, size=1000), rng.uniform(0.5, 3.0, size=1000))
     for _ in range(3):
-        noise = draw_innovations(model, rng, size=paths)
+        noise = draw_innovations(model, rng, 1000)
         state0, noise0 = _copy(state), _copy(noise)
-        fresh = step(model, state, noise)
+        out = fresh_like(state)
+        assert step(model, state, noise, out) is out
         assert _same(state, state0) and _same(noise, noise0)
-        if paths:
-            assert _same(fresh, REFERENCE_STEPS[family](model, state, noise))
+        assert _same(out, REFERENCE_STEPS[family](model, state, noise))
         assert step(model, state, noise, out=state) is state
-        assert _same(state, fresh) and _same(noise, noise0)
+        assert _same(state, out) and _same(noise, noise0)
 
 
 @pytest.mark.parametrize("family", sorted(STEP_FAMILIES))
@@ -181,7 +180,7 @@ def test_draw_into_out_returns_out_bit_identical_to_a_fresh_draw(family):
 def test_step_gibbs_positive_state_required():
     m = LocationGibbsTau(31, S_TREES)
     with pytest.raises(StateError):
-        step(m, -1.0, (0.1, 0.2))
+        step(m, -1.0, (0.1, 0.2), np.empty(()))
 
 
 def test_family_validation():
@@ -235,7 +234,8 @@ def test_garch_domain_matches_certificate():
     # the model alone checks alpha2 > 0 and beta2, gamma2 >= 0; its certificate reads them
     for beta2, gamma2 in [(0.0, 0.5), (0.3, 0.0), (0.0, 0.0)]:
         m = GARCH(0.13, beta2, gamma2, Normal(0.0, 1.0))
-        s = step(m, GarchState(np.array([0.1, -0.4]), np.array([0.0001, 0.5])), np.array([1.0, -1.0]))
+        state = GarchState(np.array([0.1, -0.4]), np.array([0.0001, 0.5]))
+        s = step(m, state, np.array([1.0, -1.0]), fresh_like(state))
         assert np.allclose(s.s2, 0.13 + beta2 * np.array([0.01, 0.16]) + gamma2 * np.array([0.0001, 0.5]))
     for bad in [(0.13, -0.1, 0.1), (0.13, 0.1, -0.1), (-0.1, 0.1, 0.1)]:
         with pytest.raises(ParameterError):
@@ -256,8 +256,8 @@ def test_couple_step_shared_asym_arch_contraction_per_draw(stream):
     cs = CoupledState(x0, x0p)
     rng = stream.substream(0).generator()
     z = draw_innovations(m, rng, size=20_000)
-    x1 = step(m, x0, z)
-    x1p = step(m, x0p, z)
+    x1 = step(m, x0, z, fresh_like(x0))
+    x1p = step(m, x0p, z, fresh_like(x0p))
     assert np.all(np.abs(x1 - x1p) <= abs(m.a) * np.abs(z) * np.abs(x0 - x0p) + 1e-12)
 
 
@@ -274,7 +274,8 @@ def test_couple_step_determinism(stream):
     m = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
     runs = []
     for _ in range(2):
-        cs = CoupledState(m.make_state(0.1, 0.0001), m.make_state(-0.1, 0.01))
+        cs = CoupledState(m.make_state(np.array([0.1]), np.array([0.0001])),
+                          m.make_state(np.array([-0.1]), np.array([0.01])))
         for _ in range(5):
             cs = couple_step(m, cs, NoiseStream(20260809))
         runs.append((np.asarray(cs.x.x), np.asarray(cs.x_prime.x)))
@@ -343,7 +344,7 @@ def test_shared_mode_contraction_vector_ar():
     stream = NoiseStream(314, 44)
     for _ in range(3):
         prev = float(np.linalg.norm(np.asarray(cs.x) - np.asarray(cs.x_prime)))
-        cs = couple_step(m, cs, stream)
+        cs = vector_ar_couple_step(m, cs, stream)
         cur = float(np.linalg.norm(np.asarray(cs.x) - np.asarray(cs.x_prime)))
         assert cur <= rate * prev * (1 + 1e-12)
 
@@ -363,7 +364,7 @@ def test_reduced_equals_full_under_same_draws(rng):
     reduced_full, (mu, _) = full_sweep(m, state, z[:, None], g, 13.2484, 1 / 31)
     assert reduced_full.shape == mu.shape == state.shape
     x, y = innovations_from_full(m, z[:, None], g)
-    reduced_direct = step(m, state, (x, y))
+    reduced_direct = step(m, state, (x, y), fresh_like(state))
     assert np.allclose(reduced_full, reduced_direct, rtol=1e-12)
 
     mr = RegressionGibbsSigma(333, 4, 26123.0)
@@ -372,7 +373,7 @@ def test_reduced_equals_full_under_same_draws(rng):
     g = sample(Gamma((333 + 4) / 2, 1.0), rng, size=1000)
     reduced_full, _ = full_sweep(mr, state, w, g)
     x, y = innovations_from_full(mr, w, g)
-    assert np.allclose(reduced_full, step(mr, state, (x, y)), rtol=1e-12)
+    assert np.allclose(reduced_full, step(mr, state, (x, y), fresh_like(state)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("j", [3, 31, 100])

@@ -2,8 +2,16 @@
 code that only tests reach belongs in ``tests/oracles.py``."""
 
 import ast
+import contextlib
+import io
+import json
+import sys
 from collections import Counter
 from pathlib import Path
+
+from tvbounds import cli, models
+
+from test_cli import FAMILY_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_MODULES = sorted((ROOT / "src" / "tvbounds").glob("*.py"))
@@ -52,3 +60,39 @@ def test_every_public_name_and_method_is_reached_outside_tests():
         if reached[name] == (_references(definition)[name] if definition else 0)
     ]
     assert unreached == [], f"reached only from tests (move to tests/oracles.py): {unreached}"
+
+
+def test_every_family_method_runs_under_a_command():
+    # the name check above cannot see a method that only tests call when
+    # another class has a method of that name: run `certificate` for every
+    # --family choice and a small `curve` for every scalar family, and
+    # record each function entered
+    tree = ast.parse(Path(models.__file__).read_text(encoding="utf-8"))
+    methods = {}  # code object -> "Class.method"
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                fn = vars(getattr(models, cls.name))[node.name]
+                methods[getattr(fn, "fget", fn).__code__] = f"{cls.name}.{node.name}"
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for family, (params, starts) in FAMILY_CASES.items():
+                codes.append(cli.main(["certificate", "--family", family, "--params", json.dumps(params)]))
+                if starts is not None:
+                    codes.append(cli.main([
+                        "curve", "--family", family, "--params", json.dumps(params), "--x0", str(starts[0]),
+                        "--x0p", str(starts[1]), "--n-max", "2", "--paths", "1000", "--workers", "1",
+                    ]))
+        finally:
+            sys.setprofile(None)
+    assert codes and set(codes) == {0}
+    assert len(methods) > 20
+    assert sorted(name for code, name in methods.items() if code not in entered) == []

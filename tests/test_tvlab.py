@@ -464,7 +464,7 @@ def test_curve_job_draws_into_the_previous_iterations_arrays(monkeypatch, model)
     calls = []
     draw = models.draw_innovations
 
-    def recording(model, rng, size=None, out=None):
+    def recording(model, rng, size, out=None):
         noise = draw(model, rng, size, out)
         calls.append((out, noise))
         return noise
