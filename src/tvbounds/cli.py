@@ -97,10 +97,10 @@ def _split(family: str, params: dict):
     keyword parameters take their keys, every other key but a start is a
     model field (so an unknown key raises ParameterError), and ``gap``
     defaults to |x0 - x0'|.  Once the model is built, a start key the
-    family does not take raises ParameterError, and each start is checked
-    and built by ``model.start_state``, so a bad one fails here, whatever
-    the command.  A float overflow in the certificate's formula is a
-    ParameterError naming the family."""
+    family does not take raises ParameterError, and each start of a chain
+    is checked by ``model.start_state`` (ar-d's by its certificate), so a
+    bad one fails here, whatever the command.  A float overflow in the
+    certificate's formula is a ParameterError naming the family."""
     if family not in CERTIFICATES:
         raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
     cls = models.FAMILIES.get(family)
@@ -114,7 +114,7 @@ def _split(family: str, params: dict):
         for key in [k for k in START_KEYS if k in params and k not in ("x0", "x0p", *keys)]:
             raise ParameterError(f"family '{family}' takes no start {key}")
         for x, s2 in (("x0", "s20"), ("x0p", "s20p")):
-            if x in params:
+            if x in params and isinstance(model, models.Family):
                 model.start_state(params[x], params.get(s2), (x, s2))
         options = {k: v for k, v in params.items() if k in keys}
         if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
@@ -186,7 +186,7 @@ def _curve(family, params, out, n_max, n_paths, bin_width, stream, workers, boun
     from . import tvlab
 
     model, certify = _split(family, params)
-    if model is None:
+    if not isinstance(model, models.Family):
         raise ParameterError(f"family '{family}' has no chain to simulate")
     for k in ("x0", "x0p"):
         if k not in params:

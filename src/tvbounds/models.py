@@ -1,10 +1,11 @@
 """Chain families as iterated random functions X_n = g(theta_n, X_{n-1}).
 
-Each family is one frozen :class:`stochastics.Record` derived from
-:class:`Family` that describes it whole, each operation a method: JSON
-tag, parameters, innovation draw, transition, state, observable,
-certificate (the family's C and D, written out from its fields) and
+Each family is one frozen :class:`stochastics.Record` that describes it
+whole, each operation a method: JSON tag, parameters, certificate (the
+family's C and D, written out from its fields) and, for a chain (a
+:class:`Family`), innovation draw, transition, state, observable and
 (where known) exact TV; a Gibbs family is its reduced scalar chain alone.
+ar-d, certified in closed form only, is a plain record and no Family.
 Each family declares its parameter domains once, in its ``domains`` map
 of field to :mod:`stochastics` validator, which :class:`Record` enforces
 on every construction; ``__post_init__`` keeps only the rules across
@@ -20,8 +21,7 @@ advance in one vectorized call.  The GARCH state carries the pair
 ``draw(rng, size, out=None)`` draws ``size`` paths' innovations from a
 numpy Generator and ``step(state, noise, out)`` writes the next state
 into ``out``, which may be ``state`` itself, so a simulation loop
-advances its paths in place without a fresh array per iteration.  The
-vector family ar-d is certified in closed form only and has neither.  A
+advances its paths in place without a fresh array per iteration.  A
 scalar start or state is checked without numpy, which is imported on
 first use, so a closed-form certificate never loads it.
 """
@@ -90,8 +90,6 @@ class Family(Record):
     caller passes it as ``out``."""
 
     family: ClassVar[str]
-    # dimensions of one path's observable
-    state_ndim: ClassVar[int] = 0
 
     def draw(self, rng: np.random.Generator, size, out=None):
         return stochastics.sample(self.z, rng, size, out)
@@ -102,15 +100,11 @@ class Family(Record):
     def start_state(self, x, s2=None, names=("x0", "s20")):
         """``make_state`` of one path started at ``x`` (sigma^2 ``s2`` for GARCH),
         the one start check: ParameterError names (``names``) a start that is
-        not made of finite real numbers, not bools, shaped as one path's state
-        (a number; for ar-d a vector of A's dimension)."""
-        for name, v, shape in ((names[0], x, (self.dim,) if self.state_ndim else ()), (names[1], s2, ())):
-            if v is None or (not shape and stochastics._is_real(v)):
-                continue
-            values = np.array(v, dtype=object)
-            if values.shape != shape or not all(map(stochastics._is_real, values.flat)):
-                what = f"a list of {shape[0]} numbers" if shape else "a number"
-                raise ParameterError(f"start {name} must be {what}, finite and not bool, got {v!r}")
+        not a finite real number or is a bool; a 0-d numpy array or a numpy
+        scalar checks as the number it holds."""
+        for name, v in zip(names, (x, s2)):
+            if v is not None and not stochastics._is_real(v.item() if getattr(v, "ndim", None) == 0 else v):
+                raise ParameterError(f"start {name} must be a number, finite and not bool, got {v!r}")
         return self.make_state(x, s2)
 
     def observable(self, state):
@@ -191,12 +185,12 @@ class ARNormal1D(Family):
         return 1.0 - math.erfc(abs(self.a**n * (x0 - x0p)) / (2 * math.sqrt(2 * v)))
 
 
-class ARNormalD(Family):
+class ARNormalD(Record):
     """X_n = A X_{n-1} + Sigma Z_n with Z a standard normal vector,
-    certified in closed form only: it has no ``draw`` or ``step``."""
+    certified in closed form only: a certificate record, not a
+    :class:`Family`, so it has no chain to simulate."""
 
     family: ClassVar[str] = "ar-d"
-    state_ndim: ClassVar[int] = 1
     a: np.ndarray
     sigma: np.ndarray
     __eq__, __hash__ = object.__eq__, object.__hash__  # array fields: compare by identity
@@ -209,16 +203,6 @@ class ARNormalD(Family):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma", s)
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def make_state(self, x, s2=None):
-        v = np.asarray(x, dtype=float)
-        if v.shape[-1:] != (self.dim,):
-            raise ParameterError(f"state shape {v.shape} must end in the model dimension {self.dim}")
-        return v
-
     def certificate(self, x0, x0p):
         """For symmetric A: rate max_i |lambda_i| = ||A||_2 against D^n (exp_offset=1) and
 
@@ -227,13 +211,17 @@ class ARNormalD(Family):
         where P, the orthonormal eigenvectors of A, has ||P||_F = ||P^-1||_F = sqrt(d).
         """
         a = self.a
+        d = a.shape[0]
+        for name, v in (("x0", x0), ("x0p", x0p)):
+            values = np.array(v, dtype=object)
+            if values.shape != (d,) or not all(map(stochastics._is_real, values.flat)):
+                raise ParameterError(f"start {name} must be a list of {d} numbers, finite and not bool, got {v!r}")
         if np.linalg.norm(a - a.T) > 1e-12 * np.linalg.norm(a):
             raise ParameterError("A is not symmetric; only symmetric input is supported")
         rate = float(np.linalg.norm(a, 2))
         # ||Sigma^-1||_F from the singular values s of Sigma: sqrt(sum 1/s_i^2)
         sigma_inv_f = np.linalg.norm(1 / bounds._singular_values("Sigma", self.sigma))
-        d = self.dim
-        gap_norm = float(np.linalg.norm(self.start_state(x0) - self.start_state(x0p, names=("x0p", "s20p"))))
+        gap_norm = float(np.linalg.norm(np.asarray(x0, dtype=float) - np.asarray(x0p, dtype=float)))
         c = float(math.sqrt(d / (2 * math.pi)) * sigma_inv_f * d * gap_norm)
         return BoundCertificate(
             c=c,
@@ -575,7 +563,7 @@ def step(model: Family, state, noise, out):
     return model.step(state, noise, out)
 
 
-def model_to_dict(model: Family) -> dict:
+def model_to_dict(model: Record) -> dict:
     """JSON-ready {"family": ..., "params": {...}} form: one entry per
     field, the noise ``z`` as a tagged distribution object."""
     if FAMILIES.get(getattr(model, "family", None)) is not type(model):
@@ -591,7 +579,7 @@ def model_to_dict(model: Family) -> dict:
     return {"family": model.family, "params": params}
 
 
-def model_from_dict(d: dict) -> Family:
+def model_from_dict(d: dict) -> Record:
     try:
         family = d["family"]
         params = dict(d.get("params", {}))

@@ -277,10 +277,10 @@ def simulate_tv_curve(
     Job k runs copy k % 2 of the 2**17-path chunk k // 2 on
     ``stream.substream(k)``.  With ``workers`` > 1 the jobs run on a
     thread pool of min(workers, jobs) threads in this process; the result
-    is byte-identical for any ``workers``.  A diverging copy raises
-    SimulationError naming the iteration, chunk and start of the first
-    failing job in job order; jobs later in job order stop at their next
-    iteration.
+    is byte-identical for any ``workers``.  A non-Family model, or a bad or
+    unbinnable start, raises ParameterError before any job; a diverging copy
+    raises SimulationError naming the iteration, chunk and start of the first
+    failing job in job order; later jobs stop at their next iteration.
     """
     n_max, n_paths, workers = integral("n_max", n_max), integral("n_paths", n_paths), integral("workers", workers)
     if not 1 <= n_paths < _MAX_COUNT:
@@ -293,14 +293,11 @@ def simulate_tv_curve(
         raise ParameterError(f"stream must be a NoiseStream, got {type(stream).__name__}")
     if not (certificate is None or isinstance(certificate, BoundCertificate)):
         raise ParameterError(f"certificate must be a BoundCertificate or None, got {type(certificate).__name__}")
-    if model.state_ndim:
-        raise ParameterError(
-            "TV curves are scalar-only; validate vector chains coordinate-wise "
-            "or with the exact one-dimensional formula"
-        )
+    if not isinstance(model, Family):
+        raise ParameterError(f"{type(model).__name__} has no chain to simulate")
     # reject invalid initial states before any chunk starts
     model.start_state(x0, s20)
-    model.start_state(x0_prime, s20_prime, ("x0'", "s20'"))
+    model.start_state(x0_prime, s20_prime, ("x0p", "s20p"))
 
     starts = ((x0, s20), (x0_prime, s20_prime))
     n_jobs = 2 * -(-n_paths // _CHUNK_PATHS)
@@ -308,6 +305,9 @@ def simulate_tv_curve(
     # histograms, so only n_max are held whatever n_paths is; building them
     # checks the bin width first
     hists = [Histogram(bin_width) for _ in range(n_max)]
+    for name, x in (("x0", x0), ("x0p", x0_prime)):
+        if not abs(float(x)) / float(bin_width) < _MAX_CELL:  # the cells _cells can cast
+            raise ParameterError(f"start {name} = {x!r} out of histogram range at bin width {bin_width!r}")
     lock = threading.Lock()
     first_failed = n_jobs  # the first failed job in job order
 
@@ -330,7 +330,7 @@ def simulate_tv_curve(
             except ParameterError as exc:
                 with lock:
                     first_failed = min(first_failed, k)
-                start = ("x0", "x0'")[copy]
+                start = ("x0", "x0p")[copy]
                 raise SimulationError(
                     f"chain diverged at iteration {n} (chunk {chunk}, start {start}): {exc}"
                 ) from None

@@ -167,7 +167,7 @@ def couple_step(model: Family, cs: CoupledState, stream: NoiseStream) -> Coupled
 def vector_ar_couple_step(model, cs: CoupledState, stream: NoiseStream) -> CoupledState:
     """:func:`couple_step` for an ``ARNormalD``: both copies take
     X_n = A X_{n-1} + Sigma Z_n on one shared standard normal vector Z_n."""
-    z = stream.substream(2 * cs.iteration).generator().standard_normal(model.dim)
+    z = stream.substream(2 * cs.iteration).generator().standard_normal(model.a.shape[0])
     shock = model.sigma @ z
     return CoupledState(model.a @ cs.x + shock, model.a @ cs.x_prime + shock, cs.iteration + 1)
 

@@ -841,6 +841,37 @@ def test_curve_of_a_family_without_a_chain_says_so_before_asking_for_starts(caps
     assert err == "error: family 'independent-coordinates' has no chain to simulate\n"
 
 
+@pytest.mark.parametrize("params,starts", [
+    pytest.param({k: v for k, v in AR_D.items() if k not in ("x0", "x0p")}, ["--x0", "1", "--x0p", "0"],
+                 id="scalar-starts"),
+    pytest.param(AR_D, [], id="vector-starts"),
+])
+def test_curve_of_ar_d_says_it_has_no_chain(capsys, params, starts):
+    # ar-d is certified in closed form only, refused by the same rule as independent-coordinates
+    code, out, err = run(capsys, "curve", "--family", "ar-d", "--params", json.dumps(params), *starts,
+                         "--n-max", "1", "--paths", "100")
+    assert code == 2 and out == ""
+    assert err == "error: family 'ar-d' has no chain to simulate\n"
+
+
+@pytest.mark.parametrize("starts,message", [
+    pytest.param(["--x0", "1e300", "--x0p", "1"], "start x0 = 1e+300 out of histogram range at bin width 0.01",
+                 id="x0-1e300"),
+    pytest.param(["--x0", "0", "--x0p", "1", "--bin-width", "1e-300"],
+                 "start x0p = 1.0 out of histogram range at bin width 1e-300", id="bin-width-1e-300"),
+])
+def test_curve_start_beyond_the_histogram_exits_2_before_any_job(monkeypatch, capsys, starts, message):
+    # a start whose cell |x| / bin width reaches 2**62 is bad input, not a diverged chain
+    def no_job(*args, **kwargs):
+        raise AssertionError("a chunk job ran")
+
+    monkeypatch.setattr(NoiseStream, "substream", no_job)
+    code, out, err = run(capsys, "curve", "--family", "ar1", "--a", "0.5", "--sigma", "1", *starts, "--n-max", "2",
+                         "--paths", "10")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command,extra", [
     ("certificate", []),
     ("iters", ["--epsilon", "0.01"]),

@@ -51,10 +51,12 @@ def test_no_module_compares_against_a_family_tag():
 
 
 def test_every_tagged_family_class_is_registered():
+    # every record class models defines with a tag, chain or not (ar-d)
     tagged = {
         cls.family: cls
         for cls in vars(models).values()
-        if isinstance(cls, type) and issubclass(cls, models.Family) and hasattr(cls, "family")
+        if isinstance(cls, type) and issubclass(cls, stochastics.Record) and cls.__module__ == models.__name__
+        and hasattr(cls, "family")
     }
     assert tagged == models.FAMILIES
 
@@ -85,6 +87,14 @@ def test_every_scalar_family_steps_into_a_required_out():
     steps = [cls.step for cls in models.FAMILIES.values() if cls is not models.ARNormalD]
     for fn in (*steps, models.step):
         assert inspect.signature(fn).parameters["out"].default is inspect.Parameter.empty, fn
+
+
+def test_ar_d_is_a_certificate_record_with_no_chain_api():
+    # isinstance(model, Family) is the one test of a chain, and ar-d offers no chain method it cannot run
+    assert issubclass(models.ARNormalD, stochastics.Record) and not issubclass(models.ARNormalD, models.Family)
+    ard = models.ARNormalD(0.5 * np.eye(2), np.eye(2))
+    chain_api = ("draw", "step", "make_state", "start_state", "observable", "state_ndim")
+    assert [name for name in chain_api if hasattr(ard, name)] == []
 
 
 def test_every_family_builds_its_own_certificate():

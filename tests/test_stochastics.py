@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,15 +106,15 @@ def test_density_integrates_to_one(dist):
     assert abs(total - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [Normal(0.0, 1.0), ChiSquare(1), Gamma(0.5, 2.0), Gamma(3.0, 1.5), InverseGamma(16.5, 147.5)],
-    ids=str,
-)
+KS_LAWS = [Normal(0.0, 1.0), ChiSquare(1), Gamma(0.5, 2.0), Gamma(3.0, 1.5), InverseGamma(16.5, 147.5)]
+
+
+@pytest.mark.parametrize("dist", KS_LAWS, ids=str)
 def test_sample_density_consistency_ks(dist):
-    """KS distance of 1e5 draws against the CDF obtained by quadrature."""
+    """KS distance of 1e5 draws, on the stream whose id is the law's
+    position in KS_LAWS, against the CDF obtained by quadrature."""
     n = 100_000
-    x = np.sort(sample(dist, NoiseStream(77, hash(str(dist)) % 1000).generator(), size=n))
+    x = np.sort(sample(dist, NoiseStream(77, KS_LAWS.index(dist)).generator(), size=n))
     lo = min(x[0], x[0] - 1.0) if isinstance(dist, Normal) else 0.0
     grid = np.unique(np.concatenate([[lo], np.quantile(x, np.linspace(0, 1, 2001)), [x[-1] * 1.1 + 1]]))
     cdf_vals = np.zeros_like(grid)
@@ -123,6 +125,26 @@ def test_sample_density_consistency_ks(dist):
     emp_lo = np.arange(0, n) / n
     ks = max(np.max(np.abs(emp_hi - f_at_x)), np.max(np.abs(emp_lo - f_at_x)))
     assert ks < 0.01
+
+
+def _calls(node, name):
+    """The calls under ``node`` of a function or method named ``name``."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+            yield call
+
+
+def test_no_test_keys_a_noise_stream_by_hash():
+    # str hashes are salted per interpreter (PYTHONHASHSEED), so a stream
+    # keyed by hash() draws different samples in every process
+    streams, keyed_by_hash = 0, []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "NoiseStream"):
+            streams += 1
+            if any(next(_calls(arg, "hash"), None) for arg in [*call.args, *(k.value for k in call.keywords)]):
+                keyed_by_hash.append(f"{path.name}:{call.lineno}")
+    assert streams > 50
+    assert keyed_by_hash == []
 
 
 def test_abs_moment_normal():

@@ -608,10 +608,10 @@ GARCH_STARTS = {"x0": 0.1, "x0_prime": -0.1, "s20": 0.0001, "s20_prime": 0.01}
 @pytest.mark.parametrize("model,starts,name", [
     *[pytest.param(AR1, {**AR1_STARTS, "x0": bad}, "x0", id=f"x0-{label}")
       for label, bad in (("nan", math.nan), ("inf", math.inf), ("true", True), ("str", "1"), ("list", [1, 2]))],
-    pytest.param(AR1, {**AR1_STARTS, "x0_prime": [1, 2]}, "x0'", id="x0-prime-list"),
+    pytest.param(AR1, {**AR1_STARTS, "x0_prime": [1, 2]}, "x0p", id="x0-prime-list"),
     pytest.param(GARCH_N01, {**GARCH_STARTS, "s20": math.nan}, "s20", id="garch-s20-nan"),
     pytest.param(GARCH_N01, {**GARCH_STARTS, "s20": True}, "s20", id="garch-s20-true"),
-    pytest.param(GARCH_N01, {**GARCH_STARTS, "s20_prime": False}, "s20'", id="garch-s20-prime-false"),
+    pytest.param(GARCH_N01, {**GARCH_STARTS, "s20_prime": False}, "s20p", id="garch-s20-prime-false"),
 ])
 def test_curve_start_check_names_the_start_before_any_job(monkeypatch, model, starts, name):
     def no_job(*args, **kwargs):
@@ -620,6 +620,27 @@ def test_curve_start_check_names_the_start_before_any_job(monkeypatch, model, st
     monkeypatch.setattr(NoiseStream, "substream", no_job)
     with pytest.raises(ParameterError, match=f"^start {re.escape(name)} must be a number"):
         simulate_tv_curve(model, n_max=2, n_paths=100, bin_width=0.01, stream=NoiseStream(1), **starts)
+
+
+def test_curve_refuses_a_model_without_a_chain(monkeypatch):
+    def no_job(*args, **kwargs):
+        raise AssertionError("a chunk job ran")
+
+    monkeypatch.setattr(NoiseStream, "substream", no_job)
+    ard = models.ARNormalD(0.5 * np.eye(2), np.eye(2))
+    with pytest.raises(ParameterError, match="^ARNormalD has no chain to simulate$"):
+        simulate_tv_curve(ard, [1.0, 1.0], [0.0, 0.0], n_max=2, n_paths=100, bin_width=0.01, stream=NoiseStream(1))
+
+
+def test_curve_start_range_is_the_range_binning_takes():
+    # the largest float below 2**62 cells is a start; 2**62 is refused before any job, naming the start
+    below = math.nextafter(2.0**62, 0)
+    curve = simulate_tv_curve(ARNormal1D(0.5, 1.0), below, 0.0, n_max=1, n_paths=10, bin_width=1.0,
+                              stream=NoiseStream(1))
+    assert len(curve.rows) == 1
+    with pytest.raises(ParameterError, match=r"^start x0p = 4\.6\d+e\+18 out of histogram range at bin width 1\.0$"):
+        simulate_tv_curve(ARNormal1D(0.5, 1.0), 0.0, 2.0**62, n_max=1, n_paths=10, bin_width=1.0,
+                          stream=NoiseStream(1))
 
 
 # ---------------------------------------------------------------- shifted L1
