@@ -19,7 +19,7 @@ D = 100
 
 # ---- independent coordinates ------------------------------------------------
 amp = math.sqrt(2 / (3 * math.pi))
-cert_ind = bounds.independent_coordinates_certificate(amp, 0.5, D, 1.0)
+cert_ind = models.IndependentCoordinates(amp, 0.5, D).certificate(1.0)
 print(f"independent coordinates: bound(n) = {cert_ind.c:.4f} * 0.5^n")
 print(f"  at n = 14 the bound is {bounds.bound_eval(cert_ind, 14).raw:.6f} (< 0.01)")
 print(f"  first n below 0.01: {bounds.iterations_to_epsilon(cert_ind, 0.01)}\n")

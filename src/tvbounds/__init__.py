@@ -7,13 +7,13 @@ stochastics
     Innovation distributions (shape-rate gamma conventions) and
     reproducible random streams.
 models
-    The chain families, each with its own certificate.
+    The families, each with its own certificate: the chains, and the
+    two certified in closed form only (ar-d, independent-coordinates).
 bounds
     The certificate algebra: (C, D, n0, gap) tuples evaluating to
     C * D^(n-n0-1) * gap, and the parts no family owns (the
-    independent-coordinates certificate, the inverse-gamma mode height,
-    the pinned sine-map rate, the location drift constants and their
-    Monte-Carlo oracle, the matrix checks).
+    inverse-gamma mode height, the pinned sine-map rate, the location
+    drift constants and their Monte-Carlo oracle, the matrix checks).
 tvlab
     Histogram TV estimation and simulated TV curves.
 data

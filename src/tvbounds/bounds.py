@@ -11,19 +11,19 @@ conventions appear among the covered families and are encoded on the
 certificate rather than folded into C:
 
 * ``exp_offset=1`` evaluates C * D^(n - n0) (the vector autoregressive
-  and independent-coordinate bounds are stated against D^n),
+  and independent-coordinates bounds are stated against D^n),
 * ``exp_step=2`` halves the exponent, C * D^floor(n/2), for the
   two-iteration contraction of the sine-map chain.
 
 Raw bound values may exceed 1; evaluation reports both the raw value
 and the value clamped into [0, 1].
 
-Each chain family writes its own C and D, in the ``certificate`` method
-of its ``models`` class.  This module holds what no family owns: the
-certificate algebra, the inverse-gamma mode height and golden-section
-search, the independent-coordinates certificate (the one without a
-chain), the sine-map chain's pinned two-step rate :func:`nonlinear_ar_D`,
-and the Monte-Carlo drift fit :func:`mc_location_drift_fit`.
+Each family, chain or not, writes its own C and D, in the
+``certificate`` method of its ``models`` class.  This module holds what
+no family owns: the certificate algebra, the inverse-gamma mode height
+and golden-section search, the sine-map chain's pinned two-step rate
+:func:`nonlinear_ar_D`, and the Monte-Carlo drift fit
+:func:`mc_location_drift_fit`.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ __all__ = [
     "drift_expected_distance",
     "location_drift_constants",
     "mc_location_drift_fit",
-    "independent_coordinates_certificate",
     "nonlinear_ar_D",
     "golden_section_max",
-    "integral",
     "certificate_to_dict",
 ]
 
@@ -264,25 +262,6 @@ def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
         xy *= xy
         total += float(xy.sum())
     return total / n_draws
-
-
-def independent_coordinates_certificate(amplitude: float, rate: float, d: int, gap: float) -> BoundCertificate:
-    """Certificate for d independent coordinates whose scalar bounds are
-    amplitude * rate^n: the d-dimensional bound (d * amplitude) * rate^n * gap."""
-    d = integral("dimension d", d)
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    finite("coordinate amplitude", amplitude)  # a bool amplitude makes C = d * amplitude a number
-    return BoundCertificate(
-        c=d * amplitude,
-        d=rate,
-        n0=0,
-        gap=gap,
-        family="ar1-independent-d",
-        exp_offset=1,
-        notes=("bound convention D^n",),
-        details={"d": d, "coordinate_amplitude": amplitude},
-    )
 
 
 _NONLINEAR_AR_D = 0.813929960085302  # 0x1.a0bb6d7f9a172p-1

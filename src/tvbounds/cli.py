@@ -87,44 +87,37 @@ def _load_params(args) -> dict:
     return params
 
 
-# the --family choices: every chain family, and one certificate without a chain
-CERTIFICATES = (*models.FAMILIES, "independent-coordinates")
-
-
 def _split(family: str, params: dict):
-    """The chain model of ``family`` (None for independent-coordinates) and
-    a function building its certificate from ``params``: the certificate's
-    keyword parameters take their keys, every other key but a start is a
-    model field (so an unknown key raises ParameterError), and ``gap``
-    defaults to |x0 - x0'|.  Once the model is built, a start key the
-    family does not take raises ParameterError, and each start of a chain
-    is checked by ``model.start_state`` (ar-d's by its certificate), so a
-    bad one fails here, whatever the command.  A float overflow in the
+    """The model of ``family`` and a function building its certificate from
+    ``params``: the certificate's keyword parameters take their keys, every
+    other key but a start is a model field (so an unknown key raises
+    ParameterError), and ``gap`` defaults to |x0 - x0'|.  Once the model is
+    built, a start key raises ParameterError unless the certificate takes
+    it or it is x0 or x0p of a chain, and each start of a chain is checked
+    by ``model.start_state`` (ar-d's by its certificate), so a bad one
+    fails here, whatever the command.  A float overflow in the
     certificate's formula is a ParameterError naming the family."""
-    if family not in CERTIFICATES:
-        raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(CERTIFICATES)})")
     cls = models.FAMILIES.get(family)
-    if cls is None:  # no chain, so no start: the certificate call rejects any key it does not take
-        model, build, options = None, bounds.independent_coordinates_certificate, params
-    else:
-        code = cls.certificate.__code__  # its parameter names, self first, then its locals
-        keys = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
-        fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
-        model = models.model_from_dict({"family": family, "params": fields})
-        for key in [k for k in START_KEYS if k in params and k not in ("x0", "x0p", *keys)]:
-            raise ParameterError(f"family '{family}' takes no start {key}")
-        for x, s2 in (("x0", "s20"), ("x0p", "s20p")):
-            if x in params and isinstance(model, models.Family):
-                model.start_state(params[x], params.get(s2), (x, s2))
-        options = {k: v for k, v in params.items() if k in keys}
-        if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
-            # every family whose certificate takes gap has scalar starts
-            options["gap"] = abs(float(params["x0"]) - float(params["x0p"]))
-        build = model.certificate
+    if cls is None:
+        raise ParameterError(f"unknown certificate family '{family}' (choose from {', '.join(models.FAMILIES)})")
+    code = cls.certificate.__code__  # its parameter names, self first, then its locals
+    keys = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+    fields = {k: v for k, v in params.items() if k not in keys and k not in START_KEYS}
+    model = models.model_from_dict({"family": family, "params": fields})
+    chain = isinstance(model, models.Family)
+    for key in [k for k in START_KEYS if k in params and k not in keys and not (chain and k in ("x0", "x0p"))]:
+        raise ParameterError(f"family '{family}' takes no start {key}")
+    for x, s2 in (("x0", "s20"), ("x0p", "s20p")):
+        if chain and x in params:
+            model.start_state(params[x], params.get(s2), (x, s2))
+    options = {k: v for k, v in params.items() if k in keys}
+    if "gap" in keys and "gap" not in params and "x0" in params and "x0p" in params:
+        # a family whose certificate takes gap takes scalar starts or none
+        options["gap"] = abs(float(params["x0"]) - float(params["x0p"]))
 
     def certify() -> bounds.BoundCertificate:
         try:
-            return build(**options)
+            return model.certificate(**options)
         except TypeError as exc:
             raise ParameterError(f"bad certificate parameters for family '{family}': {exc}") from None
         except OverflowError:  # a float power past 1e308 in the family's formula
@@ -393,7 +386,7 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
     row("AR(1) first n with bound < 0.01", 7, bounds.iterations_to_epsilon(cert_ar1, 0.01), 0)
 
     # independent coordinates in dimension 100
-    cert_ind = bounds.independent_coordinates_certificate(math.sqrt(2 / (3 * math.pi)), 0.5, 100, 1.0)
+    cert_ind = models.IndependentCoordinates(math.sqrt(2 / (3 * math.pi)), 0.5, 100).certificate(1.0)
     row("independent-100 bound at n=14", 0.0028, bounds.bound_eval(cert_ind, 14).raw, 1e-4,
         note="below 0.01 at the recorded n=14")
     row("independent-100 first n with bound < 0.01", 13, bounds.iterations_to_epsilon(cert_ind, 0.01), 0)
@@ -527,7 +520,7 @@ def _at_least_one(text: str) -> int:
 
 
 def _add_common_cert_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=CERTIFICATES)
+    p.add_argument("--family", required=True, choices=models.FAMILIES)
     p.add_argument("--params", help="inline JSON parameter object")
     p.add_argument("--params-file", help="path to a JSON parameter file")
     p.add_argument("--a", type=float)

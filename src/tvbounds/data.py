@@ -97,14 +97,14 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
 
 
 def load_csv(path, y_column: str, x_columns=None, prior_lambda=None):
-    """Load a UTF-8 CSV with a header row into a typed dataset.
+    """Load a UTF-8 CSV with a header row (after any byte-order mark, as Excel writes) into a typed dataset.
 
     Without ``x_columns`` the y column alone becomes a LocationData;
     with them the result is a RegressionData, and ``prior_lambda`` is
     required (there is no defensible default for the prior precision).
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IngestionError(f"cannot open {path}: {exc}") from None
     with fh:

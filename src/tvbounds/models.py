@@ -5,14 +5,15 @@ whole, each operation a method: JSON tag, parameters, certificate (the
 family's C and D, written out from its fields) and, for a chain (a
 :class:`Family`), innovation draw, transition, state, observable and
 (where known) exact TV; a Gibbs family is its reduced scalar chain alone.
-ar-d, certified in closed form only, is a plain record and no Family.
+ar-d and independent-coordinates, certified in closed form only, are
+plain records and no Family.
 Each family declares its parameter domains once, in its ``domains`` map
 of field to :mod:`stochastics` validator, which :class:`Record` enforces
 on every construction; ``__post_init__`` keeps only the rules across
 fields or beyond a numeric domain (J >= 3, c != 0, positive LARCH noise).
-:data:`FAMILIES` (tag -> class) is the registry.
-:func:`draw_innovations`, :func:`step` and :func:`observable` forward to
-the family only because they are the layer boundaries
+:data:`FAMILIES` (tag -> class) is the registry, and its tags are the
+CLI's ``--family`` choices.  :func:`draw_innovations` and :func:`step`
+forward to the family only because they are the layer boundaries
 ``perfbench/layertrace.py`` hooks.
 
 A simulated state is an array of paths, so a million coupled paths
@@ -46,6 +47,7 @@ __all__ = [
     "NonlinearAR",
     "ARNormal1D",
     "ARNormalD",
+    "IndependentCoordinates",
     "LocationGibbsTau",
     "RegressionGibbsSigma",
     "LARCH",
@@ -54,7 +56,6 @@ __all__ = [
     "GarchState",
     "draw_innovations",
     "step",
-    "observable",
     "model_to_dict",
     "model_from_dict",
 ]
@@ -108,6 +109,7 @@ class Family(Record):
         return self.make_state(x, s2)
 
     def observable(self, state):
+        """The scalar the TV curves histogram: X_n itself (GARCH's is x)."""
         return state
 
     def exact_tv(self, x0, x0p, n):
@@ -233,6 +235,28 @@ class ARNormalD(Record):
             notes=("bound convention D^n; the initial-distance norm is folded into C",),
             details={"dim": d, "initial_distance": gap_norm},
         )
+
+
+class IndependentCoordinates(Record):
+    """d independent coordinates whose scalar bounds are amplitude * rate^n,
+    certified in closed form only: a certificate record with no chain.  The
+    rate is the certificate's D, checked there as every family's is."""
+
+    family: ClassVar[str] = "independent-coordinates"
+    amplitude: float
+    rate: float
+    d: int
+    domains = {"amplitude": finite, "d": integral}  # a bool amplitude would make C = d * amplitude a number
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ParameterError(f"IndependentCoordinates d must be >= 1, got {self.d}")
+
+    def certificate(self, gap):
+        """The d-dimensional bound (d * amplitude) * rate^n * gap."""
+        return BoundCertificate(c=self.d * self.amplitude, d=self.rate, n0=0, gap=gap, family="ar1-independent-d",
+                                exp_offset=1, notes=("bound convention D^n",),
+                                details={"d": self.d, "coordinate_amplitude": self.amplitude})
 
 
 # the state checks test a finite real number without numpy, anything else as an array
@@ -499,6 +523,11 @@ class GARCH(Family):
         x *= noise
         return out
 
+    def start_state(self, x, s2=None, names=("x0", "s20")):
+        if s2 is None:
+            raise ParameterError(f"GARCH start {names[0]} needs its sigma^2 start {names[1]}")
+        return super().start_state(x, s2, names)
+
     def make_state(self, x, s2=None):
         if s2 is None:
             raise ParameterError("GARCH state needs both x and sigma^2")
@@ -538,14 +567,9 @@ class GARCH(Family):
 
 FAMILIES = {
     cls.family: cls
-    for cls in (NonlinearAR, ARNormal1D, ARNormalD, LocationGibbsTau, RegressionGibbsSigma, LARCH, AsymARCH, GARCH)
+    for cls in (NonlinearAR, ARNormal1D, ARNormalD, LocationGibbsTau, RegressionGibbsSigma, LARCH, AsymARCH, GARCH,
+                IndependentCoordinates)
 }
-
-
-def observable(model: Family, state):
-    """The scalar the TV curves histogram (X_n itself; GARCH tracks x).
-    Forwards to ``model.observable``; a layer boundary perfbench hooks."""
-    return model.observable(state)
 
 
 def draw_innovations(model: Family, rng: np.random.Generator, size, out=None):

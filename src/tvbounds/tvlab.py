@@ -326,7 +326,7 @@ def simulate_tv_curve(
             models_mod.step(model, state, noise, out=state)
             spent = noise[0] if isinstance(noise, tuple) else noise  # step has consumed it
             try:
-                cells = _cells(models_mod.observable(model, state), h.bin_width, spent)
+                cells = _cells(model.observable(state), h.bin_width, spent)
             except ParameterError as exc:
                 with lock:
                     first_failed = min(first_failed, k)

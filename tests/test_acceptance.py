@@ -168,7 +168,7 @@ def test_criterion_4_ar_normal_1d():
 
 def test_criterion_5_independent_coordinates():
     t0 = time.time()
-    cert = bounds.independent_coordinates_certificate(math.sqrt(2 / (3 * math.pi)), 0.5, 100, 1.0)
+    cert = models.IndependentCoordinates(math.sqrt(2 / (3 * math.pi)), 0.5, 100).certificate(1.0)
     b14 = bounds.bound_eval(cert, 14).raw
     iters = bounds.iterations_to_epsilon(cert, 0.01)
     elapsed = time.time() - t0

@@ -12,7 +12,6 @@ from tvbounds.bounds import (
     bound_eval,
     certificate_to_dict,
     drift_expected_distance,
-    independent_coordinates_certificate,
     inverse_gamma_mode_height,
     iterations_to_epsilon,
     location_drift_constants,
@@ -26,6 +25,7 @@ from tvbounds.models import (
     ARNormal1D,
     ARNormalD,
     AsymARCH,
+    IndependentCoordinates,
     LocationGibbsTau,
     NonlinearAR,
     RegressionGibbsSigma,
@@ -400,7 +400,7 @@ def test_mc_drift_fit_rejects_a_model_without_location_statistics(model):
 
 def test_independent_coordinates_example():
     amplitude = math.sqrt(2 / (3 * math.pi))
-    cert = independent_coordinates_certificate(amplitude, 0.5, 100, 1.0)
+    cert = IndependentCoordinates(amplitude, 0.5, 100).certificate(1.0)
     assert (cert.c, cert.d) == (100 * amplitude, 0.5)
     assert cert.c == pytest.approx(100 * 0.4606588660, abs=1e-6)
     v = bound_eval(cert, 14).raw
@@ -410,16 +410,16 @@ def test_independent_coordinates_example():
 
 
 def test_independent_coordinates_identity():
-    cert = independent_coordinates_certificate(0.3, 0.5, 1, 1.0)
+    cert = IndependentCoordinates(0.3, 0.5, 1).certificate(1.0)
     assert (cert.c, cert.d) == (0.3, 0.5)
 
 
 def test_independent_coordinates_dimension_must_be_integral():
     for d in (100.5, "100", None, True, 0):
         with pytest.raises(ParameterError):
-            independent_coordinates_certificate(0.3, 0.5, d, 1.0)
-    cert = independent_coordinates_certificate(0.3, 0.5, 100.0, 1.0)
-    assert type(cert.details["d"]) is int and cert.c == independent_coordinates_certificate(0.3, 0.5, 100, 1.0).c
+            IndependentCoordinates(0.3, 0.5, d)
+    cert = IndependentCoordinates(0.3, 0.5, 100.0).certificate(1.0)
+    assert type(cert.details["d"]) is int and cert.c == IndependentCoordinates(0.3, 0.5, 100).certificate(1.0).c
 
 
 # ------------------------------------------------------------------ AR(1)

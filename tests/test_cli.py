@@ -238,6 +238,22 @@ def test_dataset_stats_builtin(capsys):
     assert stats["certificate_constants"]["K_closed_form"] == pytest.approx(13.74027, abs=0.01)
 
 
+@pytest.mark.parametrize("text,flags", [
+    pytest.param("y\n1.0\n2.5\n4.0\n3.0\n", [], id="location"),
+    pytest.param("y,one\n1.0,1\n2.0,1\n3.0,1\n", ["--x-columns", "one", "--prior-lambda", "1"], id="regression"),
+])
+def test_dataset_stats_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys, text, flags):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which must not become part of the first header
+    outs = []
+    for name, bom in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+        (tmp_path / name).write_text(bom + text, encoding="utf-8")
+        code, out, err = run(capsys, "dataset-stats", "--csv", str(tmp_path / name), "--y-column", "y", *flags)
+        assert code == 0 and err == "", err
+        outs.append(out)
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outs[0] == outs[1]
+
+
 def test_dataset_stats_regression_toy(tmp_path, capsys):
     p = tmp_path / "toy.csv"
     p.write_text("y,one\n1.0,1\n2.0,1\n3.0,1\n", encoding="utf-8")
@@ -358,6 +374,15 @@ def test_out_cases_cover_every_subcommand():
     assert set(OUT_CASES) == set(sub.choices)
 
 
+def test_family_choices_are_the_registry_in_its_order():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("certificate", "iters", "curve"):
+        family = next(a for a in sub.choices[command]._actions if a.dest == "family")
+        assert tuple(family.choices) == tuple(models.FAMILIES), command
+    with pytest.raises(ParameterError, match=rf"\(choose from {', '.join(models.FAMILIES)}\)$"):
+        build_certificate("brownian", {})
+
+
 @pytest.mark.parametrize("command", sorted(OUT_CASES))
 def test_out_in_a_missing_directory_exits_2_before_any_output(tmp_path, capsys, command):
     # repro would otherwise print its whole table before failing to open the file
@@ -395,7 +420,7 @@ FAMILY_CASES = {
 
 
 def test_every_family_choice_builds_a_certificate_and_a_curve(capsys):
-    assert set(FAMILY_CASES) == set(cli.CERTIFICATES)
+    assert set(FAMILY_CASES) == set(models.FAMILIES)
     for family, (params, starts) in FAMILY_CASES.items():
         code, out, err = run(capsys, "certificate", "--family", family, "--params", json.dumps(params))
         assert code == 0, (family, err)
@@ -434,7 +459,7 @@ def test_asym_arch_exact_rate_needs_no_second_moment(capsys):
 UNKNOWN_KEY_CASES = [pytest.param("curve", family, "bogus", id=family) for family in sorted(models.FAMILIES)] + [
     pytest.param(command, family, "bogus", id=f"{command}-{family}")
     for command in ("certificate", "iters")
-    for family in sorted(cli.CERTIFICATES)
+    for family in sorted(models.FAMILIES)
 ] + [
     pytest.param(command, family, key, id=f"{command}-{family}-{key}")
     for command in ("curve", "certificate", "iters")
@@ -770,6 +795,19 @@ def test_start_key_the_family_does_not_take_exits_2(capsys, argv, key):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1 and re.search(rf"\b{key}\b", err), err
+
+
+GARCH_STARTS = {"x0": "0.1", "x0p": "-0.1", "s20": "0.0001", "s20p": "0.01"}
+
+
+@pytest.mark.parametrize("missing,start", [("s20", "x0"), ("s20p", "x0p")])
+@pytest.mark.parametrize("command", [["certificate"], ["curve", "--n-max", "1", "--paths", "100", "--seed", "1"]],
+                         ids=["certificate", "curve"])
+def test_garch_start_without_its_sigma2_names_the_missing_key(capsys, command, missing, start):
+    starts = [arg for key, value in GARCH_STARTS.items() if key != missing for arg in (f"--{key}", value)]
+    code, out, err = run(capsys, command[0], "--family", "garch", "--params", GARCH_PARAMS, *starts, *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: GARCH start {start} needs its sigma^2 start {missing}\n"
 
 
 @pytest.mark.parametrize("argv", [

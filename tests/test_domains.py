@@ -27,6 +27,7 @@ VALID = {
     models.LARCH: {"beta0": 1.0, "beta1": 0.5, "z": {"dist": "chi-square", "nu": 1}},
     models.AsymARCH: {"a": 0.5, "b": 3.0, "c": 5.0},
     models.GARCH: {"alpha2": 0.13, "beta2": 0.1266, "gamma2": 0.7922},
+    models.IndependentCoordinates: {"amplitude": 0.46, "rate": 0.5, "d": 100},
     bounds.BoundCertificate: {"c": 1.0, "d": 0.5, "n0": 0, "gap": 1.0},
 }
 DOMAINS = {
@@ -42,6 +43,7 @@ DOMAINS = {
     models.LARCH: {"beta0": finite_positive, "beta1": finite_positive},
     models.AsymARCH: {"a": finite, "b": finite, "c": finite},
     models.GARCH: {"alpha2": finite_positive, "beta2": finite_nonnegative, "gamma2": finite_nonnegative},
+    models.IndependentCoordinates: {"amplitude": finite, "d": integral},  # the rate is the certificate's D
     bounds.BoundCertificate: {"c": finite_nonnegative, "d": finite, "n0": integral, "gap": finite_nonnegative,
                               "exp_offset": integral, "exp_step": integral},
 }

@@ -19,7 +19,7 @@ import pytest
 from tvbounds import bounds, cli, models, stochastics
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tvbounds"
-TAGS = set(models.FAMILIES) | set(cli.CERTIFICATES)
+TAGS = set(models.FAMILIES)
 LAWS = {cls.__name__ for cls in stochastics.DISTS.values()}
 
 
@@ -51,7 +51,7 @@ def test_no_module_compares_against_a_family_tag():
 
 
 def test_every_tagged_family_class_is_registered():
-    # every record class models defines with a tag, chain or not (ar-d)
+    # every record class models defines with a tag, chain or not (ar-d, independent-coordinates)
     tagged = {
         cls.family: cls
         for cls in vars(models).values()
@@ -82,25 +82,25 @@ def test_the_drift_fit_goes_through_the_sampler(monkeypatch, trees):
 
 
 def test_every_scalar_family_steps_into_a_required_out():
-    # the vector family is certified in closed form only: it has no step
-    assert not hasattr(models.ARNormalD, "step")
-    steps = [cls.step for cls in models.FAMILIES.values() if cls is not models.ARNormalD]
+    # a family certified in closed form only has no step
+    steps = [cls.step for cls in models.FAMILIES.values() if issubclass(cls, models.Family)]
+    assert len(steps) == len(models.FAMILIES) - 2
     for fn in (*steps, models.step):
         assert inspect.signature(fn).parameters["out"].default is inspect.Parameter.empty, fn
 
 
-def test_ar_d_is_a_certificate_record_with_no_chain_api():
-    # isinstance(model, Family) is the one test of a chain, and ar-d offers no chain method it cannot run
-    assert issubclass(models.ARNormalD, stochastics.Record) and not issubclass(models.ARNormalD, models.Family)
-    ard = models.ARNormalD(0.5 * np.eye(2), np.eye(2))
+@pytest.mark.parametrize("record", [models.ARNormalD(0.5 * np.eye(2), np.eye(2)),
+                                    models.IndependentCoordinates(0.46, 0.5, 100)], ids=lambda r: r.family)
+def test_a_closed_form_family_is_a_certificate_record_with_no_chain_api(record):
+    # isinstance(model, Family) is the one test of a chain, and a closed-form
+    # family offers no chain method it cannot run
+    assert isinstance(record, stochastics.Record) and not isinstance(record, models.Family)
     chain_api = ("draw", "step", "make_state", "start_state", "observable", "state_ndim")
-    assert [name for name in chain_api if hasattr(ard, name)] == []
+    assert [name for name in chain_api if hasattr(record, name)] == []
 
 
 def test_every_family_builds_its_own_certificate():
     assert [tag for tag, cls in models.FAMILIES.items() if "certificate" not in vars(cls)] == []
-    # independent-coordinates is the one certificate without a chain
-    assert cli.CERTIFICATES == (*models.FAMILIES, "independent-coordinates")
 
 
 def _law_type_tests(path: Path) -> list:
@@ -165,8 +165,8 @@ def test_every_positive_law_gives_its_log_scale_height():
 
 def test_each_certificate_reads_its_validated_family():
     # each family writes its own C and D from its fields, checked once in its
-    # __post_init__: models calls no bounds *_certificate constructor, and the
-    # only one bounds exports is the certificate without a chain
+    # __post_init__: models calls no bounds *_certificate constructor, and
+    # bounds exports none
     tree = ast.parse((SRC / "models.py").read_text(encoding="utf-8"))
     calls = [
         f"models.py:{node.lineno} calls bounds.{node.func.attr}"
@@ -175,7 +175,7 @@ def test_each_certificate_reads_its_validated_family():
         and getattr(node.func.value, "id", None) == "bounds" and node.func.attr.endswith("_certificate")
     ]
     assert calls == []
-    assert [name for name in bounds.__all__ if name.endswith("_certificate")] == ["independent_coordinates_certificate"]
+    assert [name for name in bounds.__all__ if name.endswith("_certificate")] == []
 
 
 def _contraction_raises(path: Path) -> list:

@@ -13,6 +13,7 @@ from tvbounds.models import (
     FAMILIES,
     GARCH,
     GarchState,
+    IndependentCoordinates,
     LARCH,
     LocationGibbsTau,
     NonlinearAR,
@@ -20,7 +21,6 @@ from tvbounds.models import (
     draw_innovations,
     model_from_dict,
     model_to_dict,
-    observable,
     step,
 )
 from tvbounds.stochastics import DISTS, ChiSquare, Gamma, InverseGamma, Normal, NoiseStream, sample
@@ -431,7 +431,7 @@ def test_deinit_tv_ordering():
 def test_make_state_and_observable():
     g = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))
     st = g.make_state(0.1, 0.0001)
-    assert observable(g, st) == 0.1
+    assert g.observable(st) == 0.1
     with pytest.raises(ParameterError):
         g.make_state(0.1)
 
@@ -447,6 +447,7 @@ def test_model_dict_roundtrip():
         "larch": [LARCH(1.0, 0.5, ChiSquare(1)), LARCH(1.0, 0.5, Gamma(0.5, 2.0)), LARCH(1.0, 0.5, InverseGamma(3.0, 2.0))],
         "asym-arch": [AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)), AsymARCH(-0.2, 1.0, 2.0, Normal(0.5, 2.0))],
         "garch": [GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))],
+        "independent-coordinates": [IndependentCoordinates(math.sqrt(2 / (3 * math.pi)), 0.5, 100)],
     }
     assert set(cases) == set(FAMILIES)
     dist_tags = set()

@@ -257,19 +257,14 @@ def test_docs_list_only_the_modules_that_exist():
 
 
 def test_readme_names_every_certificate_constructor():
-    # the family table's last column: each family's certificate method, and
-    # the one bounds constructor without a chain, each with its parameter names
-    from tvbounds import bounds, models
+    # the family table's last column: each family's certificate method, with its parameter names
+    from tvbounds import models
 
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\|.*\| `((?:models|bounds)\.[\w.]+)\((.*)\)` \|$", text, re.M)
+    rows = re.findall(r"^\|.*\| `(models\.[\w.]+)\((.*)\)` \|$", text, re.M)
     listed = {name: [arg.split("=")[0].strip() for arg in args.split(",")] for name, args in rows}
     expected = {
         f"models.{cls.__name__}.certificate": list(inspect.signature(cls.certificate).parameters)[1:]
         for cls in models.FAMILIES.values()
     }
-    expected.update(
-        (f"bounds.{name}", list(inspect.signature(getattr(bounds, name)).parameters))
-        for name in bounds.__all__ if name.endswith("_certificate")
-    )
     assert listed == expected
