@@ -13,7 +13,7 @@ bounds
     The certificate algebra: (C, D, n0, gap) tuples evaluating to
     C * D^(n-n0-1) * gap, and the parts no family owns (the
     inverse-gamma mode height, the pinned sine-map rate, the location
-    drift constants and their Monte-Carlo oracle, the matrix checks).
+    drift constants, the matrix checks), all in closed form.
 tvlab
     Histogram TV estimation and simulated TV curves.
 data

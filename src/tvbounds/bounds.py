@@ -20,10 +20,9 @@ and the value clamped into [0, 1].
 
 Each family, chain or not, writes its own C and D, in the
 ``certificate`` method of its ``models`` class.  This module holds what
-no family owns: the certificate algebra, the inverse-gamma mode height
-and golden-section search, the sine-map chain's pinned two-step rate
-:func:`nonlinear_ar_D`, and the Monte-Carlo drift fit
-:func:`mc_location_drift_fit`.
+no family owns: the certificate algebra, the inverse-gamma mode height,
+the location chain's drift constants and the sine-map chain's pinned
+two-step rate :func:`nonlinear_ar_D`, all in closed form.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import stochastics
 from ._lazy import lazy_import
 from .errors import DomainError, NoContractionError, ParameterError
 from .stochastics import InverseGamma, Record, finite, finite_nonnegative, integral
@@ -47,9 +45,7 @@ __all__ = [
     "inverse_gamma_mode_height",
     "drift_expected_distance",
     "location_drift_constants",
-    "mc_location_drift_fit",
     "nonlinear_ar_D",
-    "golden_section_max",
     "certificate_to_dict",
 ]
 
@@ -213,57 +209,6 @@ def location_drift_constants(j: int, s: float) -> DriftSpec:
     return DriftSpec(lam, b, h)
 
 
-_MC_CHUNK = 2**17  # draws per chunk of mc_location_drift_fit
-
-
-def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
-    """Monte-Carlo oracle for the drift expansion of a LocationGibbsTau: an
-    estimate of E[X^2]E[Y^2].
-
-    The oracle is defined as the quadratic coefficient of the least-squares
-    fit in v of the sample means of (X Y v + Y + h)^2, at the matching h of
-    ``location_drift_constants(J, S)``, at 20 grid values v in [0.5, 20],
-    over one shared set of ``n_draws`` (X, Y) draws (common random numbers
-    across the grid; the product X^2 Y^2 is heavy-tailed, and independent
-    per-point draws would need hundreds of times more samples for the same
-    coefficient accuracy).  Over one shared draw set every grid mean is
-    exactly v^2 A + 2 v B + C with A = mean(X^2 Y^2), so that coefficient
-    is A; this returns A = sum((X Y)^2) / n_draws directly.
-
-    ``model`` must carry the location statistics ``j`` and ``s`` and the
-    laws ``x_law`` and ``y_law`` (ParameterError otherwise).  The draws,
-    each through :func:`stochastics.sample`, are those of
-    ``model.draw(stream.generator(), n_draws)``: all n_draws X from
-    ``model.x_law``, then all n_draws Y from ``model.y_law``.  They are
-    taken in chunks of 2**17 from two generators opened at the start of
-    ``stream`` (a NoiseStream; a bare Generator has no start to reopen and
-    is rejected).  The first gives the X chunks; the second draws and
-    discards the n_draws X, then gives the Y chunks.  numpy's samplers
-    fill an array sequentially, so the chunks hold the same numbers as the
-    one draw, and memory stays at a few chunks whatever ``n_draws``.
-    """
-    n_draws = integral("n_draws", n_draws)
-    if n_draws < 1:
-        raise ParameterError(f"n_draws must be >= 1, got {n_draws}")
-    if not all(hasattr(model, name) for name in ("j", "s", "x_law", "y_law")):
-        raise ParameterError(f"mc_location_drift_fit needs a location model (j, s, x_law, y_law), got {model!r}")
-    location_drift_constants(model.j, model.s)  # E[Y^2] needs J >= 5
-    if not isinstance(stream, stochastics.NoiseStream):
-        raise ParameterError(f"mc_location_drift_fit needs a NoiseStream, got {type(stream)!r}")
-    x_law, y_law = model.x_law, model.y_law
-    gx, gy = stream.generator(), stream.generator()
-    sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
-    for m in sizes:  # move gy past the X draws, to where the Y draws start
-        stochastics.sample(x_law, gy, m)
-    total = 0.0
-    for m in sizes:
-        xy = stochastics.sample(x_law, gx, m)
-        xy *= stochastics.sample(y_law, gy, m)
-        xy *= xy
-        total += float(xy.sum())
-    return total / n_draws
-
-
 _NONLINEAR_AR_D = 0.813929960085302  # 0x1.a0bb6d7f9a172p-1
 
 
@@ -279,28 +224,6 @@ def nonlinear_ar_D() -> float:
     this value and that D^2 dominates the exact ratio on a lattice.
     """
     return _NONLINEAR_AR_D
-
-
-def golden_section_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximization of a unimodal scalar ``f`` over
-    [lo, hi]; returns the largest value seen at the two final probes."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(300):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-        if b - a < 1e-14 * max(1.0, abs(a)):
-            break
-    return float(max(f1, f2))
 
 
 def certificate_to_dict(cert: BoundCertificate) -> dict:

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a ``repro`` row mismatched, 2 parameter,
 ingestion or output-path problems, 3 simulation failure.  ``curve`` and
-``repro`` take ``--seed``, the one way to set their seed.  Every chain
+``repro`` take ``--seed``, the one way to set their seed; ``repro``'s
+table is closed form, so its seed reaches only ``--curves``.  Every chain
 takes the starts ``x0`` and ``x0p``, and ``s20`` and ``s20p`` only where
 its certificate does (garch); any other start key exits 2.
 """
@@ -30,7 +31,7 @@ import sys
 from . import bounds, models
 from ._lazy import lazy_import
 from .errors import IngestionError, ParameterError, SimulationError
-from .stochastics import InverseGamma, NoiseStream, density
+from .stochastics import InverseGamma, NoiseStream, abs_moment, density
 
 np = lazy_import("numpy")
 
@@ -249,8 +250,10 @@ def cmd_dataset_stats(args) -> int:
     return 0
 
 
-def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
-    """Every built-in worked example: computed value vs recorded reference.
+def reproduction_rows() -> list:
+    """Every built-in worked example: computed value vs recorded reference,
+    or vs the same quantity worked out by other code; every row is closed
+    form, so the table draws no random numbers.
 
     Rows where the recorded reference is known to disagree with the
     computation carry verdict FLAG (the disagreement is the documented
@@ -301,14 +304,12 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         )
     else:
         alpha, beta = (333 + 2 * 4) / 2, 26123.0 / 2
-        ig = InverseGamma(alpha, beta)
-        mode = beta / (alpha + 1)
-        oracle = bounds.golden_section_max(lambda x: density(ig, x), mode / 3, mode * 3)
+        at_mode = density(InverseGamma(alpha, beta), beta / (alpha + 1))
         row(
-            "regression K formula vs numeric maximization (dataset absent)",
-            oracle,
+            "regression K formula vs the density at the mode (data absent)",
+            at_mode,
             bounds.inverse_gamma_mode_height(alpha, beta),
-            1e-8 * oracle,
+            1e-8 * at_mode,
             note="delay dataset not supplied; validated the mode-height formula instead",
         )
 
@@ -343,14 +344,14 @@ def reproduction_rows(seed: int, skip_mc: bool = False) -> list:
         note="moment product E[X^2]E[Y^2] = 3/(J(J-2)); recorded value not reproducible",
         flag=True,
     )
-    if not skip_mc:
-        row(
-            "location drift lambda, Monte-Carlo quadratic fit",
-            drift.lam,
-            bounds.mc_location_drift_fit(loc, NoiseStream(seed, 771)),
-            0.02 * drift.lam,
-            note="one shared draw set at all 20 grid values (common random numbers)",
-        )
+    moments = abs_moment(loc.x_law, 2) * abs_moment(loc.y_law, 2)
+    row(
+        "location drift lambda vs E[X^2]E[Y^2] of the laws",
+        moments,
+        drift.lam,
+        1e-12 * moments,
+        note="second moments of the Gamma and inverse-gamma innovation laws",
+    )
     ref_drift = bounds.DriftSpec(0.6583702, 106.3874, 0.5248723)
     row(
         "location stationary-gap bound (recorded constants)",
@@ -486,7 +487,7 @@ def write_figure_curves(directory, seed, n_paths, workers=1):
 
 
 def cmd_repro(args) -> int:
-    rows = reproduction_rows(args.seed, skip_mc=args.skip_mc)
+    rows = reproduction_rows()
     name_w = max(len(r["name"]) for r in rows) + 2
     print(f"{'worked example':<{name_w}}{'reference':>14}{'computed':>16}{'verdict':>10}  note")
     for r in rows:
@@ -568,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="replay the worked examples against reference values")
     p.add_argument("--out", help="also write the table as JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--skip-mc", action="store_true", help="skip the Monte-Carlo drift oracle")
+    p.add_argument("--seed", type=int, help="seed of the --curves simulations; the table draws no random numbers")
     p.add_argument("--curves", metavar="DIR", help="also write the four comparison-curve CSVs here")
     p.add_argument("--paths", type=_at_least_one, default=100_000, help="paths per comparison curve")
     p.add_argument("--workers", type=_at_least_one, default=1, help=_WORKERS_HELP)

@@ -23,6 +23,11 @@
 * :func:`regression_gibbs_tv1_rate`, an upper bound on the one-step TV
   per unit of start distance of the reduced regression Gibbs chain, by
   quadrature: what the certificate's C must dominate.
+* :func:`golden_section_max`, a numeric maximum of a unimodal function,
+  against which closed-form density heights are checked.
+* :func:`mc_location_drift_fit`, a Monte-Carlo estimate of the location
+  chain's drift rate E[X^2]E[Y^2], against the closed form of
+  ``bounds.location_drift_constants``.
 """
 
 import math
@@ -30,9 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tvbounds.bounds import location_drift_constants
 from tvbounds.errors import ParameterError
 from tvbounds.models import Family, draw_innovations, step
-from tvbounds.stochastics import Gamma, NoiseStream, sample
+from tvbounds.stochastics import Gamma, NoiseStream, integral, sample
 from tvbounds.tvlab import Histogram, _cells
 
 
@@ -263,3 +269,76 @@ def regression_gibbs_tv1_rate(k: int, p: int, c_stat: float, r: float, delta: fl
         return special.gammainc(a, (1 + e) * t) - special.gammainc(a, t)
 
     return integrate.quad(tv_given, 0, 1)[0] / delta
+
+
+def golden_section_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximization of a unimodal scalar ``f`` over
+    [lo, hi]; returns the largest value seen at the two final probes."""
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c1 = b - invphi * (b - a)
+    c2 = a + invphi * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(300):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = f(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = f(c1)
+        if b - a < 1e-14 * max(1.0, abs(a)):
+            break
+    return float(max(f1, f2))
+
+
+_MC_CHUNK = 2**17  # draws per chunk of mc_location_drift_fit
+
+
+def mc_location_drift_fit(model, stream, n_draws: int = 1_000_000) -> float:
+    """Monte-Carlo oracle for the drift expansion of a LocationGibbsTau: an
+    estimate of E[X^2]E[Y^2].
+
+    The oracle is defined as the quadratic coefficient of the least-squares
+    fit in v of the sample means of (X Y v + Y + h)^2, at the matching h of
+    ``location_drift_constants(J, S)``, at 20 grid values v in [0.5, 20],
+    over one shared set of ``n_draws`` (X, Y) draws (common random numbers
+    across the grid; the product X^2 Y^2 is heavy-tailed, and independent
+    per-point draws would need hundreds of times more samples for the same
+    coefficient accuracy).  Over one shared draw set every grid mean is
+    exactly v^2 A + 2 v B + C with A = mean(X^2 Y^2), so that coefficient
+    is A; this returns A = sum((X Y)^2) / n_draws directly.
+
+    ``model`` must carry the location statistics ``j`` and ``s`` and the
+    laws ``x_law`` and ``y_law`` (ParameterError otherwise).  The draws,
+    each through :func:`sample`, are those of
+    ``model.draw(stream.generator(), n_draws)``: all n_draws X from
+    ``model.x_law``, then all n_draws Y from ``model.y_law``.  They are
+    taken in chunks of 2**17 from two generators opened at the start of
+    ``stream`` (a NoiseStream; a bare Generator has no start to reopen and
+    is rejected).  The first gives the X chunks; the second draws and
+    discards the n_draws X, then gives the Y chunks.  numpy's samplers
+    fill an array sequentially, so the chunks hold the same numbers as the
+    one draw, and memory stays at a few chunks whatever ``n_draws``.
+    """
+    n_draws = integral("n_draws", n_draws)
+    if n_draws < 1:
+        raise ParameterError(f"n_draws must be >= 1, got {n_draws}")
+    if not all(hasattr(model, name) for name in ("j", "s", "x_law", "y_law")):
+        raise ParameterError(f"mc_location_drift_fit needs a location model (j, s, x_law, y_law), got {model!r}")
+    location_drift_constants(model.j, model.s)  # E[Y^2] needs J >= 5
+    if not isinstance(stream, NoiseStream):
+        raise ParameterError(f"mc_location_drift_fit needs a NoiseStream, got {type(stream)!r}")
+    x_law, y_law = model.x_law, model.y_law
+    gx, gy = stream.generator(), stream.generator()
+    sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
+    for m in sizes:  # move gy past the X draws, to where the Y draws start
+        sample(x_law, gy, m)
+    total = 0.0
+    for m in sizes:
+        xy = sample(x_law, gx, m)
+        xy *= sample(y_law, gy, m)
+        xy *= xy
+        total += float(xy.sum())
+    return total / n_draws

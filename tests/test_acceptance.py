@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import full_step, nonlinear_ar_D_search
+from oracles import full_step, golden_section_max, mc_location_drift_fit, nonlinear_ar_D_search
 from test_tvlab import shifted_l1
 from tvbounds import bounds, data, models, tvlab
 from tvbounds.cli import PHD_DELAY_ENV, reproduction_rows
@@ -32,22 +32,6 @@ SEED = 20260809
 def report(criterion, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def golden_max(f, a, b, iters=300):
-    invphi = (math.sqrt(5) - 1) / 2
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-    return max(f1, f2)
 
 
 def curve_soundness(rows, extra_allowance=0.0):
@@ -65,6 +49,7 @@ def curve_soundness(rows, extra_allowance=0.0):
     return strict_ok, floor_ok
 
 
+@pytest.mark.literal
 def test_criterion_1_regression_gibbs():
     t0 = time.time()
     k, p = 333, 4
@@ -84,7 +69,7 @@ def test_criterion_1_regression_gibbs():
     else:
         alpha, beta = (k + 2 * p) / 2, 26123.0 / 2
         mode = beta / (alpha + 1)
-        oracle = golden_max(lambda x: density(InverseGamma(alpha, beta), x), mode / 4, mode * 4)
+        oracle = golden_section_max(lambda x: density(InverseGamma(alpha, beta), x), mode / 4, mode * 4)
         k_val = bounds.inverse_gamma_mode_height(alpha, beta)
         ok_k = abs(k_val - oracle) <= 1e-8 * oracle
         k_note = "delay dataset absent; mode-height formula vs golden-section oracle to 1e-8"
@@ -96,6 +81,7 @@ def test_criterion_1_regression_gibbs():
     )
 
 
+@pytest.mark.literal
 def test_criterion_2_location_gibbs(trees):
     t0 = time.time()
     j, _, s = trees
@@ -105,21 +91,24 @@ def test_criterion_2_location_gibbs(trees):
     iters = bounds.iterations_to_epsilon(cert, 0.01)
     ok_iters = iters == 4
 
-    rows = reproduction_rows(SEED, skip_mc=False)
+    rows = reproduction_rows()
     flagged = {r["name"]: r for r in rows if r["verdict"] == "FLAG"}
     ok_flag = any("drift lambda" in name for name in flagged)
-    mc_rows = [r for r in rows if "Monte-Carlo quadratic fit" in r["name"]]
+    lam_rows = [r for r in rows if "of the laws" in r["name"]]
     fit = bounds.location_drift_constants(j, s)
-    ok_mc = bool(mc_rows) and abs(mc_rows[0]["computed"] - fit.lam) <= 0.02 * fit.lam
+    ok_row = [(r["computed"], r["verdict"]) for r in lam_rows] == [(fit.lam, "OK")]
+    mc_fit = mc_location_drift_fit(models.LocationGibbsTau(j, s), NoiseStream(SEED, 771), n_draws=10**6)
+    ok_mc = abs(mc_fit - fit.lam) <= 0.02 * fit.lam
     elapsed = time.time() - t0
     report(
         "criterion 2 (location Gibbs)",
-        ok_k and ok_iters and ok_flag and ok_mc and elapsed < 120.0,
+        ok_k and ok_iters and ok_flag and ok_row and ok_mc and elapsed < 120.0,
         f"K = {k_closed:.5f} (ref 13.74027); iterations = {iters}; drift-lambda discrepancy "
-        f"flagged, MC fit {mc_rows[0]['computed']:.6f} within 2% of {fit.lam:.6f}; {elapsed:.1f}s",
+        f"flagged, moment-product row OK, MC fit {mc_fit:.6f} within 2% of {fit.lam:.6f}; {elapsed:.1f}s",
     )
 
 
+@pytest.mark.literal
 def test_criterion_3_nonlinear_ar():
     t0 = time.time()
     d = bounds.nonlinear_ar_D()
@@ -137,6 +126,7 @@ def test_criterion_3_nonlinear_ar():
     )
 
 
+@pytest.mark.literal
 def test_criterion_4_ar_normal_1d():
     t0 = time.time()
     model = models.ARNormal1D(0.5, math.sqrt(0.75))
@@ -166,6 +156,7 @@ def test_criterion_4_ar_normal_1d():
     )
 
 
+@pytest.mark.literal
 def test_criterion_5_independent_coordinates():
     t0 = time.time()
     cert = models.IndependentCoordinates(math.sqrt(2 / (3 * math.pi)), 0.5, 100).certificate(1.0)
@@ -179,6 +170,7 @@ def test_criterion_5_independent_coordinates():
     )
 
 
+@pytest.mark.literal
 def test_criterion_6_general_vector_ar():
     t0 = time.time()
     d = 100
@@ -197,6 +189,7 @@ def test_criterion_6_general_vector_ar():
     )
 
 
+@pytest.mark.literal
 def test_criterion_7_larch():
     t0 = time.time()
     model = models.LARCH(1.0, 0.5, ChiSquare(1))
@@ -221,6 +214,7 @@ def test_criterion_7_larch():
     )
 
 
+@pytest.mark.literal
 def test_criterion_8_asym_arch():
     t0 = time.time()
     model = models.AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0))
@@ -251,6 +245,7 @@ def test_criterion_8_asym_arch():
     )
 
 
+@pytest.mark.literal
 def test_criterion_9_garch():
     t0 = time.time()
     model = models.GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0))

@@ -15,7 +15,6 @@ from tvbounds.bounds import (
     inverse_gamma_mode_height,
     iterations_to_epsilon,
     location_drift_constants,
-    mc_location_drift_fit,
     nonlinear_ar_D,
 )
 from tvbounds.errors import DomainError, NoContractionError, ParameterError
@@ -34,6 +33,8 @@ from tvbounds.stochastics import ChiSquare, Gamma, InverseGamma, Normal, NoiseSt
 
 from conftest import _certificate_from_dict
 from oracles import (
+    golden_section_max,
+    mc_location_drift_fit,
     nonlinear_ar_D_search,
     nonlinear_ar_exact_two_step_ratio,
     nonlinear_ar_two_step_ratio,
@@ -45,6 +46,7 @@ S_TREES = 295.43741935483877
 
 # ---------------------------------------------------------------- bound_eval
 
+@pytest.mark.literal
 def test_bound_eval_asym_arch_example():
     cert = AsymARCH(0.5, 3.0, 5.0, Normal(0.0, 1.0)).certificate(gap=5.0)
     assert bound_eval(cert, 7).raw == pytest.approx(0.5**7, rel=1e-12)
@@ -57,6 +59,7 @@ def test_bound_eval_zero_gap():
         assert bound_eval(cert, n).raw == 0.0
 
 
+@pytest.mark.literal
 def test_bound_eval_regression_printed_coefficient():
     cert = BoundCertificate(c=0.06816454, d=4 / 335, n0=0, gap=1000.0)
     v = bound_eval(cert, 3).raw
@@ -118,11 +121,13 @@ def test_bound_monotone_and_exact_ratio():
 
 # ------------------------------------------------------ iterations_to_epsilon
 
+@pytest.mark.literal
 def test_iterations_location_example():
     cert = BoundCertificate(c=13.74027, d=1 / 31, n0=0, gap=18.12198)
     assert iterations_to_epsilon(cert, 0.01) == 4
 
 
+@pytest.mark.literal
 def test_iterations_garch_example():
     cert = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01)
     assert iterations_to_epsilon(cert, 0.01) == 77
@@ -199,22 +204,6 @@ def test_random_coeff_no_contraction():
 
 # ------------------------------------------------------- inverse-gamma height
 
-def golden_max(f, a, b, iters=300):
-    invphi = (math.sqrt(5) - 1) / 2
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-    return max(f1, f2)
-
-
 def test_mode_height_hand_example():
     assert inverse_gamma_mode_height(1.0, 2.0) == pytest.approx(2 * math.exp(-2), rel=1e-12)
 
@@ -222,7 +211,7 @@ def test_mode_height_hand_example():
 @pytest.mark.parametrize("alpha,beta", [(1.0, 2.0), (15.0, S_TREES / 2), (170.5, 26123.0 / 2)])
 def test_mode_height_matches_golden_section(alpha, beta):
     mode = beta / (alpha + 1)
-    oracle = golden_max(lambda x: density(InverseGamma(alpha, beta), x), mode / 4, mode * 4)
+    oracle = golden_section_max(lambda x: density(InverseGamma(alpha, beta), x), mode / 4, mode * 4)
     assert inverse_gamma_mode_height(alpha, beta) == pytest.approx(oracle, rel=1e-8)
 
 
@@ -286,13 +275,14 @@ def test_regression_certificate_boundary_no_contraction():
         RegressionGibbsSigma(2, 1, 10.0).certificate(gap=1.0)
 
 
+@pytest.mark.literal
 def test_location_certificate_reference_constant(trees):
     j, _, s = trees
     cert = LocationGibbsTau(j, s).certificate(gap=18.12198)
     assert cert.c == pytest.approx(13.74027, abs=0.01)
     assert cert.d == pytest.approx(1 / 31, rel=1e-15)
     # mode-height variant agrees with its own numeric maximization
-    oracle = golden_max(lambda x: density(InverseGamma((j - 1) / 2, s / 2), x), 0.5, 60.0)
+    oracle = golden_section_max(lambda x: density(InverseGamma((j - 1) / 2, s / 2), x), 0.5, 60.0)
     assert cert.details["c_mode_height"] == pytest.approx(oracle, rel=1e-8)
     # and differs from the closed form by exactly ((J+1)/S)^2
     assert cert.details["c_mode_height"] == pytest.approx(cert.c * ((j + 1) / s) ** 2, rel=1e-10)
@@ -305,6 +295,7 @@ def test_location_certificate_rejects_small_j():
 
 # ------------------------------------------------------------ drift condition
 
+@pytest.mark.literal
 def test_drift_expected_distance_reference_constants():
     drift = DriftSpec(0.6583702, 106.3874, 0.5248723)
     v = drift_expected_distance(drift, abs(1 + 0.5248723))
@@ -330,6 +321,7 @@ def test_location_drift_constants_consistent_h(trees):
     assert lin == pytest.approx(2 * drift.lam * drift.h, rel=1e-9)
 
 
+@pytest.mark.literal
 def test_location_drift_reference_lambda_not_reproducible(trees):
     j, _, s = trees
     drift = location_drift_constants(j, s)
@@ -398,6 +390,7 @@ def test_mc_drift_fit_rejects_a_model_without_location_statistics(model):
 
 # ------------------------------------------------- independent coordinates, d
 
+@pytest.mark.literal
 def test_independent_coordinates_example():
     amplitude = math.sqrt(2 / (3 * math.pi))
     cert = IndependentCoordinates(amplitude, 0.5, 100).certificate(1.0)
@@ -441,6 +434,7 @@ def tridiagonal(d, diag, off):
     return np.diag(np.full(d, diag)) + np.diag(np.full(d - 1, off), 1) + np.diag(np.full(d - 1, off), -1)
 
 
+@pytest.mark.literal
 def test_ar_normal_d_tridiagonal_rate_and_coefficient():
     d = 100
     a = tridiagonal(d, 0.5, 0.125)
@@ -592,6 +586,7 @@ def _nonlinear_ar_lattice_D(points: int) -> float:
     return math.sqrt(best)
 
 
+@pytest.mark.literal
 def test_nonlinear_ar_D_in_band():
     d = nonlinear_ar_D()
     assert 0.808 <= d <= 0.818
@@ -635,6 +630,7 @@ def test_nonlinear_ar_grid_refinement_stable():
     assert abs(d_fine - d_coarse) < 1e-3
 
 
+@pytest.mark.literal
 def test_nonlinear_ar_certificate_reference_rate():
     cert = NonlinearAR().certificate(gap=1.0, d_squared=0.661)
     assert bound_eval(cert, 20).raw < 0.01
@@ -738,6 +734,7 @@ def test_asym_arch_coefficient_holds_wherever_the_certificate_is_built(shape):
 
 # -------------------------------------------------------------------- GARCH
 
+@pytest.mark.literal
 def test_garch_certificate_constants():
     cert = GARCH(0.13, 0.1266, 0.7922, Normal(0.0, 1.0)).certificate(0.1, -0.1, 0.0001, 0.01)
     assert cert.details["coefficient"] == pytest.approx(

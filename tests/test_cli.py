@@ -32,6 +32,7 @@ def test_certificate_ar1(capsys):
     assert cert["C"] == pytest.approx(math.sqrt(2 / (3 * math.pi)), rel=1e-8)
 
 
+@pytest.mark.literal
 def test_certificate_garch_reference_values(capsys):
     code, out, _ = run(
         capsys, "certificate", "--family", "garch", "--params", GARCH_PARAMS,
@@ -61,6 +62,7 @@ def test_certificate_no_contraction_exits_2(capsys):
     assert "contract" in err
 
 
+@pytest.mark.literal
 def test_iters_location(capsys, trees):
     j, _, s = trees
     code, out, _ = run(
@@ -230,6 +232,7 @@ def test_seed_is_taken_only_by_commands_that_draw(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.literal
 def test_dataset_stats_builtin(capsys):
     code, out, _ = run(capsys, "dataset-stats", "--builtin", "trees-girth")
     assert code == 0
@@ -302,8 +305,9 @@ def test_dataset_stats_missing_file_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.literal
 def test_repro_rows_and_verdicts(capsys):
-    rows = reproduction_rows(seed=1, skip_mc=True)
+    rows = reproduction_rows()
     verdicts = {r["name"]: r["verdict"] for r in rows}
     assert not [n for n, v in verdicts.items() if v == "MISMATCH"]
     flagged = [n for n, v in verdicts.items() if v == "FLAG"]
@@ -312,18 +316,41 @@ def test_repro_rows_and_verdicts(capsys):
     assert any("stationary-gap" in n for n in flagged)
 
 
+@pytest.mark.literal
 def test_repro_command_exits_zero(capsys, tmp_path):
     out = tmp_path / "repro.json"
-    code, text, _ = run(capsys, "repro", "--skip-mc", "--out", str(out))
+    code, text, _ = run(capsys, "repro", "--out", str(out))
     assert code == 0
     assert "verdict" in text
     assert json.loads(out.read_text())
 
 
+def test_repro_table_draws_no_random_numbers(monkeypatch, capsys):
+    def no_draws(self):
+        raise AssertionError("the repro table drew random numbers")
+
+    monkeypatch.setattr(NoiseStream, "generator", no_draws)
+    code, text, _ = run(capsys, "repro")
+    assert code == 0
+    assert "26 checks: 0 mismatched, 4 flagged" in text
+
+
+def test_repro_table_is_the_same_for_every_seed(capsys):
+    # --seed seeds only --curves
+    tables = [run(capsys, "repro", "--seed", seed) for seed in ("1", "2")]
+    assert tables[0] == tables[1] and tables[0][0] == 0
+
+
+def test_repro_takes_no_skip_mc(capsys):
+    code, out, err = _exit_code_and_streams(capsys, ["repro", "--skip-mc"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --skip-mc" in err
+
+
 def test_repro_writes_comparison_curves(capsys, tmp_path):
     curves = tmp_path / "curves"
     code, _, _ = run(
-        capsys, "repro", "--skip-mc", "--seed", "5", "--curves", str(curves), "--paths", "5000"
+        capsys, "repro", "--seed", "5", "--curves", str(curves), "--paths", "5000"
     )
     assert code == 0
     written = sorted(p.name for p in curves.glob("*.csv"))
@@ -353,7 +380,7 @@ def test_repro_curves_simulation_failure_exits_3(tmp_path, monkeypatch, capsys):
         raise SimulationError("chain diverged at iteration 1")
 
     monkeypatch.setattr(tvlab, "simulate_tv_curve", diverge)
-    code, _, err = run(capsys, "repro", "--skip-mc", "--curves", str(tmp_path / "curves"), "--paths", "10")
+    code, _, err = run(capsys, "repro", "--curves", str(tmp_path / "curves"), "--paths", "10")
     assert code == 3
     assert err == "error: simulation failed: chain diverged at iteration 1\n"
 
@@ -365,7 +392,7 @@ OUT_CASES = {
     "curve": ["--family", "ar1", "--a", "0.5", "--sigma", "1", "--x0", "0", "--x0p", "1", "--n-max", "1",
               "--paths", "100", "--seed", "1"],
     "dataset-stats": ["--builtin", "trees-girth"],
-    "repro": ["--skip-mc"],
+    "repro": [],
 }
 
 
@@ -395,7 +422,7 @@ def test_out_in_a_missing_directory_exits_2_before_any_output(tmp_path, capsys, 
 def test_repro_curves_on_a_regular_file_exits_2_before_the_table(tmp_path, capsys):
     existing = tmp_path / "curves"
     existing.write_text("keep\n", encoding="utf-8")
-    code, out, err = run(capsys, "repro", "--skip-mc", "--curves", str(existing), "--paths", "10")
+    code, out, err = run(capsys, "repro", "--curves", str(existing), "--paths", "10")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert existing.read_text(encoding="utf-8") == "keep\n"
@@ -590,7 +617,7 @@ def test_curve_paths_of_2_31_exit_2_before_any_job(monkeypatch, capsys):
 def test_repro_rejects_paths_below_1_before_writing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:  # argparse rejects the value itself
-        main(["repro", "--skip-mc", "--paths", "0", "--curves", "curves", "--out", "rows.json"])
+        main(["repro", "--paths", "0", "--curves", "curves", "--out", "rows.json"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert not (tmp_path / "rows.json").exists() and not (tmp_path / "curves").exists()
@@ -607,8 +634,8 @@ X0_NOT_A_NUMBER = json.dumps({"a": 0.5, "sigma": 1, "x0": "abc", "x0p": 1})
     pytest.param([*CURVE_AR1, "--x0", "0", "--stream-id", "-1"], id="stream-id-negative"),
     pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "0"], id="curve-workers-0"),
     pytest.param([*CURVE_AR1, "--x0", "0", "--workers", "-3"], id="curve-workers-negative"),
-    pytest.param(["repro", "--skip-mc", "--workers", "0"], id="repro-workers-0"),
-    pytest.param(["repro", "--skip-mc", "--workers", "-3"], id="repro-workers-negative"),
+    pytest.param(["repro", "--workers", "0"], id="repro-workers-0"),
+    pytest.param(["repro", "--workers", "-3"], id="repro-workers-negative"),
     pytest.param([*CURVE_AR1, "--x0", "0", "--bin-width", "inf"], id="bin-width-inf"),
     pytest.param(["curve", "--family", "ar1", "--params", X0_NOT_A_NUMBER, "--paths", "10", "--n-max", "1"],
                  id="curve-x0-not-a-number"),
@@ -835,7 +862,7 @@ def test_bad_stream_or_start_fails_before_the_certificate_and_the_jobs(tmp_path,
 ])
 def test_bad_seed_fails_before_the_table_and_the_curves_directory(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    code, out, err = _exit_code_and_streams(capsys, ["repro", "--skip-mc", "--curves", "D", *argv])
+    code, out, err = _exit_code_and_streams(capsys, ["repro", "--curves", "D", *argv])
     assert code == 2, err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
     assert out == ""

@@ -6,6 +6,7 @@ from tvbounds.data import LocationData, RegressionData, load_csv, location_stats
 from tvbounds.errors import IngestionError, ParameterError
 
 
+@pytest.mark.literal
 def test_builtin_trees_girth(trees):
     j, y_bar, s = trees
     assert j == 31

@@ -67,20 +67,6 @@ def test_scalar_families_draw_through_their_noise_law():
     assert [tag for tag, cls in models.FAMILIES.items() if "draw" in vars(cls)] == []
 
 
-def test_the_drift_fit_goes_through_the_sampler(monkeypatch, trees):
-    # the benchmark counts and times draws at stochastics.sample; the bits are
-    # those of the laws' own draws, as before the hook saw them
-    j, _, s = trees
-    gibbs = models.LocationGibbsTau(j, s)
-    gx, gy = stochastics.NoiseStream(1).generator(), stochastics.NoiseStream(1).generator()
-    gibbs.x_law.draw(gy, 10)
-    expected_fit = float(((gibbs.x_law.draw(gx, 10) * gibbs.y_law.draw(gy, 10)) ** 2).sum()) / 10
-    tags, sample = [], stochastics.sample
-    monkeypatch.setattr(stochastics, "sample", lambda dist, *args: tags.append(dist.tag) or sample(dist, *args))
-    assert bounds.mc_location_drift_fit(gibbs, stochastics.NoiseStream(1), 10) == expected_fit
-    assert tags == ["gamma", "gamma", "inverse-gamma"]
-
-
 def test_every_scalar_family_steps_into_a_required_out():
     # a family certified in closed form only has no step
     steps = [cls.step for cls in models.FAMILIES.values() if issubclass(cls, models.Family)]

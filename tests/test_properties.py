@@ -16,7 +16,6 @@ from tvbounds.bounds import (
     BoundCertificate,
     bound_eval,
     certificate_to_dict,
-    golden_section_max,
     iterations_to_epsilon,
 )
 from tvbounds.stochastics import (
@@ -33,6 +32,7 @@ from tvbounds.stochastics import (
 )
 
 from conftest import _certificate_from_dict
+from oracles import golden_section_max
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 

@@ -106,7 +106,7 @@ def test_cli_commands_load_no_scipy(tmp_path):
         "import json, sys\n"
         "from tvbounds import cli\n"
         "codes = [cli.main(['certificate', '--family', 'nonlinear-ar', '--gap', '1']),\n"
-        "         cli.main(['repro', '--skip-mc'])]\n"
+        "         cli.main(['repro'])]\n"
         "print(json.dumps({'codes': codes,\n"
         "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
     )

@@ -267,6 +267,7 @@ def test_cells_cast_in_place_in_the_given_buffer(rng):
 AR_HALF = ARNormal1D(0.5, math.sqrt(0.75))
 
 
+@pytest.mark.literal
 def test_tv_exact_first_below_threshold_at_six():
     vals = {n: AR_HALF.exact_tv(0.0, 1.0, n) for n in range(1, 9)}
     assert vals[6] < 0.01 < vals[5]
