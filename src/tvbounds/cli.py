@@ -36,7 +36,6 @@ from .stochastics import InverseGamma, NoiseStream, abs_moment, density
 np = lazy_import("numpy")
 
 DEFAULT_SEED = 20260809
-PHD_DELAY_ENV = "TVBOUNDS_PHD_DELAY_CSV"
 # the start points: every chain takes x0 and x0p, and s20 and s20p where its certificate does
 START_KEYS = ("x0", "x0p", "s20", "s20p")
 
@@ -278,40 +277,24 @@ def reproduction_rows() -> list:
         )
 
     # regression Gibbs (k=333, p=4)
-    d_reg = models.RegressionGibbsSigma(333, 4, 26123.0).certificate(gap=1000.0).d
-    row("regression D = p/(k+p-2)", 0.0119403, d_reg, 5e-8)
-    # the bound row pairs that D with the recorded coefficient
-    cert_ref = bounds.BoundCertificate(c=0.06816454, d=d_reg, n0=0, gap=1000.0, family="regression-gibbs")
+    cert_reg = models.RegressionGibbsSigma(333, 4, 26123.0).certificate(gap=1000.0)
+    row("regression D = p/(k+p-2)", 0.0119403, cert_reg.d, 5e-8)
     row(
         "regression bound at n=3 (gap 1000)",
         0.00972,
-        bounds.bound_eval(cert_ref, 3).raw,
+        bounds.bound_eval(cert_reg, 3).raw,
         1e-4,
         note="below 0.01 from n=3 on",
     )
-    phd_csv = os.environ.get(PHD_DELAY_ENV, os.path.join("data", "phd-delay.csv"))
-    if os.path.exists(phd_csv):
-        ds = data.load_csv(
-            phd_csv, "delay", ["age", "age2", "sex", "child"], prior_lambda=1.0
-        )
-        _, _, c_stat = data.regression_stats(ds)
-        row(
-            "regression K (delay dataset, k=333, p=4)",
-            0.0682,
-            bounds.inverse_gamma_mode_height((333 + 8) / 2, c_stat / 2),
-            5e-3,
-            note=f"C = {c_stat:.6g}, prior precision 1.0",
-        )
-    else:
-        alpha, beta = (333 + 2 * 4) / 2, 26123.0 / 2
-        at_mode = density(InverseGamma(alpha, beta), beta / (alpha + 1))
-        row(
-            "regression K formula vs the density at the mode (data absent)",
-            at_mode,
-            bounds.inverse_gamma_mode_height(alpha, beta),
-            1e-8 * at_mode,
-            note="delay dataset not supplied; validated the mode-height formula instead",
-        )
+    alpha, beta = (333 + 2 * 4) / 2, 26123.0 / 2
+    at_mode = density(InverseGamma(alpha, beta), beta / (alpha + 1))
+    row(
+        "regression K formula vs the density at the mode (data absent)",
+        at_mode,
+        bounds.inverse_gamma_mode_height(alpha, beta),
+        1e-8 * at_mode,
+        note="delay dataset not supplied; validated the mode-height formula instead",
+    )
 
     # location Gibbs (tree girth data)
     j, _, s = data.location_stats(data.builtin_dataset("trees-girth"))

@@ -102,11 +102,15 @@ class Family(Record):
         """``make_state`` of one path started at ``x`` (sigma^2 ``s2`` for GARCH),
         the one start check: ParameterError names (``names``) a start that is
         not a finite real number or is a bool; a 0-d numpy array or a numpy
-        scalar checks as the number it holds."""
-        for name, v in zip(names, (x, s2)):
-            if v is not None and not stochastics._is_real(v.item() if getattr(v, "ndim", None) == 0 else v):
+        scalar checks as the number it holds; a StateError names the start."""
+        starts = [(name, v) for name, v in zip(names, (x, s2)) if v is not None]
+        for name, v in starts:
+            if not stochastics._is_real(v.item() if getattr(v, "ndim", None) == 0 else v):
                 raise ParameterError(f"start {name} must be a number, finite and not bool, got {v!r}")
-        return self.make_state(x, s2)
+        try:
+            return self.make_state(x, s2)
+        except StateError as exc:
+            raise StateError(f"start {', '.join(f'{name} = {v}' for name, v in starts)}: {exc}") from None
 
     def observable(self, state):
         """The scalar the TV curves histogram: X_n itself (GARCH's is x)."""

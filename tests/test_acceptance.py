@@ -13,7 +13,6 @@ outcomes are printed.
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -22,8 +21,8 @@ import pytest
 
 from oracles import full_step, golden_section_max, mc_location_drift_fit, nonlinear_ar_D_search
 from test_tvlab import shifted_l1
-from tvbounds import bounds, data, models, tvlab
-from tvbounds.cli import PHD_DELAY_ENV, reproduction_rows
+from tvbounds import bounds, models, tvlab
+from tvbounds.cli import reproduction_rows
 from tvbounds.stochastics import ChiSquare, InverseGamma, Normal, NoiseStream, density
 
 SEED = 20260809
@@ -59,25 +58,17 @@ def test_criterion_1_regression_gibbs():
     b3 = bounds.bound_eval(cert, 3).raw
     ok_b = abs(b3 - 0.00972) < 1e-4 and b3 < 0.01
 
-    phd_csv = os.environ.get(PHD_DELAY_ENV, os.path.join("data", "phd-delay.csv"))
-    if os.path.exists(phd_csv):
-        ds = data.load_csv(phd_csv, "delay", ["age", "age2", "sex", "child"], prior_lambda=1.0)
-        _, _, c_stat = data.regression_stats(ds)
-        k_val = bounds.inverse_gamma_mode_height((k + 2 * p) / 2, c_stat / 2)
-        ok_k = abs(k_val - 0.0682) < 5e-3
-        k_note = f"dataset K = {k_val:.4f}"
-    else:
-        alpha, beta = (k + 2 * p) / 2, 26123.0 / 2
-        mode = beta / (alpha + 1)
-        oracle = golden_section_max(lambda x: density(InverseGamma(alpha, beta), x), mode / 4, mode * 4)
-        k_val = bounds.inverse_gamma_mode_height(alpha, beta)
-        ok_k = abs(k_val - oracle) <= 1e-8 * oracle
-        k_note = "delay dataset absent; mode-height formula vs golden-section oracle to 1e-8"
+    alpha, beta = (k + 2 * p) / 2, 26123.0 / 2
+    mode = beta / (alpha + 1)
+    oracle = golden_section_max(lambda x: density(InverseGamma(alpha, beta), x), mode / 4, mode * 4)
+    k_val = bounds.inverse_gamma_mode_height(alpha, beta)
+    ok_k = abs(k_val - oracle) <= 1e-8 * oracle
     elapsed = time.time() - t0
     report(
         "criterion 1 (regression Gibbs)",
         ok_d and ok_b and ok_k and elapsed < 1.0,
-        f"D = 4/335 exactly; bound(3) = {b3:.6f} < 0.01; {k_note}; {elapsed:.2f}s",
+        f"D = 4/335 exactly; bound(3) = {b3:.6f} < 0.01; mode-height formula vs golden-section oracle to 1e-8; "
+        f"{elapsed:.2f}s",
     )
 
 

@@ -305,6 +305,38 @@ def test_dataset_stats_missing_file_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,csv,message", [
+    pytest.param(["iters", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1", "--epsilon", "1"], None,
+                 "epsilon must lie in (0, 1), got 1.0", id="epsilon-1"),
+    pytest.param(["iters", "--family", "ar1", "--a", "0.5", "--sigma", "1", "--gap", "1", "--epsilon", "0"], None,
+                 "epsilon must lie in (0, 1), got 0.0", id="epsilon-0"),
+    pytest.param(["certificate", "--family", "regression-gibbs", "--params",
+                  json.dumps({"k": 1, "p": 1, "c_stat": 1.0}), "--gap", "1"], None,
+                 "need k + p > 2, got k=1, p=1", id="regression-k-1-p-1"),
+    pytest.param(["certificate", "--family", "regression-gibbs", "--params",
+                  json.dumps({"k": 0, "p": 4, "c_stat": 1.0}), "--gap", "1"], None,
+                 "need k, p >= 1, got (0, 4)", id="regression-k-0"),
+    pytest.param(["certificate", "--family", "larch", "--params",
+                  json.dumps({"beta0": 1, "beta1": 0.5, "z": {"nu": 1}}), "--gap", "1"], None,
+                 "distribution object must carry a 'dist' tag", id="noise-without-dist"),
+    pytest.param(["dataset-stats", "--csv", "F.csv", "--y-column", "y"], "",
+                 "F.csv: missing header row", id="csv-empty"),
+    pytest.param(["dataset-stats", "--csv", "F.csv", "--y-column", "y"], "y\n",
+                 "F.csv: no data rows", id="csv-header-only"),
+    pytest.param(["dataset-stats", "--csv", "F.csv", "--y-column", "y"], "x,y\n1,2\n3\n",
+                 "row 3: missing value in column 'y'", id="csv-row-without-y"),
+    pytest.param(["dataset-stats", "--csv", "F.csv", "--y-column", "y"], "y\n1\nnan\n3\n",
+                 "location data must be finite", id="csv-nan-cell"),
+])
+def test_refusal_exits_2_naming_its_cause(tmp_path, monkeypatch, capsys, argv, csv, message):
+    monkeypatch.chdir(tmp_path)
+    if csv is not None:
+        (tmp_path / "F.csv").write_text(csv, encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}"), err
+
+
 @pytest.mark.literal
 def test_repro_rows_and_verdicts(capsys):
     rows = reproduction_rows()
@@ -339,6 +371,19 @@ def test_repro_table_is_the_same_for_every_seed(capsys):
     # --seed seeds only --curves
     tables = [run(capsys, "repro", "--seed", seed) for seed in ("1", "2")]
     assert tables[0] == tables[1] and tables[0][0] == 0
+
+
+def test_repro_regression_bound_row_evaluates_the_family_c(monkeypatch):
+    # the row pairs the recorded 0.00972 with the family's own C, so a cut C shows
+    certificate = models.RegressionGibbsSigma.certificate
+
+    def c_cut_100_fold(self, gap):
+        cert = certificate(self, gap)
+        return type(cert)(**{**{name: getattr(cert, name) for name in cert._fields}, "c": cert.c / 100})
+
+    monkeypatch.setattr(models.RegressionGibbsSigma, "certificate", c_cut_100_fold)
+    verdicts = {r["name"]: r["verdict"] for r in reproduction_rows()}
+    assert verdicts["regression bound at n=3 (gap 1000)"] == "MISMATCH"
 
 
 def test_repro_takes_no_skip_mc(capsys):
@@ -728,6 +773,22 @@ def test_start_outside_the_state_space_or_moment_underflow_exits_2(capsys, argv)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["certificate", "--family", "larch", "--params", LARCH_CHI2, "--x0", "1", "--x0p", "-1"],
+                 "start x0p = -1.0: LARCH state must be >= 0", id="certificate-larch-x0p"),
+    pytest.param(["iters", "--family", "location-gibbs", "--params", json.dumps({"j": 31, "s": 295.4}),
+                  "--x0", "0", "--x0p", "1", "--epsilon", "0.01"],
+                 "start x0 = 0.0: Gibbs chain state must be strictly positive", id="iters-location-gibbs-x0"),
+    pytest.param(["curve", "--family", "garch", "--params", GARCH_PARAMS, "--x0", "0.1", "--x0p", "-0.1",
+                  "--s20", "0.01", "--s20p", "-0.01", "--n-max", "1", "--paths", "100"],
+                 "start x0p = -0.1, s20p = -0.01: GARCH sigma^2 state must be >= 0", id="curve-garch-s20p"),
+])
+def test_start_outside_the_state_space_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("starts,match", [

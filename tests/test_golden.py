@@ -256,20 +256,49 @@ def test_dataset_stats_json_golden_digest(tmp_path, capsys, dataset):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DATASET_STATS_DIGESTS[dataset]
 
 
-# sha256 of the `repro --seed 11` table on stdout and of its `--out` JSON,
-# with the delay dataset absent; the table is closed form, the same for any seed
+# sha256 of the `repro --seed 11` table on stdout and of its `--out` JSON;
+# the table is closed form, the same for any seed and any working directory
 REPRO_DIGESTS = {
-    "stdout": "63abb4e1a9e309b6a8102ccb3aee7a137b1af64ee103f2f0f3926877497fd0b7",
-    "json": "8a41f3a3f592b89e14d2410c9304d6520e9cdc4ffdfbd45f7def7745ca8ff47f",
+    "stdout": "74277be950b2465797a3db1289d55e39fd0b458128d8bde399eb3ca32143efb3",
+    "json": "0d174c7c501468c1dcc2068db5213b507f070d3f87a5f86017deedb2afdc4e22",
 }
 
 
-def test_repro_golden_digest(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # no data/phd-delay.csv here
-    monkeypatch.delenv(cli.PHD_DELAY_ENV, raising=False)
+def _repro_digests(directory, capsys):
     assert cli.main(["repro", "--seed", "11", "--out", "rows.json"]) == 0
-    digests = {
+    return {
         "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
-        "json": hashlib.sha256((tmp_path / "rows.json").read_bytes()).hexdigest(),
+        "json": hashlib.sha256((directory / "rows.json").read_bytes()).hexdigest(),
     }
-    assert digests == REPRO_DIGESTS
+
+
+def test_repro_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # --out rows.json lands here
+    assert _repro_digests(tmp_path, capsys) == REPRO_DIGESTS
+
+
+# a well-conditioned doctoral-delay-shaped regression CSV
+DELAY_CSV = (
+    "delay,age,age2,sex,child\n"
+    "32.5,25,6.25,0,0\n"
+    "37.5,27,7.29,1,0\n"
+    "34.5,29,8.41,0,1\n"
+    "36.5,31,9.61,1,1\n"
+    "37.5,33,10.89,0,0\n"
+    "40.5,35,12.25,1,1\n"
+    "38.5,37,13.69,0,0\n"
+    "41.5,39,15.21,1,1\n"
+    "40.5,41,16.81,0,1\n"
+    "44.5,43,18.49,1,0\n"
+)
+
+
+def test_repro_reads_no_dataset_file_and_no_environment(tmp_path, monkeypatch, capsys):
+    # neither a data/phd-delay.csv under the working directory nor a CSV
+    # named by TVBOUNDS_PHD_DELAY_CSV changes the table
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "phd-delay.csv").write_text(DELAY_CSV, encoding="utf-8")
+    (tmp_path / "delay.csv").write_text(DELAY_CSV, encoding="utf-8")
+    monkeypatch.setenv("TVBOUNDS_PHD_DELAY_CSV", str(tmp_path / "delay.csv"))
+    assert _repro_digests(tmp_path, capsys) == REPRO_DIGESTS

@@ -507,6 +507,7 @@ def test_curve_sizes_must_be_integers(n_max, n_paths, name):
 
 
 @pytest.mark.parametrize("kwargs, message", [
+    pytest.param({"n_max": 0}, "need n_max >= 1, got 0", id="n-max-0"),
     pytest.param({"workers": 0}, "need workers >= 1, got 0", id="workers-0"),
     pytest.param({"workers": -3}, "need workers >= 1, got -3", id="workers-negative"),
     pytest.param({"workers": True}, "workers must be an integer", id="workers-bool"),
